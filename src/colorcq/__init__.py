@@ -17,7 +17,7 @@ from .model import (
     parse_query,
 )
 from .graph import EdgeLabel, LabeledGraph, Sigma1, build_labeled_graph, encode_self_loops
-from .refine import Coloring, available_backends, default_backend, is_stable, naive_refine, refine
+from .refine import Coloring, default_backend, is_stable, naive_refine, refine
 from .index import ColorIndex, build_index, hat_succ_count, hat_succ_set, index_stats, load_index, save_index
 from .frontend import (
     FcCheck,
@@ -57,7 +57,6 @@ __all__ = [
     "build_labeled_graph",
     "encode_self_loops",
     "Coloring",
-    "available_backends",
     "default_backend",
     "is_stable",
     "naive_refine",

@@ -18,7 +18,6 @@ from .frontend import QueryRejected, explain_plan, plan_query
 from .index import ColorIndex, build_index, index_stats, load_index, save_index
 from .model import ColorcqError, Database, load_database, parse_query
 from .oracle import naive_eval
-from .refine import available_backends, refine
 
 
 def _load_db(path: str) -> Database:
@@ -118,8 +117,8 @@ def cmd_gen(args) -> int:
             print(f"error: need 1 <= n and 0 <= m <= n*n={n*n}", file=sys.stderr)
             return 1
         rng = random.Random(args.seed)
-        pairs = rng.sample([(a, b) for a in range(1, n + 1) for b in range(1, n + 1)], k=m)
-        lines = [f"R({a},{b})" for a, b in pairs]
+        pairs = (divmod(k, n) for k in rng.sample(range(n * n), m))
+        lines = [f"R({a + 1},{b + 1})" for a, b in pairs]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -172,14 +171,6 @@ def cmd_bench(args) -> int:
         print(f"{label:<44} {prep:8.3f} {_percentile(gaps, 50):8.1f} "
               f"{_percentile(gaps, 95):8.1f} {_percentile(gaps, 100):8.1f} "
               f"{len(gaps):8d} {cnt:10d} {count_ms:9.3f}")
-
-    if args.compare_kernels:
-        print("\nrefinement kernel comparison:")
-        for backend in available_backends():
-            t0 = time.perf_counter()
-            col = refine(idx.g, backend=backend)
-            secs = time.perf_counter() - t0
-            print(f"  {backend:<6} {secs:.4f}s  ({col.num_colors} colors)")
     return 0
 
 
@@ -236,8 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_source(bp)
     bp.add_argument("--queries", required=True, help="file with one query per line")
     bp.add_argument("--limit", type=int, help="max tuples timed per query")
-    bp.add_argument("--compare-kernels", action="store_true",
-                    help="also time each refinement backend on the indexed graph")
     bp.set_defaults(fn=cmd_bench)
 
     st = sub.add_parser("stats", help="print index statistics")

@@ -154,7 +154,8 @@ def _expand(
         seqs[level] = idx.succ(labels[level - 1], vp, c)
         extra[level] = vp if (loop_arrays[level - 1][c] and colors[vp] == c) else -1
         pos[level] = 0
-        assert len(seqs[level]) or extra[level] >= 0, "expansion hit an empty set"
+        if not len(seqs[level]) and extra[level] < 0:
+            raise ColorcqError("index is inconsistent: a colour-level answer expanded to no tuple")
 
 
 _EMPTY = np.zeros(0, dtype=np.int64)

@@ -130,7 +130,8 @@ class ColorIndex:
                 for pair, total in zip(uk.tolist(), sums.tolist()):
                     c, c2 = divmod(pair, self.num_colors)
                     n = int(self.n_c[c])
-                    assert total % n == 0, "unstable colouring: uneven class counts"
+                    if total % n:
+                        raise ColorcqError("unstable colouring: uneven class counts")
                     counts[(c, c2)] = total // n
                 self._exact_counts[lab] = counts
         if preloaded_counts is not None:
@@ -350,19 +351,32 @@ def save_index(idx: ColorIndex, path: str) -> None:
 
 def load_index(path: str) -> ColorIndex:
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise ColorcqError(f"{path}: not an index file (bad magic {magic!r})")
-        version, meta_len = struct.unpack("<IQ", f.read(12))
-        if version != FORMAT_VERSION:
-            raise ColorcqError(f"{path}: unsupported index format version {version}")
-        meta = json.loads(f.read(meta_len).decode("utf-8"))
-        blobs: dict[str, np.ndarray] = {}
-        for entry in meta["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(f.read(count * 8), dtype=np.int64).reshape(shape)
-            blobs[entry["name"]] = arr
+        data = memoryview(f.read())
+    magic = bytes(data[:4])
+    if magic != MAGIC:
+        raise ColorcqError(f"{path}: not an index file (bad magic {magic!r})")
+    pos = len(MAGIC)
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal pos
+        if size < 0 or pos + size > len(data):
+            raise ColorcqError(f"{path}: truncated index file ({what})")
+        pos += size
+        return data[pos - size:pos]
+
+    version, meta_len = struct.unpack("<IQ", take(12, "header"))
+    if version != FORMAT_VERSION:
+        raise ColorcqError(f"{path}: unsupported index format version {version}")
+    try:
+        meta = json.loads(bytes(take(meta_len, "metadata")).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ColorcqError(f"{path}: corrupt index metadata ({e})") from None
+    blobs: dict[str, np.ndarray] = {}
+    for entry in meta["arrays"]:
+        shape = tuple(entry["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        raw = take(count * 8, f"array {entry['name']}")
+        blobs[entry["name"]] = np.frombuffer(raw, dtype=np.int64).reshape(shape)
 
     schema = Schema((r["name"], r["arity"]) for r in meta["relations"])
     db = Database(schema, constants=meta["constants"])

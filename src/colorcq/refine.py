@@ -6,36 +6,31 @@ class under that label.  The coarsest such colouring refining the vertex
 labels is unique up to renaming; we pin the renaming by numbering classes in
 order of their smallest vertex.
 
-The kernel backend is picked via the COLORCQ_BACKEND environment variable
-("numba" or "numpy"); by default the compiled worklist kernel is used when
-numba imports, with the vectorised numpy rounds as fallback.
+`refine` splits classes in rounds, in numpy, and each round re-examines only
+what split in the round before (Hopcroft; Paige–Tarjan 1987).  Round 0 splits
+every class by the full signatures of its vertices.  After that, the splitters
+of a round are the parts that received a fresh id in the previous round; their
+in-neighbours are grouped by (class, multiset of (edge label, splitter colour)
+counts), and the untouched rest of each touched class is one more part.  The
+largest part keeps the old id and is never re-examined: counts into it are the
+counts into the old class minus the counts into its fresh siblings, and those
+are already uniform.  A vertex therefore lands in a re-examined part O(log V)
+times, and the refinement costs O((V+E) log V) plus sorting, plus one O(V)
+scan in each (rare) round where an untouched residue is not the largest part.
+Refinement stops when a round hands out no fresh id.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .graph import EdgeLabel, LabeledGraph
-
-BACKEND_ENV = "COLORCQ_BACKEND"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if kernels.HAVE_NUMBA else ("numpy",)
 
 
 def default_backend() -> str:
-    env = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if env:
-        if env not in ("numba", "numpy"):
-            raise ValueError(f"{BACKEND_ENV} must be 'numba' or 'numpy', got {env!r}")
-        if env == "numba" and not kernels.HAVE_NUMBA:
-            raise ValueError("numba backend requested but numba is not importable")
-        return env
-    return "numba" if kernels.HAVE_NUMBA else "numpy"
+    """Name of the refinement kernel, as recorded in benchmark reports."""
+    return "numpy"
 
 
 @dataclass
@@ -84,20 +79,101 @@ def _as_coloring(raw: np.ndarray) -> Coloring:
     return Coloring(color_of=colors, members=members)
 
 
-def refine(g: LabeledGraph, backend: str | None = None) -> Coloring:
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of the integer ranges [starts[i], starts[i] + lens[i])."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
+
+
+def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One int64 per pair (a[i], b[i]) of non-negative ints, ordered like the pairs."""
+    width = int(b.max()) + 1
+    if (int(a.max()) + 1) * width >= 1 << 63:
+        a, b = (np.unique(x, return_inverse=True)[1] for x in (a, b))
+        width = int(b.max()) + 1
+    return a * width + b
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values begins in `a`."""
+    head = np.ones(len(a), bool)
+    head[1:] = a[1:] != a[:-1]
+    return np.flatnonzero(head)
+
+
+def refine(g: LabeledGraph) -> Coloring:
     """Coarsest stable colouring refining g's vertex labels."""
-    if backend is None:
-        backend = default_backend()
-    init, n_init = g.initial_colors()
-    if backend == "numba":
-        if not kernels.HAVE_NUMBA:
-            raise ValueError("numba backend requested but numba is not importable")
-        raw = kernels.refine_worklist(g.indptr, g.nbr, g.elab, g.dual_id, init, n_init)
-    elif backend == "numpy":
-        raw = kernels.refine_rounds(g.indptr, g.nbr, g.elab, g.dual_id, init, n_init)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return _as_coloring(raw)
+    color, ncol = g.initial_colors()
+    deg = np.diff(g.indptr)
+    size = np.zeros(g.n, np.int64)  # by class id; there are never more than n ids
+    size[:ncol] = np.bincount(color, minlength=ncol)
+    moved = np.arange(g.n)  # members of this round's splitters
+    while len(moved):
+        # every edge has a reverse edge with the dual label, so the out-edges
+        # of the splitter members lead to each in-neighbour u, together with
+        # the label of u -> member and the member's colour
+        e = _ranges(g.indptr[moved], deg[moved])
+        if not len(e):
+            break
+        u = g.nbr[e]
+        lc = g.dual_id[g.elab[e]] * ncol + np.repeat(color[moved], deg[moved])
+        key = _pack(u, lc)
+        order = np.argsort(key)
+        run = _starts(key[order])
+        cnt = np.diff(np.append(run, len(order)))
+        u, item = u[order[run]], _pack(lc[order[run]], cnt)  # (label, colour, count)
+
+        # name each touched vertex's sorted run of items by prefix doubling:
+        # after the pass with step h, item[j] names the items j .. j+2h-1 of
+        # its run (fewer at the run's end, marked by the 0 of a missing half)
+        head = _starts(u)
+        hit = u[head]
+        length = np.diff(np.append(head, len(u)))
+        end = np.repeat(head + length, length)
+        step = 1
+        while step < length.max():
+            nxt = np.arange(step, len(u) + step)
+            half = np.where(nxt < end, item[np.minimum(nxt, len(u) - 1)] + 1, 0)
+            item = np.unique(_pack(item, half), return_inverse=True)[1]
+            step *= 2
+        _, part, psize = np.unique(
+            _pack(color[hit], item[head]), return_inverse=True, return_counts=True)
+        pcls = np.empty(len(psize), np.int64)
+        pcls[part] = color[hit]
+
+        # per touched class, the largest part keeps the id, the residue (the
+        # members left untouched) winning ties; every other part gets a fresh one
+        by_cls = np.lexsort((-psize, pcls))
+        lead = _starts(pcls[by_cls])
+        cls, big = pcls[by_cls[lead]], psize[by_cls[lead]]
+        res = size[cls] - np.add.reduceat(psize[by_cls], lead)
+        keep = np.zeros(len(psize), bool)
+        keep[by_cls[lead]] = res < big
+        fresh = np.flatnonzero(~keep)
+        lost = (res > 0) & (res < big)
+        n_fresh, n_lost = len(fresh), int(lost.sum())
+
+        # a round with nothing fresh leaves `moved` empty, which ends the loop
+        new_id = np.full(len(psize), -1, np.int64)
+        new_id[fresh] = ncol + np.arange(n_fresh)
+        ids = new_id[part]
+        moved = hit[ids >= 0]
+        if n_lost:
+            # a residue that lost its id is found by a scan of all vertices;
+            # this is rare, as the untouched residue is usually the largest part
+            res_id = np.full(ncol, -1, np.int64)
+            res_id[cls[lost]] = ncol + n_fresh + np.arange(n_lost)
+            to = res_id[color]
+            to[hit] = -1
+            res_v = np.flatnonzero(to >= 0)
+            color[res_v] = to[res_v]
+            moved = np.concatenate([moved, res_v])
+        color[hit[ids >= 0]] = ids[ids >= 0]
+        new_size = np.concatenate([psize[fresh], res[lost]])
+        size[ncol:ncol + len(new_size)] = new_size
+        np.subtract.at(size, np.concatenate([pcls[fresh], cls[lost]]), new_size)
+        ncol += len(new_size)
+    return _as_coloring(color)
 
 
 def _signature(g: LabeledGraph, colors: np.ndarray, v: int) -> dict[tuple[int, int], int]:

@@ -9,7 +9,6 @@ from colorcq.frontend import check_free_connex_acyclic
 from colorcq.graph import build_labeled_graph, encode_self_loops
 from colorcq.index import build_index
 from colorcq.model import Atom, ConjunctiveQuery, Database, Schema
-from colorcq.refine import refine
 
 # the eight facts of the movie database used as running example everywhere
 MOVIE_FACTS = [
@@ -98,10 +97,3 @@ def dex() -> Database:
 @pytest.fixture(scope="session")
 def dex_index():
     return build_index(movie_db())
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Absorb one-time kernel compilation/cache loading before timed tests."""
-    refine(graph_of(cycle_db(3)))
-    return True

@@ -11,7 +11,6 @@ import time
 from itertools import combinations, islice
 
 import numpy as np
-import pytest
 
 from colorcq.evaluation import (
     EnumerationSession,
@@ -36,8 +35,6 @@ from .conftest import (
     random_fc_query,
 )
 from .test_refine import _refines, _set_partitions, _stable_partition
-
-pytestmark = pytest.mark.usefixtures("warm_kernels")
 
 
 def _color_of_name(idx, name: str) -> int:

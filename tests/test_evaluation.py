@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from colorcq.evaluation import (
@@ -178,6 +179,15 @@ def test_session_instrumentation():
     assert sess.emissions == 50
     assert sess.steps.n >= 50
     assert 1 <= sess.max_gap <= 10
+
+
+def test_expansion_into_an_empty_set_raises():
+    """A colour tuple whose successor set is empty means the index is
+    inconsistent; enumeration must say so even under `python -O`."""
+    idx = build_index(cycle_db(5))
+    idx.succ = lambda lab, v, c: np.zeros(0, dtype=np.int64)
+    with pytest.raises(ColorcqError, match="inconsistent"):
+        list(EnumerationSession(idx, _plan(idx.db, "Ans(x,y) <- R(x,y).")))
 
 
 def test_enumeration_yields_user_head_order():

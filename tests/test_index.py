@@ -7,10 +7,11 @@ import threading
 import numpy as np
 import pytest
 
-from colorcq.graph import EdgeLabel
+from colorcq.graph import EdgeLabel, build_labeled_graph, encode_self_loops
 from colorcq.index import (
     FORMAT_VERSION,
     MAGIC,
+    ColorIndex,
     build_index,
     hat_succ_count,
     hat_succ_set,
@@ -19,6 +20,7 @@ from colorcq.index import (
     save_index,
 )
 from colorcq.model import ColorcqError, Database, Schema
+from colorcq.refine import _as_coloring
 
 from .conftest import cycle_db, movie_db, names, random_db
 
@@ -226,6 +228,18 @@ def test_closure_cap_guards_adversarial_schemas():
         db.add_fact(f"R{i:02d}", (a, b))
     with pytest.raises(ColorcqError, match="closure"):
         build_index(db)
+
+
+def test_unstable_coloring_is_rejected():
+    """One class for all six movie vertices is not stable: the two P-edges
+    cannot be spread evenly over six members.  This is an explicit error,
+    not an assert that `python -O` would strip."""
+    db = movie_db()
+    d1, s1 = encode_self_loops(db)
+    g = build_labeled_graph(d1, s1)
+    coloring = _as_coloring(np.zeros(g.n, dtype=np.int64))
+    with pytest.raises(ColorcqError, match="unstable colouring"):
+        ColorIndex(db, d1, s1, g, coloring, {})
 
 
 def test_persistence_round_trip(tmp_path):

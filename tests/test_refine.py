@@ -1,24 +1,15 @@
-"""Colour refinement: kernels, stability, coarsest-ness, reference agreement."""
+"""Colour refinement: kernel, stability, coarsest-ness, reference agreement."""
 from __future__ import annotations
 
 import random
-from itertools import product
+import time
 
 import numpy as np
-import pytest
 
-from colorcq import kernels
 from colorcq.model import Database, Schema
-from colorcq.refine import (
-    available_backends,
-    canonicalize,
-    default_backend,
-    is_stable,
-    naive_refine,
-    refine,
-)
+from colorcq.refine import _pack, canonicalize, is_stable, naive_refine, refine
 
-from .conftest import cycle_db, graph_of, movie_db, partition, random_db
+from .conftest import cycle_db, graph_of, movie_db, random_db
 
 
 def movie_partition_names(db, coloring):
@@ -136,45 +127,25 @@ def test_canonicalize():
     assert list(canonicalize(np.array([], dtype=np.int64))) == []
 
 
-def test_backends_and_reference_agree_random():
+def test_pack_keeps_pair_order_without_overflow():
+    a = np.array([3, 1 << 40, 3, 0], dtype=np.int64)
+    b = np.array([1 << 40, 5, 0, 1 << 40], dtype=np.int64)
+    key = _pack(a, b)
+    assert list(np.argsort(key)) == [3, 2, 0, 1]
+    assert list(_pack(np.array([2, 0]), np.array([1, 1]))) == [5, 1]
+
+
+def test_refine_matches_naive_random():
     rng = random.Random(101)
-    backends = available_backends()
     for _ in range(40):
         g = graph_of(random_db(rng, max_adom=8))
-        results = {b: refine(g, backend=b) for b in backends}
-        results["naive"] = naive_refine(g)
-        parts = {partition(c) for c in results.values()}
-        assert len(parts) == 1, f"backends disagree: {sorted(results)}"
-        for col in results.values():
-            ok, witness = is_stable(g, col.color_of)
-            assert ok, witness
+        col = refine(g)
+        assert list(col.color_of) == list(naive_refine(g).color_of)
+        ok, witness = is_stable(g, col.color_of)
+        assert ok, witness
         # the refinement respects the initial vertex-label partition
-        col = results[backends[0]]
         for members in col.members:
             assert len({g.vl_mask[int(v)] for v in members}) == 1
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not importable")
-def test_njit_kernel_matches_python_source():
-    rng = random.Random(5)
-    for _ in range(10):
-        g = graph_of(random_db(rng, max_adom=7))
-        init, n_init = g.initial_colors()
-        compiled = kernels.refine_worklist(
-            g.indptr, g.nbr, g.elab, g.dual_id, init, n_init)
-        interpreted = kernels._refine_worklist_impl.py_func(
-            g.indptr, g.nbr, g.elab, g.dual_id, init, np.int64(n_init))
-        assert list(canonicalize(compiled)) == list(canonicalize(interpreted))
-
-
-def test_backend_env_selection(monkeypatch):
-    monkeypatch.setenv("COLORCQ_BACKEND", "numpy")
-    assert default_backend() == "numpy"
-    monkeypatch.setenv("COLORCQ_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        default_backend()
-    monkeypatch.delenv("COLORCQ_BACKEND")
-    assert default_backend() in available_backends()
 
 
 def _set_partitions(items: list[int]):
@@ -249,8 +220,54 @@ def test_incoming_counts_uniform_within_classes():
             assert len(sigs) == 1
 
 
-def test_backend_product_on_structured_graphs():
+def _directed_path_db(n: int, unary=()) -> Database:
+    db = Database(Schema([("R", 2), ("U", 1)]))
+    ids = [db.intern(f"p{i}") for i in range(n)]
+    for i in range(n - 1):
+        db.add_fact("R", (ids[i], ids[i + 1]))
+    for i in unary:
+        db.add_fact("U", (ids[i],))
+    return db
+
+
+def _binary_tree_db(n: int) -> Database:
+    db = Database(Schema([("R", 2)]))
+    ids = [db.intern(f"t{i}") for i in range(n)]
+    for i in range(1, n):
+        db.add_fact("R", (ids[(i - 1) // 2], ids[i]))
+    return db
+
+
+def test_refine_matches_naive_structured():
+    """Shapes that take many rounds.  The 27-vertex tree and the 12-path with
+    unary labels at 0, 6 and 11 each have a split where the untouched residue
+    of a class is smaller than a touched part and so loses its id."""
+    rng = random.Random(8)
     dbs = [movie_db(), cycle_db(6), _undirected_db(4, [(0, 1), (1, 2), (2, 3)])]
-    for db, (b1, b2) in product(dbs, product(available_backends(), repeat=2)):
+    dbs += [_directed_path_db(n) for n in (1, 2, 3, 10, 31)]
+    dbs += [_binary_tree_db(n) for n in (2, 7, 12, 27, 63)]
+    dbs += [_directed_path_db(12, (0, 6, 11))]
+    dbs += [_directed_path_db(n, rng.sample(range(n), n // 4)) for n in (8, 25, 40)]
+    for db in dbs:
         g = graph_of(db)
-        assert partition(refine(g, b1)) == partition(refine(g, b2))
+        assert list(refine(g).color_of) == list(naive_refine(g).color_of)
+
+
+def test_path_refinement_scales_near_linearly():
+    """A directed path needs about n/2 rounds; each round re-examines only the
+    two vertices next to the last split, so the time grows about linearly."""
+    ns = (500, 2000, 8000)
+    secs = {}
+    for n in ns:
+        g = graph_of(_directed_path_db(n))
+        best = float("inf")
+        for _ in range(3 if n < 8000 else 2):
+            t0 = time.perf_counter()
+            col = refine(g)
+            best = min(best, time.perf_counter() - t0)
+        assert col.num_colors == n
+        secs[n] = best
+    exponent = float(np.polyfit(np.log(ns), np.log([secs[n] for n in ns]), 1)[0])
+    print("\n[path refinement] s: " + ", ".join(f"{n}: {secs[n]:.4f}" for n in ns)
+          + f" (log-log exponent {exponent:.2f})")
+    assert exponent <= 1.35
