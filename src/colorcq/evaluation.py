@@ -13,7 +13,7 @@ adjacent tree variables onto one looping vertex would be lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def _expand(
     labels = [comp.lambda_e[(comp.parent[x], x)] for x in comp_free[1:]]
 
     vals = [0] * k
-    seqs: list[np.ndarray] = [idx.coloring.members[cbar[0]]] + [_EMPTY] * (k - 1)
+    seqs: list[Sequence[int]] = [idx.coloring.members[cbar[0]]] + [_EMPTY] * (k - 1)
     extra = [-1] * k  # the looping parent vertex, enumerated after the array
     pos = [0] * k
     level = 0

@@ -10,6 +10,7 @@ them.  The reverse pair always carries the dual label (directions flipped).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -80,16 +81,61 @@ def sigma1_for(schema: Schema) -> Sigma1:
 def encode_self_loops(db: Database) -> tuple[Database, Sigma1]:
     """Rewrite `(v,v) in R` into loop facts, preserving the intern table."""
     s1 = sigma1_for(db.schema)
-    d1 = Database(s1.schema, constants=db.constants)
+    d1 = Database(s1.schema)
+    d1.constants = list(db.constants)  # already distinct: no need to deduplicate again
     for sym in db.schema.symbols:
-        tups = db.tuples(sym)
+        rows = db.array(sym)
         if db.schema.arity(sym) == 1:
-            d1.relations[sym] = set(tups)
+            d1.set_relation(sym, rows)
         else:
-            loops = {t for t in tups if t[0] == t[1]}
-            d1.relations[sym] = tups - loops
-            d1.relations[s1.loop_symbol[sym]] = {(a,) for a, _ in loops}
+            loop = rows[:, 0] == rows[:, 1]
+            d1.set_relation(sym, rows[~loop])
+            d1.set_relation(s1.loop_symbol[sym], rows[loop, :1])
     return d1, s1
+
+
+_WORD = 63  # bits per int64 word of a bit set; bit 63 is the sign
+
+
+def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One int64 per pair (a[i], b[i]) of non-negative ints, ordered like the pairs."""
+    if not len(a):
+        return np.zeros(0, np.int64)
+    width = int(b.max()) + 1
+    if (int(a.max()) + 1) * width >= 1 << 63:
+        a, b = (np.unique(x, return_inverse=True)[1] for x in (a, b))
+        width = int(b.max()) + 1
+    return a * width + b
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values begins in `a`."""
+    head = np.ones(len(a), bool)
+    head[1:] = a[1:] != a[:-1]
+    return np.flatnonzero(head)
+
+
+def _rank_bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
+    """Rank the sets {bit[i] : owner[i] == o} of the owners o in range(n).
+
+    Returns each owner's dense set id, numbered in increasing order of the
+    sets read as integers, and each id's set as a Python int.  The pairs
+    (owner[i], bit[i]) must be distinct.  Sets of any width are held as
+    int64 words of 63 bits and ranked word by word, most significant first.
+    """
+    if n == 0:
+        return np.zeros(0, np.int64), []
+    words = np.zeros(((int(bit.max()) if len(bit) else 0) // _WORD + 1, n), np.int64)
+    np.add.at(words, (bit // _WORD, owner), np.int64(1) << (bit % _WORD))  # distinct: sum = union
+    rank = np.zeros(n, np.int64)
+    for w in words[::-1]:
+        rank = np.unique(_pack(rank, w), return_inverse=True)[1].reshape(-1)
+    reps = np.unique(rank, return_index=True)[1]
+    sets = [
+        sum(x << (_WORD * j) for j, x in enumerate(col))
+        for col in words[:, reps].T.tolist()
+    ]
+    return rank, sets
 
 
 class LabeledGraph:
@@ -106,18 +152,23 @@ class LabeledGraph:
         self.unary_symbols: tuple[str, ...] = s1.schema.unary_symbols
         self._uidx = {u: i for i, u in enumerate(self.unary_symbols)}
 
-        self.verts = np.array(sorted(d1.adom()), dtype=np.int64)
+        self.verts = d1.adom_ids()
         self.n = len(self.verts)
+        vertex = np.zeros(len(d1.constants), np.int64)  # vertex index by constant id
+        vertex[self.verts] = np.arange(self.n)
 
-        # vertex labels as bitmasks over the unary symbols (python ints, so
-        # schemas of any width are fine here)
-        self.vl_mask: list[int] = [0] * self.n
+        # vertex labels: `vl_id[v]` names the set of unary symbols holding on
+        # v, and `label_masks[vl_id[v]]` is that set as a bitmask (bit i for
+        # unary symbol i)
+        owner = [np.zeros(0, np.int64)]
+        bit = [np.zeros(0, np.int64)]
         for u, i in self._uidx.items():
-            bit = 1 << i
-            for (cid,) in d1.tuples(u):
-                self.vl_mask[self.vertex_of(cid)] |= bit
+            owner.append(vertex[d1.array(u)[:, 0]])
+            bit.append(np.full(len(owner[-1]), i, np.int64))
+        self.vl_id, self.label_masks = _rank_bitsets(
+            np.concatenate(owner), np.concatenate(bit), self.n)
 
-        self._build_edges()
+        self._build_edges(vertex)
 
     def vertex_of(self, cid: int) -> int:
         v = int(np.searchsorted(self.verts, cid))
@@ -128,72 +179,47 @@ class LabeledGraph:
     def const_of(self, v: int) -> int:
         return int(self.verts[v])
 
+    @cached_property
+    def vl_mask(self) -> np.ndarray:
+        """Per-vertex bitmask of the unary symbols (Python ints, any width)."""
+        return np.array(self.label_masks, dtype=object)[self.vl_id]
+
     def vl(self, v: int) -> frozenset[str]:
         m = self.vl_mask[v]
         return frozenset(u for u, i in self._uidx.items() if m >> i & 1)
 
-    def _build_edges(self) -> None:
+    def _build_edges(self, vertex: np.ndarray) -> None:
         binary = self.d1.schema.binary_symbols
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        tags: list[np.ndarray] = []
+        srcs: list[np.ndarray] = [np.zeros(0, np.int64)]
+        dsts: list[np.ndarray] = [np.zeros(0, np.int64)]
+        tags: list[np.ndarray] = [np.zeros(0, np.int64)]
         for r, sym in enumerate(binary):
-            tups = self.d1.tuples(sym)
-            if not tups:
-                continue
-            arr = np.fromiter((x for t in sorted(tups) for x in t), dtype=np.int64)
-            a = np.searchsorted(self.verts, arr[0::2])
-            b = np.searchsorted(self.verts, arr[1::2])
+            rows = self.d1.array(sym)
+            a, b = vertex[rows[:, 0]], vertex[rows[:, 1]]
             srcs += [a, b]
             dsts += [b, a]
             tags += [np.full(len(a), 2 * r, np.int64), np.full(len(a), 2 * r + 1, np.int64)]
-
-        if not srcs:
-            self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-            self.nbr = np.zeros(0, dtype=np.int64)
-            self.elab = np.zeros(0, dtype=np.int64)
-            self.labels: tuple[EdgeLabel, ...] = ()
-            self.dual_id = np.zeros(0, dtype=np.int64)
-            self._label_ids: dict[EdgeLabel, int] = {}
-            return
 
         # one directed entry per (src, dst) pair; the label collects every tag
         src = np.concatenate(srcs)
         dst = np.concatenate(dsts)
         tag = np.concatenate(tags)
-        order = np.lexsort((tag, dst, src))
+        order = np.argsort(_pack(_pack(src, dst), tag))
         src, dst, tag = src[order], dst[order], tag[order]
-
         first = np.ones(len(src), dtype=bool)
         first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
         starts = np.flatnonzero(first)
+        elab, masks = _rank_bitsets(np.cumsum(first) - 1, tag, len(starts))
 
-        if 2 * len(binary) <= 63:
-            masks = np.bitwise_or.reduceat(np.int64(1) << tag, starts)
-            uniq, elab = np.unique(masks, return_inverse=True)
-            keys = [self._mask_pairs(int(m), binary) for m in uniq]
-        else:
-            # wide schemas: group tags per edge without bit tricks
-            bounds = list(starts) + [len(src)]
-            key_ids: dict[tuple[int, ...], int] = {}
-            keys = []
-            elab = np.zeros(len(starts), dtype=np.int64)
-            for i in range(len(starts)):
-                k = tuple(sorted(set(tag[bounds[i]:bounds[i + 1]].tolist())))
-                if k not in key_ids:
-                    key_ids[k] = len(keys)
-                    keys.append(self._tag_pairs(k, binary))
-                elab[i] = key_ids[k]
-
-        self.labels = tuple(EdgeLabel(p) for p in keys)
-        self._label_ids = {lab: i for i, lab in enumerate(self.labels)}
+        self.labels: tuple[EdgeLabel, ...] = tuple(
+            EdgeLabel(self._mask_pairs(m, binary)) for m in masks)
+        self._label_ids: dict[EdgeLabel, int] = {lab: i for i, lab in enumerate(self.labels)}
         self.dual_id = np.array(
             [self._label_ids[lab.dual()] for lab in self.labels], dtype=np.int64
         )
-        e_src = src[starts]
         self.nbr = dst[starts]
-        self.elab = np.asarray(elab, dtype=np.int64)
-        self.indptr = np.searchsorted(e_src, np.arange(self.n + 1), side="left").astype(np.int64)
+        self.elab = elab
+        self.indptr = np.append(0, np.cumsum(np.bincount(src[starts], minlength=self.n)))
 
     @staticmethod
     def _mask_pairs(mask: int, binary: tuple[str, ...]) -> list[tuple[str, str]]:
@@ -205,10 +231,6 @@ class LabeledGraph:
             mask >>= 1
             r += 1
         return out
-
-    @staticmethod
-    def _tag_pairs(tags: tuple[int, ...], binary: tuple[str, ...]) -> list[tuple[str, str]]:
-        return [(binary[t // 2], FWD if t % 2 == 0 else BWD) for t in tags]
 
     # -- small query helpers (tests and naive code paths) --
 
@@ -232,11 +254,7 @@ class LabeledGraph:
 
     def initial_colors(self) -> tuple[np.ndarray, int]:
         """Dense ids of the vertex-label partition (refinement starting point)."""
-        ranks: dict[int, int] = {}
-        for m in sorted(set(self.vl_mask)):
-            ranks[m] = len(ranks)
-        init = np.fromiter((ranks[m] for m in self.vl_mask), dtype=np.int64, count=self.n)
-        return init, len(ranks)
+        return self.vl_id.copy(), len(self.label_masks)
 
 
 def build_labeled_graph(d1: Database, s1: Sigma1) -> LabeledGraph:

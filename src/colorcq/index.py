@@ -7,7 +7,9 @@ relational instance over the colours with one unary relation per unary symbol
 and one binary relation E_λ per edge label λ, holding (c,c′) iff some (hence
 every) vertex of colour c has a λ-superset edge to a vertex of colour c′.
 
-Exact tables are precomputed per *actual* edge label only; the hat lookups
+All tables come from one sort of the directed edges by (label, source colour,
+target colour), which also checks that the colouring is stable.  Successor
+tables of the actual edge labels are built with the index; the hat lookups
 (union/sum over actual labels ⊇ λ) are materialized on first use and
 memoized (thread-safe; concurrent first calls compute identical values).
 The colour database materializes E_λ for the downward closure of the actual
@@ -16,17 +18,23 @@ labels — any other label has empty semantics by construction.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import threading
 import time
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import (
+    BWD,
+    FWD,
     EdgeLabel,
     LabeledGraph,
     Sigma1,
+    _pack,
+    _starts,
     build_labeled_graph,
     e_symbol,
     encode_self_loops,
@@ -35,13 +43,37 @@ from .model import ColorcqError, Database, Schema
 from .refine import Coloring, _as_coloring, refine
 
 MAGIC = b"CCQX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 # hard cap on closure materialization; hit only by adversarial schemas where
 # one vertex pair is related by very many symbols at once
 _CLOSURE_CAP = 1 << 20
+
+
+class SuccTable(NamedTuple):
+    """Successor table of one label.
+
+    `nbr` holds the label's edge targets grouped by (source v, target colour
+    c), each group ascending; `groups` maps the packed key v·num_colors + c
+    to the group's number i, and the group is nbr[start[i]:start[i + 1]].
+    `nbr` is a Python list because the enumeration slices it once per step
+    and reads single elements, which costs less on a list than on an array.
+    """
+
+    nbr: list[int]
+    start: list[int]
+    groups: dict[int, int]
+
+
+def _succ_table(src: np.ndarray, col: np.ndarray, nbr: np.ndarray, ncol: int) -> SuccTable:
+    """Table of edges in which every (src, col) group is contiguous, ascending in nbr."""
+    head = np.ones(len(src), bool)
+    head[1:] = (src[1:] != src[:-1]) | (col[1:] != col[:-1])
+    lo = np.flatnonzero(head)
+    keys = (src[lo] * ncol + col[lo]).tolist()
+    return SuccTable(nbr.tolist(), lo.tolist() + [len(src)], dict(zip(keys, range(len(keys)))))
 
 
 class ColorIndex:
@@ -53,174 +85,163 @@ class ColorIndex:
         g: LabeledGraph,
         coloring: Coloring,
         build_seconds: dict[str, float],
-        preloaded_counts: dict[EdgeLabel, dict[tuple[int, int], int]] | None = None,
     ):
         self.db = db
         self.d1 = d1
         self.s1 = s1
         self.g = g
         self.coloring = coloring
-        self.build_seconds = build_seconds
+        self.build_seconds = dict(build_seconds)
         self._lock = threading.Lock()
-        # exact per-actual-label tables vs. memoized hat (⊇λ) lookups
-        self._exact_sets: dict[EdgeLabel, dict[tuple[int, int], np.ndarray]] = {}
-        self._exact_counts: dict[EdgeLabel, dict[tuple[int, int], int]] = {}
-        self._hat_sets: dict[EdgeLabel, dict[tuple[int, int], np.ndarray]] = {}
+        # memoized hat (⊇λ) lookups
+        self._succ: dict[EdgeLabel, SuccTable] = {}
         self._hat_counts: dict[EdgeLabel, dict[tuple[int, int], int]] = {}
         self._loop_arrays: dict[EdgeLabel, np.ndarray] = {}
-        self._populate(preloaded_counts)
+        t0 = time.perf_counter()
+        self._build_tables()
+        self._build_color_db()
+        self.build_seconds["tables"] = time.perf_counter() - t0
 
     # -- construction ------------------------------------------------------
 
-    def _populate(self, preloaded_counts) -> None:
-        t0 = time.perf_counter()
+    def _build_tables(self) -> None:
         g, col = self.g, self.coloring
         self.n_c = col.sizes
-        self.num_colors = col.num_colors
+        self.num_colors = ncol = col.num_colors
         self.actual_labels: tuple[EdgeLabel, ...] = g.labels
 
-        # vertex labels and data self-loops are uniform within a class (the
-        # coloring refines the vl partition), so one representative suffices
-        self.color_masks: list[int] = [
-            g.vl_mask[int(col.members[c][0])] for c in range(self.num_colors)
-        ]
-        loop_bits = [
-            (r, 1 << g._uidx[s]) for r, s in self.s1.loop_symbol.items()
+        # vertex labels and data self-loops must be uniform within a class,
+        # so one representative per class stands for all of its members
+        reps = np.unique(col.color_of, return_index=True)[1]
+        color_vl = g.vl_id[reps]
+        if (g.vl_id != color_vl[col.color_of]).any():
+            raise ColorcqError("unstable colouring: a class mixes vertex labels")
+        self._color_vl = color_vl
+        self.color_masks: list[int] = list(map(g.label_masks.__getitem__, color_vl.tolist()))
+        loop_bits = [(r, 1 << g._uidx[s]) for r, s in self.s1.loop_symbol.items()]
+        set_loops = [
+            frozenset(p for r, bit in loop_bits if mask & bit for p in ((r, FWD), (r, BWD)))
+            for mask in g.label_masks
         ]
         self.loop_pairs: tuple[frozenset[tuple[str, str]], ...] = tuple(
-            frozenset(
-                p for r, bit in loop_bits if mask & bit for p in ((r, "+"), (r, "-"))
-            )
-            for mask in self.color_masks
-        )
+            map(set_loops.__getitem__, color_vl.tolist()))
 
-        # one pass over the edges grouped by label: successor tables keyed
-        # (vertex, target colour)
-        if g.num_directed_edges:
-            src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-            tgt_col = col.color_of[g.nbr]
-            order = np.lexsort((g.nbr, tgt_col, src, g.elab))
-            s_lab, s_src, s_col, s_nbr = (
-                g.elab[order], src[order], tgt_col[order], g.nbr[order],
-            )
-        else:
-            s_lab = s_src = s_col = s_nbr = _EMPTY
+        # the directed edges sorted by (label, source colour, target colour);
+        # the stable sort keeps (source, target) order inside each run
+        src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+        key = _pack(_pack(g.elab, col.color_of[src]), col.color_of[g.nbr])
+        order = np.argsort(key, kind="stable")
+        key, lab, src, nbr = key[order], g.elab[order], src[order], g.nbr[order]
+        tgt = col.color_of[nbr]
 
-        label_bounds = np.searchsorted(s_lab, np.arange(len(self.actual_labels) + 1))
-        for lid, lab in enumerate(self.actual_labels):
-            lo, hi = int(label_bounds[lid]), int(label_bounds[lid + 1])
-            vv, cc = s_src[lo:hi], s_col[lo:hi]
-            brk = np.ones(hi - lo, dtype=bool)
-            brk[1:] = (vv[1:] != vv[:-1]) | (cc[1:] != cc[:-1])
-            starts = np.flatnonzero(brk)
-            ends = np.append(starts[1:], hi - lo)
-            table: dict[tuple[int, int], np.ndarray] = {}
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                table[(int(vv[s]), int(cc[s]))] = s_nbr[lo + s:lo + e]
-            self._exact_sets[lab] = table
+        # stability: in each run (label λ, class c, class c′), every member of
+        # c has the same number of λ-edges into c′, so the run holds exactly
+        # n_c groups (one per member) of equal size
+        run = _starts(key)
+        head = np.ones(len(key), bool)
+        head[1:] = (key[1:] != key[:-1]) | (src[1:] != src[:-1])
+        grp = np.flatnonzero(head)
+        gsize = np.diff(np.append(grp, len(key)))
+        first = np.searchsorted(grp, run)
+        run_c, run_c2 = col.color_of[src[run]], tgt[run]
+        if len(run) and (
+            (np.diff(np.append(first, len(grp))) != self.n_c[run_c]).any()
+            or (np.minimum.reduceat(gsize, first) != np.maximum.reduceat(gsize, first)).any()
+        ):
+            raise ColorcqError("unstable colouring: uneven class counts")
+        per = gsize[first]
 
-            if preloaded_counts is None:
-                # the class-to-class edge count is n_c times the
-                # per-representative count and must divide evenly (stability)
-                key = col.color_of[vv[starts]] * np.int64(self.num_colors) + cc[starts]
-                uk, inv = np.unique(key, return_inverse=True)
-                sums = np.zeros(len(uk), np.int64)
-                np.add.at(sums, inv, ends - starts)
-                counts: dict[tuple[int, int], int] = {}
-                for pair, total in zip(uk.tolist(), sums.tolist()):
-                    c, c2 = divmod(pair, self.num_colors)
-                    n = int(self.n_c[c])
-                    if total % n:
-                        raise ColorcqError("unstable colouring: uneven class counts")
-                    counts[(c, c2)] = total // n
-                self._exact_counts[lab] = counts
-        if preloaded_counts is not None:
-            self._exact_counts.update(preloaded_counts)
-
-        self._build_color_db()
-        # the closure entries are exactly the hat counts; seed the memo so
-        # counting queries never pay a first-use merge
-        self._hat_counts.update(self.closure_counts)
-        self.build_seconds = dict(self.build_seconds)
-        self.build_seconds["tables"] = time.perf_counter() - t0
+        bounds = np.searchsorted(lab, np.arange(len(self.actual_labels) + 1)).tolist()
+        run_bounds = np.searchsorted(lab[run], np.arange(len(self.actual_labels) + 1)).tolist()
+        self._edges = (bounds, src, tgt, nbr)
+        # exact tables, by actual label id
+        self._exact: list[SuccTable] = []
+        self._count_rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for lid in range(len(self.actual_labels)):
+            lo, hi = bounds[lid], bounds[lid + 1]
+            self._exact.append(_succ_table(src[lo:hi], tgt[lo:hi], nbr[lo:hi], ncol))
+            rlo, rhi = run_bounds[lid], run_bounds[lid + 1]
+            self._count_rows.append((run_c[rlo:rhi], run_c2[rlo:rhi], per[rlo:rhi]))
 
     def _build_color_db(self) -> None:
         g = self.g
         budget = _CLOSURE_CAP
-        closure: dict[EdgeLabel, dict[tuple[int, int], int]] = {}
-        for lab in self.actual_labels:
-            base = self._exact_counts[lab]
+        # closure label -> ids of the actual labels that contain it; a label
+        # outside the closure is contained in no actual label
+        self._supers: dict[EdgeLabel, list[int]] = {}
+        for lid, lab in enumerate(self.actual_labels):
             pairs = lab.pairs
             budget -= 1 << len(pairs)
             if budget < 0:
                 raise ColorcqError("edge-label closure too large to materialize")
             for r in range(1, len(pairs) + 1):
                 for sub in combinations(pairs, r):
-                    acc = closure.setdefault(EdgeLabel(sub), {})
-                    for key, cnt in base.items():
-                        acc[key] = acc.get(key, 0) + cnt
-        self.closure_counts = closure
+                    self._supers.setdefault(EdgeLabel(sub), []).append(lid)
 
         schema = Schema((u, 1) for u in g.unary_symbols)
-        elabels = sorted(closure, key=lambda lab: (len(lab.pairs), lab.pairs))
+        elabels = sorted(self._supers, key=lambda lab: (len(lab.pairs), lab.pairs))
         self.closure_symbols: dict[EdgeLabel, str] = {}
         for lab in elabels:
             name = e_symbol(lab)
             schema.add(name, 2)
             self.closure_symbols[lab] = name
 
-        cdb = Database(schema, constants=(str(c) for c in range(self.num_colors)))
-        for u in g.unary_symbols:
-            bit = 1 << g._uidx[u]
-            for c in range(self.num_colors):
-                rep = int(self.coloring.members[c][0])
-                if g.vl_mask[rep] & bit:
-                    cdb.add_fact(u, (c,))
+        cdb = Database(schema, constants=map(str, range(self.num_colors)))
+        for u, i in g._uidx.items():
+            has = np.array([m >> i & 1 for m in g.label_masks], dtype=bool)
+            cdb.set_relation(u, np.flatnonzero(has[self._color_vl])[:, None])
         for lab, name in self.closure_symbols.items():
-            for pair in self.closure_counts[lab]:
-                cdb.add_fact(name, pair)
+            # the closure entries are exactly the hat counts; seed the memo so
+            # counting queries never pay a first-use merge
+            c, c2, n = self._hat_count_rows(lab)
+            cdb.set_relation(name, np.stack([c, c2], axis=1))
+            self._hat_counts[lab] = dict(zip(zip(c.tolist(), c2.tolist()), n.tolist()))
         self.color_db = cdb
 
     # -- lookups -----------------------------------------------------------
 
-    def _materialize_sets(self, lab: EdgeLabel) -> dict[tuple[int, int], np.ndarray]:
-        supers = [a for a in self.actual_labels if lab.issubset(a)]
-        if len(supers) == 1:
-            merged = self._exact_sets[supers[0]]
+    def _hat_count_rows(self, lab: EdgeLabel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c, c′, #̂→^λ(c,c′)) for the class pairs with a positive count, sorted."""
+        parts = [self._count_rows[lid] for lid in self._supers.get(lab, ())]
+        if not parts:
+            return _EMPTY, _EMPTY, _EMPTY
+        if len(parts) == 1:
+            return parts[0]
+        c, c2, n = (np.concatenate(x) for x in zip(*parts))
+        pair, inv = np.unique(c * self.num_colors + c2, return_inverse=True)
+        total = np.zeros(len(pair), np.int64)
+        np.add.at(total, inv, n)
+        return pair // self.num_colors, pair % self.num_colors, total
+
+    def _materialize_succ(self, lab: EdgeLabel) -> SuccTable:
+        bounds, src, tgt, nbr = self._edges
+        lids = self._supers.get(lab, ())
+        if len(lids) == 1:
+            table = self._exact[lids[0]]
         else:
-            bykey: dict[tuple[int, int], list[np.ndarray]] = {}
-            for a in supers:
-                for key, ws in self._exact_sets[a].items():
-                    bykey.setdefault(key, []).append(ws)
             # actual labels partition the edges: concatenation never repeats
-            merged = {
-                key: (np.sort(np.concatenate(parts)) if len(parts) > 1 else parts[0])
-                for key, parts in bykey.items()
-            }
+            seg = [slice(bounds[lid], bounds[lid + 1]) for lid in lids]
+            s, t, w = (np.concatenate([a[x] for x in seg] + [_EMPTY]) for a in (src, tgt, nbr))
+            order = np.argsort(_pack(_pack(s, t), w))
+            table = _succ_table(s[order], t[order], w[order], self.num_colors)
         with self._lock:
-            return self._hat_sets.setdefault(lab, merged)
+            return self._succ.setdefault(lab, table)
 
     def _materialize_counts(self, lab: EdgeLabel) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for a in self.actual_labels:
-            if lab.issubset(a):
-                for key, cnt in self._exact_counts[a].items():
-                    counts[key] = counts.get(key, 0) + cnt
+        c, c2, n = self._hat_count_rows(lab)
+        counts = dict(zip(zip(c.tolist(), c2.tolist()), n.tolist()))
         with self._lock:
             return self._hat_counts.setdefault(lab, counts)
 
-    def succ(self, lab: EdgeLabel, v: int, c: int) -> np.ndarray:
-        """N̂→^λ(v,c) as vertex indices (v is a vertex index too)."""
-        table = self._hat_sets.get(lab)
-        if table is None:
-            table = self._materialize_sets(lab)
-        return table.get((v, c), _EMPTY)
+    def succ(self, lab: EdgeLabel, v: int, c: int) -> list[int]:
+        """N̂→^λ(v,c) as an ascending list of vertex indices (v is a vertex
+        index, c a colour id)."""
+        table = self._succ.get(lab) or self._materialize_succ(lab)
+        i = table.groups.get(v * self.num_colors + c)
+        return [] if i is None else table.nbr[table.start[i]:table.start[i + 1]]
 
     def count(self, lab: EdgeLabel, c: int, c2: int) -> int:
-        table = self._hat_counts.get(lab)
-        if table is None:
-            table = self._materialize_counts(lab)
-        return table.get((c, c2), 0)
+        return self.count_table(lab).get((c, c2), 0)
 
     def count_table(self, lab: EdgeLabel) -> dict[tuple[int, int], int]:
         table = self._hat_counts.get(lab)
@@ -302,43 +323,23 @@ def index_stats(idx: ColorIndex) -> dict:
 
 
 def save_index(idx: ColorIndex, path: str) -> None:
-    """Versioned binary file: magic, JSON meta, then raw little-endian int64
-    blocks (schema, intern table, relations, colouring, per-label counts,
-    colour-db tuples).  Lazily memoized hat tables are not persisted.
+    """Versioned binary file: magic, version, JSON metadata (the intern table,
+    the schema and the array shapes), then raw little-endian int64 blocks: one
+    (m, arity) block of sorted rows per relation, then the colouring.  Graph,
+    tables and colour database are derived again on load.
     """
     arrays: list[np.ndarray] = []
-    meta: dict = {
-        "format": FORMAT_VERSION,
-        "constants": idx.db.constants,
-        "num_colors": idx.num_colors,
-        "build_seconds": idx.build_seconds,
-        "relations": [],
-        "labels": [],
-        "color_db": [],
-        "arrays": [],
-    }
+    meta: dict = {"constants": idx.db.constants, "relations": [], "arrays": []}
 
     def put(name: str, arr: np.ndarray) -> None:
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
+        arr = np.ascontiguousarray(arr, dtype="<i8")
         meta["arrays"].append({"name": name, "shape": list(arr.shape)})
         arrays.append(arr)
 
     for sym in idx.db.schema.symbols:
-        ar = idx.db.schema.arity(sym)
-        tups = sorted(idx.db.tuples(sym))
-        meta["relations"].append({"name": sym, "arity": ar})
-        put(f"rel:{sym}", np.array(tups, dtype=np.int64).reshape(len(tups), ar))
+        meta["relations"].append({"name": sym, "arity": idx.db.schema.arity(sym)})
+        put(f"rel:{sym}", idx.db.array(sym))
     put("coloring", idx.coloring.color_of)
-    for lab in idx.actual_labels:
-        items = sorted(idx._exact_counts[lab].items())
-        meta["labels"].append({"pairs": [list(p) for p in lab.pairs]})
-        put(f"count:{lab}", np.array(
-            [(c, c2, n) for (c, c2), n in items], dtype=np.int64).reshape(len(items), 3))
-    for sym in idx.color_db.schema.symbols:
-        ar = idx.color_db.schema.arity(sym)
-        tups = sorted(idx.color_db.tuples(sym))
-        meta["color_db"].append({"name": sym, "arity": ar})
-        put(f"cdb:{sym}", np.array(tups, dtype=np.int64).reshape(len(tups), ar))
 
     payload = json.dumps(meta).encode("utf-8")
     with open(path, "wb") as out:
@@ -349,7 +350,49 @@ def save_index(idx: ColorIndex, path: str) -> None:
             out.write(arr.tobytes())
 
 
+def _check_meta(meta, path: str) -> None:
+    """Raise ColorcqError unless `meta` has the keys and types save_index writes."""
+
+    def bad(what: str):
+        raise ColorcqError(f"{path}: corrupt index metadata ({what})")
+
+    if not isinstance(meta, dict):
+        bad("not an object")
+    for key in ("constants", "relations", "arrays"):
+        if not isinstance(meta.get(key), list):
+            bad(f"{key!r} is missing or not a list")
+    if not set(map(type, meta["constants"])) <= {str}:
+        bad("a constant is not a string")
+    for r in meta["relations"]:
+        if not (isinstance(r, dict) and isinstance(r.get("name"), str)
+                and type(r.get("arity")) is int and r["arity"] in (1, 2)):
+            bad(f"bad relation entry {r!r}")
+    names = set()
+    for a in meta["arrays"]:
+        if not (isinstance(a, dict) and isinstance(a.get("name"), str)
+                and isinstance(a.get("shape"), list) and len(a["shape"]) <= 2
+                and all(type(x) is int and 0 <= x < 1 << 62 for x in a["shape"])):
+            bad(f"bad array entry {a!r}")
+        if a["name"] in names:
+            bad(f"array {a['name']!r} listed twice")
+        names.add(a["name"])
+    shapes = {a["name"]: a["shape"] for a in meta["arrays"]}
+    for r in meta["relations"]:
+        shape = shapes.get(f"rel:{r['name']}")
+        if shape is None or len(shape) != 2 or shape[1] != r["arity"]:
+            bad(f"no (m, {r['arity']}) array for relation {r['name']!r}")
+    if len(shapes.get("coloring", ())) != 1:
+        bad("no colouring array")
+
+
 def load_index(path: str) -> ColorIndex:
+    """Read a file written by `save_index` and derive the index from it.
+
+    Graph, tables and colour database are rebuilt with the same code as
+    `build_index`, which also checks that the stored colouring is stable;
+    only refinement is skipped.
+    """
+    t0 = time.perf_counter()
     with open(path, "rb") as f:
         data = memoryview(f.read())
     magic = bytes(data[:4])
@@ -366,31 +409,38 @@ def load_index(path: str) -> ColorIndex:
 
     version, meta_len = struct.unpack("<IQ", take(12, "header"))
     if version != FORMAT_VERSION:
-        raise ColorcqError(f"{path}: unsupported index format version {version}")
+        raise ColorcqError(f"{path}: unsupported index format version {version}"
+                           f" (this build reads version {FORMAT_VERSION}; rebuild the index)")
     try:
         meta = json.loads(bytes(take(meta_len, "metadata")).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ColorcqError(f"{path}: corrupt index metadata ({e})") from None
+    _check_meta(meta, path)
     blobs: dict[str, np.ndarray] = {}
     for entry in meta["arrays"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        raw = take(count * 8, f"array {entry['name']}")
-        blobs[entry["name"]] = np.frombuffer(raw, dtype=np.int64).reshape(shape)
+        raw = take(math.prod(shape) * 8, f"array {entry['name']}")
+        blobs[entry["name"]] = np.frombuffer(raw, dtype="<i8").astype(np.int64).reshape(shape)
+    if pos != len(data):
+        raise ColorcqError(f"{path}: {len(data) - pos} unexpected bytes after the arrays")
 
-    schema = Schema((r["name"], r["arity"]) for r in meta["relations"])
-    db = Database(schema, constants=meta["constants"])
-    for r in meta["relations"]:
-        arr = blobs[f"rel:{r['name']}"]
-        db.relations[r["name"]] = {tuple(int(x) for x in row) for row in arr}
+    try:
+        schema = Schema((r["name"], r["arity"]) for r in meta["relations"])
+        db = Database(schema, constants=meta["constants"])
+        if len(db.constants) != len(meta["constants"]):
+            raise ColorcqError("corrupt index metadata (repeated constant)")
+        for r in meta["relations"]:
+            db.set_relation(r["name"], blobs[f"rel:{r['name']}"])
+    except ColorcqError as e:
+        raise ColorcqError(f"{path}: {e}") from None
 
+    times = {"load": time.perf_counter() - t0}
+
+    t0 = time.perf_counter()
     d1, s1 = encode_self_loops(db)
     g = build_labeled_graph(d1, s1)
-    coloring = _as_coloring(blobs["coloring"].copy())
-
-    preloaded: dict[EdgeLabel, dict[tuple[int, int], int]] = {}
-    for entry in meta["labels"]:
-        lab = EdgeLabel(tuple(p) for p in entry["pairs"])
-        rows = blobs[f"count:{lab}"]
-        preloaded[lab] = {(int(a), int(b)): int(n) for a, b, n in rows}
-    return ColorIndex(db, d1, s1, g, coloring, dict(meta["build_seconds"]), preloaded)
+    times["graph"] = time.perf_counter() - t0
+    raw = blobs["coloring"]
+    if len(raw) != g.n or (g.n and (raw.min() < 0 or raw.max() >= g.n)):
+        raise ColorcqError(f"{path}: the colouring does not fit the {g.n} vertices")
+    return ColorIndex(db, d1, s1, g, _as_coloring(raw), times)

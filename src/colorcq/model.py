@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
+import numpy as np
+
 
 class ColorcqError(Exception):
     """Base class for errors raised by this package."""
@@ -81,24 +83,33 @@ class Schema:
 
 
 class Database:
-    """A set-semantics instance: interned constants plus one tuple-set per symbol.
+    """A set-semantics instance: interned constants plus one relation per symbol.
 
-    Tuples hold constant ids, not names.  Facts are deduplicated.
+    A relation is an (m, arity) int64 array of constant ids, sorted by rows
+    and without repeated rows.  `add_fact` queues single facts, which are
+    merged into the array on the next read; `tuples` builds a Python set view
+    of a relation on first use.
     """
 
     def __init__(self, schema: Schema, constants: Iterable[str] = ()):
         self.schema = schema
-        self.constants: list[str] = []
-        self._ids: dict[str, int] = {}
-        self.relations: dict[str, set[tuple[int, ...]]] = {s: set() for s in schema.symbols}
-        for c in constants:
-            self.intern(c)
+        self.constants: list[str] = list(dict.fromkeys(constants))
+        self._ids: dict[str, int] | None = None  # name -> id, built on first use
+        self._arrays: dict[str, np.ndarray] = {}
+        self._pending: dict[str, list[tuple[int, ...]]] = {}
+        self._sets: dict[str, set[tuple[int, ...]]] = {}
+
+    def _id_map(self) -> dict[str, int]:
+        if self._ids is None:
+            self._ids = dict(zip(self.constants, range(len(self.constants))))
+        return self._ids
 
     def intern(self, name: str) -> int:
-        cid = self._ids.get(name)
+        ids = self._id_map()
+        cid = ids.get(name)
         if cid is None:
             cid = len(self.constants)
-            self._ids[name] = cid
+            ids[name] = cid
             self.constants.append(name)
         return cid
 
@@ -110,22 +121,61 @@ class Database:
             raise SchemaError(
                 f"symbol {rel!r} has arity {self.schema.arity(rel)}, got {len(args)} arguments"
             )
-        self.relations.setdefault(rel, set()).add(args)
+        self._pending.setdefault(rel, []).append(tuple(args))
+        self._sets.pop(rel, None)
+
+    def set_relation(self, rel: str, rows: np.ndarray) -> None:
+        """Replace `rel` by the distinct rows of `rows`, which must hold ids of
+        interned constants."""
+        arity = self.schema.arity(rel)
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != arity:
+            raise SchemaError(f"symbol {rel!r} has arity {arity}, got rows of shape {rows.shape}")
+        if len(rows) and (rows.min() < 0 or rows.max() >= len(self.constants)):
+            raise ColorcqError(f"relation {rel!r} refers to a constant id that is not interned")
+        # one key per row, ordered like the rows; ids are < len(constants),
+        # so the key fits in an int64 for any list of constants that fits in memory
+        key = rows[:, 0] if arity == 1 else rows[:, 0] * len(self.constants) + rows[:, 1]
+        if len(key) > 1 and not (key[1:] > key[:-1]).all():
+            rows = rows[np.unique(key, return_index=True)[1]]
+        self._arrays[rel] = rows
+        self._pending.pop(rel, None)
+        self._sets.pop(rel, None)
+
+    def array(self, rel: str) -> np.ndarray:
+        """The rows of `rel` as a sorted (m, arity) int64 array."""
+        arity = self.schema.arity(rel)
+        queued = self._pending.get(rel)
+        if queued:
+            rows = np.array(queued, dtype=np.int64).reshape(-1, arity)
+            old = self._arrays.get(rel)
+            self.set_relation(rel, rows if old is None else np.concatenate([old, rows]))
+        out = self._arrays.get(rel)
+        return np.zeros((0, arity), dtype=np.int64) if out is None else out
 
     def tuples(self, rel: str) -> set[tuple[int, ...]]:
-        """Tuple set of `rel`; empty for symbols absent from this instance."""
-        return self.relations.get(rel, set())
+        """Tuple set of `rel`; empty for symbols absent from this instance.
+
+        The set is cached and shared between callers: do not modify it.
+        """
+        out = self._sets.get(rel)
+        if out is None:
+            out = set(map(tuple, self.array(rel).tolist())) if rel in self.schema else set()
+            self._sets[rel] = out
+        return out
 
     def size(self) -> int:
-        return sum(len(t) for t in self.relations.values())
+        return sum(len(self.array(s)) for s in self.schema.symbols)
+
+    def adom_ids(self) -> np.ndarray:
+        """Sorted ids that appear in at least one tuple."""
+        ids = np.sort(np.concatenate(
+            [self.array(s).ravel() for s in self.schema.symbols] + [np.zeros(0, np.int64)]))
+        return ids[np.append(True, ids[1:] != ids[:-1])] if len(ids) else ids
 
     def adom(self) -> set[int]:
         """Ids that appear in at least one tuple."""
-        out: set[int] = set()
-        for tups in self.relations.values():
-            for t in tups:
-                out.update(t)
-        return out
+        return set(self.adom_ids().tolist())
 
     def __repr__(self) -> str:
         return f"<Database |D|={self.size()} adom={len(self.constants)}>"
@@ -136,6 +186,7 @@ def load_database(src: str | TextIO) -> Database:
 
     `#` starts a comment; blank lines are ignored.  The schema is inferred
     from use and arity conflicts are reported with their line number.
+    Constants get ids in order of first appearance.
     """
     if isinstance(src, str):
         lines = src.splitlines()
@@ -143,7 +194,8 @@ def load_database(src: str | TextIO) -> Database:
         lines = src.read().splitlines()
 
     schema = Schema()
-    facts: list[tuple[str, tuple[str, ...]]] = []
+    names: list[str] = []  # every argument, in file order
+    args_of: dict[str, list[str]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -157,11 +209,13 @@ def load_database(src: str | TextIO) -> Database:
             schema.add(rel, len(args))
         except SchemaError as e:
             raise SchemaError(f"line {lineno}: {e}") from None
-        facts.append((rel, args))
+        names += args
+        args_of.setdefault(rel, []).extend(args)
 
-    db = Database(schema)
-    for rel, args in facts:
-        db.add_fact(rel, tuple(db.intern(a) for a in args))
+    db = Database(schema, constants=names)
+    for rel, args in args_of.items():
+        ids = np.fromiter(map(db._id_map().__getitem__, args), dtype=np.int64, count=len(args))
+        db.set_relation(rel, ids.reshape(-1, schema.arity(rel)))
     return db
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EdgeLabel, LabeledGraph
+from .graph import EdgeLabel, LabeledGraph, _pack, _starts
 
 
 def default_backend() -> str:
@@ -55,7 +55,7 @@ class Coloring:
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.array([len(m) for m in self.members], dtype=np.int64)
+        return np.bincount(self.color_of, minlength=self.num_colors)
 
 
 def canonicalize(raw: np.ndarray) -> np.ndarray:
@@ -83,22 +83,6 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenation of the integer ranges [starts[i], starts[i] + lens[i])."""
     ends = np.cumsum(lens)
     return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
-
-
-def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One int64 per pair (a[i], b[i]) of non-negative ints, ordered like the pairs."""
-    width = int(b.max()) + 1
-    if (int(a.max()) + 1) * width >= 1 << 63:
-        a, b = (np.unique(x, return_inverse=True)[1] for x in (a, b))
-        width = int(b.max()) + 1
-    return a * width + b
-
-
-def _starts(a: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal values begins in `a`."""
-    head = np.ones(len(a), bool)
-    head[1:] = a[1:] != a[:-1]
-    return np.flatnonzero(head)
 
 
 def refine(g: LabeledGraph) -> Coloring:

@@ -1,9 +1,14 @@
 """The command-line interface, driven in-process."""
 from __future__ import annotations
 
+import json
+import struct
+
+import numpy as np
 import pytest
 
 from colorcq.cli import main
+from colorcq.index import FORMAT_VERSION, MAGIC
 
 from .conftest import MOVIE_TEXT
 
@@ -103,6 +108,77 @@ def test_truncated_or_corrupt_index_is_exit_1(movie_file, tmp_path, capsys):
     cut_path.write_bytes(data[:16] + b"#" + data[17:])
     assert main(["stats", "--index", str(cut_path)]) == 1
     assert "corrupt index metadata" in capsys.readouterr().err
+
+    # JSON nested deeper than the decoder's recursion limit
+    deep = b"[" * 200_000
+    cut_path.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(deep)) + deep)
+    assert main(["stats", "--index", str(cut_path)]) == 1
+    assert "corrupt index metadata" in capsys.readouterr().err
+
+
+def _index_file(path, meta, arrays: dict[str, list]) -> None:
+    """An index file with the given metadata and int64 array contents."""
+    blob = json.dumps(meta).encode("utf-8")
+    body = b"".join(np.array(a, dtype="<i8").tobytes() for a in arrays.values())
+    path.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob + body)
+
+
+def _meta(constants=("a", "b"), relations=(("R", 2),), shapes=None) -> dict:
+    shapes = shapes or {"rel:R": [1, 2], "coloring": [2]}
+    return {"constants": list(constants),
+            "relations": [{"name": n, "arity": a} for n, a in relations],
+            "arrays": [{"name": n, "shape": s} for n, s in shapes.items()]}
+
+
+_GOOD = {"rel:R": [[0, 1]], "coloring": [0, 1]}
+
+MALFORMED = {
+    "only a format key": ({"format": 1}, {}),
+    "not an object": ([], {}),
+    "constants not a list": ({**_meta(), "constants": "ab"}, _GOOD),
+    "constant not a string": (_meta(constants=("a", 7)), _GOOD),
+    "repeated constant": (_meta(constants=("a", "a")), _GOOD),
+    "arity 3": (_meta(relations=(("R", 3),)), _GOOD),
+    "relation entry not an object": ({**_meta(), "relations": ["R"]}, _GOOD),
+    "negative shape": (_meta(shapes={"rel:R": [1, 2], "coloring": [-2]}), _GOOD),
+    "float shape": (_meta(shapes={"rel:R": [1, 2], "coloring": [2.0]}), _GOOD),
+    "dimension too large for numpy": (
+        _meta(shapes={"rel:R": [1, 2], "coloring": [2], "x": [0, 2 ** 70]}), _GOOD),
+    "three dimensions": (
+        _meta(shapes={"rel:R": [1, 2], "coloring": [2], "x": [1, 1, 1]}), {**_GOOD, "x": [0]}),
+    "relation array missing": (_meta(shapes={"coloring": [2]}), {"coloring": [0, 1]}),
+    "relation array of the wrong width": (
+        _meta(shapes={"rel:R": [1, 3], "coloring": [2]}),
+        {"rel:R": [[0, 1, 1]], "coloring": [0, 1]}),
+    "array listed twice": (
+        {**_meta(), "arrays": _meta()["arrays"] * 2}, {**_GOOD, "x": [0, 1, 0, 1]}),
+    "colouring missing": (_meta(shapes={"rel:R": [1, 2]}), {"rel:R": [[0, 1]]}),
+    "colouring too long": (
+        _meta(shapes={"rel:R": [1, 2], "coloring": [3]}),
+        {"rel:R": [[0, 1]], "coloring": [0, 1, 1]}),
+    "colour id out of range": (_meta(), {"rel:R": [[0, 1]], "coloring": [0, 9]}),
+    "negative colour id": (_meta(), {"rel:R": [[0, 1]], "coloring": [-1, 0]}),
+    "constant id not interned": (_meta(), {"rel:R": [[0, 5]], "coloring": [0, 1]}),
+    "bytes after the arrays": (_meta(), {**_GOOD, "extra": [0]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_index_metadata_is_exit_1(case, tmp_path, capsys):
+    meta, arrays = MALFORMED[case]
+    path = tmp_path / "bad.ccqx"
+    _index_file(path, meta, arrays)
+    assert main(["stats", "--index", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_handmade_index_file_loads(tmp_path, capsys):
+    """The helper above writes valid files when nothing is broken."""
+    path = tmp_path / "good.ccqx"
+    _index_file(path, _meta(), _GOOD)
+    assert main(["stats", "--index", str(path)]) == 0
+    assert "num_colors: 2" in capsys.readouterr().out
 
 
 def test_gen_cycle(tmp_path, capsys):

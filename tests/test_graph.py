@@ -140,9 +140,9 @@ def test_parallel_relations_fold_into_one_label():
 
 
 def test_wide_schema_grouping_matches_bitmask_route():
-    """Schemas with > 31 binary symbols take the grouping path; the resulting
-    labels must match what the bitmask path computes on an equivalent narrow
-    schema."""
+    """With > 31 binary symbols there are more than 63 (symbol, direction)
+    tags, so an edge label spans two 63-bit words; the labels must match the
+    ones of an equivalent narrow schema."""
     wide_syms = [(f"R{i:02d}", 2) for i in range(32)]
     db = Database(Schema(wide_syms))
     a, b, c = db.intern("a"), db.intern("b"), db.intern("c")
@@ -179,3 +179,23 @@ def test_vertex_of_unknown_constant():
     g = graph_of(cycle_db(3))
     with pytest.raises(KeyError):
         g.vertex_of(99)
+
+
+def test_initial_colors_rank_wide_vertex_labels():
+    """Vertex labels over more than 63 unary symbols are ranked like any
+    other: in the order of the label read as an integer (bit i for unary
+    symbol i)."""
+    db = Database(Schema([(f"U{i:02d}", 1) for i in range(70)] + [("R", 2)]))
+    bits = {"a": [0, 69], "b": [69], "c": [0], "d": [3, 64], "e": [0, 69]}
+    for name, on in bits.items():
+        for i in on:
+            db.add_fact(f"U{i:02d}", (db.intern(name),))
+    db.add_fact("R", (db.intern("a"), db.intern("b")))
+    g = graph_of(db)
+    masks = [sum(1 << i for i in bits[db.const_name(g.const_of(v))]) for v in range(g.n)]
+    assert list(g.vl_mask) == masks
+    init, n_init = g.initial_colors()
+    ranks = sorted(set(masks))
+    assert n_init == len(ranks) == 4
+    assert list(init) == [ranks.index(m) for m in masks]
+    assert g.vl(g.vertex_of(db.intern("d"))) == {"U03", "U64"}

@@ -1,7 +1,9 @@
 """The colour index: tables, colour database, stats, persistence."""
 from __future__ import annotations
 
+import json
 import random
+import struct
 import threading
 
 import numpy as np
@@ -242,11 +244,52 @@ def test_unstable_coloring_is_rejected():
         ColorIndex(db, d1, s1, g, coloring, {})
 
 
-def test_persistence_round_trip(tmp_path):
+def path_db(n: int) -> Database:
+    """R(0,1), ..., R(n-2,n-1): a directed path."""
+    db = Database(Schema([("R", 2)]))
+    for i in range(n - 1):
+        db.add_fact("R", (db.intern(str(i)), db.intern(str(i + 1))))
+    return db
+
+
+def tree_db(depth: int) -> Database:
+    """A complete binary tree with R-edges from parents to children."""
+    db = Database(Schema([("R", 2)]))
+    for i in range(2 ** depth - 1):
+        for child in (2 * i + 1, 2 * i + 2):
+            db.add_fact("R", (db.intern(str(i)), db.intern(str(child))))
+    return db
+
+
+def multirel_db(copies: int = 2) -> Database:
+    """Copies of one template with self-loops, unary facts, an edge carrying
+    two symbols ({P+, Q+}) and a plain P-edge, so the hat table of (P,+)
+    merges two actual labels."""
+    template = [("P", "a", "b"), ("Q", "a", "b"), ("P", "b", "c"), ("S", "c", "c"),
+                ("P", "c", "a"), ("Q", "d", "c"), ("S", "d", "d"), ("P", "d", "a"),
+                ("U", "a", None), ("U", "d", None)]
+    db = Database(Schema([("P", 2), ("Q", 2), ("S", 2), ("U", 1)]))
+    for k in range(copies):
+        for rel, x, y in template:
+            args = (x,) if y is None else (x, y)
+            db.add_fact(rel, tuple(db.intern(f"{a}{k}") for a in args))
+    return db
+
+
+def test_persistence_round_trip(tmp_path, monkeypatch):
     rng = random.Random(41)
-    for db in (movie_db(), cycle_db(9), random_db(rng, max_adom=6)):
-        idx = build_index(db)
-        path = str(tmp_path / "idx.ccqx")
+    dbs = [movie_db(), cycle_db(9), random_db(rng, max_adom=6), path_db(8), tree_db(3),
+           multirel_db()]
+    built = [build_index(db) for db in dbs]
+    hat = EdgeLabel([("P", "+")])
+    assert len(built[-1]._supers[hat]) == 2  # the multirel hat lookup merges
+
+    def no_refine(g):
+        raise AssertionError("load_index must not refine")
+
+    monkeypatch.setattr("colorcq.index.refine", no_refine)
+    for i, idx in enumerate(built):
+        path = str(tmp_path / f"idx{i}.ccqx")
         save_index(idx, path)
         idx2 = load_index(path)
 
@@ -266,18 +309,43 @@ def test_persistence_round_trip(tmp_path):
         assert index_stats(idx2)["db_size"] == index_stats(idx)["db_size"]
 
 
+def _array_offset(data: bytes, name: str) -> int:
+    """Byte offset of the named array in a saved index."""
+    (meta_len,) = struct.unpack("<Q", data[8:16])
+    meta = json.loads(data[16:16 + meta_len])
+    pos = 16 + meta_len
+    for entry in meta["arrays"]:
+        if entry["name"] == name:
+            return pos
+        pos += 8 * int(np.prod(entry["shape"]))
+    raise KeyError(name)
+
+
+def test_tampered_coloring_is_refused_on_load(tmp_path):
+    """The colouring of test_unstable_coloring_is_rejected, written into a
+    saved index: every load checks stability again."""
+    idx = build_index(movie_db())
+    path = tmp_path / "movie.ccqx"
+    save_index(idx, str(path))
+    data = bytearray(path.read_bytes())
+    at = _array_offset(bytes(data), "coloring")
+    data[at:at + 8 * idx.g.n] = bytes(8 * idx.g.n)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ColorcqError, match="unstable colouring"):
+        load_index(str(path))
+
+
 def test_load_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ColorcqError, match="magic"):
         load_index(str(bad))
 
-    import struct
-
     vers = tmp_path / "vers.bin"
-    vers.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION + 7, 2) + b"{}")
-    with pytest.raises(ColorcqError, match="version"):
-        load_index(str(vers))
+    for version in (1, FORMAT_VERSION + 7):
+        vers.write_bytes(MAGIC + struct.pack("<IQ", version, 2) + b"{}")
+        with pytest.raises(ColorcqError, match=f"version {version}"):
+            load_index(str(vers))
 
 
 def test_lazy_memoization_is_thread_safe():
@@ -318,5 +386,7 @@ def test_hat_tables_memoized(dex_index):
     v = idx.g.vertex_of(idx.db.intern("PS"))
     c = idx.vertex_color(idx.g.vertex_of(idx.db.intern("LM")))
     first = idx.succ(lab, v, c)
-    assert idx.succ(lab, v, c) is first
+    table = idx._succ[lab]
+    assert list(idx.succ(lab, v, c)) == list(first)
+    assert idx._succ[lab] is table
     assert idx.count_table(lab) is idx.count_table(lab)
