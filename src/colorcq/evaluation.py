@@ -1,9 +1,13 @@
 """Boolean answering, constant-delay enumeration, and counting.
 
-All three tasks run on the same skeleton: per component, a full-reducer pass
-(one bottom-up and one top-down semi-join sweep over the rooted tree) shrinks
-per-variable candidate sets until globally consistent, quantified subtrees
-collapse to existence, and answers are read off the free prefix only.
+All three tasks run on the same skeleton, over numpy arrays indexed by colour
+id (or by constant id, in `cde_fc_acq`).  Per component, one bottom-up
+semi-join sweep over the rooted tree (Yannakakis) keeps, for each variable,
+the values whose subtree can be completed.  A Boolean component then only
+needs a non-empty root, and enumeration walks the free prefix in preorder,
+taking each free child's values from its parent's adjacency filtered by the
+child's candidates, so every step leads to an answer.  Counting multiplies
+per-colour subtree counts over the same per-label pair arrays.
 
 The color-level runs use the loop-augmented semantics: a vertex whose class
 carries self-loops for every relation in λ counts as its own λ-neighbour, and
@@ -13,56 +17,53 @@ adjacent tree variables onto one looping vertex would be lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .frontend import PlanComponent, QueryPlan, plan_query
 from .graph import BWD, EdgeLabel, encode_self_loops
-from .index import ColorIndex
+from .index import ColorIndex, PairRows, pair_rows
 from .model import ColorcqError, ConjunctiveQuery, Database
 
 
 @dataclass
 class TreeRun:
-    """A fully reduced component: consistent candidates plus the filtered
-    adjacency of the free subtree (quantified subtrees are existence only)."""
+    """A reduced component: per variable, a bool array of the values whose
+    subtree can be completed; per free tree edge, the parent's adjacency
+    filtered by the child's candidates; the root values."""
 
     comp: PlanComponent
-    cand: dict[str, set[int]]
-    fadj: dict[tuple[str, str], dict[int, list[int]]]
+    cand: dict[str, np.ndarray]
+    fadj: dict[tuple[str, str], PairRows]
     satisfiable: bool
     roots: list[int]
 
 
 def prepare_tree(
     comp: PlanComponent,
-    cand0: dict[str, set[int]],
-    pairs: dict[tuple[str, str], set[tuple[int, int]]],
+    cand0: dict[str, np.ndarray],
+    pairs: dict[tuple[str, str], PairRows],
 ) -> TreeRun:
-    """Full reduction over the component tree (two semi-join sweeps)."""
-    order = comp.order
-    cand = {v: set(cand0[v]) for v in order}
-    for v in reversed(order):
+    """Bottom-up semi-join sweep over the component tree."""
+    cand = dict(cand0)  # arrays are replaced, never changed in place
+    for v in reversed(comp.order):
         for w in comp.children[v]:
-            cand[v] &= {a for a, b in pairs[(v, w)] if b in cand[w]}
-    for v in order:
-        for w in comp.children[v]:
-            cand[w] &= {b for a, b in pairs[(v, w)] if a in cand[v]}
-    satisfiable = all(cand[v] for v in order)
+            p = pairs[(v, w)]
+            keep = np.zeros(len(cand[v]), bool)
+            keep[p.a[cand[w][p.b]]] = True
+            cand[v] = cand[v] & keep
+    satisfiable = bool(cand[comp.root].any())
 
-    fadj: dict[tuple[str, str], dict[int, list[int]]] = {}
+    fadj: dict[tuple[str, str], PairRows] = {}
     if satisfiable:
         for w in comp.free_prefix[1:]:
-            v = comp.parent[w]
-            adj: dict[int, list[int]] = {}
-            for a, b in pairs[(v, w)]:
-                if a in cand[v] and b in cand[w]:
-                    adj.setdefault(a, []).append(b)
-            for lst in adj.values():
-                lst.sort()
-            fadj[(v, w)] = adj
-    roots = sorted(cand[comp.root]) if satisfiable and comp.query.head else []
+            p = pairs[(comp.parent[w], w)]
+            ok = cand[w][p.b]
+            if not ok.all():  # drop the pairs into child values that cannot complete
+                p = pair_rows(p.a[ok], p.b[ok], None, len(cand[w]))
+            fadj[(comp.parent[w], w)] = p
+    roots = np.flatnonzero(cand[comp.root]).tolist() if satisfiable and comp.query.head else []
     return TreeRun(comp=comp, cand=cand, fadj=fadj, satisfiable=satisfiable, roots=roots)
 
 
@@ -82,18 +83,55 @@ def _tree_tuples(run: TreeRun, steps: _Steps) -> Iterator[tuple[int, ...]]:
     into the candidate sets, so only free-free edges are walked here.
     """
     comp = run.comp
-    k = len(comp.free_prefix)
-    if k == 0:
-        if run.satisfiable:
-            yield ()
-        return
+    free = comp.free_prefix
+    k = len(free)
     if not run.satisfiable:
         return
-    parent_pos = [comp.rank[comp.parent[x]] for x in comp.free_prefix[1:]]
-    adjs = [run.fadj[(comp.parent[x], x)] for x in comp.free_prefix[1:]]
+    if k == 0:
+        yield ()
+        return
+    edges = [(comp.parent[x], x) for x in free[1:]]
+    parent_pos = [0] + [comp.rank[v] for v, _ in edges]
+    ptrs = [None] + [run.fadj[e].ptr for e in edges]
+    nbrs = [run.roots] + [run.fadj[e].nbr for e in edges]
 
     vals = [0] * k
-    seqs: list[list[int]] = [run.roots] + [[]] * (k - 1)
+    pos = [0] * k
+    end = [len(run.roots)] + [0] * (k - 1)
+    level = 0
+    while level >= 0:
+        p = pos[level]
+        if p >= end[level]:
+            level -= 1
+            continue
+        steps.n += 1
+        vals[level] = nbrs[level][p]
+        pos[level] = p + 1
+        if level == k - 1:
+            yield tuple(vals)
+            continue
+        level += 1
+        ptr, a = ptrs[level], vals[parent_pos[level]]
+        pos[level], end[level] = ptr[a], ptr[a + 1]
+
+
+def _expand(
+    idx: ColorIndex,
+    cbar: tuple[int, ...],
+    walk: tuple[list[int], list[EdgeLabel], list[np.ndarray]],
+    steps: _Steps,
+) -> Iterator[tuple[int, ...]]:
+    """All vertex tuples of one color tuple: v₁ runs over class c₁ and each
+    v_{i+1} over N̂→^{λ_e}(v_parent, c_{i+1}), plus v_parent itself when its
+    class loops over λ_e.  Every consulted set is non-empty, so the delay per
+    tuple is O(k).  `walk` holds, per free tree edge, the parent's position,
+    λ_e and the loop-cover flags of λ_e.
+    """
+    k = len(cbar)
+    colors = idx.coloring.color_of
+    parent_pos, labels, loop_arrays = walk
+    vals = [0] * k
+    seqs: list[Sequence[int]] = [idx.coloring.class_members(cbar[0])] + [()] * (k - 1)
     pos = [0] * k
     level = 0
     while level >= 0:
@@ -101,81 +139,25 @@ def _tree_tuples(run: TreeRun, steps: _Steps) -> Iterator[tuple[int, ...]]:
             level -= 1
             continue
         steps.n += 1
-        vals[level] = seqs[level][pos[level]]
+        vals[level] = int(seqs[level][pos[level]])
         pos[level] += 1
         if level == k - 1:
             yield tuple(vals)
             continue
         level += 1
-        seqs[level] = adjs[level - 1][vals[parent_pos[level - 1]]]
-        pos[level] = 0
-
-
-def _expand(
-    idx: ColorIndex,
-    comp: PlanComponent,
-    cbar: tuple[int, ...],
-    loop_arrays: list[np.ndarray],
-    steps: _Steps,
-) -> Iterator[tuple[int, ...]]:
-    """All vertex tuples of one color tuple: v₁ runs over class c₁ and each
-    v_{i+1} over N̂→^{λ_e}(v_parent, c_{i+1}), plus v_parent itself when its
-    class loops over λ_e.  Every consulted set is non-empty, so the delay per
-    tuple is O(k).
-    """
-    comp_free = comp.free_prefix
-    k = len(comp_free)
-    colors = idx.coloring.color_of
-    parent_pos = [comp.rank[comp.parent[x]] for x in comp_free[1:]]
-    labels = [comp.lambda_e[(comp.parent[x], x)] for x in comp_free[1:]]
-
-    vals = [0] * k
-    seqs: list[Sequence[int]] = [idx.coloring.members[cbar[0]]] + [_EMPTY] * (k - 1)
-    extra = [-1] * k  # the looping parent vertex, enumerated after the array
-    pos = [0] * k
-    level = 0
-    while level >= 0:
-        if pos[level] < len(seqs[level]):
-            steps.n += 1
-            vals[level] = int(seqs[level][pos[level]])
-            pos[level] += 1
-        elif pos[level] == len(seqs[level]) and extra[level] >= 0:
-            steps.n += 1
-            vals[level] = extra[level]
-            pos[level] += 1
-        else:
-            level -= 1
-            continue
-        if level == k - 1:
-            yield tuple(vals)
-            continue
-        level += 1
         vp, c = vals[parent_pos[level - 1]], cbar[level]
-        seqs[level] = idx.succ(labels[level - 1], vp, c)
-        extra[level] = vp if (loop_arrays[level - 1][c] and colors[vp] == c) else -1
-        pos[level] = 0
-        if not len(seqs[level]) and extra[level] < 0:
+        seq = idx.succ(labels[level - 1], vp, c)
+        if loop_arrays[level - 1][c] and colors[vp] == c:
+            seq = [*seq, vp]  # the looping parent is its own neighbour, enumerated last
+        elif not len(seq):
             raise ColorcqError("index is inconsistent: a colour-level answer expanded to no tuple")
-
-
-_EMPTY = np.zeros(0, dtype=np.int64)
+        seqs[level], pos[level] = seq, 0
 
 
 def _color_run(idx: ColorIndex, comp: PlanComponent) -> TreeRun:
     """Reduce the component at the color level (Q_col over the augmented D_col)."""
-    all_colors = frozenset(range(idx.num_colors))
-    cand0: dict[str, set[int]] = {}
-    for v in comp.order:
-        lam = comp.lambda_x[v]
-        cur = set(all_colors)
-        for u in lam:
-            cur &= {t[0] for t in idx.color_db.tuples(u)}
-        cand0[v] = cur
-    pairs: dict[tuple[str, str], set[tuple[int, int]]] = {}
-    for edge, lab in comp.lambda_e.items():
-        ps = set(idx.count_table(lab))
-        ps.update((c, c) for c in np.flatnonzero(idx.loop_cover_array(lab)))
-        pairs[edge] = ps
+    cand0 = {v: idx.unary_colors(comp.lambda_x[v]) for v in comp.order}
+    pairs = {edge: idx.rows(lab) for edge, lab in comp.lambda_e.items()}
     return prepare_tree(comp, cand0, pairs)
 
 
@@ -199,12 +181,18 @@ class EnumerationSession:
         self.max_gap = 0
         self._last = 0
         self._runs = [_color_run(idx, comp) for comp in plan.components]
-        self._loop_arrays = [
-            [idx.loop_cover_array(comp.lambda_e[(comp.parent[x], x)])
-             for x in comp.free_prefix[1:]]
-            for comp in plan.components
-        ]
-        self._gen = self._generate()
+        self._walks = []
+        for comp in plan.components:
+            labels = [comp.lambda_e[(comp.parent[x], x)] for x in comp.free_prefix[1:]]
+            self._walks.append(([comp.rank[comp.parent[x]] for x in comp.free_prefix[1:]],
+                                labels, [idx.loop_cover_array(lab) for lab in labels]))
+        # the stream closes over locals, not self: a session then holds no
+        # reference cycle and is freed as soon as it is dropped
+        runs, walks, steps = self._runs, self._walks, self.steps
+        gen = _cross(lambda i: _component_stream(idx, runs[i], walks[i], steps),
+                     len(runs), plan.head_slots, steps)
+        consts = idx.db.constants
+        self._gen = (tuple(consts[c] for c in t) for t in gen) if names else gen
 
     # -- iterator protocol --
 
@@ -220,46 +208,44 @@ class EnumerationSession:
             self.max_gap = gap
         return out
 
-    def _component_stream(self, i: int) -> Iterator[tuple[int, ...]]:
-        run = self._runs[i]
-        comp = self.plan.components[i]
-        if not comp.query.head:
-            yield from _tree_tuples(run, self.steps)
-            return
-        g = self.idx.g
-        for cbar in _tree_tuples(run, self.steps):
-            for t in _expand(self.idx, comp, cbar, self._loop_arrays[i], self.steps):
-                yield tuple(g.const_of(v) for v in t)
 
-    def _generate(self) -> Iterator[tuple]:
-        if not all(run.satisfiable for run in self._runs):
+def _component_stream(idx: ColorIndex, run: TreeRun, walk, steps: _Steps) -> Iterator[tuple]:
+    """The answers of one component, as constant-id tuples in its head order."""
+    if not run.comp.query.head:
+        yield from _tree_tuples(run, steps)
+        return
+    const_of = idx.g.verts.item
+    for cbar in _tree_tuples(run, steps):
+        for t in _expand(idx, cbar, walk, steps):
+            yield tuple(map(const_of, t))
+
+
+def _cross(stream: Callable[[int], Iterator[tuple]], m: int,
+           slots: tuple[tuple[int, int], ...], steps: _Steps) -> Iterator[tuple]:
+    """Cross product of m component streams, rightmost cursor fastest;
+    `stream(i)` (re)starts component i.  Yields tuples in head-slot order."""
+    iters = [stream(i) for i in range(m)]
+    current = []
+    for it in iters:
+        first = next(it, None)
+        if first is None:
             return
-        m = len(self.plan.components)
-        iters = [self._component_stream(i) for i in range(m)]
-        current = []
-        for it in iters:
-            first = next(it, None)
-            if first is None:
-                return
-            current.append(first)
-        slots = self.plan.head_slots
-        consts = self.idx.db.constants
-        while True:
-            t = tuple(current[ci][pos] for ci, pos in slots)
-            yield tuple(consts[c] for c in t) if self.names else t
-            i = m - 1
-            while i >= 0:
-                self.steps.n += 1
-                nxt = next(iters[i], None)
-                if nxt is not None:
-                    current[i] = nxt
-                    for j in range(i + 1, m):
-                        iters[j] = self._component_stream(j)
-                        current[j] = next(iters[j])
-                    break
-                i -= 1
-            else:
-                return
+        current.append(first)
+    while True:
+        yield tuple(current[ci][pos] for ci, pos in slots)
+        i = m - 1
+        while i >= 0:
+            steps.n += 1
+            nxt = next(iters[i], None)
+            if nxt is not None:
+                current[i] = nxt
+                for j in range(i + 1, m):
+                    iters[j] = stream(j)
+                    current[j] = next(iters[j])
+                break
+            i -= 1
+        else:
+            return
 
 
 def enumerate_answers(idx: ColorIndex, plan: QueryPlan) -> EnumerationSession:
@@ -274,28 +260,33 @@ def eval_boolean(idx: ColorIndex, plan: QueryPlan) -> bool:
     return all(_color_run(idx, comp).satisfiable for comp in plan.components)
 
 
-def _g_edge(idx: ColorIndex, lab: EdgeLabel, child_vals: list[int]) -> list[int]:
+def _g_edge(rows: PairRows, child: np.ndarray) -> np.ndarray:
     """g(c) = Σ_{c′} child(c′) · #̂→^λ(c,c′), over the augmented counts."""
-    g = [0] * idx.num_colors
-    for (c, c2), n in idx.count_table(lab).items():
-        g[c] += child_vals[c2] * n
-    for c in np.flatnonzero(idx.loop_cover_array(lab)):
-        g[c] += child_vals[c]
+    g = np.zeros(len(child), child.dtype)
+    np.add.at(g, rows.a, child[rows.b] * rows.n)  # object times int64 gives exact Python ints
     return g
 
 
-def _f_down_tables(idx: ColorIndex, comp: PlanComponent) -> dict[str, list[int]]:
-    """f↓(c,x): homomorphism count of x's subtree with x pinned to any fixed
-    vertex of class c (well-defined by stability)."""
-    f_down: dict[str, list[int]] = {}
-    for x in reversed(comp.order):
-        need = idx.unary_mask(comp.lambda_x[x])
-        vals = [int((m & need) == need) for m in idx.color_masks]
+def _fold_up(idx: ColorIndex, comp: PlanComponent, xs, base) -> dict[str, np.ndarray]:
+    """Bottom-up over the variables xs (closed under parents): f(x) is
+    base(x) times, per child y of x in xs, Σ_{c′} f(y)(c′) · #̂(c,c′)."""
+    f: dict[str, np.ndarray] = {}
+    for x in reversed(xs):
+        f[x] = base(x)
         for y in comp.children[x]:
-            gy = _g_edge(idx, comp.lambda_e[(x, y)], f_down[y])
-            vals = [a * b for a, b in zip(vals, gy)]
-        f_down[x] = vals
-    return f_down
+            if y in f:
+                f[x] = f[x] * _g_edge(idx.rows(comp.lambda_e[(x, y)]), f[y])
+    return f
+
+
+def _f_down_tables(idx: ColorIndex, comp: PlanComponent) -> dict[str, np.ndarray]:
+    """f↓(c,x): homomorphism count of x's subtree with x pinned to any fixed
+    vertex of class c (well-defined by stability).  No count exceeds
+    n^|vars|, so int64 holds them when that is below 2^63; beyond, the arrays
+    hold Python ints and stay exact."""
+    dtype = np.int64 if idx.g.n ** len(comp.order) < 2**63 else object
+    return _fold_up(idx, comp, comp.order,
+                    lambda x: idx.unary_colors(comp.lambda_x[x]).astype(dtype))
 
 
 def _count_component(idx: ColorIndex, comp: PlanComponent) -> int:
@@ -304,24 +295,11 @@ def _count_component(idx: ColorIndex, comp: PlanComponent) -> int:
     multiplicities are replaced by 0/1 existence before re-multiplying along
     the free subtree.
     """
-    ncol = idx.num_colors
-    f_down = _f_down_tables(idx, comp)
-
-    if len(comp.free_prefix) == len(comp.order):
-        root_vals = f_down[comp.root]
-    else:
-        free = set(comp.free_prefix)
-        f_prime: dict[str, list[int]] = {}
-        for x in reversed(comp.free_prefix):
-            vals = [int(v >= 1) for v in f_down[x]]
-            for y in comp.children[x]:
-                if y in free:
-                    gy = _g_edge(idx, comp.lambda_e[(x, y)], f_prime[y])
-                    vals = [a * b for a, b in zip(vals, gy)]
-            f_prime[x] = vals
-        root_vals = f_prime[comp.root]
-    n_c = idx.n_c
-    return sum(int(n_c[c]) * root_vals[c] for c in range(ncol))
+    f = f_down = _f_down_tables(idx, comp)
+    if len(comp.free_prefix) < len(comp.order):
+        f = _fold_up(idx, comp, comp.free_prefix,
+                     lambda x: (f_down[x] >= 1).astype(f_down[x].dtype))
+    return int(idx.n_c @ f[comp.root])
 
 
 def count_answers(idx: ColorIndex, plan: QueryPlan) -> int:
@@ -343,63 +321,42 @@ def count_answers(idx: ColorIndex, plan: QueryPlan) -> int:
 
 def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[int, ...]]:
     """Evaluate an accepted query directly on a database (no color index):
-    full reduction per component, then enumeration of the free prefixes and a
-    cross product, yielding constant-id tuples in the user's head order.
+    the same semi-join sweep per component, over constant ids, then the free
+    prefixes and a cross product, yielding constant-id tuples in head order.
 
     Linear-time preprocessing, O(k) delay; standard CQ semantics including
     answers that map adjacent variables onto a looping constant.
     """
     plan = q if isinstance(q, QueryPlan) else plan_query(q, db.schema)
     d1, s1 = encode_self_loops(db)
-    adom = db.adom()
+    size = len(db.constants)
 
+    def has(ids: np.ndarray) -> np.ndarray:
+        out = np.zeros(size, bool)
+        out[ids] = True
+        return out
+
+    def const_pairs(lab) -> PairRows:
+        """(a, b) with el(a, b) ⊇ λ, plus (a, a) where a loops over all of λ."""
+        keys = loops = None
+        for r, d in lab.pairs:
+            rows = d1.array(r)
+            k = rows[:, 1] * size + rows[:, 0] if d == BWD else rows[:, 0] * size + rows[:, 1]
+            keys = k if keys is None else np.intersect1d(keys, k)
+            lp = d1.array(s1.loop_symbol[r])[:, 0]
+            loops = lp if loops is None else np.intersect1d(loops, lp)
+        keys = np.union1d(keys, loops * (size + 1))
+        return pair_rows(keys // size, keys % size, None, size)
+
+    adom = has(db.adom_ids())
     runs = []
     for comp in plan.components:
-        cand0: dict[str, set[int]] = {}
+        cand0 = {}
         for v in comp.order:
-            lam = comp.lambda_x[v]
-            cur = set(adom)
-            for u in lam:
-                cur &= {t[0] for t in d1.tuples(u)}
-            cand0[v] = cur
-        pairs: dict[tuple[str, str], set[tuple[int, int]]] = {}
-        for edge, lab in comp.lambda_e.items():
-            base: set[tuple[int, int]] | None = None
-            loops: set[int] | None = None
-            for r, d in lab.pairs:
-                tups = d1.tuples(r)
-                cur = {(b, a) for a, b in tups} if d == BWD else set(tups)
-                base = cur if base is None else base & cur
-                lp = {t[0] for t in d1.tuples(s1.loop_symbol[r])}
-                loops = lp if loops is None else loops & lp
-            ps = set(base or ())
-            ps.update((a, a) for a in loops or ())
-            pairs[edge] = ps
+            cand0[v] = adom
+            for u in comp.lambda_x[v]:
+                cand0[v] = cand0[v] & has(d1.array(u)[:, 0])
+        pairs = {edge: const_pairs(lab) for edge, lab in comp.lambda_e.items()}
         runs.append(prepare_tree(comp, cand0, pairs))
-
-    if not all(run.satisfiable for run in runs):
-        return
     steps = _Steps()
-    m = len(runs)
-    iters = [_tree_tuples(runs[i], steps) for i in range(m)]
-    current = []
-    for it in iters:
-        first = next(it, None)
-        if first is None:
-            return
-        current.append(first)
-    slots = plan.head_slots
-    while True:
-        yield tuple(current[ci][pos] for ci, pos in slots)
-        i = m - 1
-        while i >= 0:
-            nxt = next(iters[i], None)
-            if nxt is not None:
-                current[i] = nxt
-                for j in range(i + 1, m):
-                    iters[j] = _tree_tuples(runs[j], steps)
-                    current[j] = next(iters[j])
-                break
-            i -= 1
-        else:
-            return
+    yield from _cross(lambda i: _tree_tuples(runs[i], steps), len(runs), plan.head_slots, steps)

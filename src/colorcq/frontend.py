@@ -35,7 +35,10 @@ class FcCheck:
         return self.accepted
 
 
-def gaifman_adjacency(q: ConjunctiveQuery) -> dict[str, set[str]]:
+Adjacency = dict[str, set[str]]
+
+
+def gaifman_adjacency(q: ConjunctiveQuery) -> Adjacency:
     """Simple undirected graph on vars(q); an edge per co-occurring distinct pair."""
     adj: dict[str, set[str]] = {v: set() for v in q.variables()}
     for a in q.atoms:
@@ -91,11 +94,11 @@ def _components(adj: dict[str, set[str]]) -> list[set[str]]:
     return comps
 
 
-def check_free_connex_acyclic(q: ConjunctiveQuery) -> FcCheck:
-    """Accept iff the Gaifman graph is a forest and, per component, the free
-    variables induce a connected or empty subgraph.
-    """
-    adj = gaifman_adjacency(q)
+def check_free_connex_acyclic(q: ConjunctiveQuery, adj: Adjacency | None = None) -> FcCheck:
+    """Accept iff the Gaifman graph `adj` (built from q if not given) is a
+    forest and, per component, the free variables induce a connected or empty
+    subgraph."""
+    adj = adj or gaifman_adjacency(q)
     cycle = _find_cycle(adj)
     if cycle is not None:
         return FcCheck(
@@ -129,14 +132,16 @@ def check_free_connex_acyclic(q: ConjunctiveQuery) -> FcCheck:
     return FcCheck(accepted=True)
 
 
-def decompose_components(q: ConjunctiveQuery) -> tuple[list[ConjunctiveQuery], list[int]]:
+def decompose_components(
+    q: ConjunctiveQuery, adj: Adjacency | None = None
+) -> tuple[list[ConjunctiveQuery], list[int]]:
     """Split q into connected sub-queries; the answer is their cross product.
 
     Components with free variables come first, in order of their first head
     position; Boolean components follow, ordered by their least variable.
     Also returns, per head position, the index of the owning component.
     """
-    comps = _components(gaifman_adjacency(q))
+    comps = _components(adj or gaifman_adjacency(q))
 
     def sort_key(comp: set[str]) -> tuple:
         positions = [i for i, v in enumerate(q.head) if v in comp]
@@ -205,16 +210,19 @@ class QueryPlan:
     head_slots: tuple[tuple[int, int], ...]
 
 
-def build_plan(q1: ConjunctiveQuery, query: ConjunctiveQuery) -> PlanComponent:
+def build_plan(
+    q1: ConjunctiveQuery, query: ConjunctiveQuery, adj: Adjacency | None = None
+) -> PlanComponent:
     """Root and order one connected, loop-free component and derive Q_col.
 
     The root is the first head variable (the <-least variable for Boolean
-    components); the order is a two-queue BFS that exhausts free variables
-    before quantified ones, breaking ties lexicographically.
+    components); the order is a two-queue BFS over `adj` (by default q1's
+    Gaifman graph; the whole query's has the same edges here) that exhausts
+    free variables before quantified ones, breaking ties lexicographically.
     """
-    adj = gaifman_adjacency(q1)
+    adj = adj or gaifman_adjacency(q1)
     free = set(q1.head)
-    root = query.head[0] if query.head else min(adj)
+    root = query.head[0] if query.head else min(q1.variables())
 
     order: list[str] = []
     parent: dict[str, str | None] = {root: None}
@@ -282,14 +290,15 @@ def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
             raise SchemaError(
                 f"atom {a} uses {a.rel} with arity {len(a.args)}, schema says {ar}"
             )
-    chk = check_free_connex_acyclic(q)
+    adj = gaifman_adjacency(q)
+    chk = check_free_connex_acyclic(q, adj)
     if not chk:
         raise QueryRejected(chk.diagnostic)
 
     s1 = sigma1_for(schema)
-    comp_queries, owner = decompose_components(q)
+    comp_queries, owner = decompose_components(q, adj)
     components = tuple(
-        build_plan(remove_self_loops(cq, s1), cq) for cq in comp_queries
+        build_plan(remove_self_loops(cq, s1), cq, adj) for cq in comp_queries
     )
     slots = []
     for p, v in enumerate(q.head):

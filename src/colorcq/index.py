@@ -13,7 +13,8 @@ tables of the actual edge labels are built with the index; the hat lookups
 (union/sum over actual labels ⊇ λ) are materialized on first use and
 memoized (thread-safe; concurrent first calls compute identical values).
 The colour database materializes E_λ for the downward closure of the actual
-labels — any other label has empty semantics by construction.
+labels (any other label has empty semantics by construction) and seeds the
+sorted count rows per label that the evaluation layer reads as arrays.
 """
 from __future__ import annotations
 
@@ -50,6 +51,24 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 # hard cap on closure materialization; hit only by adversarial schemas where
 # one vertex pair is related by very many symbols at once
 _CLOSURE_CAP = 1 << 20
+
+
+class PairRows(NamedTuple):
+    """The pairs (a, b) of one label, sorted, with a count n per pair (None
+    where only the pairs matter), and the same pairs grouped by a as Python
+    lists, which the enumeration reads element by element: the b's of a are
+    nbr[ptr[a]:ptr[a + 1]]."""
+
+    a: np.ndarray
+    b: np.ndarray
+    n: np.ndarray | None
+    ptr: list[int]
+    nbr: list[int]
+
+
+def pair_rows(a: np.ndarray, b: np.ndarray, n: np.ndarray | None, size: int) -> PairRows:
+    """PairRows of pairs sorted by (a, b) over the ids 0..size-1."""
+    return PairRows(a, b, n, np.searchsorted(a, np.arange(size + 1)).tolist(), b.tolist())
 
 
 class SuccTable(NamedTuple):
@@ -93,10 +112,11 @@ class ColorIndex:
         self.coloring = coloring
         self.build_seconds = dict(build_seconds)
         self._lock = threading.Lock()
-        # memoized hat (⊇λ) lookups
+        # memoized hat (⊇λ) lookups, per label, and colour masks per unary set
         self._succ: dict[EdgeLabel, SuccTable] = {}
-        self._hat_counts: dict[EdgeLabel, dict[tuple[int, int], int]] = {}
-        self._loop_arrays: dict[EdgeLabel, np.ndarray] = {}
+        self._rows: dict[EdgeLabel, PairRows] = {}
+        self._counts: dict[EdgeLabel, dict[tuple[int, int], int]] = {}
+        self._unary: dict[frozenset[str], np.ndarray] = {}
         t0 = time.perf_counter()
         self._build_tables()
         self._build_color_db()
@@ -112,19 +132,10 @@ class ColorIndex:
 
         # vertex labels and data self-loops must be uniform within a class,
         # so one representative per class stands for all of its members
-        reps = np.unique(col.color_of, return_index=True)[1]
-        color_vl = g.vl_id[reps]
+        color_vl = g.vl_id[col.order[col.bounds[:-1]]]
         if (g.vl_id != color_vl[col.color_of]).any():
             raise ColorcqError("unstable colouring: a class mixes vertex labels")
         self._color_vl = color_vl
-        self.color_masks: list[int] = list(map(g.label_masks.__getitem__, color_vl.tolist()))
-        loop_bits = [(r, 1 << g._uidx[s]) for r, s in self.s1.loop_symbol.items()]
-        set_loops = [
-            frozenset(p for r, bit in loop_bits if mask & bit for p in ((r, FWD), (r, BWD)))
-            for mask in g.label_masks
-        ]
-        self.loop_pairs: tuple[frozenset[tuple[str, str]], ...] = tuple(
-            map(set_loops.__getitem__, color_vl.tolist()))
 
         # the directed edges sorted by (label, source colour, target colour);
         # the stable sort keeps (source, target) order inside each run
@@ -187,15 +198,14 @@ class ColorIndex:
             self.closure_symbols[lab] = name
 
         cdb = Database(schema, constants=map(str, range(self.num_colors)))
-        for u, i in g._uidx.items():
-            has = np.array([m >> i & 1 for m in g.label_masks], dtype=bool)
-            cdb.set_relation(u, np.flatnonzero(has[self._color_vl])[:, None])
+        for u in g.unary_symbols:
+            cdb.set_relation(u, np.flatnonzero(self.unary_colors((u,)))[:, None])
         for lab, name in self.closure_symbols.items():
-            # the closure entries are exactly the hat counts; seed the memo so
-            # counting queries never pay a first-use merge
-            c, c2, n = self._hat_count_rows(lab)
-            cdb.set_relation(name, np.stack([c, c2], axis=1))
-            self._hat_counts[lab] = dict(zip(zip(c.tolist(), c2.tolist()), n.tolist()))
+            # the closure entries are exactly the hat counts; seed the row
+            # memo so queries never pay a first-use merge
+            hat = self._hat_count_rows(lab)
+            cdb.set_relation(name, np.stack(hat[:2], axis=1))
+            self._augment(lab, hat)
         self.color_db = cdb
 
     # -- lookups -----------------------------------------------------------
@@ -203,15 +213,21 @@ class ColorIndex:
     def _hat_count_rows(self, lab: EdgeLabel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, c′, #̂→^λ(c,c′)) for the class pairs with a positive count, sorted."""
         parts = [self._count_rows[lid] for lid in self._supers.get(lab, ())]
-        if not parts:
-            return _EMPTY, _EMPTY, _EMPTY
-        if len(parts) == 1:
-            return parts[0]
-        c, c2, n = (np.concatenate(x) for x in zip(*parts))
-        pair, inv = np.unique(c * self.num_colors + c2, return_inverse=True)
-        total = np.zeros(len(pair), np.int64)
-        np.add.at(total, inv, n)
-        return pair // self.num_colors, pair % self.num_colors, total
+        return _merge_rows(parts, self.num_colors) if parts else (_EMPTY, _EMPTY, _EMPTY)
+
+    def _augment(self, lab: EdgeLabel, hat: tuple[np.ndarray, ...]) -> PairRows:
+        diag = np.flatnonzero(self.loop_cover_array(lab))
+        if len(diag):
+            hat = _merge_rows([hat, (diag, diag, np.ones(len(diag), np.int64))], self.num_colors)
+        rows = pair_rows(*hat, self.num_colors)
+        with self._lock:
+            return self._rows.setdefault(lab, rows)
+
+    def rows(self, lab: EdgeLabel) -> PairRows:
+        """The loop-augmented counts of λ, sorted by (c, c′): #̂→^λ(c,c′) where
+        it is positive, plus one on (c, c) for every class c that loops over λ
+        (see `loop_cover_array`).  Memoized per label."""
+        return self._rows.get(lab) or self._augment(lab, self._hat_count_rows(lab))
 
     def _materialize_succ(self, lab: EdgeLabel) -> SuccTable:
         bounds, src, tgt, nbr = self._edges
@@ -227,12 +243,6 @@ class ColorIndex:
         with self._lock:
             return self._succ.setdefault(lab, table)
 
-    def _materialize_counts(self, lab: EdgeLabel) -> dict[tuple[int, int], int]:
-        c, c2, n = self._hat_count_rows(lab)
-        counts = dict(zip(zip(c.tolist(), c2.tolist()), n.tolist()))
-        with self._lock:
-            return self._hat_counts.setdefault(lab, counts)
-
     def succ(self, lab: EdgeLabel, v: int, c: int) -> list[int]:
         """N̂→^λ(v,c) as an ascending list of vertex indices (v is a vertex
         index, c a colour id)."""
@@ -244,9 +254,13 @@ class ColorIndex:
         return self.count_table(lab).get((c, c2), 0)
 
     def count_table(self, lab: EdgeLabel) -> dict[tuple[int, int], int]:
-        table = self._hat_counts.get(lab)
+        """#̂→^λ as a dict over the pairs where it is positive; memoized."""
+        table = self._counts.get(lab)
         if table is None:
-            table = self._materialize_counts(lab)
+            c, c2, n = self._hat_count_rows(lab)
+            table = dict(zip(zip(c.tolist(), c2.tolist()), n.tolist()))
+            with self._lock:
+                table = self._counts.setdefault(lab, table)
         return table
 
     def vertex_color(self, v: int) -> int:
@@ -259,21 +273,44 @@ class ColorIndex:
             mask |= 1 << self.g._uidx[u]
         return mask
 
+    def unary_colors(self, symbols) -> np.ndarray:
+        """Per-colour flags (read-only): do the class members carry every
+        unary symbol in `symbols`?  Memoized per symbol set."""
+        key = frozenset(symbols)
+        arr = self._unary.get(key)
+        if arr is None:
+            need = self.unary_mask(key)
+            has = np.array([m & need == need for m in self.g.label_masks], dtype=bool)
+            arr = has[self._color_vl]
+            arr.flags.writeable = False
+            with self._lock:
+                arr = self._unary.setdefault(key, arr)
+        return arr
+
+    @property
+    def loop_pairs(self) -> tuple[frozenset[tuple[str, str]], ...]:
+        """Per colour, the (relation, direction) pairs its members loop over."""
+        loops = [(r, self.unary_colors((s,))) for r, s in self.s1.loop_symbol.items()]
+        return tuple(frozenset(p for r, has in loops if has[c] for p in ((r, FWD), (r, BWD)))
+                     for c in range(self.num_colors))
+
     def loop_cover_array(self, lab: EdgeLabel) -> np.ndarray:
         """Per-color flags: does every class member carry a self-loop for every
         relation mentioned in λ?  Such a vertex is its own λ-superset neighbour
         under the loop-augmented semantics used by the evaluation layer.
         """
-        arr = self._loop_arrays.get(lab)
-        if arr is None:
-            need = set(lab.pairs)  # loop_pairs are closed under direction flip
-            arr = np.fromiter(
-                (need <= lp for lp in self.loop_pairs), dtype=bool,
-                count=self.num_colors,
-            )
-            with self._lock:
-                arr = self._loop_arrays.setdefault(lab, arr)
-        return arr
+        return self.unary_colors(self.s1.loop_symbol[r] for r, _ in lab.pairs)
+
+
+def _merge_rows(parts, ncol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum count rows (c, c′, n) over equal (c, c′); the result is sorted."""
+    if len(parts) == 1:
+        return parts[0]
+    c, c2, n = (np.concatenate(x) for x in zip(*parts))
+    pair, inv = np.unique(c * ncol + c2, return_inverse=True)
+    total = np.zeros(len(pair), np.int64)
+    np.add.at(total, inv, n)
+    return pair // ncol, pair % ncol, total
 
 
 def build_index(db: Database) -> ColorIndex:

@@ -22,6 +22,7 @@ Refinement stops when a round hands out no fresh id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,27 +36,35 @@ def default_backend() -> str:
 
 @dataclass
 class Coloring:
-    """Canonical colouring: `color_of[v]` plus per-class member arrays."""
+    """Canonical colouring: `color_of[v]`, and the vertices sorted by colour
+    (`order`, ascending within a class), with class c at
+    order[bounds[c]:bounds[c + 1]]."""
 
     color_of: np.ndarray
-    members: tuple[np.ndarray, ...]
+    order: np.ndarray
+    bounds: list[int]
 
     @property
     def num_colors(self) -> int:
-        return len(self.members)
+        return len(self.bounds) - 1
 
     def color(self, v: int) -> int:
         return int(self.color_of[v])
 
     def class_members(self, c: int) -> np.ndarray:
-        return self.members[c]
+        return self.order[self.bounds[c]:self.bounds[c + 1]]
 
     def class_size(self, c: int) -> int:
-        return len(self.members[c])
+        return self.bounds[c + 1] - self.bounds[c]
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.bincount(self.color_of, minlength=self.num_colors)
+        return np.diff(np.array(self.bounds, dtype=np.int64))
+
+    @cached_property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """One member array per class (built on first use)."""
+        return tuple(map(self.class_members, range(self.num_colors)))
 
 
 def canonicalize(raw: np.ndarray) -> np.ndarray:
@@ -72,11 +81,9 @@ def canonicalize(raw: np.ndarray) -> np.ndarray:
 
 def _as_coloring(raw: np.ndarray) -> Coloring:
     colors = canonicalize(raw)
-    n_colors = int(colors.max()) + 1 if len(colors) else 0
     order = np.argsort(colors, kind="stable")  # members stay ascending per class
-    bounds = np.searchsorted(colors[order], np.arange(n_colors + 1))
-    members = tuple(order[bounds[c]:bounds[c + 1]] for c in range(n_colors))
-    return Coloring(color_of=colors, members=members)
+    bounds = np.append(0, np.cumsum(np.bincount(colors))).tolist()
+    return Coloring(color_of=colors, order=order, bounds=bounds)
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
