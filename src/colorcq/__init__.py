@@ -18,7 +18,7 @@ from .model import (
 )
 from .graph import EdgeLabel, LabeledGraph, Sigma1, build_labeled_graph, encode_self_loops
 from .refine import Coloring, default_backend, is_stable, naive_refine, refine
-from .index import ColorIndex, build_index, hat_succ_count, hat_succ_set, index_stats, load_index, save_index
+from .index import ColorIndex, build_index, index_stats, load_index, save_index
 from .frontend import (
     FcCheck,
     QueryPlan,
@@ -63,8 +63,6 @@ __all__ = [
     "refine",
     "ColorIndex",
     "build_index",
-    "hat_succ_count",
-    "hat_succ_set",
     "index_stats",
     "load_index",
     "save_index",

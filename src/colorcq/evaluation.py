@@ -4,10 +4,11 @@ All three tasks run on the same skeleton, over numpy arrays indexed by colour
 id (or by constant id, in `cde_fc_acq`).  Per component, one bottom-up
 semi-join sweep over the rooted tree (Yannakakis) keeps, for each variable,
 the values whose subtree can be completed.  A Boolean component then only
-needs a non-empty root, and enumeration walks the free prefix in preorder,
-taking each free child's values from its parent's adjacency filtered by the
-child's candidates, so every step leads to an answer.  Counting multiplies
-per-colour subtree counts over the same per-label pair arrays.
+needs a non-empty root.  Enumeration is one odometer (`_odometer`): it walks
+the free prefix in preorder through each parent's pairs into the child's
+candidates, so every step leads to an answer, and then expands each colour
+tuple into vertex tuples through the index's class-major successor tables.
+Counting multiplies per-colour subtree counts over the same pair arrays.
 
 The color-level runs use the loop-augmented semantics: a vertex whose class
 carries self-loops for every relation in λ counts as its own λ-neighbour, and
@@ -22,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .frontend import PlanComponent, QueryPlan, plan_query
-from .graph import BWD, EdgeLabel, encode_self_loops
+from .graph import BWD, encode_self_loops
 from .index import ColorIndex, PairRows, pair_rows
 from .model import ColorcqError, ConjunctiveQuery, Database
 
@@ -30,12 +31,14 @@ from .model import ColorcqError, ConjunctiveQuery, Database
 @dataclass
 class TreeRun:
     """A reduced component: per variable, a bool array of the values whose
-    subtree can be completed; per free tree edge, the parent's adjacency
-    filtered by the child's candidates; the root values."""
+    subtree can be completed; per tree edge, its pairs; per free tree edge,
+    the numbers of the pairs into child values that can complete, grouped by
+    the parent's value as (ptr, pair numbers); the root values."""
 
     comp: PlanComponent
     cand: dict[str, np.ndarray]
-    fadj: dict[tuple[str, str], PairRows]
+    pairs: dict[tuple[str, str], PairRows]
+    fadj: dict[tuple[str, str], tuple[list[int], Sequence[int]]]
     satisfiable: bool
     roots: list[int]
 
@@ -55,16 +58,20 @@ def prepare_tree(
             cand[v] = cand[v] & keep
     satisfiable = bool(cand[comp.root].any())
 
-    fadj: dict[tuple[str, str], PairRows] = {}
+    fadj: dict[tuple[str, str], tuple[list[int], Sequence[int]]] = {}
     if satisfiable:
         for w in comp.free_prefix[1:]:
             p = pairs[(comp.parent[w], w)]
             ok = cand[w][p.b]
-            if not ok.all():  # drop the pairs into child values that cannot complete
-                p = pair_rows(p.a[ok], p.b[ok], None, len(cand[w]))
-            fadj[(comp.parent[w], w)] = p
+            if ok.all():
+                fadj[(comp.parent[w], w)] = (p.ptr, range(len(ok)))
+            else:  # drop the pairs into child values that cannot complete
+                js = np.flatnonzero(ok)
+                ptr = np.searchsorted(p.a[js], np.arange(len(cand[w]) + 1)).tolist()
+                fadj[(comp.parent[w], w)] = (ptr, js.tolist())
     roots = np.flatnonzero(cand[comp.root]).tolist() if satisfiable and comp.query.head else []
-    return TreeRun(comp=comp, cand=cand, fadj=fadj, satisfiable=satisfiable, roots=roots)
+    return TreeRun(comp=comp, cand=cand, pairs=pairs, fadj=fadj, satisfiable=satisfiable,
+                   roots=roots)
 
 
 class _Steps:
@@ -76,28 +83,42 @@ class _Steps:
         self.n = 0
 
 
-def _tree_tuples(run: TreeRun, steps: _Steps) -> Iterator[tuple[int, ...]]:
-    """All assignments of the free prefix consistent with the reduced tree.
+def _odometer(run: TreeRun, steps: _Steps, idx: ColorIndex | None = None) -> Iterator[tuple]:
+    """The answers of one reduced component, each once, in its head order.
 
-    Each tuple appears exactly once: quantified subtrees were already folded
-    into the candidate sets, so only free-free edges are walked here.
+    Levels 0..k-1 walk the free prefix over the reduced tree: level 0 the
+    root values, level i ≥ 1 the numbers of the kept pairs of the tree edge
+    into free[i] whose first value is the parent's.  Quantified subtrees were
+    folded into the candidates, so every step leads to an answer.  Without an
+    index the values are the answer.  With one they are colours, and levels
+    k..2k-1 walk vertices: the members of the root colour, then per free tree
+    edge the parent vertex's successor group for the pair (`SuccTable`), plus
+    the parent itself, last, when its class loops over λ_e.  Every group is
+    non-empty, so the delay per tuple is O(k).  Answers are constant ids.
     """
     comp = run.comp
-    free = comp.free_prefix
-    k = len(free)
+    k = len(comp.free_prefix)
     if not run.satisfiable:
         return
     if k == 0:
         yield ()
         return
-    edges = [(comp.parent[x], x) for x in free[1:]]
-    parent_pos = [0] + [comp.rank[v] for v, _ in edges]
-    ptrs = [None] + [run.fadj[e].ptr for e in edges]
-    nbrs = [run.roots] + [run.fadj[e].nbr for e in edges]
+    edges = [(comp.parent[x], x) for x in comp.free_prefix[1:]]
+    up = [0] + [comp.rank[v] for v, _ in edges]  # the level of the parent
+    ptrs = [None] + [run.fadj[e][0] for e in edges]
+    value = [range(len(run.cand[comp.root]))] + [run.pairs[e].nbr for e in edges]
+    seqs: list = [run.roots] + [run.fadj[e][1] for e in edges]
+    last = k - 1
+    if idx is not None:
+        last += k
+        seqs += [None] * k
+        order, bounds, rank = idx.coloring.order, idx.coloring.bounds, idx.coloring.rank
+        tables = [None] + [idx.table(comp.lambda_e[e]) for e in edges]
+        const_of = idx.g.verts.item
 
-    vals = [0] * k
-    pos = [0] * k
-    end = [len(run.roots)] + [0] * (k - 1)
+    vals = [0] * (last + 1)
+    pos = [0] * (last + 1)
+    end = [len(run.roots)] + [0] * last
     level = 0
     while level >= 0:
         p = pos[level]
@@ -105,53 +126,34 @@ def _tree_tuples(run: TreeRun, steps: _Steps) -> Iterator[tuple[int, ...]]:
             level -= 1
             continue
         steps.n += 1
-        vals[level] = nbrs[level][p]
+        vals[level] = seqs[level][p]
         pos[level] = p + 1
-        if level == k - 1:
-            yield tuple(vals)
+        if level == last:
+            if idx is None:
+                yield tuple([v[j] for v, j in zip(value, vals)])
+            else:
+                yield tuple(map(const_of, vals[k:]))
             continue
         level += 1
-        ptr, a = ptrs[level], vals[parent_pos[level]]
-        pos[level], end[level] = ptr[a], ptr[a + 1]
-
-
-def _expand(
-    idx: ColorIndex,
-    cbar: tuple[int, ...],
-    walk: tuple[list[int], list[EdgeLabel], list[np.ndarray]],
-    steps: _Steps,
-) -> Iterator[tuple[int, ...]]:
-    """All vertex tuples of one color tuple: v₁ runs over class c₁ and each
-    v_{i+1} over N̂→^{λ_e}(v_parent, c_{i+1}), plus v_parent itself when its
-    class loops over λ_e.  Every consulted set is non-empty, so the delay per
-    tuple is O(k).  `walk` holds, per free tree edge, the parent's position,
-    λ_e and the loop-cover flags of λ_e.
-    """
-    k = len(cbar)
-    colors = idx.coloring.color_of
-    parent_pos, labels, loop_arrays = walk
-    vals = [0] * k
-    seqs: list[Sequence[int]] = [idx.coloring.class_members(cbar[0])] + [()] * (k - 1)
-    pos = [0] * k
-    level = 0
-    while level >= 0:
-        if pos[level] >= len(seqs[level]):
-            level -= 1
-            continue
-        steps.n += 1
-        vals[level] = int(seqs[level][pos[level]])
-        pos[level] += 1
-        if level == k - 1:
-            yield tuple(vals)
-            continue
-        level += 1
-        vp, c = vals[parent_pos[level - 1]], cbar[level]
-        seq = idx.succ(labels[level - 1], vp, c)
-        if loop_arrays[level - 1][c] and colors[vp] == c:
-            seq = [*seq, vp]  # the looping parent is its own neighbour, enumerated last
-        elif not len(seq):
-            raise ColorcqError("index is inconsistent: a colour-level answer expanded to no tuple")
-        seqs[level], pos[level] = seq, 0
+        if level < k:
+            u = up[level]
+            ptr, a = ptrs[level], value[u][vals[u]]
+            pos[level], end[level] = ptr[a], ptr[a + 1]
+        elif level == k:
+            c = vals[0]
+            seqs[k], pos[k], end[k] = order, bounds[c], bounds[c + 1]
+        else:
+            i = level - k
+            t, j, vp = tables[i], vals[i], vals[k + up[i]]
+            at = t.lo[j] + rank[vp] * t.stride[j]
+            hi = at + t.own[j]
+            if j in t.loops:  # the looping parent is its own neighbour, enumerated last
+                seqs[level], pos[level], end[level] = [*t.nbr[at:hi], vp], 0, hi - at + 1
+            elif at == hi:
+                raise ColorcqError(
+                    "index is inconsistent: a colour-level answer expanded to no tuple")
+            else:
+                seqs[level], pos[level], end[level] = t.nbr, at, hi
 
 
 def _color_run(idx: ColorIndex, comp: PlanComponent) -> TreeRun:
@@ -180,17 +182,10 @@ class EnumerationSession:
         self.emissions = 0
         self.max_gap = 0
         self._last = 0
-        self._runs = [_color_run(idx, comp) for comp in plan.components]
-        self._walks = []
-        for comp in plan.components:
-            labels = [comp.lambda_e[(comp.parent[x], x)] for x in comp.free_prefix[1:]]
-            self._walks.append(([comp.rank[comp.parent[x]] for x in comp.free_prefix[1:]],
-                                labels, [idx.loop_cover_array(lab) for lab in labels]))
         # the stream closes over locals, not self: a session then holds no
         # reference cycle and is freed as soon as it is dropped
-        runs, walks, steps = self._runs, self._walks, self.steps
-        gen = _cross(lambda i: _component_stream(idx, runs[i], walks[i], steps),
-                     len(runs), plan.head_slots, steps)
+        runs, steps = [_color_run(idx, comp) for comp in plan.components], self.steps
+        gen = _cross(lambda i: _odometer(runs[i], steps, idx), len(runs), plan.head_slots, steps)
         consts = idx.db.constants
         self._gen = (tuple(consts[c] for c in t) for t in gen) if names else gen
 
@@ -207,17 +202,6 @@ class EnumerationSession:
         if gap > self.max_gap:
             self.max_gap = gap
         return out
-
-
-def _component_stream(idx: ColorIndex, run: TreeRun, walk, steps: _Steps) -> Iterator[tuple]:
-    """The answers of one component, as constant-id tuples in its head order."""
-    if not run.comp.query.head:
-        yield from _tree_tuples(run, steps)
-        return
-    const_of = idx.g.verts.item
-    for cbar in _tree_tuples(run, steps):
-        for t in _expand(idx, cbar, walk, steps):
-            yield tuple(map(const_of, t))
 
 
 def _cross(stream: Callable[[int], Iterator[tuple]], m: int,
@@ -359,4 +343,4 @@ def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[
         pairs = {edge: const_pairs(lab) for edge, lab in comp.lambda_e.items()}
         runs.append(prepare_tree(comp, cand0, pairs))
     steps = _Steps()
-    yield from _cross(lambda i: _tree_tuples(runs[i], steps), len(runs), plan.head_slots, steps)
+    yield from _cross(lambda i: _odometer(runs[i], steps), len(runs), plan.head_slots, steps)

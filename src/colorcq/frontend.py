@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import BWD, FWD, EdgeLabel, Sigma1, e_symbol, sigma1_for
 from .model import Atom, ColorcqError, ConjunctiveQuery, Schema, SchemaError
@@ -188,7 +189,17 @@ class PlanComponent:
     children: dict[str, tuple[str, ...]] = field(repr=False)
     lambda_x: dict[str, frozenset[str]] = field(repr=False)
     lambda_e: dict[tuple[str, str], EdgeLabel] = field(repr=False)
-    q_col: ConjunctiveQuery
+
+    @cached_property
+    def q_col(self) -> ConjunctiveQuery:
+        """Q_col: the atoms λ_x, one E_λe atom per tree edge; built on first use."""
+        free = set(self.q1.head)
+        atoms = [Atom(u, (v,)) for v in self.order for u in sorted(self.lambda_x[v])]
+        for v in self.order[1:]:
+            edge = (self.parent[v], v)
+            atoms.append(Atom(e_symbol(self.lambda_e[edge]), edge))
+        return ConjunctiveQuery(head=tuple(v for v in self.order if v in free),
+                                atoms=tuple(atoms))
 
     @property
     def free_prefix(self) -> tuple[str, ...]:
@@ -256,17 +267,8 @@ def build_plan(
                 pairs.setdefault((w, u), set()).add((a.rel, BWD))
     lambda_e = {edge: EdgeLabel(ps) for edge, ps in pairs.items()}
     # in a forest every Gaifman edge is a tree edge, and conversely
-    assert set(lambda_e) == {(parent[v], v) for v in order[1:]}
-
-    head_internal = tuple(v for v in order if v in free)
-    col_atoms: list[Atom] = []
-    for v in order:
-        for u in sorted(lambda_x[v]):
-            col_atoms.append(Atom(u, (v,)))
-    for v in order[1:]:
-        edge = (parent[v], v)
-        col_atoms.append(Atom(e_symbol(lambda_e[edge]), edge))
-    q_col = ConjunctiveQuery(head=head_internal, atoms=tuple(col_atoms))
+    if set(lambda_e) != {(parent[v], v) for v in order[1:]}:
+        raise ColorcqError(f"the Gaifman graph of {q1} is not a tree")
 
     return PlanComponent(
         query=query,
@@ -278,7 +280,6 @@ def build_plan(
         children=children,
         lambda_x={v: frozenset(s) for v, s in lambda_x.items()},
         lambda_e=lambda_e,
-        q_col=q_col,
     )
 
 

@@ -7,10 +7,12 @@ relational instance over the colours with one unary relation per unary symbol
 and one binary relation E_λ per edge label λ, holding (c,c′) iff some (hence
 every) vertex of colour c has a λ-superset edge to a vertex of colour c′.
 
-All tables come from one sort of the directed edges by (label, source colour,
-target colour), which also checks that the colouring is stable.  Successor
-tables of the actual edge labels are built with the index; the hat lookups
-(union/sum over actual labels ⊇ λ) are materialized on first use and
+All tables come from one class-major sort of the directed edges, by (label,
+source colour, source, target colour), which also checks that the colouring
+is stable.  Stability fixes where each successor group sits, so a label's
+table is one flat target list with an offset and a stride per class pair
+(`SuccTable`).  The hat tables (union over the actual labels ⊇ λ) of the
+actual labels are built with the index, the others on first use; all are
 memoized (thread-safe; concurrent first calls compute identical values).
 The colour database materializes E_λ for the downward closure of the actual
 labels (any other label has empty semantics by construction) and seeds the
@@ -23,6 +25,7 @@ import math
 import struct
 import threading
 import time
+from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple
 
@@ -72,27 +75,21 @@ def pair_rows(a: np.ndarray, b: np.ndarray, n: np.ndarray | None, size: int) -> 
 
 
 class SuccTable(NamedTuple):
-    """Successor table of one label.
+    """Successor table of one label λ, aligned with the pairs of `rows(λ)`.
 
-    `nbr` holds the label's edge targets grouped by (source v, target colour
-    c), each group ascending; `groups` maps the packed key v·num_colors + c
-    to the group's number i, and the group is nbr[start[i]:start[i + 1]].
-    `nbr` is a Python list because the enumeration slices it once per step
-    and reads single elements, which costs less on a list than on an array.
+    `nbr` holds the targets of the λ-edges sorted by (source colour, source,
+    target colour, target).  By stability, every member of class c has own[j]
+    λ-successors in class c′, for pair j = (c, c′), so the member of rank r
+    finds them at nbr[lo[j] + r·stride[j]:][:own[j]].  `loops` holds the pairs
+    (c, c) whose class loops over λ.  The enumeration reads single elements,
+    which costs less on Python lists than on arrays.
     """
 
     nbr: list[int]
-    start: list[int]
-    groups: dict[int, int]
-
-
-def _succ_table(src: np.ndarray, col: np.ndarray, nbr: np.ndarray, ncol: int) -> SuccTable:
-    """Table of edges in which every (src, col) group is contiguous, ascending in nbr."""
-    head = np.ones(len(src), bool)
-    head[1:] = (src[1:] != src[:-1]) | (col[1:] != col[:-1])
-    lo = np.flatnonzero(head)
-    keys = (src[lo] * ncol + col[lo]).tolist()
-    return SuccTable(nbr.tolist(), lo.tolist() + [len(src)], dict(zip(keys, range(len(keys)))))
+    lo: list[int]
+    stride: list[int]
+    own: list[int]
+    loops: frozenset[int]
 
 
 class ColorIndex:
@@ -112,14 +109,15 @@ class ColorIndex:
         self.coloring = coloring
         self.build_seconds = dict(build_seconds)
         self._lock = threading.Lock()
-        # memoized hat (⊇λ) lookups, per label, and colour masks per unary set
+        # memoized hat (⊇λ) tables and count rows per label, colour masks per unary set
         self._succ: dict[EdgeLabel, SuccTable] = {}
         self._rows: dict[EdgeLabel, PairRows] = {}
-        self._counts: dict[EdgeLabel, dict[tuple[int, int], int]] = {}
         self._unary: dict[frozenset[str], np.ndarray] = {}
         t0 = time.perf_counter()
         self._build_tables()
         self._build_color_db()
+        for lab in self.actual_labels:
+            self.table(lab)
         self.build_seconds["tables"] = time.perf_counter() - t0
 
     # -- construction ------------------------------------------------------
@@ -127,7 +125,7 @@ class ColorIndex:
     def _build_tables(self) -> None:
         g, col = self.g, self.coloring
         self.n_c = col.sizes
-        self.num_colors = ncol = col.num_colors
+        self.num_colors = col.num_colors
         self.actual_labels: tuple[EdgeLabel, ...] = g.labels
 
         # vertex labels and data self-loops must be uniform within a class,
@@ -137,42 +135,40 @@ class ColorIndex:
             raise ColorcqError("unstable colouring: a class mixes vertex labels")
         self._color_vl = color_vl
 
-        # the directed edges sorted by (label, source colour, target colour);
-        # the stable sort keeps (source, target) order inside each run
+        # the directed edges sorted class-major: by (label, source colour,
+        # source, target colour); the stable sort keeps targets ascending
         src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-        key = _pack(_pack(g.elab, col.color_of[src]), col.color_of[g.nbr])
+        place = np.empty(g.n, np.int64)  # a vertex's place in the class-major order
+        place[col.order] = np.arange(g.n)
+        key = _pack(_pack(g.elab, place[src]), col.color_of[g.nbr])
         order = np.argsort(key, kind="stable")
         key, lab, src, nbr = key[order], g.elab[order], src[order], g.nbr[order]
         tgt = col.color_of[nbr]
 
-        # stability: in each run (label λ, class c, class c′), every member of
-        # c has the same number of λ-edges into c′, so the run holds exactly
-        # n_c groups (one per member) of equal size
-        run = _starts(key)
-        head = np.ones(len(key), bool)
-        head[1:] = (key[1:] != key[:-1]) | (src[1:] != src[:-1])
-        grp = np.flatnonzero(head)
-        gsize = np.diff(np.append(grp, len(key)))
-        first = np.searchsorted(grp, run)
-        run_c, run_c2 = col.color_of[src[run]], tgt[run]
-        if len(run) and (
-            (np.diff(np.append(first, len(grp))) != self.n_c[run_c]).any()
-            or (np.minimum.reduceat(gsize, first) != np.maximum.reduceat(gsize, first)).any()
-        ):
+        # stability: in each segment (label λ, class c), the groups (one per
+        # source and target colour) must repeat the first member's run of
+        # (target colour, count) n_c times; target colours ascend within a
+        # member, so each repeat is a member of its own
+        grp = _starts(key)
+        size = np.diff(np.append(grp, len(key)))
+        glab, gtgt, gcol = lab[grp], tgt[grp], col.color_of[src[grp]]
+        seg = _starts(_pack(glab, gcol))
+        blk = _starts(_pack(glab, src[grp]))
+        seg_len = np.diff(np.append(seg, len(grp)))
+        width = np.diff(np.append(blk, len(grp)))[np.searchsorted(blk, seg)]  # groups per member
+        sid = np.repeat(np.arange(len(seg)), seg_len)
+        ref = seg[sid] + (np.arange(len(grp)) - seg[sid]) % width[sid]
+        if ((seg_len != width * self.n_c[gcol[seg]]).any()
+                or (gtgt != gtgt[ref]).any() or (size != size[ref]).any()):
             raise ColorcqError("unstable colouring: uneven class counts")
-        per = gsize[first]
+        first = np.flatnonzero(ref == np.arange(len(grp)))  # the first member's groups
 
         bounds = np.searchsorted(lab, np.arange(len(self.actual_labels) + 1)).tolist()
-        run_bounds = np.searchsorted(lab[run], np.arange(len(self.actual_labels) + 1)).tolist()
-        self._edges = (bounds, src, tgt, nbr)
-        # exact tables, by actual label id
-        self._exact: list[SuccTable] = []
-        self._count_rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for lid in range(len(self.actual_labels)):
-            lo, hi = bounds[lid], bounds[lid + 1]
-            self._exact.append(_succ_table(src[lo:hi], tgt[lo:hi], nbr[lo:hi], ncol))
-            rlo, rhi = run_bounds[lid], run_bounds[lid + 1]
-            self._count_rows.append((run_c[rlo:rhi], run_c2[rlo:rhi], per[rlo:rhi]))
+        row_bounds = np.searchsorted(glab[first], np.arange(len(self.actual_labels) + 1)).tolist()
+        self._edges = (bounds, place[src], tgt, nbr)
+        rows = (gcol[first], gtgt[first], size[first])
+        self._count_rows = [tuple(x[row_bounds[lid]:row_bounds[lid + 1]] for x in rows)
+                            for lid in range(len(self.actual_labels))]
 
     def _build_color_db(self) -> None:
         g = self.g
@@ -230,48 +226,50 @@ class ColorIndex:
         return self._rows.get(lab) or self._augment(lab, self._hat_count_rows(lab))
 
     def _materialize_succ(self, lab: EdgeLabel) -> SuccTable:
-        bounds, src, tgt, nbr = self._edges
-        lids = self._supers.get(lab, ())
-        if len(lids) == 1:
-            table = self._exact[lids[0]]
-        else:
-            # actual labels partition the edges: concatenation never repeats
-            seg = [slice(bounds[lid], bounds[lid + 1]) for lid in lids]
-            s, t, w = (np.concatenate([a[x] for x in seg] + [_EMPTY]) for a in (src, tgt, nbr))
-            order = np.argsort(_pack(_pack(s, t), w))
-            table = _succ_table(s[order], t[order], w[order], self.num_colors)
+        bounds, place, tgt, nbr = self._edges
+        segs = [slice(bounds[lid], bounds[lid + 1]) for lid in self._supers.get(lab, ())]
+        # the labels partition the edges; merge their class-major runs
+        p, t, w = (np.concatenate([a[x] for x in segs] + [_EMPTY]) for a in (place, tgt, nbr))
+        w = w[np.argsort(_pack(_pack(p, t), w), kind="stable")]
+        rows = self.rows(lab)
+        loops = (rows.a == rows.b) & self.loop_cover_array(lab)[rows.a]
+        own = rows.n - loops
+        deg = np.bincount(rows.a, own, self.num_colors).astype(np.int64)  # per member of c
+        start = np.cumsum(self.n_c * deg) - self.n_c * deg  # where each class begins
+        lo = start[rows.a] + (np.cumsum(own) - own) - (np.cumsum(deg) - deg)[rows.a]
+        table = SuccTable(w.tolist(), lo.tolist(), deg[rows.a].tolist(), own.tolist(),
+                          frozenset(np.flatnonzero(loops).tolist()))
         with self._lock:
             return self._succ.setdefault(lab, table)
+
+    def table(self, lab: EdgeLabel) -> SuccTable:
+        """The successor table of λ, aligned with `rows(λ)`; memoized."""
+        return self._succ.get(lab) or self._materialize_succ(lab)
+
+    def _pair(self, lab: EdgeLabel, c: int, c2: int) -> int | None:
+        """The number of the pair (c, c2) in `rows(λ)`, or None."""
+        if not (0 <= c < self.num_colors and 0 <= c2 < self.num_colors):
+            raise ColorcqError(f"unknown color id in ({c}, {c2})")
+        rows = self.rows(lab)
+        j = bisect_left(rows.nbr, c2, rows.ptr[c], rows.ptr[c + 1])
+        return j if j < rows.ptr[c + 1] and rows.nbr[j] == c2 else None
 
     def succ(self, lab: EdgeLabel, v: int, c: int) -> list[int]:
         """N̂→^λ(v,c) as an ascending list of vertex indices (v is a vertex
         index, c a colour id)."""
-        table = self._succ.get(lab) or self._materialize_succ(lab)
-        i = table.groups.get(v * self.num_colors + c)
-        return [] if i is None else table.nbr[table.start[i]:table.start[i + 1]]
+        if not 0 <= v < self.g.n:
+            raise ColorcqError(f"unknown vertex {v}")
+        j = self._pair(lab, self.coloring.color(v), c)
+        if j is None:
+            return []
+        t = self.table(lab)
+        at = t.lo[j] + self.coloring.rank[v] * t.stride[j]
+        return t.nbr[at:at + t.own[j]]
 
     def count(self, lab: EdgeLabel, c: int, c2: int) -> int:
-        return self.count_table(lab).get((c, c2), 0)
-
-    def count_table(self, lab: EdgeLabel) -> dict[tuple[int, int], int]:
-        """#̂→^λ as a dict over the pairs where it is positive; memoized."""
-        table = self._counts.get(lab)
-        if table is None:
-            c, c2, n = self._hat_count_rows(lab)
-            table = dict(zip(zip(c.tolist(), c2.tolist()), n.tolist()))
-            with self._lock:
-                table = self._counts.setdefault(lab, table)
-        return table
-
-    def vertex_color(self, v: int) -> int:
-        return int(self.coloring.color_of[v])
-
-    def unary_mask(self, symbols) -> int:
-        """Bitmask (vl_mask convention) for a set of unary symbols."""
-        mask = 0
-        for u in symbols:
-            mask |= 1 << self.g._uidx[u]
-        return mask
+        """#̂→^λ(c,c2): the λ-successors in class c2 of any member of class c."""
+        j = self._pair(lab, c, c2)
+        return 0 if j is None else self.table(lab).own[j]
 
     def unary_colors(self, symbols) -> np.ndarray:
         """Per-colour flags (read-only): do the class members carry every
@@ -279,7 +277,7 @@ class ColorIndex:
         key = frozenset(symbols)
         arr = self._unary.get(key)
         if arr is None:
-            need = self.unary_mask(key)
+            need = sum(1 << self.g._uidx[u] for u in key)  # the vl_mask bits of the set
             has = np.array([m & need == need for m in self.g.label_masks], dtype=bool)
             arr = has[self._color_vl]
             arr.flags.writeable = False
@@ -324,21 +322,6 @@ def build_index(db: Database) -> ColorIndex:
     coloring = refine(g)
     times["refine"] = time.perf_counter() - t0
     return ColorIndex(db, d1, s1, g, coloring, times)
-
-
-def hat_succ_set(idx: ColorIndex, lab: EdgeLabel, v: int, c: int) -> list[int]:
-    """Constant ids w with el(v,w) ⊇ λ and col(w) = c, for constant id v."""
-    if not (0 <= c < idx.num_colors):
-        raise ColorcqError(f"unknown color id {c}")
-    vert = idx.g.vertex_of(v)
-    return [idx.g.const_of(int(w)) for w in idx.succ(lab, vert, c)]
-
-
-def hat_succ_count(idx: ColorIndex, lab: EdgeLabel, c: int, c2: int) -> int:
-    for x in (c, c2):
-        if not (0 <= x < idx.num_colors):
-            raise ColorcqError(f"unknown color id {x}")
-    return idx.count(lab, c, c2)
 
 
 def index_stats(idx: ColorIndex) -> dict:

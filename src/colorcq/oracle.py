@@ -17,7 +17,8 @@ class ResultSet:
     tuples: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        assert all(len(t) == self.arity for t in self.tuples)
+        if any(len(t) != self.arity for t in self.tuples):
+            raise ValueError(f"a tuple of a ResultSet of arity {self.arity} has another length")
 
     def __len__(self) -> int:
         return len(self.tuples)

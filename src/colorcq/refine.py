@@ -38,11 +38,12 @@ def default_backend() -> str:
 class Coloring:
     """Canonical colouring: `color_of[v]`, and the vertices sorted by colour
     (`order`, ascending within a class), with class c at
-    order[bounds[c]:bounds[c + 1]]."""
+    order[bounds[c]:bounds[c + 1]] and v at order[bounds[c] + rank[v]]."""
 
     color_of: np.ndarray
     order: np.ndarray
     bounds: list[int]
+    rank: list[int]
 
     @property
     def num_colors(self) -> int:
@@ -50,9 +51,6 @@ class Coloring:
 
     def color(self, v: int) -> int:
         return int(self.color_of[v])
-
-    def class_members(self, c: int) -> np.ndarray:
-        return self.order[self.bounds[c]:self.bounds[c + 1]]
 
     def class_size(self, c: int) -> int:
         return self.bounds[c + 1] - self.bounds[c]
@@ -64,7 +62,7 @@ class Coloring:
     @cached_property
     def members(self) -> tuple[np.ndarray, ...]:
         """One member array per class (built on first use)."""
-        return tuple(map(self.class_members, range(self.num_colors)))
+        return tuple(self.order[lo:hi] for lo, hi in zip(self.bounds, self.bounds[1:]))
 
 
 def canonicalize(raw: np.ndarray) -> np.ndarray:
@@ -82,8 +80,11 @@ def canonicalize(raw: np.ndarray) -> np.ndarray:
 def _as_coloring(raw: np.ndarray) -> Coloring:
     colors = canonicalize(raw)
     order = np.argsort(colors, kind="stable")  # members stay ascending per class
-    bounds = np.append(0, np.cumsum(np.bincount(colors))).tolist()
-    return Coloring(color_of=colors, order=order, bounds=bounds)
+    sizes = np.bincount(colors)
+    bounds = np.append(0, np.cumsum(sizes))
+    rank = np.empty(len(colors), np.int64)
+    rank[order] = np.arange(len(colors)) - np.repeat(bounds[:-1], sizes)
+    return Coloring(color_of=colors, order=order, bounds=bounds.tolist(), rank=rank.tolist())
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

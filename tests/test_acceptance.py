@@ -38,7 +38,7 @@ from .test_refine import _refines, _set_partitions, _stable_partition
 
 
 def _color_of_name(idx, name: str) -> int:
-    return idx.vertex_color(idx.g.vertex_of(idx.db.intern(name)))
+    return idx.coloring.color(idx.g.vertex_of(idx.db.intern(name)))
 
 
 def test_criterion_1_running_example_coloring():

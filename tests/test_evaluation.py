@@ -6,7 +6,6 @@ import random
 from collections import Counter
 from itertools import product
 
-import numpy as np
 import pytest
 
 from colorcq.cli import main
@@ -19,7 +18,7 @@ from colorcq.evaluation import (
     eval_boolean,
 )
 from colorcq.frontend import plan_query
-from colorcq.graph import FWD
+from colorcq.graph import FWD, EdgeLabel
 from colorcq.index import build_index
 from colorcq.model import (
     Atom,
@@ -103,7 +102,7 @@ def test_f_down_tables_worked_example(dex_index):
     plan = _plan(db, "Ans(y,z) <- P(x,y), M(y,z).")
     comp = plan.components[0]
     assert comp.order == ("y", "z", "x")
-    col = lambda name: idx.vertex_color(idx.g.vertex_of(db.intern(name)))
+    col = lambda name: idx.coloring.color(idx.g.vertex_of(db.intern(name)))
     b, r, g, y = col("PS"), col("LM"), col("Dr.S"), col("18m")
     f_down = _f_down_tables(idx, comp)
     for leaf in ("x", "z"):
@@ -200,7 +199,8 @@ def test_expansion_into_an_empty_set_raises():
     """A colour tuple whose successor set is empty means the index is
     inconsistent; enumeration must say so even under `python -O`."""
     idx = build_index(cycle_db(5))
-    idx.succ = lambda lab, v, c: np.zeros(0, dtype=np.int64)
+    table = idx.table(EdgeLabel([("R", FWD)]))
+    table.own[:] = [0] * len(table.own)  # every successor group is now empty
     with pytest.raises(ColorcqError, match="inconsistent"):
         list(EnumerationSession(idx, _plan(idx.db, "Ans(x,y) <- R(x,y).")))
 

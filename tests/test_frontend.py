@@ -1,10 +1,13 @@
 """Query checking, decomposition, and planning."""
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import colorcq
 from colorcq.frontend import (
     QueryRejected,
     build_plan,
@@ -16,7 +19,7 @@ from colorcq.frontend import (
     remove_self_loops,
 )
 from colorcq.graph import EdgeLabel, sigma1_for
-from colorcq.model import Atom, ConjunctiveQuery, Schema, SchemaError, parse_query
+from colorcq.model import Atom, ColorcqError, ConjunctiveQuery, Schema, SchemaError, parse_query
 
 RS = Schema([("R", 2), ("S", 2), ("U", 1)])
 S1 = sigma1_for(RS)
@@ -34,6 +37,22 @@ def test_cycle_is_rejected_with_witness():
     adj = gaifman_adjacency(_q("Ans() <- R(x,y), R(y,z), R(z,x)."))
     for a, b in zip(chk.cycle, chk.cycle[1:]):
         assert b in adj[a]
+
+
+def test_build_plan_rejects_a_non_tree_edge():
+    """Called directly on a cyclic component, build_plan must refuse it,
+    also under `python -O`, instead of dropping the non-tree edge."""
+    q = _q("Ans() <- R(x,y), R(y,z), R(z,x).")
+    with pytest.raises(ColorcqError, match="not a tree"):
+        build_plan(q, q)
+
+
+def test_package_has_no_assert_statements():
+    """`python -O` strips asserts, so no check in the package may be one."""
+    for path in sorted(Path(colorcq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
 
 
 def test_disconnected_free_pair_is_rejected():

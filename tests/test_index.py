@@ -15,8 +15,6 @@ from colorcq.index import (
     MAGIC,
     ColorIndex,
     build_index,
-    hat_succ_count,
-    hat_succ_set,
     index_stats,
     load_index,
     save_index,
@@ -28,7 +26,7 @@ from .conftest import cycle_db, movie_db, names, random_db
 
 
 def _color_by_name(idx, db, name: str) -> int:
-    return idx.vertex_color(idx.g.vertex_of(db.intern(name)))
+    return idx.coloring.color(idx.g.vertex_of(db.intern(name)))
 
 
 def test_movie_colors_and_stats(dex_index):
@@ -94,26 +92,29 @@ def test_movie_hat_lookups(dex_index):
     b = _color_by_name(idx, db, "PS")
     r = _color_by_name(idx, db, "LM")
     y = _color_by_name(idx, db, "18m")
-    ps = db.intern("PS")
+    ps = idx.g.vertex_of(db.intern("PS"))
 
-    got = hat_succ_set(idx, EdgeLabel([("P", "+")]), ps, r)
-    assert names(db, [(c,) for c in got]) == {("LM",), ("MM",)}
-    assert hat_succ_set(idx, EdgeLabel([("P", "+"), ("A", "-")]), ps, y) == []
+    got = idx.succ(EdgeLabel([("P", "+")]), ps, r)
+    assert names(db, [(idx.g.const_of(w),) for w in got]) == {("LM",), ("MM",)}
+    assert idx.succ(EdgeLabel([("P", "+"), ("A", "-")]), ps, y) == []
     # a label larger than every actual label has empty semantics
-    assert hat_succ_set(idx, EdgeLabel([("P", "+"), ("M", "+")]), ps, r) == []
-    assert hat_succ_count(idx, EdgeLabel([("P", "+")]), b, r) == 2
-    assert hat_succ_count(idx, EdgeLabel([("P", "+"), ("M", "+")]), b, r) == 0
+    assert idx.succ(EdgeLabel([("P", "+"), ("M", "+")]), ps, r) == []
+    assert idx.count(EdgeLabel([("P", "+")]), b, r) == 2
+    assert idx.count(EdgeLabel([("P", "+"), ("M", "+")]), b, r) == 0
 
 
 def test_hat_lookup_errors(dex_index):
     idx = dex_index
     lab = EdgeLabel([("P", "+")])
     with pytest.raises(ColorcqError):
-        hat_succ_count(idx, lab, 0, 99)
+        idx.count(lab, 0, 99)
     with pytest.raises(ColorcqError):
-        hat_succ_set(idx, lab, idx.db.intern("PS"), -1)
+        idx.succ(lab, idx.g.vertex_of(idx.db.intern("PS")), -1)
     with pytest.raises(KeyError):
-        hat_succ_set(idx, lab, 10_000, 0)
+        idx.succ(lab, idx.g.vertex_of(10_000), 0)
+    for v in (-1, idx.g.n):  # a vertex index out of range never aliases another vertex
+        with pytest.raises(ColorcqError, match="unknown vertex"):
+            idx.succ(lab, v, 0)
 
 
 def test_cycle_index_prop2():
@@ -124,9 +125,9 @@ def test_cycle_index_prop2():
     fwd, bwd = EdgeLabel([("R", "+")]), EdgeLabel([("R", "-")])
     assert idx.color_db.tuples(idx.closure_symbols[fwd]) == {(0, 0)}
     assert idx.color_db.tuples(idx.closure_symbols[bwd]) == {(0, 0)}
-    assert hat_succ_count(idx, fwd, 0, 0) == 1
-    assert hat_succ_count(idx, bwd, 0, 0) == 1
-    assert hat_succ_count(idx, EdgeLabel([("R", "+"), ("R", "-")]), 0, 0) == 0
+    assert idx.count(fwd, 0, 0) == 1
+    assert idx.count(bwd, 0, 0) == 1
+    assert idx.count(EdgeLabel([("R", "+"), ("R", "-")]), 0, 0) == 0
     assert EdgeLabel([("R", "+"), ("R", "-")]) not in idx.closure_symbols
 
 
@@ -211,8 +212,8 @@ def test_loop_cover_array():
     db.add_fact("R", (a, a))
     db.add_fact("R", (a, b))
     idx = build_index(db)
-    ca = idx.vertex_color(idx.g.vertex_of(a))
-    cb = idx.vertex_color(idx.g.vertex_of(b))
+    ca = idx.coloring.color(idx.g.vertex_of(a))
+    cb = idx.coloring.color(idx.g.vertex_of(b))
     assert idx.loop_pairs[ca] == frozenset({("R", "+"), ("R", "-")})
     assert idx.loop_pairs[cb] == frozenset()
     arr = idx.loop_cover_array(EdgeLabel([("R", "+")]))
@@ -302,7 +303,9 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
             assert idx2.color_db.tuples(sym) == idx.color_db.tuples(sym)
         # hat lookups agree, including ones that need lazy materialization
         for lab in idx.closure_symbols:
-            assert idx2.count_table(lab) == idx.count_table(lab)
+            for c in range(idx.num_colors):
+                for c2 in range(idx.num_colors):
+                    assert idx2.count(lab, c, c2) == idx.count(lab, c, c2)
             for v in range(idx.g.n):
                 for c in range(idx.num_colors):
                     assert list(idx2.succ(lab, v, c)) == list(idx.succ(lab, v, c))
@@ -384,9 +387,7 @@ def test_hat_tables_memoized(dex_index):
     lab = EdgeLabel([("A", "-")])
     idx = dex_index
     v = idx.g.vertex_of(idx.db.intern("PS"))
-    c = idx.vertex_color(idx.g.vertex_of(idx.db.intern("LM")))
+    c = idx.coloring.color(idx.g.vertex_of(idx.db.intern("LM")))
     first = idx.succ(lab, v, c)
-    table = idx._succ[lab]
     assert list(idx.succ(lab, v, c)) == list(first)
-    assert idx._succ[lab] is table
-    assert idx.count_table(lab) is idx.count_table(lab)
+    assert idx.table(lab) is idx.table(lab)

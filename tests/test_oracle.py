@@ -87,7 +87,7 @@ def test_monotone_under_fact_addition():
 
 
 def test_result_set_checks_arity():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ResultSet(arity=2, tuples=frozenset({(1,)}))
     rs = ResultSet(arity=1, tuples=frozenset({(0,), (3,)}))
     assert len(rs) == 2
