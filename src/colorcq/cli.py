@@ -9,6 +9,7 @@ import argparse
 import random
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -56,13 +57,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _limit(text: str) -> int:
+    """A `--limit` value: a number of tuples, so an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _emit_enum(tuples, limit: int | None) -> None:
-    n = 0
-    for t in tuples:
-        if limit is not None and n >= limit:
-            break
+    for t in islice(tuples, limit):
         print("(" + ",".join(t) + ")")
-        n += 1
     print("EOE")
 
 
@@ -149,7 +154,7 @@ def cmd_bench(args) -> int:
 
     print(f"{'query':<44} {'prep_ms':>8} {'p50_us':>8} {'p95_us':>8} "
           f"{'max_us':>8} {'tuples':>8} {'count':>10} {'count_ms':>9}")
-    cap = args.limit or 10000
+    cap = 10000 if args.limit is None else args.limit
     for text in texts:
         q = parse_query(text, idx.db.schema)
         plan = plan_query(q, idx.db.schema)
@@ -158,12 +163,10 @@ def cmd_bench(args) -> int:
         prep = (time.perf_counter() - t0) * 1e3
         gaps: list[float] = []
         last = time.perf_counter()
-        for _ in sess:
+        for _ in islice(sess, cap):
             now = time.perf_counter()
             gaps.append((now - last) * 1e6)
             last = now
-            if len(gaps) >= cap:
-                break
         t0 = time.perf_counter()
         cnt = count_answers(idx, plan)
         count_ms = (time.perf_counter() - t0) * 1e3
@@ -199,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qp.add_argument("query", help="query text, e.g. 'Ans(x,y) <- R(x,y).'")
     add_source(qp)
     qp.add_argument("--task", choices=["bool", "count", "enum"])
-    qp.add_argument("--limit", type=int)
+    qp.add_argument("--limit", type=_limit)
     qp.add_argument("--explain", action="store_true", help="print the query plan")
     qp.set_defaults(fn=cmd_query)
 
@@ -207,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     op.add_argument("query")
     add_source(op, db_only=True)
     op.add_argument("--task", choices=["bool", "count", "enum"])
-    op.add_argument("--limit", type=int)
+    op.add_argument("--limit", type=_limit)
     op.set_defaults(fn=cmd_oracle)
 
     gp = sub.add_parser("gen", help="generate a database file")
@@ -226,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bp = sub.add_parser("bench", help="time preprocessing, delay and counting")
     add_source(bp)
     bp.add_argument("--queries", required=True, help="file with one query per line")
-    bp.add_argument("--limit", type=int, help="max tuples timed per query")
+    bp.add_argument("--limit", type=_limit, help="max tuples timed per query")
     bp.set_defaults(fn=cmd_bench)
 
     st = sub.add_parser("stats", help="print index statistics")

@@ -67,15 +67,19 @@ class Sigma1:
 
 
 def sigma1_for(schema: Schema) -> Sigma1:
-    out = Schema((s, schema.arity(s)) for s in schema.symbols)
-    loop_symbol: dict[str, str] = {}
-    for r in schema.binary_symbols:
-        cand = f"S_{r}"
-        while cand in out:
-            cand = "_" + cand
-        out.add(cand, 1)
-        loop_symbol[r] = cand
-    return Sigma1(base=schema, schema=out, loop_symbol=loop_symbol)
+    """The Σ1 of `schema`, memoized on it until a symbol is added."""
+    s1 = schema.memo.get("sigma1")
+    if s1 is None:
+        out = Schema((s, schema.arity(s)) for s in schema.symbols)
+        loop_symbol: dict[str, str] = {}
+        for r in schema.binary_symbols:
+            cand = f"S_{r}"
+            while cand in out:
+                cand = "_" + cand
+            out.add(cand, 1)
+            loop_symbol[r] = cand
+        s1 = schema.memo["sigma1"] = Sigma1(base=schema, schema=out, loop_symbol=loop_symbol)
+    return s1
 
 
 def encode_self_loops(db: Database) -> tuple[Database, Sigma1]:

@@ -39,6 +39,7 @@ class Schema:
 
     def __init__(self, symbols: Iterable[tuple[str, int]] = ()):
         self._arity: dict[str, int] = {}
+        self.memo: dict[str, object] = {}  # values derived from the symbols; add() clears it
         for name, arity in symbols:
             self.add(name, arity)
 
@@ -50,9 +51,11 @@ class Schema:
         if not name or not isinstance(name, str):
             raise SchemaError(f"invalid relation name {name!r}")
         old = self._arity.get(name)
-        if old is not None and old != arity:
+        if old is None:
+            self._arity[name] = arity
+            self.memo.clear()
+        elif old != arity:
             raise SchemaError(f"symbol {name!r} used with arities {old} and {arity}")
-        self._arity[name] = arity
 
     def arity(self, name: str) -> int:
         try:

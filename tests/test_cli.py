@@ -193,12 +193,12 @@ def test_gen_cycle(tmp_path, capsys):
 
 
 def test_gen_random(tmp_path, capsys):
-    a, b, c = (str(tmp_path / name) for name in ("a", "b", "c"))
-    assert main(["gen", "random", "6", "10", "--seed", "3", "--out", a]) == 0
-    assert main(["gen", "random", "6", "10", "--seed", "3", "--out", b]) == 0
-    assert main(["gen", "random", "6", "10", "--seed", "4", "--out", c]) == 0
+    a, b, c = (tmp_path / name for name in ("a", "b", "c"))
+    assert main(["gen", "random", "6", "10", "--seed", "3", "--out", str(a)]) == 0
+    assert main(["gen", "random", "6", "10", "--seed", "3", "--out", str(b)]) == 0
+    assert main(["gen", "random", "6", "10", "--seed", "4", "--out", str(c)]) == 0
     capsys.readouterr()
-    fa, fb, fc = (open(p).read() for p in (a, b, c))
+    fa, fb, fc = (p.read_text() for p in (a, b, c))
     assert fa == fb
     assert fa != fc
     assert len(fa.strip().splitlines()) == 10
@@ -240,6 +240,16 @@ def test_query_limit(tmp_path, capsys):
     assert len(_enum_lines(capsys.readouterr().out)) == 3
 
 
+def test_negative_limit_is_a_usage_error(movie_file, capsys):
+    for cmd in ("query", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "Ans(x,y) <- P(x,y).", "--db", movie_file, "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "--limit: must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["query", "Ans(x,y) <- P(x,y).", "--db", movie_file, "--limit", "0"]) == 0
+    assert _enum_lines(capsys.readouterr().out) == []
+
+
 def test_explain_flag(movie_file, capsys):
     assert main(["query", "Ans(x,y) <- P(x,y).", "--db", movie_file, "--explain",
                  "--task", "count"]) == 0
@@ -273,6 +283,19 @@ def test_bench_smoke(movie_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "prep_ms" in out
     assert "Ans(x,y) <- P(x,y)." in out
+
+
+def test_bench_limit_zero_times_no_tuples(movie_file, tmp_path, capsys):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("Ans(x,y) <- P(x,y).\n")
+    for limit, timed in ((None, "2"), ("1", "1"), ("0", "0")):
+        extra = [] if limit is None else ["--limit", limit]
+        assert main(["bench", "--db", movie_file, "--queries", str(queries), *extra]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split()
+        assert row[-3:-1] == [timed, "2"]  # tuples timed, count
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--db", movie_file, "--queries", str(queries), "--limit", "-5"])
+    assert exc.value.code == 2
 
 
 def test_version_flag(capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import random
 from pathlib import Path
 
@@ -246,6 +247,25 @@ def test_plan_is_deterministic():
     assert p1.head_slots == p2.head_slots
 
 
+def test_sigma1_memo_follows_schema_changes():
+    schema = Schema([("R", 2)])
+    q = _q("Ans(x) <- R(x,x), R(x,y).")
+    plan = plan_query(q, schema)
+    assert plan.s1 == sigma1_for(schema)
+    assert plan.components[0].lambda_x["x"] == {"S_R"}
+
+    schema.add("T", 2)
+    plan = plan_query(q, schema)
+    assert plan.s1 == sigma1_for(schema)
+    assert plan.s1.loop_symbol == {"R": "S_R", "T": "S_T"}
+
+    schema.add("S_R", 1)  # a user symbol takes the loop symbol's name
+    plan = plan_query(q, schema)
+    assert plan.s1 == sigma1_for(schema)
+    assert plan.s1.loop_symbol == {"R": "_S_R", "T": "S_T"}
+    assert plan.components[0].lambda_x["x"] == {"_S_R"}
+
+
 def test_explain_plan_smoke():
     q = _q("Ans(x1,x2) <- R(x1,x2), R(x3,x1), R(x2,x2).")
     text = explain_plan(plan_query(q, Schema([("R", 2)])))
@@ -259,3 +279,56 @@ def test_explain_plan_smoke():
     btext = explain_plan(plan_query(_q("Ans() <- R(x,y)."), RS))
     assert "(boolean)" in btext
     assert "output slots:" not in btext
+
+
+MULTIREL = Schema([("P", 2), ("Q", 2), ("S", 2), ("T", 2), ("U", 1)])
+BENCH_MIX = (
+    (Schema([("R", 2)]), (
+        "Ans() <- R(x,y), R(y,z).",
+        "Ans() <- R(x,x).",
+        "Ans(x,y) <- R(x,y).",
+        "Ans(x) <- R(x,y), R(y,z).",
+        "Ans(x,y,z) <- R(x,y), R(y,z).",
+        "Ans(y,z,w) <- R(x,y), R(z,y), R(z,w).",
+        "Ans() <- R(x,y), R(y,z), R(z,w).",
+        "Ans(x,y,z,w) <- R(x,y), R(y,z), R(z,w).",
+        "Ans(x) <- R(x,y), R(y,z), R(z,w).",
+        "Ans() <- R(x,y), R(y,x), R(x,x).",
+        "Ans(x,y) <- R(x,y), R(y,x).",
+        "Ans(x,y,z,w) <- R(x,y), R(y,z), R(w,z).",
+    )),
+    (MULTIREL, (
+        "Ans() <- P(x,y), Q(y,z).",
+        "Ans() <- U(x), T(x,x).",
+        "Ans(x,y) <- P(x,y).",
+        "Ans(x,y) <- P(x,y), Q(x,y).",
+        "Ans(x,y,z) <- S(x,y), T(y,z), U(z).",
+        "Ans(x) <- U(x), P(x,y), P(y,y).",
+        "Ans(x,y,z,w) <- P(x,y), S(z,w).",
+        "Ans(z,w) <- S(z,w).",
+    )),
+)
+
+
+def test_plans_match_pinned_digest():
+    """Every plan, and every rejection, is pinned: the sha256 over one entry
+    per query (its `explain_plan` text, or `REJECTED: <diagnostic>`) for 2,000
+    seeded random queries over RS and the benchmark's query mixes."""
+
+    def entry(q: ConjunctiveQuery, schema: Schema) -> str:
+        try:
+            return explain_plan(plan_query(q, schema))
+        except QueryRejected as e:
+            return f"REJECTED: {e.diagnostic}"
+
+    rng = random.Random(2026)
+    corpus = [(_random_query(rng), RS) for _ in range(2000)]
+    corpus += [(_q(text), schema) for schema, texts in BENCH_MIX for text in texts]
+    digest = hashlib.sha256()
+    rejected = 0
+    for q, schema in corpus:
+        text = entry(q, schema)
+        rejected += text.startswith("REJECTED: ")
+        digest.update(text.encode() + b"\n")
+    assert 50 < rejected < 500
+    assert digest.hexdigest() == "7ca0b470cfb799ef7313d5a6d18e2ac22d56d5a0fc4c8a0297c1a4eea8fa9049"
