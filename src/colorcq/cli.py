@@ -21,9 +21,16 @@ from .model import ColorcqError, Database, load_database, parse_query
 from .oracle import naive_eval
 
 
-def _load_db(path: str) -> Database:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as f:
-        return load_database(f)
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ColorcqError(f"{path} is not UTF-8 text (byte {e.start}: {e.reason})") from None
+
+
+def _load_db(path: str) -> Database:
+    return load_database(_read_text(path))
 
 
 def _get_index(args) -> ColorIndex:
@@ -149,8 +156,8 @@ def cmd_bench(args) -> int:
           + ", ".join(f"{k}={v:.4f}" for k, v in st["build_seconds"].items())
           + f", total_here={load_secs:.4f}")
 
-    with open(args.queries, "r", encoding="utf-8") as f:
-        texts = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
+    lines = _read_text(args.queries).split("\n")
+    texts = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
 
     print(f"{'query':<44} {'prep_ms':>8} {'p50_us':>8} {'p95_us':>8} "
           f"{'max_us':>8} {'tuples':>8} {'count':>10} {'count_ms':>9}")

@@ -217,10 +217,8 @@ class LabeledGraph:
 
         self.labels: tuple[EdgeLabel, ...] = tuple(
             EdgeLabel(self._mask_pairs(m, binary)) for m in masks)
-        self._label_ids: dict[EdgeLabel, int] = {lab: i for i, lab in enumerate(self.labels)}
-        self.dual_id = np.array(
-            [self._label_ids[lab.dual()] for lab in self.labels], dtype=np.int64
-        )
+        label_ids = {lab: i for i, lab in enumerate(self.labels)}
+        self.dual_id = np.array([label_ids[lab.dual()] for lab in self.labels], dtype=np.int64)
         self.nbr = dst[starts]
         self.elab = elab
         self.indptr = np.append(0, np.cumsum(np.bincount(src[starts], minlength=self.n)))
@@ -237,9 +235,6 @@ class LabeledGraph:
         return out
 
     # -- small query helpers (tests and naive code paths) --
-
-    def label_id(self, lab: EdgeLabel) -> int | None:
-        return self._label_ids.get(lab)
 
     def out_edges(self, v: int) -> list[tuple[int, EdgeLabel]]:
         lo, hi = self.indptr[v], self.indptr[v + 1]

@@ -140,7 +140,9 @@ class Database:
         # so the key fits in an int64 for any list of constants that fits in memory
         key = rows[:, 0] if arity == 1 else rows[:, 0] * len(self.constants) + rows[:, 1]
         if len(key) > 1 and not (key[1:] > key[:-1]).all():
-            rows = rows[np.unique(key, return_index=True)[1]]
+            order = np.argsort(key)  # rows with equal keys are equal: no need for a stable sort
+            key = key[order]
+            rows = rows[order[np.append(True, key[1:] != key[:-1])]]
         self._arrays[rel] = rows
         self._pending.pop(rel, None)
         self._sets.pop(rel, None)
@@ -187,15 +189,176 @@ class Database:
 def load_database(src: str | TextIO) -> Database:
     """Parse a fact list (one `Name(a)` or `Name(a,b)` per line) into a Database.
 
-    `#` starts a comment; blank lines are ignored.  The schema is inferred
-    from use and arity conflicts are reported with their line number.
+    `#` starts a comment that runs to the end of the line; blank lines are
+    ignored.  Whitespace may stand around the name, the parentheses and the
+    comma, but not inside a name (`NAME_RE`) or a constant (any run of
+    characters other than whitespace, `(`, `)`, `,` and `#`).  The schema is
+    inferred from use.  A malformed line raises ParseError and an arity
+    conflict SchemaError, each with the number of the first bad line.
     Constants get ids in order of first appearance.
-    """
-    if isinstance(src, str):
-        lines = src.splitlines()
-    else:
-        lines = src.read().splitlines()
 
+    Text made only of printable ASCII, tabs and `\\n` line breaks is
+    tokenized, checked and interned with numpy (`_parse_array`).  Any other
+    text, and any text that check rejects, is read line by line by the
+    reference parser (`_parse_lines`), which also raises the errors.  Both
+    build the same Database.
+    """
+    text = src if isinstance(src, str) else src.read()
+    db = _parse_array(text)
+    return _parse_lines(text) if db is None else db
+
+
+# byte classes of the array parser, as a bytes.translate table
+_TOKEN, _SPACE, _OPEN, _CLOSE, _COMMA, _NEWLINE, _OTHER = range(7)
+_CLASS_OF = bytes(
+    _SPACE if c in b" \t" else _OPEN if c == ord("(") else _CLOSE if c == ord(")")
+    else _COMMA if c == ord(",") else _NEWLINE if c == ord("\n")
+    else _TOKEN if 0x21 <= c <= 0x7E and c != ord("#") else _OTHER
+    for c in range(256)
+)
+# a comment ends at the line break or at the first byte outside printable
+# ASCII and tab; such a byte stays behind and sends the text to _parse_lines
+_COMMENT_RE = re.compile(rb"#[\t\x20-\x7e]*")
+
+
+def _parse_array(text: str) -> Database | None:
+    """The Database `_parse_lines(text)` builds, computed with numpy on the
+    bytes of `text`; None when `text` holds anything but printable ASCII, tabs
+    and `\\n` line breaks, or is not a valid fact list."""
+    if not text.isascii():
+        return None
+    # the padding lets _intern read 8 bytes from any token start
+    data = _COMMENT_RE.sub(b"", text.encode("ascii")) + b"\n" * 8
+    scan = _scan(data)
+    if scan is None:
+        return None
+    starts, lens, binary = scan
+    if not len(binary):
+        return Database(Schema())
+
+    # in a valid text, a token is a relation name iff it opens its line
+    arity = 1 + binary
+    name_tok = np.cumsum(arity + 1) - (arity + 1)
+    is_arg = np.ones(len(starts), dtype=bool)
+    is_arg[name_tok] = False
+    buf = np.frombuffer(data, dtype=np.uint8)
+    rel, rel_first = _intern(buf, starts[name_tok], lens[name_tok])
+    rel_names = _names(buf, starts[name_tok[rel_first]], lens[name_tok[rel_first]])
+    if not all(NAME_RE.fullmatch(r) for r in rel_names):
+        return None
+    n_lines = np.bincount(rel)
+    n_binary = np.bincount(rel, weights=binary)
+    if ((n_binary > 0) & (n_binary < n_lines)).any():  # a symbol used with both arities
+        return None
+    rel_arity = np.where(n_binary > 0, 2, 1).tolist()
+    starts, lens = starts[is_arg], lens[is_arg]
+    cid, first = _intern(buf, starts, lens)
+
+    schema = Schema()
+    for name, a in zip(rel_names, rel_arity):
+        schema.add(name, a)
+    db = Database(schema)
+    db.constants = _names(buf, starts[first], lens[first])
+    first_arg = name_tok - np.arange(len(name_tok))  # index of each line's first argument in cid
+    by_rel = np.argsort(rel, kind="stable")
+    for name, a, lines in zip(rel_names, rel_arity, np.split(by_rel, np.cumsum(n_lines)[:-1])):
+        col = first_arg[lines]
+        db.set_relation(name, cid[col, None] if a == 1 else np.stack([cid[col], cid[col + 1]], 1))
+    return db
+
+
+def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Start and length of every token of `data`, and per non-empty line
+    whether it is binary; None unless every line is valid.
+
+    A token is a maximal run of `_TOKEN` bytes.  A line is valid when it is
+    empty or reads `T(T)` or `T(T,T)` once spaces and tabs are dropped.
+    Space inside a token splits it, and a byte of class `_OTHER` is an item
+    of its own, so either makes the line invalid, as `_FACT_RE` rejects it.
+    """
+    cls = np.frombuffer(data.translate(_CLASS_OF), dtype=np.uint8)
+    tok = cls == _TOKEN
+    first = tok.copy()
+    first[1:] &= ~tok[:-1]
+    last = tok.copy()
+    last[:-1] &= ~tok[1:]
+    starts = np.flatnonzero(first)
+    lens = np.flatnonzero(last) + 1 - starts
+
+    # the stream of tokens, delimiters and _OTHER bytes, one byte each, cut at _NEWLINE
+    first |= cls >= _OPEN
+    kind = cls[first]
+    ends = np.flatnonzero(kind == _NEWLINE)
+    at = np.append(0, ends[:-1] + 1)
+    width = ends - at
+    at, width = at[width > 0], width[width > 0]
+    binary = width == 6
+    if not (binary | (width == 4)).all():
+        return None
+    two = at[binary]
+    if ((kind[at] == _TOKEN) & (kind[at + 1] == _OPEN) & (kind[at + 2] == _TOKEN)
+            & (kind[at + width - 1] == _CLOSE)).all() and (
+            kind[two + 3] == _COMMA).all() and (kind[two + 4] == _TOKEN).all():
+        return starts, lens, binary
+    return None
+
+
+def _intern(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids in order of first appearance for the byte strings
+    buf[starts[i]:starts[i] + lens[i]], and the index i of each id's first
+    appearance.  `buf` must hold 7 bytes past the end of every string.
+
+    Strings are grouped by length, so the length is part of the key.  In a
+    group each string is read as whole little-endian uint64 words with the
+    bytes past its end masked off.  The key is that word, or the row of words
+    as one opaque (void) value when the strings are longer than 8 bytes.
+    Equal keys form runs once sorted.
+    """
+    by_len = np.argsort(lens)
+    group = np.empty(len(starts), dtype=np.int64)
+    firsts: list[np.ndarray] = []
+    n_groups = 0
+    for occ in np.split(by_len, np.flatnonzero(np.diff(lens[by_len])) + 1):
+        n = int(lens[occ[0]])
+        w = -(-n // 8)
+        rows = np.lib.stride_tricks.sliding_window_view(buf, 8 * w)[starts[occ]]
+        words = rows.view("<u8")
+        words[:, -1] &= np.uint64((1 << (8 * (n - 8 * w + 8))) - 1)  # the string's bytes only
+        key = words[:, 0] if w == 1 else rows.view(f"V{8 * w}")[:, 0]
+        perm = np.argsort(key)
+        key = key[perm]
+        new = np.ones(len(occ), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        occ = occ[perm]
+        group[occ] = np.cumsum(new) + (n_groups - 1)
+        firsts.append(np.minimum.reduceat(occ, np.flatnonzero(new)))
+        n_groups += len(firsts[-1])
+    firsts_by_group = np.concatenate(firsts)
+    is_first = np.zeros(len(starts), dtype=bool)
+    is_first[firsts_by_group] = True
+    return (np.cumsum(is_first) - 1)[firsts_by_group][group], np.flatnonzero(is_first)
+
+
+def _names(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[str]:
+    """The strings buf[starts[i]:starts[i] + lens[i]], which are ASCII
+    without `\\n`, and each followed by at least one byte of `buf`."""
+    size = lens + 1
+    at = np.cumsum(size) - size  # where each string starts in the output
+    # out[p] = buf[at_p], where at_p grows by one inside a string and its
+    # separator and jumps to the next string's start after
+    at_p = np.ones(int(size.sum()), dtype=np.int64)
+    at_p[0] = starts[0]
+    at_p[at[1:]] = starts[1:] - starts[:-1] - lens[:-1]
+    out = buf[np.cumsum(at_p, out=at_p)]
+    del at_p  # freed before the strings are made, to keep the peak memory low
+    out[at + lens] = ord("\n")
+    return out.tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _parse_lines(text: str) -> Database:
+    """Reference parser, one regex match per line; raises ParseError or
+    SchemaError with the number of the first bad line."""
+    lines = text.splitlines()
     schema = Schema()
     names: list[str] = []  # every argument, in file order
     args_of: dict[str, list[str]] = {}

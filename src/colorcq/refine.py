@@ -52,9 +52,6 @@ class Coloring:
     def color(self, v: int) -> int:
         return int(self.color_of[v])
 
-    def class_size(self, c: int) -> int:
-        return self.bounds[c + 1] - self.bounds[c]
-
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(np.array(self.bounds, dtype=np.int64))

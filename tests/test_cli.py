@@ -91,6 +91,22 @@ def test_error_paths_are_exit_1(movie_file, tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def test_non_utf8_input_is_exit_1(movie_file, tmp_path, capsys):
+    bad = tmp_path / "bad.facts"
+    bad.write_bytes(b"R(a,\xff)\n")
+    assert main(["stats", "--db", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad} is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+    queries = tmp_path / "bad.queries"
+    queries.write_bytes(b"Ans(x,y) <- P(x,y).\n# caf\xe9\n")
+    assert main(["bench", "--db", movie_file, "--queries", str(queries)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{queries} is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def test_truncated_or_corrupt_index_is_exit_1(movie_file, tmp_path, capsys):
     idx_path = tmp_path / "movie.ccqx"
     assert main(["build", "--db", movie_file, "--out", str(idx_path)]) == 0

@@ -6,7 +6,11 @@ import random
 
 import pytest
 
+from colorcq import model
+from colorcq.cli import main
+from colorcq.index import build_index, save_index
 from colorcq.model import (
+    ColorcqError,
     ConjunctiveQuery,
     Database,
     ParseError,
@@ -66,6 +70,196 @@ def test_load_database_reports_line_numbers():
 def test_load_database_empty_document():
     db = load_database("")
     assert db.size() == 0 and db.adom() == set()
+
+
+def _outcome(parse, text: str):
+    """The error `parse(text)` raises, or everything the Database holds."""
+    try:
+        db = parse(text)
+    except ColorcqError as e:
+        return type(e).__name__, str(e)
+    return _contents(db)
+
+
+def _contents(db: Database):
+    arrays = {s: (db.array(s).dtype.str, db.array(s).shape, db.array(s).tolist())
+              for s in db.schema.symbols}
+    return db.schema.symbols, [db.schema.arity(s) for s in db.schema.symbols], db.constants, arrays
+
+
+def _paths_agree(text: str) -> bool:
+    """Both parse paths give the same result on `text`; True when the array
+    path built it (rather than leaving it to the per-line loop)."""
+    ref = _outcome(model._parse_lines, text)
+    fast = model._parse_array(text)
+    if fast is not None:
+        assert _contents(fast) == ref, text
+    assert _outcome(load_database, text) == ref, text
+    return fast is not None
+
+
+# (text, whether the array path must build it itself)
+PINNED_TEXTS = [
+    (" \tR \t( \ta \t, \tb \t) \t\n\tU\t(\ta\t)\t\n", True),
+    ("R (a,b)\n", True),
+    ("R(a b,c)\n", False),
+    ("R(a,)\n", False),
+    ("R()\n", False),
+    ("R(a,b,c)\n", False),
+    ("R(a,b)\nR x(a,b)\n", False),
+    ("R(a,b)\n)R(a,b)\n", False),
+    ("R(a,b) # x(y,z), # w\n# (,#)\n#\nS(c) #\n", True),
+    ("R(a,b)#\n#R(c\n", True),
+    ("\n\n  \nR(a,b)\n\n\t\nS(c)", True),
+    ("R(a,b)", True),
+    ("R(a,b)\r\nS(c)\r\n", False),
+    ("R(a,b)\rS(c)\n", False),
+    ("R(a,b)\rS(c,d)\n", False),
+    ("R(a,b)\x1f\n", False),
+    ("R(a,\x1fb)\n", False),
+    ("R(a,\xa0b)\nR(a,b)\xa0\n", False),
+    ("R(a,b) # \xa0 nbsp\nS(c)\n", False),
+    ("R(a,b) # \u2028S(c,d)\n", False),
+    ("R(a,b) # \x85S(c,d)\n", False),
+    ("R(a,b) # \x0bS(c)\n", False),
+    ("R(a\x00b,c)\n", False),
+    ("R(a,a\x00)\nR(a\x00,a)\nS(a)\n", False),
+    ("R(\u00e9,\u00fc)\nR(\u65e5\u672c,\u00e9)\n", False),
+    ("R(abcdefgh,abcdefghi)\nR(abcdefghi,abcdefghij)\nR(abcdefghabcdefgh,abcdefghabcdefghX)\n"
+     "R(abcdefghijklmnopq,abcdefghijklmnopqr)\nR(abcdefghabcdefghX,abcdefgh)\n"
+     "R(abcdefghijklmnopqrstuvwxyz0123456789,abcdefgh)\n", True),
+    ("R(a,b)\nR(c)\n", False),
+    ("R(c)\nR(a,b)\n", False),
+    ("S(a)\nR(a,b)\nR(b,c)\nS(b,c)\n", False),
+    ("S(a)\nR(a,b)\nT(b)\nR(b,c)\nR(d)\n", False),
+    ("1R(a,b)\n", False),
+    ("R-S(a,b)\n", False),
+    ("R.s_1(a,b)\n_x(a)\n", True),
+    ("R(.,_)\nR(-,+)\nR(\"',`)\n", True),
+    ("", True),
+    ("# only a comment", True),
+]
+
+
+@pytest.mark.parametrize("text,fast", PINNED_TEXTS)
+def test_parse_paths_agree_on_pinned_texts(text, fast):
+    assert _paths_agree(text) == fast
+
+
+def test_parse_paths_agree_when_one_item_of_a_line_is_wrong():
+    for shape in (["R", "(", "a", ")"], ["R", "(", "a", ",", "b", ")"]):
+        for i in range(len(shape)):
+            for item in ("x", "(", ")", ",", " ", "", "#", "\x0b"):
+                line = "".join(shape[:i] + [item] + shape[i + 1:])
+                _paths_agree(f"S(c,d)\n{line}\nS(d,c)\n")
+
+
+def _random_fact_text(rng: random.Random) -> str:
+    """A conftest random database printed with random constant names,
+    spacing, comments and blank lines."""
+    db = random_db(rng, max_adom=10)
+    alphabet = "abcxyzAB019._-+'!"
+    rename = {c: "".join(rng.choice(alphabet) for _ in range(rng.choice((1, 2, 7, 8, 9, 16, 17, 30))))
+              for c in db.constants}
+    facts = [(sym, tuple(rename[db.const_name(c)] for c in t))
+             for sym in db.schema.symbols for t in sorted(db.tuples(sym))]
+    facts += rng.sample(facts, k=min(len(facts), rng.randint(0, 3)))  # repeated facts
+    rng.shuffle(facts)
+
+    def ws():
+        return rng.choice(("", "", "", " ", "\t", " \t "))
+
+    lines = []
+    for sym, args in facts:
+        sep = ws() + "," + ws()
+        line = ws() + sym + ws() + "(" + ws() + sep.join(args) + ws() + ")" + ws()
+        if rng.random() < 0.1:
+            line += "#" + rng.choice(("", " x(y,z)", "#,", " (#"))
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("", "  ", "# note")))
+    return "\n".join(lines) + rng.choice(("\n", ""))
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    pieces = [" ", "\t", "\n", "(", ")", ",", "#", "R", "U", "a", "\r", "\r\n", "\x00",
+              "\x0b", "\x0c", "\x1f", "\x7f", "\xa0", "\u00e9", "\u2028", "\x85"]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.random()
+        if op < 0.5:
+            text = text[:i] + rng.choice(pieces) + text[i:]
+        elif op < 0.8:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(pieces) + text[i + 1:]
+    return text
+
+
+def test_parse_paths_agree_on_random_and_mutated_texts():
+    rng = random.Random(20261018)
+    built = rejected = 0
+    for _ in range(400):
+        text = _random_fact_text(rng)
+        assert _paths_agree(text), text  # canonical texts never fall back
+        for _ in range(3):
+            mutated = _mutate(rng, text)
+            built += _paths_agree(mutated)
+            try:
+                model._parse_lines(mutated)
+            except ColorcqError:
+                rejected += 1
+    # the mutations hit both sides: texts the array path builds, and errors
+    assert built > 150 and rejected > 500
+
+
+def test_parse_paths_agree_on_arity_conflicts_at_every_line():
+    facts = ["R(a,b)", "S(b)", "R(b,c)", "T(c,c)", "S(a)", "R(c,a)"]
+    for i in range(len(facts) + 1):
+        for bad in ("R(a)", "S(a,b)", "T(c)"):
+            lines = facts[:i] + [bad] + facts[i:]
+            arity: dict[str, int] = {}
+            lineno = next(k for k, f in enumerate(lines, start=1)
+                          if arity.setdefault(f[0], f.count(",") + 1) != f.count(",") + 1)
+            text = "\n".join(lines) + "\n"
+            assert not _paths_agree(text)
+            with pytest.raises(SchemaError, match=f"^line {lineno}: symbol '{bad[0]}'"):
+                load_database(text)
+
+
+def _multirel_text(rng: random.Random, copies: int) -> str:
+    lines = []
+    for j in range(copies):
+        for v in range(1, 8):
+            lines.append(f"{rng.choice('PQST')}(t{j}_{rng.randrange(v)},t{j}_{v})")
+        lines.append(f"{rng.choice('PQST')}(t{j}_3,t{j}_3)")
+        lines.append(f"U(t{j}_{rng.randrange(8)})")
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_save_index_bytes_agree_between_parse_paths(tmp_path):
+    n = 2000
+    cycle = "".join(f"R({i},{i % n + 1})\n" for i in range(1, n + 1))
+    for name, text in (("cycle", cycle), ("multirel", _multirel_text(random.Random(5), 250))):
+        fast = model._parse_array(text)
+        assert fast is not None
+        save_index(build_index(fast), str(tmp_path / f"{name}.fast"))
+        save_index(build_index(model._parse_lines(text)), str(tmp_path / f"{name}.lines"))
+        assert (tmp_path / f"{name}.fast").read_bytes() == (tmp_path / f"{name}.lines").read_bytes()
+
+
+def test_generated_cycle_is_parsed_by_the_array_path(tmp_path, monkeypatch):
+    path = tmp_path / "cycle.facts"
+    assert main(["gen", "cycle", "1000", "--out", str(path)]) == 0
+
+    def no_fallback(text):
+        raise AssertionError("the per-line parser ran on a canonical fact list")
+
+    monkeypatch.setattr(model, "_parse_lines", no_fallback)
+    with open(path, encoding="utf-8") as f:
+        db = load_database(f)
+    assert db.size() == 1000 and db.constants == [str(i) for i in range(1, 1001)]
 
 
 def test_interning_round_trip_and_adom():

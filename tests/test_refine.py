@@ -49,7 +49,7 @@ def test_cycle_single_class():
     for n in (3, 8, 50):
         col = refine(graph_of(cycle_db(n)))
         assert col.num_colors == 1
-        assert col.class_size(0) == n
+        assert col.sizes[0] == n
 
 
 def test_edgeless_uniform_graph_single_class():
@@ -107,7 +107,7 @@ def test_is_stable_on_refined_and_witness_on_coarse():
     if lab is None:
         assert g.vl_mask[v] != g.vl_mask[w]
     else:
-        lid = g.label_id(lab)
+        lid = g.labels.index(lab)
         cnt_v = sum(1 for e in range(g.indptr[v], g.indptr[v + 1])
                     if g.elab[e] == lid and all_one[g.nbr[e]] == target)
         cnt_w = sum(1 for e in range(g.indptr[w], g.indptr[w + 1])
