@@ -252,8 +252,8 @@ def main(argv: list[str] | None = None) -> int:
     except QueryRejected as e:
         print(f"rejected: {e.diagnostic}", file=sys.stderr)
         return 2
-    except (ColorcqError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ColorcqError, OSError, MemoryError) as e:
+        print(f"error: {'out of memory' if isinstance(e, MemoryError) else e}", file=sys.stderr)
         return 1
 
 

@@ -4,10 +4,12 @@ All three tasks run on the same skeleton, over numpy arrays indexed by colour
 id (or by constant id, in `cde_fc_acq`).  Per component, one bottom-up
 semi-join sweep over the rooted tree (Yannakakis) keeps, for each variable,
 the values whose subtree can be completed.  A Boolean component then only
-needs a non-empty root.  Enumeration is one odometer (`_odometer`): it walks
-the free prefix in preorder through each parent's pairs into the child's
-candidates, so every step leads to an answer, and then expands each colour
-tuple into vertex tuples through the index's class-major successor tables.
+needs a non-empty root.  Enumeration is one odometer (`_odometer`) over the
+whole plan: each component adds consecutive levels that walk its free prefix
+in preorder through each parent's pairs into the child's candidates, so every
+step leads to an answer, and then expand each colour tuple into vertex tuples
+through the index's class-major successor tables.  The cross product of the
+components is the odometer order itself, the last component fastest.
 Counting multiplies per-colour subtree counts over the same pair arrays.
 
 The color-level runs use the loop-augmented semantics: a vertex whose class
@@ -18,7 +20,7 @@ adjacent tree variables onto one looping vertex would be lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,76 +77,105 @@ def prepare_tree(
 
 
 class _Steps:
-    """Cursor-advance counter shared by the nested enumerators."""
+    """The odometer's accounting, written at each answer: cursor advances so
+    far, answers so far, and the most advances between two answers."""
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "emissions", "max_gap")
 
     def __init__(self) -> None:
-        self.n = 0
+        self.n = self.emissions = self.max_gap = 0
 
 
-def _odometer(run: TreeRun, steps: _Steps, idx: ColorIndex | None = None) -> Iterator[tuple]:
-    """The answers of one reduced component, each once, in its head order.
+_ROOT, _GROUP, _SUCC = range(3)  # level kinds of `_odometer`
 
-    Levels 0..k-1 walk the free prefix over the reduced tree: level 0 the
-    root values, level i ≥ 1 the numbers of the kept pairs of the tree edge
-    into free[i] whose first value is the parent's.  Quantified subtrees were
-    folded into the candidates, so every step leads to an answer.  Without an
-    index the values are the answer.  With one they are colours, and levels
-    k..2k-1 walk vertices: the members of the root colour, then per free tree
-    edge the parent vertex's successor group for the pair (`SuccTable`), plus
-    the parent itself, last, when its class loops over λ_e.  Every group is
-    non-empty, so the delay per tuple is O(k).  Answers are constant ids.
+
+def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: _Steps,
+              idx: ColorIndex | None = None, names: list[str] | None = None) -> Iterator[tuple]:
+    """The answers of the reduced components' cross product, each once, in
+    head order (`slots`), from one odometer over one flat list of levels.
+
+    A component with k free variables adds k colour levels, which walk its
+    free prefix over the reduced tree: the root values (`_ROOT`), then per
+    free tree edge the numbers of the kept pairs whose first value is the
+    parent's (`_GROUP` over the edge's ptr).  Quantified subtrees were folded
+    into the candidates, so every step leads to an answer.  Without an index
+    the values are the answer.  With one they are colours, and k vertex
+    levels follow: the members of the root colour (`_GROUP` over the class
+    bounds), then per free tree edge the parent vertex's successor group for
+    the pair (`_SUCC`, from the `SuccTable`), plus the parent itself, last,
+    when its class loops over λ_e.  Every group is non-empty, so the delay
+    per tuple is O(levels).  The last level advances fastest: components are
+    crossed in odometer order, the last one fastest.  Answers are constant
+    ids, or their names from `names`.
     """
-    comp = run.comp
-    k = len(comp.free_prefix)
-    if not run.satisfiable:
+    if not all(run.satisfiable for run in runs):
         return
-    if k == 0:
+    # per level: (kind, ptr, value map of level u, u) for a group of level u's
+    # value, (kind, SuccTable, pair level, parent vertex level u) for a successor group
+    how: list[tuple] = []
+    seqs: list = []
+    value: list = []  # per colour level: its position -> colour (or constant)
+    heads = []  # per component: its first output level
+    if idx is not None:
+        order, bounds, rank = idx.coloring.order, idx.coloring.bounds, idx.coloring.rank
+        item = idx.g.verts.item
+        const_of = item if names is None else lambda v: names[item(v)]
+    for run in runs:
+        comp, b = run.comp, len(how)
+        k = len(comp.free_prefix)
+        heads.append(b + k if idx is not None else b)
+        if not k:
+            continue
+        edges = [(comp.parent[x], x) for x in comp.free_prefix[1:]]
+        ups = [b + comp.rank[v] for v, _ in edges]
+        value += [range(len(run.cand[comp.root]))] + [run.pairs[e].nbr for e in edges]
+        how += [(_ROOT, None, None, None)]
+        how += [(_GROUP, run.fadj[e][0], value[u], u) for e, u in zip(edges, ups)]
+        seqs += [run.roots] + [run.fadj[e][1] for e in edges]
+        if idx is not None:
+            value += [None] * k
+            how += [(_GROUP, bounds, value[b], b)]
+            how += [(_SUCC, idx.table(comp.lambda_e[e]), b + i, u + k)
+                    for i, (e, u) in enumerate(zip(edges, ups), 1)]
+            seqs += [order] + [None] * (k - 1)
+    outs = [heads[ci] + i for ci, i in slots]
+
+    last = len(how) - 1
+    if last < 0:  # Boolean components only
+        steps.emissions = 1
         yield ()
         return
-    edges = [(comp.parent[x], x) for x in comp.free_prefix[1:]]
-    up = [0] + [comp.rank[v] for v, _ in edges]  # the level of the parent
-    ptrs = [None] + [run.fadj[e][0] for e in edges]
-    value = [range(len(run.cand[comp.root]))] + [run.pairs[e].nbr for e in edges]
-    seqs: list = [run.roots] + [run.fadj[e][1] for e in edges]
-    last = k - 1
-    if idx is not None:
-        last += k
-        seqs += [None] * k
-        order, bounds, rank = idx.coloring.order, idx.coloring.bounds, idx.coloring.rank
-        tables = [None] + [idx.table(comp.lambda_e[e]) for e in edges]
-        const_of = idx.g.verts.item
-
     vals = [0] * (last + 1)
     pos = [0] * (last + 1)
-    end = [len(run.roots)] + [0] * last
+    end = [len(seqs[0])] + [0] * last
+    n = seen = emitted = gap = 0
     level = 0
     while level >= 0:
         p = pos[level]
         if p >= end[level]:
             level -= 1
             continue
-        steps.n += 1
+        n += 1
         vals[level] = seqs[level][p]
         pos[level] = p + 1
         if level == last:
+            emitted += 1
+            if n - seen > gap:
+                gap = n - seen
+            seen = steps.n = n
+            steps.emissions, steps.max_gap = emitted, gap
             if idx is None:
-                yield tuple([v[j] for v, j in zip(value, vals)])
+                yield tuple([value[i][vals[i]] for i in outs])
             else:
-                yield tuple(map(const_of, vals[k:]))
+                yield tuple([const_of(vals[i]) for i in outs])
             continue
         level += 1
-        if level < k:
-            u = up[level]
-            ptr, a = ptrs[level], value[u][vals[u]]
+        kd, ptr, key, u = how[level]
+        if kd == _GROUP:
+            a = key[vals[u]]
             pos[level], end[level] = ptr[a], ptr[a + 1]
-        elif level == k:
-            c = vals[0]
-            seqs[k], pos[k], end[k] = order, bounds[c], bounds[c + 1]
-        else:
-            i = level - k
-            t, j, vp = tables[i], vals[i], vals[k + up[i]]
+        elif kd == _SUCC:
+            t, j, vp = ptr, vals[key], vals[u]
             at = t.lo[j] + rank[vp] * t.stride[j]
             hi = at + t.own[j]
             if j in t.loops:  # the looping parent is its own neighbour, enumerated last
@@ -154,6 +185,8 @@ def _odometer(run: TreeRun, steps: _Steps, idx: ColorIndex | None = None) -> Ite
                     "index is inconsistent: a colour-level answer expanded to no tuple")
             else:
                 seqs[level], pos[level], end[level] = t.nbr, at, hi
+        else:
+            pos[level], end[level] = 0, len(seqs[level])
 
 
 def _color_run(idx: ColorIndex, comp: PlanComponent) -> TreeRun:
@@ -168,10 +201,10 @@ class EnumerationSession:
 
     Preprocessing happens in the constructor (one color-level reduction per
     component); iteration then yields each answer exactly once, as a tuple of
-    constant ids in the user's head order (names=True translates to names).
-    Components are combined by a nested-loop cross product whose rightmost
-    cursor advances fastest; restarted components reuse their reduction.
-    `steps`, `emissions` and `max_gap` expose the cursor-advance accounting.
+    constant ids in the user's head order (names=True yields names).  The
+    components are consecutive levels of one odometer (`_odometer`);
+    `steps.n` counts its cursor advances, `emissions` the answers so far and
+    `max_gap` the most advances between two answers.
     """
 
     def __init__(self, idx: ColorIndex, plan: QueryPlan, names: bool = False):
@@ -179,15 +212,14 @@ class EnumerationSession:
         self.plan = plan
         self.names = names
         self.steps = _Steps()
-        self.emissions = 0
-        self.max_gap = 0
-        self._last = 0
-        # the stream closes over locals, not self: a session then holds no
+        # the stream holds no reference to self: a session then holds no
         # reference cycle and is freed as soon as it is dropped
-        runs, steps = [_color_run(idx, comp) for comp in plan.components], self.steps
-        gen = _cross(lambda i: _odometer(runs[i], steps, idx), len(runs), plan.head_slots, steps)
-        consts = idx.db.constants
-        self._gen = (tuple(consts[c] for c in t) for t in gen) if names else gen
+        runs = [_color_run(idx, comp) for comp in plan.components]
+        self._gen = _odometer(runs, plan.head_slots, self.steps, idx,
+                              idx.db.constants if names else None)
+
+    emissions = property(lambda self: self.steps.emissions)
+    max_gap = property(lambda self: self.steps.max_gap)
 
     # -- iterator protocol --
 
@@ -195,41 +227,7 @@ class EnumerationSession:
         return self
 
     def __next__(self):
-        out = next(self._gen)
-        self.emissions += 1
-        gap = self.steps.n - self._last
-        self._last = self.steps.n
-        if gap > self.max_gap:
-            self.max_gap = gap
-        return out
-
-
-def _cross(stream: Callable[[int], Iterator[tuple]], m: int,
-           slots: tuple[tuple[int, int], ...], steps: _Steps) -> Iterator[tuple]:
-    """Cross product of m component streams, rightmost cursor fastest;
-    `stream(i)` (re)starts component i.  Yields tuples in head-slot order."""
-    iters = [stream(i) for i in range(m)]
-    current = []
-    for it in iters:
-        first = next(it, None)
-        if first is None:
-            return
-        current.append(first)
-    while True:
-        yield tuple(current[ci][pos] for ci, pos in slots)
-        i = m - 1
-        while i >= 0:
-            steps.n += 1
-            nxt = next(iters[i], None)
-            if nxt is not None:
-                current[i] = nxt
-                for j in range(i + 1, m):
-                    iters[j] = stream(j)
-                    current[j] = next(iters[j])
-                break
-            i -= 1
-        else:
-            return
+        return next(self._gen)
 
 
 def enumerate_answers(idx: ColorIndex, plan: QueryPlan) -> EnumerationSession:
@@ -305,8 +303,8 @@ def count_answers(idx: ColorIndex, plan: QueryPlan) -> int:
 
 def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[int, ...]]:
     """Evaluate an accepted query directly on a database (no color index):
-    the same semi-join sweep per component, over constant ids, then the free
-    prefixes and a cross product, yielding constant-id tuples in head order.
+    the same semi-join sweep per component, over constant ids, then the same
+    odometer over the free prefixes, yielding constant-id tuples in head order.
 
     Linear-time preprocessing, O(k) delay; standard CQ semantics including
     answers that map adjacent variables onto a looping constant.
@@ -342,5 +340,4 @@ def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[
                 cand0[v] = cand0[v] & has(d1.array(u)[:, 0])
         pairs = {edge: const_pairs(lab) for edge, lab in comp.lambda_e.items()}
         runs.append(prepare_tree(comp, cand0, pairs))
-    steps = _Steps()
-    yield from _cross(lambda i: _odometer(runs[i], steps), len(runs), plan.head_slots, steps)
+    yield from _odometer(runs, plan.head_slots, _Steps())

@@ -308,22 +308,23 @@ def _intern(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.n
     buf[starts[i]:starts[i] + lens[i]], and the index i of each id's first
     appearance.  `buf` must hold 7 bytes past the end of every string.
 
-    Strings are grouped by length, so the length is part of the key.  In a
-    group each string is read as whole little-endian uint64 words with the
-    bytes past its end masked off.  The key is that word, or the row of words
-    as one opaque (void) value when the strings are longer than 8 bytes.
-    Equal keys form runs once sorted.
+    Strings are grouped by word count, (length + 7) // 8.  In a group each
+    string is read as whole little-endian uint64 words with the bytes past
+    its end masked off; no string holds a NUL byte, so the words tell lengths
+    apart.  The key is the one word, or the row of words as one opaque (void)
+    value past 8 bytes.  Equal keys form runs once sorted.
     """
-    by_len = np.argsort(lens)
+    n_words = (lens + 7) >> 3
+    by_words = np.argsort(n_words)
     group = np.empty(len(starts), dtype=np.int64)
     firsts: list[np.ndarray] = []
     n_groups = 0
-    for occ in np.split(by_len, np.flatnonzero(np.diff(lens[by_len])) + 1):
-        n = int(lens[occ[0]])
-        w = -(-n // 8)
+    for occ in np.split(by_words, np.flatnonzero(np.diff(n_words[by_words])) + 1):
+        w = int(n_words[occ[0]])
         rows = np.lib.stride_tricks.sliding_window_view(buf, 8 * w)[starts[occ]]
         words = rows.view("<u8")
-        words[:, -1] &= np.uint64((1 << (8 * (n - 8 * w + 8))) - 1)  # the string's bytes only
+        past = (-lens[occ] & 7).astype(np.uint64) * np.uint64(8)  # bits past the end
+        words[:, -1] &= np.uint64(2**64 - 1) >> past
         key = words[:, 0] if w == 1 else rows.view(f"V{8 * w}")[:, 0]
         perm = np.argsort(key)
         key = key[perm]

@@ -1,8 +1,12 @@
-"""The command-line interface, driven in-process."""
+"""The command-line interface, driven in-process (and in a capped child
+process for running out of memory)."""
 from __future__ import annotations
 
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,6 +289,31 @@ def test_oracle_subcommand(movie_file, capsys):
 
     assert main(["oracle", "Ans(x,y) <- P(x,y).", "--db", movie_file]) == 0
     assert set(_enum_lines(capsys.readouterr().out)) == {"(PS,LM)", "(PS,MM)"}
+
+
+# runs `colorcq` with its address space capped at what the interpreter maps
+# after import plus 128 MB, so a MemoryError comes whatever the machine's
+# overcommit setting
+_CAPPED_MAIN = """
+import resource, sys
+from colorcq.cli import main
+with open("/proc/self/status") as f:
+    vm_kb = next(int(line.split()[1]) for line in f if line.startswith("VmSize:"))
+cap = vm_kb * 1024 + (128 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
+@pytest.mark.parametrize("argv", [["gen", "random", "1000000", "1000000000000"],
+                                  ["gen", "cycle", "100000000000"]])
+def test_gen_out_of_memory_is_an_error_not_a_traceback(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stderr, res.stdout) == (1, "error: out of memory\n", "")
 
 
 def test_bench_smoke(movie_file, tmp_path, capsys):

@@ -2,9 +2,10 @@
 all checked against the brute-force reference."""
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -343,3 +344,96 @@ def test_fuzz_all_paths_agree():
         bplan = plan_query(bq, db.schema)
         assert eval_boolean(idx, bplan) == (naive_count(db, bq) > 0), bq
         checked += 1
+
+
+# the benchmark's enumerated query mixes (bench/workloads.py), keyed by the
+# workload whose facts they run on, plus one cross product on R
+ENUM_MIX = {
+    "cycle": ("Ans() <- R(x,y), R(y,z).", "Ans() <- R(x,x).", "Ans(x,y) <- R(x,y).",
+              "Ans(x) <- R(x,y), R(y,z).", "Ans(x,y,z) <- R(x,y), R(y,z).",
+              "Ans(y,z,w) <- R(x,y), R(z,y), R(z,w).", "Ans(x,w) <- R(x,y), R(w,v)."),
+    "path": ("Ans() <- R(x,y), R(y,z), R(z,w).", "Ans() <- R(x,x).", "Ans(x,y) <- R(x,y).",
+             "Ans(x,y,z) <- R(x,y), R(y,z).", "Ans(x) <- R(x,y), R(y,z), R(z,w).",
+             "Ans(x,y,z,w) <- R(x,y), R(y,z), R(z,w).", "Ans(x,w) <- R(x,y), R(w,v)."),
+    "random": ("Ans() <- R(x,y), R(y,z), R(z,w).", "Ans() <- R(x,y), R(y,x), R(x,x).",
+               "Ans(x,y) <- R(x,y).", "Ans(x) <- R(x,y), R(y,z).",
+               "Ans(x,y,z) <- R(x,y), R(y,z).", "Ans(x,y) <- R(x,y), R(y,x).",
+               "Ans(x,y,z,w) <- R(x,y), R(y,z), R(w,z).", "Ans(x,w) <- R(x,y), R(w,v)."),
+    "multirel": ("Ans() <- P(x,y), Q(y,z).", "Ans() <- U(x), T(x,x).", "Ans(x,y) <- P(x,y).",
+                 "Ans(x,y) <- P(x,y), Q(x,y).", "Ans(x,y,z) <- S(x,y), T(y,z), U(z).",
+                 "Ans(x) <- U(x), P(x,y), P(y,y).", "Ans(x,y,z,w) <- P(x,y), S(z,w)."),
+}
+
+
+def test_enumeration_order_matches_pinned_digest():
+    """The answers of every enumeration route, in order, are pinned: the
+    sha256 over sessions with ids, sessions with names and `cde_fc_acq`, for
+    400 seeded random instances and the benchmark mixes on small-scale
+    benchmark facts (first 3,000 answers each).  Steps and gaps are not
+    part of it."""
+    from bench.workloads import make_facts
+
+    digest = hashlib.sha256()
+
+    def feed(idx, db, plan, cap=None):
+        for route in (EnumerationSession(idx, plan), EnumerationSession(idx, plan, names=True),
+                      cde_fc_acq(db, plan)):
+            for t in islice(route, cap):
+                digest.update(repr(t).encode())
+            digest.update(b"|")
+
+    rng = random.Random(808)
+    instances = 0
+    while instances < 400:
+        db = random_db(rng)
+        q = random_fc_query(rng)
+        if q is not None:
+            feed(build_index(db), db, plan_query(q, db.schema))
+            instances += 1
+    for name, scale in (("cycle", 0.001), ("path", 0.01), ("random", 0.01),
+                        ("multirel", 0.01)):
+        db = load_database(make_facts(name, 802, scale))
+        idx = build_index(db)
+        for text in ENUM_MIX[name]:
+            feed(idx, db, _plan(db, text), 3000)
+    assert digest.hexdigest() == "ed4e94263344a1bd8b3bdc1bda7114b16cbf32ce4aa5b369e54c922f9ea47903"
+
+
+def _drain_one_by_one(sess) -> list[tuple]:
+    """Take the answers with one next() each, checking the accounting after
+    every call against the readings of `steps.n` taken so far."""
+    out, last, gaps = [], 0, [0]
+    while True:
+        try:
+            out.append(next(sess))
+        except StopIteration:
+            return out
+        assert sess.emissions == len(out)
+        assert sess.steps.n >= last
+        gaps.append(sess.steps.n - last)
+        last = sess.steps.n
+        assert sess.max_gap == max(gaps)
+
+
+def test_session_accounting_per_answer():
+    db = Database(Schema([("R", 2), ("S", 2), ("U", 1)]))
+    for rel, pairs in (("R", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]),
+                       ("S", [("d", "e"), ("e", "f")])):
+        for x, y in pairs:
+            db.add_fact(rel, (db.intern(x), db.intern(y)))
+    db.add_fact("U", (db.intern("d"),))
+    idx = build_index(db)
+    for text, n in (("Ans(x,y,z) <- R(x,y), R(y,z).", 5),
+                    ("Ans(x,w,v) <- R(x,y), S(w,v).", 3 * 2),
+                    ("Ans(x,w) <- R(x,y), S(w,v), U(u).", 3 * 2)):
+        got = _drain_one_by_one(EnumerationSession(idx, _plan(db, text)))
+        assert len(got) == len(set(got)) == n, text
+        assert set(got) == set(naive_eval(db, parse_query(text, db.schema)).tuples), text
+
+    # an unsatisfiable Boolean component yields nothing, a Boolean plan () once
+    assert _drain_one_by_one(EnumerationSession(idx, _plan(db, "Ans(x) <- R(x,y), S(u,u).")))\
+        == []
+    assert _drain_one_by_one(EnumerationSession(idx, _plan(db, "Ans() <- R(x,y), S(u,v).")))\
+        == [()]
+    assert _drain_one_by_one(EnumerationSession(idx, _plan(db, "Ans() <- S(u,u).")))\
+        == []

@@ -98,6 +98,8 @@ def _paths_agree(text: str) -> bool:
     return fast is not None
 
 
+PREFIXES = "abcdefghijklmnopqrstuvwxyz0123456789ABCD"
+
 # (text, whether the array path must build it itself)
 PINNED_TEXTS = [
     (" \tR \t( \ta \t, \tb \t) \t\n\tU\t(\ta\t)\t\n", True),
@@ -138,6 +140,9 @@ PINNED_TEXTS = [
     ("R(.,_)\nR(-,+)\nR(\"',`)\n", True),
     ("", True),
     ("# only a comment", True),
+    # constants of every length from 1 to 40, each a prefix of the longer ones
+    ("".join(f"R({PREFIXES[:i]},{PREFIXES[:41 - i]})\nU({PREFIXES[:i]})\n" for i in range(1, 41)),
+     True),
 ]
 
 
