@@ -23,18 +23,14 @@ from .frontend import (
     FcCheck,
     QueryPlan,
     QueryRejected,
-    build_plan,
     check_free_connex_acyclic,
-    decompose_components,
     explain_plan,
     plan_query,
-    remove_self_loops,
 )
 from .evaluation import (
     EnumerationSession,
     cde_fc_acq,
     count_answers,
-    enumerate_answers,
     eval_boolean,
 )
 from .oracle import naive_count, naive_eval
@@ -69,16 +65,12 @@ __all__ = [
     "FcCheck",
     "QueryPlan",
     "QueryRejected",
-    "build_plan",
     "check_free_connex_acyclic",
-    "decompose_components",
     "explain_plan",
     "plan_query",
-    "remove_self_loops",
     "EnumerationSession",
     "cde_fc_acq",
     "count_answers",
-    "enumerate_answers",
     "eval_boolean",
     "naive_count",
     "naive_eval",

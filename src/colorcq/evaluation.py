@@ -1,16 +1,18 @@
 """Boolean answering, constant-delay enumeration, and counting.
 
 All three tasks run on the same skeleton, over numpy arrays indexed by colour
-id (or by constant id, in `cde_fc_acq`).  Per component, one bottom-up
-semi-join sweep over the rooted tree (Yannakakis) keeps, for each variable,
-the values whose subtree can be completed.  A Boolean component then only
-needs a non-empty root.  Enumeration is one odometer (`_odometer`) over the
-whole plan: each component adds consecutive levels that walk its free prefix
-in preorder through each parent's pairs into the child's candidates, so every
-step leads to an answer, and then expand each colour tuple into vertex tuples
-through the index's class-major successor tables.  The cross product of the
-components is the odometer order itself, the last component fastest.
-Counting multiplies per-colour subtree counts over the same pair arrays.
+id (or by constant id, in `cde_fc_acq`).  Per component, one bottom-up pass
+over the rooted tree (`_reduce`) does the semi-join sweep (Yannakakis): it
+keeps, for each variable, the values whose subtree can be completed.  A
+Boolean component then only needs a non-empty root.  Enumeration is one
+odometer (`_odometer`) over the whole plan: each component adds consecutive
+levels that walk its free prefix in preorder through each parent's pairs into
+the child's candidates, so every step leads to an answer, and then expand each
+colour tuple into vertex tuples through the index's class-major successor
+tables.  The cross product of the components is the odometer order itself,
+the last component fastest.  Counting runs the same pass, but over the free
+prefix it multiplies per-colour counts through the pairs' counts instead of
+keeping flags; quantified subtrees stay semi-joins.
 
 The color-level runs use the loop-augmented semantics: a vertex whose class
 carries self-loops for every relation in λ counts as its own λ-neighbour, and
@@ -45,19 +47,41 @@ class TreeRun:
     roots: list[int]
 
 
+def _reduce(comp: PlanComponent, cand0: dict[str, np.ndarray],
+            pairs: dict[tuple[str, str], PairRows], counted: int = 0,
+            dtype=bool) -> dict[str, np.ndarray]:
+    """One bottom-up pass over the component tree.  A variable of rank ≥
+    `counted` gets its semi-join (Yannakakis): the bool array of the values
+    whose subtree can be completed.  Each of the first `counted` variables (a
+    free prefix) gets instead, per value c, the number of completions of its
+    subtree projected on its counted variables: cand0(c) times, per counted
+    child y, Σ_{c′} f(y)(c′)·n(c,c′) over the pairs' counts, times, per
+    quantified child, its semi-join flag.  With every variable counted this is
+    f↓(c,x), the homomorphism count of x's subtree with x pinned to any vertex
+    of class c (well-defined by stability)."""
+    f: dict[str, np.ndarray] = {}
+    for v in reversed(comp.order):
+        fv = cand0[v] if comp.rank[v] >= counted else cand0[v].astype(dtype)
+        for w in comp.children[v]:
+            p = pairs[(v, w)]
+            if comp.rank[w] < counted:
+                g = np.zeros(len(fv), dtype)
+                np.add.at(g, p.a, f[w][p.b] * p.n)  # object times int64 gives exact Python ints
+            else:
+                g = np.zeros(len(fv), bool)
+                g[p.a[f[w][p.b]]] = True
+            fv = fv * g  # arrays are replaced, never changed in place
+        f[v] = fv
+    return f
+
+
 def prepare_tree(
     comp: PlanComponent,
     cand0: dict[str, np.ndarray],
     pairs: dict[tuple[str, str], PairRows],
 ) -> TreeRun:
-    """Bottom-up semi-join sweep over the component tree."""
-    cand = dict(cand0)  # arrays are replaced, never changed in place
-    for v in reversed(comp.order):
-        for w in comp.children[v]:
-            p = pairs[(v, w)]
-            keep = np.zeros(len(cand[v]), bool)
-            keep[p.a[cand[w][p.b]]] = True
-            cand[v] = cand[v] & keep
+    """The semi-join sweep, then the kept pairs of each free tree edge."""
+    cand = _reduce(comp, cand0, pairs)
     satisfiable = bool(cand[comp.root].any())
 
     fadj: dict[tuple[str, str], tuple[list[int], Sequence[int]]] = {}
@@ -189,11 +213,11 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
             pos[level], end[level] = 0, len(seqs[level])
 
 
-def _color_run(idx: ColorIndex, comp: PlanComponent) -> TreeRun:
-    """Reduce the component at the color level (Q_col over the augmented D_col)."""
-    cand0 = {v: idx.unary_colors(comp.lambda_x[v]) for v in comp.order}
-    pairs = {edge: idx.rows(lab) for edge, lab in comp.lambda_e.items()}
-    return prepare_tree(comp, cand0, pairs)
+def _color_tables(idx: ColorIndex, comp: PlanComponent) -> tuple[dict, dict]:
+    """Q_col's inputs over the augmented D_col: per variable its candidate
+    colours, per tree edge its pairs with their counts."""
+    return ({v: idx.unary_colors(comp.lambda_x[v]) for v in comp.order},
+            {edge: idx.rows(lab) for edge, lab in comp.lambda_e.items()})
 
 
 class EnumerationSession:
@@ -214,7 +238,7 @@ class EnumerationSession:
         self.steps = _Steps()
         # the stream holds no reference to self: a session then holds no
         # reference cycle and is freed as soon as it is dropped
-        runs = [_color_run(idx, comp) for comp in plan.components]
+        runs = [prepare_tree(comp, *_color_tables(idx, comp)) for comp in plan.components]
         self._gen = _odometer(runs, plan.head_slots, self.steps, idx,
                               idx.db.constants if names else None)
 
@@ -230,72 +254,28 @@ class EnumerationSession:
         return next(self._gen)
 
 
-def enumerate_answers(idx: ColorIndex, plan: QueryPlan) -> EnumerationSession:
-    """Enumerate ⟦Q⟧(D) from the index with O(k) delay; yields id tuples."""
-    return EnumerationSession(idx, plan)
+def count_answers(idx: ColorIndex, plan: QueryPlan) -> int:
+    """|⟦Q⟧(D)| as an exact integer: per component with k free variables,
+    Σ_c n_c·f(c, root) from one `_reduce` that counts over the free prefix (a
+    Boolean component gives 0 or 1), multiplied across components.  No count
+    exceeds n^k, so int64 holds them when that is below 2^63; beyond, the
+    arrays hold Python ints and stay exact."""
+    total = 1
+    for comp in plan.components:
+        k = len(comp.free_prefix)
+        dtype = np.int64 if idx.g.n ** k < 2**63 else object
+        f = _reduce(comp, *_color_tables(idx, comp), k, dtype)[comp.root]
+        total *= int(idx.n_c @ f) if k else int(f.any())
+        if not total:
+            return 0
+    return total
 
 
 def eval_boolean(idx: ColorIndex, plan: QueryPlan) -> bool:
-    """Answer a Boolean plan: every component reduces to a non-empty run."""
+    """Answer a Boolean plan: every component reduces to a non-empty root."""
     if plan.query.head:
         raise ColorcqError("eval_boolean needs a Boolean query (empty head)")
-    return all(_color_run(idx, comp).satisfiable for comp in plan.components)
-
-
-def _g_edge(rows: PairRows, child: np.ndarray) -> np.ndarray:
-    """g(c) = Σ_{c′} child(c′) · #̂→^λ(c,c′), over the augmented counts."""
-    g = np.zeros(len(child), child.dtype)
-    np.add.at(g, rows.a, child[rows.b] * rows.n)  # object times int64 gives exact Python ints
-    return g
-
-
-def _fold_up(idx: ColorIndex, comp: PlanComponent, xs, base) -> dict[str, np.ndarray]:
-    """Bottom-up over the variables xs (closed under parents): f(x) is
-    base(x) times, per child y of x in xs, Σ_{c′} f(y)(c′) · #̂(c,c′)."""
-    f: dict[str, np.ndarray] = {}
-    for x in reversed(xs):
-        f[x] = base(x)
-        for y in comp.children[x]:
-            if y in f:
-                f[x] = f[x] * _g_edge(idx.rows(comp.lambda_e[(x, y)]), f[y])
-    return f
-
-
-def _f_down_tables(idx: ColorIndex, comp: PlanComponent) -> dict[str, np.ndarray]:
-    """f↓(c,x): homomorphism count of x's subtree with x pinned to any fixed
-    vertex of class c (well-defined by stability).  No count exceeds
-    n^|vars|, so int64 holds them when that is below 2^63; beyond, the arrays
-    hold Python ints and stay exact."""
-    dtype = np.int64 if idx.g.n ** len(comp.order) < 2**63 else object
-    return _fold_up(idx, comp, comp.order,
-                    lambda x: idx.unary_colors(comp.lambda_x[x]).astype(dtype))
-
-
-def _count_component(idx: ColorIndex, comp: PlanComponent) -> int:
-    """Σ_c n_c · f↓(c, root), with quantified variables projected away by a
-    second pass over the free subtree when free(Q) ≠ vars(Q): quantified
-    multiplicities are replaced by 0/1 existence before re-multiplying along
-    the free subtree.
-    """
-    f = f_down = _f_down_tables(idx, comp)
-    if len(comp.free_prefix) < len(comp.order):
-        f = _fold_up(idx, comp, comp.free_prefix,
-                     lambda x: (f_down[x] >= 1).astype(f_down[x].dtype))
-    return int(idx.n_c @ f[comp.root])
-
-
-def count_answers(idx: ColorIndex, plan: QueryPlan) -> int:
-    """|⟦Q⟧(D)| as an exact (arbitrary-precision) integer."""
-    total = 1
-    for comp in plan.components:
-        if comp.is_boolean:
-            if not _color_run(idx, comp).satisfiable:
-                return 0
-        else:
-            total *= _count_component(idx, comp)
-            if total == 0:
-                return 0
-    return total
+    return count_answers(idx, plan) == 1
 
 
 # -- generic tree evaluation on a plain database ----------------------------

@@ -71,11 +71,6 @@ def _scan(q: ConjunctiveQuery, s1: Sigma1 | None = None):
     return adj, rels, unary, tuple(atoms)
 
 
-def gaifman_adjacency(q: ConjunctiveQuery) -> Adjacency:
-    """Simple undirected graph on vars(q); an edge per co-occurring distinct pair."""
-    return _scan(q)[0]
-
-
 def _find_cycle(adj: dict[str, set[str]]) -> tuple[str, ...] | None:
     """A closed walk witnessing a cycle, or None if the graph is a forest."""
     parent: dict[str, str | None] = {}
@@ -106,7 +101,7 @@ def check_free_connex_acyclic(q: ConjunctiveQuery, adj: Adjacency | None = None)
     """Accept iff the Gaifman graph `adj` (built from q if not given) is a
     forest and, per component, the free variables induce a connected or empty
     subgraph.  `plan_query` calls it only to explain a rejection."""
-    adj = adj or gaifman_adjacency(q)
+    adj = adj or _scan(q)[0]
     cycle = _find_cycle(adj)
     if cycle is not None:
         return FcCheck(
@@ -171,21 +166,6 @@ def _split(q: ConjunctiveQuery, atoms: tuple[Atom, ...], comp_of: dict[str, int]
     return [ConjunctiveQuery(head=tuple(v for v in q.head if comp_of[v] == i),
                              atoms=tuple(a for a in atoms if comp_of[a.args[0]] == i))
             for i in range(n)]
-
-
-def decompose_components(
-    q: ConjunctiveQuery, adj: Adjacency | None = None
-) -> tuple[list[ConjunctiveQuery], list[int]]:
-    """Split q into connected sub-queries, in `_forest` order; the answer is
-    their cross product.  Also returns, per head position, the index of the
-    owning component."""
-    comps, comp_of = _forest(q.head, adj or gaifman_adjacency(q))
-    return _split(q, q.atoms, comp_of, len(comps)), [comp_of[v] for v in q.head]
-
-
-def remove_self_loops(q: ConjunctiveQuery, s1: Sigma1) -> ConjunctiveQuery:
-    """Replace each R(x,x) with the corresponding loop atom S_R(x)."""
-    return ConjunctiveQuery(head=q.head, atoms=_scan(q, s1)[3])
 
 
 # not frozen: a frozen dataclass sets each field through object.__setattr__,
@@ -257,24 +237,6 @@ def _component(query: ConjunctiveQuery, q1: ConjunctiveQuery, order: list[str],
         rank={v: i for i, v in enumerate(order)}, parent=parent, children=children,
         lambda_x={v: frozenset(unary.get(v, ())) for v in order}, lambda_e=lambda_e,
     )
-
-
-def build_plan(
-    q1: ConjunctiveQuery, query: ConjunctiveQuery, adj: Adjacency | None = None
-) -> PlanComponent:
-    """Root and order one connected, loop-free component and derive Q_col.
-
-    The root is the first head variable (the <-least variable for Boolean
-    components); the order is the two-queue BFS of `_forest` over `adj`, which
-    if given must be q1's Gaifman graph.
-    """
-    own, rels, unary, _ = _scan(q1)
-    comps, _ = _forest(q1.head, adj or own)
-    order, parent = comps[0]
-    # the tree must span q1, and every binary atom must lie on a tree edge
-    if len(comps) > 1 or any(parent[u] != w and parent[w] != u for u, w in rels):
-        raise ColorcqError(f"the Gaifman graph of {q1} is not a tree")
-    return _component(query, q1, order, parent, unary, rels)
 
 
 def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:

@@ -15,7 +15,6 @@ import numpy as np
 from colorcq.evaluation import (
     EnumerationSession,
     count_answers,
-    enumerate_answers,
     eval_boolean,
 )
 from colorcq.frontend import plan_query
@@ -153,7 +152,7 @@ def test_criterion_5_oracle_equivalence():
         plan = plan_query(q, db.schema)
         ref = naive_eval(db, q)
 
-        got = list(enumerate_answers(idx, plan))
+        got = list(EnumerationSession(idx, plan))
         if len(got) != len(set(got)) or set(got) != set(ref.tuples):
             mismatches.append(("enum", str(q)))
         if count_answers(idx, plan) != len(ref):

@@ -7,15 +7,16 @@ import random
 from collections import Counter
 from itertools import islice, product
 
+import numpy as np
 import pytest
 
 from colorcq.cli import main
 from colorcq.evaluation import (
     EnumerationSession,
-    _f_down_tables,
+    _color_tables,
+    _reduce,
     cde_fc_acq,
     count_answers,
-    enumerate_answers,
     eval_boolean,
 )
 from colorcq.frontend import plan_query
@@ -40,7 +41,7 @@ def _plan(db, text):
 
 
 def _answers(idx, plan) -> set[tuple[int, ...]]:
-    return set(enumerate_answers(idx, plan))
+    return set(EnumerationSession(idx, plan))
 
 
 def test_movie_boolean(dex_index):
@@ -98,6 +99,12 @@ def test_counts_pinned(dex_index):
     assert count_answers(idx, _plan(idx.db, "Ans(x) <- R(x,y), R(y,z).")) == n
 
 
+def _f_down(idx, comp):
+    """f↓ per variable: `_reduce` with every variable counted, the path a
+    full query's count takes."""
+    return _reduce(comp, *_color_tables(idx, comp), len(comp.order), np.int64)
+
+
 def test_f_down_tables_worked_example(dex_index):
     idx, db = dex_index, dex_index.db
     plan = _plan(db, "Ans(y,z) <- P(x,y), M(y,z).")
@@ -105,7 +112,7 @@ def test_f_down_tables_worked_example(dex_index):
     assert comp.order == ("y", "z", "x")
     col = lambda name: idx.coloring.color(idx.g.vertex_of(db.intern(name)))
     b, r, g, y = col("PS"), col("LM"), col("Dr.S"), col("18m")
-    f_down = _f_down_tables(idx, comp)
+    f_down = _f_down(idx, comp)
     for leaf in ("x", "z"):
         assert f_down[leaf].tolist() == [1, 1, 1, 1]
     want = [0, 0, 0, 0]
@@ -156,7 +163,7 @@ def test_cross_product_components():
             db.add_fact(rel, (db.intern(x), db.intern(y)))
     idx = build_index(db)
     plan = _plan(db, "Ans(x,w) <- R(x,y), S(w,v).")
-    sess = enumerate_answers(idx, plan)
+    sess = EnumerationSession(idx, plan)
     got = list(sess)
     assert len(got) == len(set(got)) == 4
     assert names(db, got) == {("a", "d"), ("a", "e"), ("b", "d"), ("b", "e")}
@@ -175,15 +182,24 @@ def test_cross_product_components():
 
 def test_count_beyond_int64(tmp_path, capsys):
     """Counts stay exact past 2^63: a star with 1,000 leaves has 1000^7 =
-    10^21 answers for seven leaf variables, in the API and on the CLI."""
+    10^21 answers for seven leaf variables, in the API and on the CLI.  With
+    a quantified leaf z, five free leaves (n^6 < 2^63 for the n = 1,001
+    constants) and seven (n^7 ≥ 2^63) count exactly, as Python ints."""
     facts = tmp_path / "star.facts"
     facts.write_text("".join(f"R(h,l{i})\n" for i in range(1000)))
     text = "Ans(h,a,b,c,d,e,f,g) <- " + ", ".join(f"R(h,{v})" for v in "abcdefg") + "."
     with open(facts) as f:
         db = load_database(f)
-    assert count_answers(build_index(db), _plan(db, text)) == 10**21
+    idx = build_index(db)
+    assert count_answers(idx, _plan(db, text)) == 10**21
     assert main(["query", text, "--db", str(facts), "--task", "count"]) == 0
     assert capsys.readouterr().out.strip() == str(10**21)
+
+    for leaves, want in (("abcde", 10**15), ("abcdefg", 10**21)):
+        text = (f"Ans(h,{','.join(leaves)}) <- "
+                + ", ".join(f"R(h,{v})" for v in leaves + "z") + ".")
+        got = count_answers(idx, _plan(db, text))
+        assert got == want and type(got) is int, text
 
 
 def test_session_instrumentation():
@@ -256,7 +272,7 @@ def test_subtree_counts_match_brute_force():
                 continue
             plan = plan_query(q, db.schema)
             for comp in plan.components:
-                f_down = _f_down_tables(idx, comp)
+                f_down = _f_down(idx, comp)
                 for x in comp.order:
                     sq = _subtree_query(plan, comp, x)
                     if sq is None:
@@ -286,7 +302,7 @@ def test_color_vectors_match_color_query_semantics():
         col = idx.coloring.color_of
         got = {
             tuple(int(col[idx.g.vertex_of(c)]) for c in t)
-            for t in enumerate_answers(idx, plan)
+            for t in EnumerationSession(idx, plan)
         }
         per_comp = [
             [()] if comp.is_boolean else sorted(naive_eval(idx.color_db, comp.q_col))
@@ -334,7 +350,7 @@ def test_fuzz_all_paths_agree():
         plan = plan_query(q, db.schema)
         ref = naive_eval(db, q)
 
-        got = list(enumerate_answers(idx, plan))
+        got = list(EnumerationSession(idx, plan))
         assert len(got) == len(set(got)), (q, sorted(got))
         assert set(got) == set(ref.tuples), q
         assert count_answers(idx, plan) == len(ref), q
@@ -397,6 +413,36 @@ def test_enumeration_order_matches_pinned_digest():
         for text in ENUM_MIX[name]:
             feed(idx, db, _plan(db, text), 3000)
     assert digest.hexdigest() == "ed4e94263344a1bd8b3bdc1bda7114b16cbf32ce4aa5b369e54c922f9ea47903"
+
+
+def test_counts_match_pinned_digest():
+    """The counts are pinned: the sha256 over `count_answers` of every
+    non-Boolean plan and `eval_boolean` of every Boolean plan, for 400 seeded
+    random instances and every benchmark-mix query on small-scale benchmark
+    facts."""
+    from bench.workloads import WORKLOADS, make_facts
+
+    digest = hashlib.sha256()
+
+    def feed(idx, plan):
+        got = count_answers(idx, plan) if plan.query.head else eval_boolean(idx, plan)
+        digest.update(f"{got!r}|".encode())
+
+    rng = random.Random(809)
+    instances = 0
+    while instances < 400:
+        db = random_db(rng)
+        q = random_fc_query(rng)
+        if q is not None:
+            feed(build_index(db), plan_query(q, db.schema))
+            instances += 1
+    for name, scale in (("cycle", 0.001), ("path", 0.01), ("random", 0.01),
+                        ("multirel", 0.01)):
+        db = load_database(make_facts(name, 803, scale))
+        idx = build_index(db)
+        for query in WORKLOADS[name].queries:
+            feed(idx, _plan(db, query.text))
+    assert digest.hexdigest() == "05a670ac3bc6c7547af017fdf5543d4d314ab6143a01b40c8adda0ea83d24f0f"
 
 
 def _drain_one_by_one(sess) -> list[tuple]:

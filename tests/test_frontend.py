@@ -11,19 +11,15 @@ import pytest
 import colorcq
 from colorcq.frontend import (
     QueryRejected,
-    build_plan,
+    _scan,
     check_free_connex_acyclic,
-    decompose_components,
     explain_plan,
-    gaifman_adjacency,
     plan_query,
-    remove_self_loops,
 )
 from colorcq.graph import EdgeLabel, sigma1_for
-from colorcq.model import Atom, ColorcqError, ConjunctiveQuery, Schema, SchemaError, parse_query
+from colorcq.model import Atom, ConjunctiveQuery, Schema, SchemaError, parse_query
 
 RS = Schema([("R", 2), ("S", 2), ("U", 1)])
-S1 = sigma1_for(RS)
 
 
 def _q(text: str) -> ConjunctiveQuery:
@@ -35,17 +31,9 @@ def test_cycle_is_rejected_with_witness():
     assert not chk
     assert chk.diagnostic == "Gaifman graph has a cycle: x-y-z-x"
     assert chk.cycle == ("x", "y", "z", "x")
-    adj = gaifman_adjacency(_q("Ans() <- R(x,y), R(y,z), R(z,x)."))
+    adj = _scan(_q("Ans() <- R(x,y), R(y,z), R(z,x)."))[0]
     for a, b in zip(chk.cycle, chk.cycle[1:]):
         assert b in adj[a]
-
-
-def test_build_plan_rejects_a_non_tree_edge():
-    """Called directly on a cyclic component, build_plan must refuse it,
-    also under `python -O`, instead of dropping the non-tree edge."""
-    q = _q("Ans() <- R(x,y), R(y,z), R(z,x).")
-    with pytest.raises(ColorcqError, match="not a tree"):
-        build_plan(q, q)
 
 
 def test_package_has_no_assert_statements():
@@ -84,27 +72,26 @@ def test_multi_edge_between_same_vars_is_not_a_cycle():
 
 def test_remove_self_loops():
     q = _q("Ans(y,z) <- P(x,y), M(y,z).")
-    s1 = sigma1_for(Schema([("P", 2), ("M", 2)]))
-    assert remove_self_loops(q, s1) == q
+    assert plan_query(q, Schema([("P", 2), ("M", 2)])).components[0].q1 == q
 
     q = ConjunctiveQuery(
         head=("x",),
         atoms=(Atom("R", ("x", "x")), Atom("R", ("x", "x")), Atom("S", ("x", "x"))),
     )
-    out = remove_self_loops(q, S1)
+    out = plan_query(q, RS).components[0].q1
     assert out.atoms == (Atom("S_R", ("x",)), Atom("S_S", ("x",)))
     assert out.head == ("x",)
 
 
 def test_decompose_components_ordering():
     q = _q("Ans(x,w) <- R(x,y), S(w,v), R(u,u).")
-    queries, owner = decompose_components(q)
-    assert [str(cq) for cq in queries] == [
+    plan = plan_query(q, RS)
+    assert [str(c.query) for c in plan.components] == [
         "Ans(x) <- R(x,y).",
         "Ans(w) <- S(w,v).",
         "Ans() <- R(u,u).",
     ]
-    assert owner == [0, 1]
+    assert [ci for ci, _ in plan.head_slots] == [0, 1]
 
 
 def test_components_sorted_by_first_head_position():
@@ -232,7 +219,8 @@ def test_color_query_is_itself_accepted_and_replans_identically():
         plan = plan_query(q, RS)
         for c in plan.components:
             assert check_free_connex_acyclic(c.q_col)
-            replanned = build_plan(c.q_col, c.q_col)
+            schema = Schema({(a.rel, len(a.args)) for a in c.q_col.atoms})
+            (replanned,) = plan_query(c.q_col, schema).components
             assert replanned.order == c.order
             assert replanned.parent == c.parent
             checked += 1
