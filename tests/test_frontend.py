@@ -320,3 +320,106 @@ def test_plans_match_pinned_digest():
         digest.update(text.encode() + b"\n")
     assert 50 < rejected < 500
     assert digest.hexdigest() == "7ca0b470cfb799ef7313d5a6d18e2ac22d56d5a0fc4c8a0297c1a4eea8fa9049"
+
+
+# whitespace the query grammar accepts wherever it allows space, Unicode included
+_WS = ("", "", " ", "  ", "\t", "\n", " \n\t", "\r\n", "\x0b", "\x0c", " ", " ")
+_JUNK = ("junk", ";", ", ,", ",,", "&", "-", ".", "9", "Ans", "<-", "(", ")", "()")
+
+
+def _outcome_texts(rng: random.Random, head: list[str], atoms: list[tuple[str, list[str]]],
+                   mutate: bool) -> str:
+    """One rendering of `Ans(head) <- atoms` with random spacing, separators,
+    leading and trailing commas, duplicate atoms and final period; with
+    `mutate`, one or two edits that each make the front end raise."""
+    head, atoms = list(head), [(r, list(a)) for r, a in atoms]
+    body_vars = [v for _, args in atoms for v in args]
+    prefix, between, suffix = "Ans", {}, ""
+    for _ in range(rng.randint(1, 2) if mutate else 0):
+        kind = rng.randrange(13)
+        i = rng.randrange(max(1, len(atoms)))
+        if kind == 0:
+            prefix = rng.choice(("", "ans", "Ans2", "Ans(", "Ans("))
+        elif kind == 1:
+            head.insert(rng.randint(0, len(head)), rng.choice(("X", "1x", "x-y", "", "a b", "Q1")))
+        elif kind == 2:
+            head.append(rng.choice(head or body_vars))
+        elif kind == 3:
+            head.insert(rng.randint(0, len(head)), rng.choice(("q", "missing", "x9")))
+        elif kind == 4 and atoms and atoms[i][1]:
+            args = atoms[i][1]
+            args[rng.randrange(len(args))] = rng.choice(("A", "1", "'a'", "Bob", "x y", "", "_v"))
+        elif kind == 5 and atoms:
+            atoms[i] = (atoms[i][0], rng.choice(([], ["x", "y", "z"], ["x", "x", "x"])))
+        elif kind == 6:
+            between[i] = rng.choice(_WS) + rng.choice(_JUNK) + rng.choice(_WS)
+        elif kind == 7:
+            suffix = rng.choice((" z", "..", " extra", ", ,", " junk(", ")", ". R(x,y)", ".,"))
+        elif kind == 8:
+            atoms.insert(i, (rng.choice(("T", "V.w", "_x", "r")), ["x", "y"][: rng.randint(1, 2)]))
+        elif kind == 9:
+            atoms.insert(i, rng.choice((("U", ["x", "y"]), ("R", ["x"]), ("S", ["y"]))))
+        elif kind == 10:
+            atoms += [("R", ["x", "y"]), ("R", ["y", "z"]), ("S", ["z", "x"])]
+        elif kind == 11:
+            head[:] = ["x", "z"]
+            atoms[:] = [("R", ["x", "y"]), ("S", ["y", "z"])]
+        elif kind == 12:
+            atoms[:] = []
+    if not mutate and atoms and rng.random() < 0.3:  # a duplicate atom
+        atoms.insert(rng.randint(0, len(atoms)), rng.choice(atoms))
+
+    def w() -> str:
+        return rng.choice(_WS)
+
+    def items(xs: list[str]) -> str:
+        return w() + "".join((w() + "," + w() if j else "") + x for j, x in enumerate(xs)) + w()
+
+    out = [w(), prefix, w(), "(", items(head), ")", w(), "<-", w()]
+    out.append(rng.choice(("", "", "", ",", " , ")))
+    for j, (rel, args) in enumerate(atoms):
+        if j:
+            out.append(rng.choice(("", " ", "\n", "\t", ",", ", ", " ,\n", " ")))
+        out += [between.get(j, ""), rel, w(), "(", items(args), ")"]
+    out.append(rng.choice(("", "", ",", " ,")))
+    out.append(rng.choice(("", ".", " .", ". ", "\n.\n", "\t.")))
+    return "".join(out) + suffix
+
+
+def test_front_end_outcomes_match_pinned_digest():
+    """Every front-end outcome is pinned, errors word for word: the sha256 over
+    `explain_plan(plan_query(parse_query(t, s), s))`, or `Type: message` when
+    a call raises, for seeded query texts over RS and the benchmark mixes,
+    valid ones in many spellings and ones mutated to hit every error."""
+    rng = random.Random(4111)
+    corpus: list[tuple[str, Schema]] = []
+    for _ in range(3000):
+        q = _random_query(rng)
+        atoms = [(a.rel, list(a.args)) for a in q.atoms]
+        corpus.append((_outcome_texts(rng, list(q.head), atoms, rng.random() < 0.5), RS))
+    for schema, texts in BENCH_MIX:
+        for text in texts:
+            q = _q(text)
+            atoms = [(a.rel, list(a.args)) for a in q.atoms]
+            for j in range(40):
+                corpus.append((_outcome_texts(rng, list(q.head), atoms, j % 2 == 1), schema))
+
+    digest = hashlib.sha256()
+    kinds: set[str] = set()
+    for text, schema in corpus:
+        try:
+            out = explain_plan(plan_query(parse_query(text, schema), schema))
+            kinds.add("plan")
+        except colorcq.ColorcqError as e:
+            out = f"{type(e).__name__}: {e}"
+            kinds.add(f"{type(e).__name__}: " + " ".join(str(e).split()[:2]))
+        digest.update(out.encode() + b"\n")
+    for kind in (
+        "plan", "ParseError: cannot parse", "ParseError: head: ", "ParseError: atom",
+        "ParseError: unexpected text", "ParseError: unexpected trailing",
+        "ParseError: query needs", "ParseError: repeated variable", "ParseError: head variable(s)",
+        "SchemaError: unknown relation", "SchemaError: atom", "QueryRejected: Gaifman graph",
+        "QueryRejected: free variables",
+    ):
+        assert any(k.startswith(kind) for k in kinds), kind
+    assert digest.hexdigest() == "f617f1ee36701ff7c8a9e6bc5f066e16738c6be2f8b190ca7f9b283c1c354797"
