@@ -9,6 +9,7 @@ import argparse
 import random
 import sys
 import time
+from decimal import Decimal
 from itertools import islice
 
 import numpy as np
@@ -91,7 +92,9 @@ def cmd_query(args) -> int:
             return 3
         print("yes" if eval_boolean(idx, plan) else "no")
     elif task == "count":
-        print(count_answers(idx, plan))
+        # str() of an int past sys.get_int_max_str_digits() raises; Decimal
+        # holds any int exactly and prints all its digits
+        print(Decimal(count_answers(idx, plan)))
     else:
         _emit_enum(EnumerationSession(idx, plan, names=True), args.limit)
     return 0

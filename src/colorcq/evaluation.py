@@ -95,7 +95,7 @@ def prepare_tree(
                 js = np.flatnonzero(ok)
                 ptr = np.searchsorted(p.a[js], np.arange(len(cand[w]) + 1)).tolist()
                 fadj[(comp.parent[w], w)] = (ptr, js.tolist())
-    roots = np.flatnonzero(cand[comp.root]).tolist() if satisfiable and comp.query.head else []
+    roots = np.flatnonzero(cand[comp.root]).tolist() if satisfiable and comp.free_prefix else []
     return TreeRun(comp=comp, cand=cand, pairs=pairs, fadj=fadj, satisfiable=satisfiable,
                    roots=roots)
 

@@ -37,6 +37,13 @@ class EdgeLabel:
                 raise ValueError(f"bad direction {d!r}")
         object.__setattr__(self, "pairs", canon)
 
+    @classmethod
+    def _of_canonical(cls, pairs: tuple[tuple[str, str], ...]) -> EdgeLabel:
+        """The label of `pairs`, which are already sorted, distinct and valid."""
+        lab = object.__new__(cls)
+        object.__setattr__(lab, "pairs", pairs)
+        return lab
+
     def dual(self) -> EdgeLabel:
         return EdgeLabel((s, _DUAL_DIR[d]) for s, d in self.pairs)
 

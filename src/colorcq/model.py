@@ -8,8 +8,10 @@ translate back to names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, NamedTuple, NoReturn, TextIO
 
 import numpy as np
 
@@ -386,13 +388,15 @@ def _parse_lines(text: str) -> Database:
     return db
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     rel: str
     args: tuple[str, ...]
 
     def __str__(self) -> str:
         return f"{self.rel}({','.join(self.args)})"
+
+
+_ARGS = attrgetter("args")
 
 
 @dataclass(frozen=True)
@@ -405,19 +409,18 @@ class ConjunctiveQuery:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ParseError("query needs at least one atom")
-        if len(set(self.head)) != len(self.head):
+        body = dict.fromkeys(chain.from_iterable(map(_ARGS, self.atoms)))
+        object.__setattr__(self, "_variables", tuple(body))  # computed once, read by the planner
+        head = set(self.head)
+        if len(head) != len(self.head):
             raise ParseError(f"repeated variable in head {self.head}")
-        body = self.variables()
-        missing = [v for v in self.head if v not in body]
-        if missing:
+        if not body.keys() >= head:
+            missing = [v for v in self.head if v not in body]
             raise ParseError(f"head variable(s) {missing} do not occur in the body")
 
     def variables(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for a in self.atoms:
-            for v in a.args:
-                seen.setdefault(v)
-        return tuple(seen)
+        """The variables in order of first appearance in the atoms."""
+        return self._variables
 
     @property
     def is_boolean(self) -> bool:
@@ -427,61 +430,83 @@ class ConjunctiveQuery:
         return f"Ans({','.join(self.head)}) <- {', '.join(map(str, self.atoms))}."
 
 
-def _parse_args(blob: str, what: str) -> tuple[str, ...]:
-    blob = blob.strip()
-    if not blob:
-        return ()
-    parts = [p.strip() for p in blob.split(",")]
-    for p in parts:
-        if not VAR_RE.fullmatch(p):
-            raise ParseError(
-                f"{what}: {p!r} is not a variable (lowercase identifier); constants are unsupported"
-            )
-    return tuple(parts)
-
-
-_QUERY_RE = re.compile(r"^\s*Ans\s*\(([^()]*)\)\s*<-\s*(.*?)\s*\.?\s*$", re.DOTALL)
-_ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_.]*)\s*\(([^()]*)\)")
+_NAME, _VAR = NAME_RE.pattern, VAR_RE.pattern
+_ATOM_RE = re.compile(rf"({_NAME})\s*\(\s*({_VAR})\s*(?:,\s*({_VAR})\s*)?\)")
+# the grammar of a query, with the atoms of _ATOM_RE uncaptured.  Each `\s*`
+# stands before a character that cannot be whitespace, so a match that fails
+# backtracks in linear time.
+_QUERY_RE = re.compile(
+    rf"\s*Ans\s*\(\s*((?:{_VAR}\s*(?:,\s*{_VAR}\s*)*)?)\)\s*<-(?:\s*,)?((?:\s*{_NAME}"
+    rf"\s*\(\s*{_VAR}\s*(?:,\s*{_VAR}\s*)?\)(?:\s*,)?)+)\s*(?:\.\s*)?"
+)
 
 
 def parse_query(text: str, schema: Schema | None = None) -> ConjunctiveQuery:
     """Parse `Ans(v1,...,vk) <- A1, ..., Ad.` into a ConjunctiveQuery.
 
-    Identical atoms are deduplicated.  When a schema is given, relation
-    symbols and arities are checked against it.
+    One match checks the text against the grammar, and the atoms are read
+    off the body as (relation, variables) tuples.  Identical atoms are
+    deduplicated.  When a schema is given, relation symbols and arities are
+    checked against it.
     """
-    m = _QUERY_RE.match(text)
+    m = _QUERY_RE.fullmatch(text)
+    if m is None:
+        _raise_first_error(text, schema)
+    arity = None if schema is None else schema._arity
+    atoms = []
+    for rel, x, y in dict.fromkeys(_ATOM_RE.findall(text, *m.span(2))):
+        args = (x, y) if y else (x,)
+        if arity is not None and arity.get(rel) != len(args):
+            _raise_first_error(text, schema)
+        atoms.append(tuple.__new__(Atom, (rel, args)))
+    return ConjunctiveQuery(head=tuple(VAR_RE.findall(text, *m.span(1))),
+                            atoms=tuple(atoms))
+
+
+_HEAD_RE = re.compile(r"\s*Ans\s*\(([^()]*)\)\s*<-\s*")
+# an atom-like piece.  Its name starts at the first letter or `_` of a run
+# of name characters, as a search for `NAME\s*\(` would start it; starting
+# the match at the run's start keeps the search linear.
+_PIECE_RE = re.compile(r"(?<![A-Za-z0-9_.])[0-9.]*([A-Za-z_][A-Za-z0-9_.]*)\s*\(([^()]*)\)")
+
+
+def _raise_first_error(text: str, schema: Schema | None) -> NoReturn:
+    """Raise the error of the first bad piece, from the left, of a query
+    text that the grammar or the schema rejects.  The pieces are the head,
+    the atom-like pieces of the body (the text after `<-` up to an optional
+    final period) and the text between them."""
+    m = _HEAD_RE.match(text)
     if m is None:
         raise ParseError(f"cannot parse query {text!r} (expected `Ans(...) <- atom, ..., atom.`)")
-    head = _parse_args(m.group(1), "head")
-
-    body = m.group(2)
-    atoms: list[Atom] = []
-    seen: set[Atom] = set()
+    _variables_of(m[1], "head")
+    body = text[m.end():].rstrip()
+    body = body[:-1].rstrip() if body.endswith(".") else body
     pos = 0
-    for am in _ATOM_RE.finditer(body):
-        between = body[pos:am.start()].strip()
+    for am in _PIECE_RE.finditer(body):
+        between = body[pos:am.start(1)].strip()
         if between not in ("", ","):
             raise ParseError(f"unexpected text {between!r} in query body")
-        pos = am.end()
-        rel = am.group(1)
-        args = _parse_args(am.group(2), f"atom {rel}")
-        if len(args) not in (1, 2):
-            raise ParseError(f"atom {rel} has {len(args)} arguments (only unary/binary allowed)")
-        if schema is not None:
-            if rel not in schema:
-                raise SchemaError(f"unknown relation symbol {rel!r}")
-            if schema.arity(rel) != len(args):
-                raise SchemaError(
-                    f"atom {rel} has {len(args)} arguments but {rel!r} has arity {schema.arity(rel)}"
-                )
-        atom = Atom(rel, args)
-        if atom not in seen:
-            seen.add(atom)
-            atoms.append(atom)
+        pos, rel = am.end(), am[1]
+        n = len(_variables_of(am[2], f"atom {rel}"))
+        if n not in (1, 2):
+            raise ParseError(f"atom {rel} has {n} arguments (only unary/binary allowed)")
+        if schema is not None and rel not in schema:
+            raise SchemaError(f"unknown relation symbol {rel!r}")
+        if schema is not None and schema.arity(rel) != n:
+            raise SchemaError(
+                f"atom {rel} has {n} arguments but {rel!r} has arity {schema.arity(rel)}")
     tail = body[pos:].strip()
     if tail not in ("", ","):
         raise ParseError(f"unexpected trailing text {tail!r} in query body")
-    if not atoms:
-        raise ParseError("query needs at least one atom")
-    return ConjunctiveQuery(head=head, atoms=tuple(atoms))
+    # the grammar accepts every text of good pieces with at least one atom
+    raise ParseError("query needs at least one atom")
+
+
+def _variables_of(blob: str, what: str) -> list[str]:
+    parts = [p.strip() for p in blob.split(",")] if blob.strip() else []
+    for p in parts:
+        if not VAR_RE.fullmatch(p):
+            raise ParseError(
+                f"{what}: {p!r} is not a variable (lowercase identifier); constants are unsupported"
+            )
+    return parts

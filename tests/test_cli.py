@@ -252,6 +252,18 @@ def test_count_matches_enum_line_count(tmp_path, capsys):
         assert len(_enum_lines(capsys.readouterr().out)) == count
 
 
+def test_count_prints_every_digit(tmp_path, capsys):
+    """A count of 4,601 digits, past Python's default limit of 4,300 for
+    int-to-str conversion, prints exactly and exits 0."""
+    facts = tmp_path / "star.facts"
+    facts.write_text("".join(f"R(h,l{i})\n" for i in range(100)))
+    k = 2300
+    text = f"Ans(h,{','.join(f'a{i}' for i in range(k))}) <- " + ", ".join(
+        f"R(h,a{i})" for i in range(k)) + "."
+    assert main(["query", text, "--db", str(facts), "--task", "count"]) == 0
+    assert capsys.readouterr().out.strip() == "1" + "0" * 4600
+
+
 def test_query_limit(tmp_path, capsys):
     facts = str(tmp_path / "cyc.facts")
     assert main(["gen", "cycle", "30", "--out", facts]) == 0

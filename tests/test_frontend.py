@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from colorcq.frontend import (
     plan_query,
 )
 from colorcq.graph import EdgeLabel, sigma1_for
-from colorcq.model import Atom, ConjunctiveQuery, Schema, SchemaError, parse_query
+from colorcq.model import Atom, ConjunctiveQuery, ParseError, Schema, SchemaError, parse_query
 
 RS = Schema([("R", 2), ("S", 2), ("U", 1)])
 
@@ -167,6 +168,8 @@ def test_plan_query_errors():
         plan_query(_q("Ans(x) <- T(x,y)."), RS)
     with pytest.raises(SchemaError, match="arity"):
         plan_query(ConjunctiveQuery(head=("x",), atoms=(Atom("R", ("x",)),)), RS)
+    with pytest.raises(SchemaError, match=r"^atom R\(\) uses R with arity 0, schema says 2$"):
+        plan_query(ConjunctiveQuery(head=(), atoms=(Atom("R", ()),)), RS)
     with pytest.raises(QueryRejected) as exc:
         plan_query(_q("Ans() <- R(x,y), R(y,z), R(z,x)."), RS)
     assert "cycle" in exc.value.diagnostic
@@ -423,3 +426,37 @@ def test_front_end_outcomes_match_pinned_digest():
     ):
         assert any(k.startswith(kind) for k in kinds), kind
     assert digest.hexdigest() == "f617f1ee36701ff7c8a9e6bc5f066e16738c6be2f8b190ca7f9b283c1c354797"
+
+
+def _front_end_seconds(text: str) -> float:
+    t0 = time.perf_counter()
+    try:
+        plan_query(parse_query(text, RS), RS)
+    except ParseError:
+        pass
+    return time.perf_counter() - t0
+
+
+def test_front_end_is_linear_in_the_query():
+    """Parse plus plan of a query 4x as long takes < 8x the time (linear is
+    ~4x, quadratic ~16x), for whitespace before junk, a full path query and a
+    full star query; each size is timed 3 times, interleaved, and the least
+    time counts.  Whitespace before junk once backtracked cubically."""
+    shapes = {
+        "junk": lambda n: "Ans() <- R(x,y)" + " " * (10 * n) + "z",
+        "path": lambda n: f"Ans({','.join(f'x{i}' for i in range(n + 1))}) <- "
+                          + ", ".join(f"R(x{i},x{i + 1})" for i in range(n)) + ".",
+        "star": lambda n: f"Ans(c,{','.join(f'x{i}' for i in range(n))}) <- "
+                          + ", ".join(f"R(c,x{i})" for i in range(n)) + ".",
+    }
+    for name, make in shapes.items():
+        texts = (make(1000), make(4000))
+        best = [float("inf")] * 2
+        for _ in range(3):
+            best = [min(b, _front_end_seconds(t)) for b, t in zip(best, texts)]
+        assert best[1] < 8 * best[0], (name, best)
+
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match="^unexpected trailing text 'z' in query body$"):
+        parse_query("Ans() <- R(x,y)" + " " * 20_000 + "z", RS)
+    assert time.perf_counter() - t0 < 5
