@@ -459,15 +459,14 @@ def parse_query(text: str, schema: Schema | None = None) -> ConjunctiveQuery:
         if arity is not None and arity.get(rel) != len(args):
             _raise_first_error(text, schema)
         atoms.append(tuple.__new__(Atom, (rel, args)))
-    return ConjunctiveQuery(head=tuple(VAR_RE.findall(text, *m.span(1))),
-                            atoms=tuple(atoms))
+    return ConjunctiveQuery(head=tuple(m[1].replace(",", " ").split()), atoms=tuple(atoms))
 
 
 _HEAD_RE = re.compile(r"\s*Ans\s*\(([^()]*)\)\s*<-\s*")
 # an atom-like piece.  Its name starts at the first letter or `_` of a run
 # of name characters, as a search for `NAME\s*\(` would start it; starting
 # the match at the run's start keeps the search linear.
-_PIECE_RE = re.compile(r"(?<![A-Za-z0-9_.])[0-9.]*([A-Za-z_][A-Za-z0-9_.]*)\s*\(([^()]*)\)")
+_PIECE_RE = re.compile(rf"(?<![A-Za-z0-9_.])[0-9.]*({_NAME})\s*\(([^()]*)\)")
 
 
 def _raise_first_error(text: str, schema: Schema | None) -> NoReturn:
