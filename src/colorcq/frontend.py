@@ -145,6 +145,7 @@ class PlanComponent:
 
     @cached_property
     def query(self) -> ConjunctiveQuery:
+        """The head variables and the atoms of `source` in this component."""
         return ConjunctiveQuery(head=tuple(v for v in self.source.head if v in self.rank),
                                 atoms=tuple(a for a in self.source.atoms if a.args[0] in self.rank))
 
