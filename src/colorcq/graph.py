@@ -136,12 +136,16 @@ def _rank_bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> tuple[np.ndarra
     """
     if n == 0:
         return np.zeros(0, np.int64), []
-    words = np.zeros(((int(bit.max()) if len(bit) else 0) // _WORD + 1, n), np.int64)
-    np.add.at(words, (bit // _WORD, owner), np.int64(1) << (bit % _WORD))  # distinct: sum = union
+    word = bit // _WORD  # `bit - word * _WORD` costs less than `bit % _WORD`
+    words = np.zeros((int(word.max(initial=0)) + 1) * n, np.int64)
+    np.add.at(words, word * n + owner, np.int64(1) << (bit - word * _WORD))  # distinct: sum = union
+    words = words.reshape(-1, n)
     rank = np.zeros(n, np.int64)
     for w in words[::-1]:
-        rank = np.unique(_pack(rank, w), return_inverse=True)[1].reshape(-1)
-    reps = np.unique(rank, return_index=True)[1]
+        if w.any():  # a word no set uses splits no rank
+            rank = np.unique(_pack(rank, w), return_inverse=True)[1].reshape(-1)
+    reps = np.empty(int(rank.max()) + 1, np.int64)
+    reps[rank] = np.arange(n)  # any member of a rank holds its set
     sets = [
         sum(x << (_WORD * j) for j, x in enumerate(col))
         for col in words[:, reps].T.tolist()

@@ -25,6 +25,7 @@ import math
 import struct
 import threading
 import time
+import zlib
 from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple
@@ -43,11 +44,11 @@ from .graph import (
     e_symbol,
     encode_self_loops,
 )
-from .model import ColorcqError, Database, Schema
+from .model import ColorcqError, Database, Schema, _keys
 from .refine import Coloring, _as_coloring, refine
 
 MAGIC = b"CCQX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -343,31 +344,32 @@ def index_stats(idx: ColorIndex) -> dict:
 
 
 def save_index(idx: ColorIndex, path: str) -> None:
-    """Versioned binary file: magic, version, JSON metadata (the intern table,
-    the schema and the array shapes), then raw little-endian int64 blocks: one
-    (m, arity) block of sorted rows per relation, then the colouring.  Graph,
-    tables and colour database are derived again on load.
+    """Versioned binary file: magic, format version, the CRC-32 of the rest of
+    the file, the length of the JSON metadata (constant count and block size,
+    schema, array shapes), the metadata, the constants as one UTF-8 block of
+    `\\n`-ended lines (a constant that holds `\\n` or is not UTF-8 raises
+    ColorcqError), then little-endian int64 blocks: the sorted (m, arity) rows
+    of each relation, then the colouring.  The rest is derived again on load.
     """
-    arrays: list[np.ndarray] = []
-    meta: dict = {"constants": idx.db.constants, "relations": [], "arrays": []}
-
-    def put(name: str, arr: np.ndarray) -> None:
-        arr = np.ascontiguousarray(arr, dtype="<i8")
-        meta["arrays"].append({"name": name, "shape": list(arr.shape)})
-        arrays.append(arr)
-
-    for sym in idx.db.schema.symbols:
-        meta["relations"].append({"name": sym, "arity": idx.db.schema.arity(sym)})
-        put(f"rel:{sym}", idx.db.array(sym))
-    put("coloring", idx.coloring.color_of)
-
+    consts = idx.db.constants
+    try:
+        block = "\n".join([*consts, ""]).encode("utf-8")
+    except (TypeError, UnicodeEncodeError) as e:
+        raise ColorcqError(f"cannot save the constants ({e})") from None
+    if block.count(b"\n") != len(consts):
+        raise ColorcqError("cannot save a constant that holds a line break")
+    schema = idx.db.schema
+    named = {f"rel:{sym}": idx.db.array(sym) for sym in schema.symbols}
+    named["coloring"] = idx.coloring.color_of
+    arrays = [np.ascontiguousarray(arr, dtype="<i8") for arr in named.values()]
+    meta = {"constants": len(consts), "constant_bytes": len(block),
+            "relations": [{"name": sym, "arity": schema.arity(sym)} for sym in schema.symbols],
+            "arrays": [{"name": n, "shape": list(arr.shape)} for n, arr in zip(named, arrays)]}
     payload = json.dumps(meta).encode("utf-8")
+    body = b"".join([struct.pack("<I", len(payload)), payload, block, *arrays])
     with open(path, "wb") as out:
-        out.write(MAGIC)
-        out.write(struct.pack("<IQ", FORMAT_VERSION, len(payload)))
-        out.write(payload)
-        for arr in arrays:
-            out.write(arr.tobytes())
+        out.write(MAGIC + struct.pack("<II", FORMAT_VERSION, zlib.crc32(body)))
+        out.write(body)
 
 
 def _check_meta(meta, path: str) -> None:
@@ -378,11 +380,12 @@ def _check_meta(meta, path: str) -> None:
 
     if not isinstance(meta, dict):
         bad("not an object")
-    for key in ("constants", "relations", "arrays"):
+    for key in ("constants", "constant_bytes"):
+        if not (type(meta.get(key)) is int and 0 <= meta[key] < 1 << 62):
+            bad(f"{key!r} is missing or not a count")
+    for key in ("relations", "arrays"):
         if not isinstance(meta.get(key), list):
             bad(f"{key!r} is missing or not a list")
-    if not set(map(type, meta["constants"])) <= {str}:
-        bad("a constant is not a string")
     for r in meta["relations"]:
         if not (isinstance(r, dict) and isinstance(r.get("name"), str)
                 and type(r.get("arity")) is int and r["arity"] in (1, 2)):
@@ -403,6 +406,25 @@ def _check_meta(meta, path: str) -> None:
             bad(f"no (m, {r['arity']}) array for relation {r['name']!r}")
     if len(shapes.get("coloring", ())) != 1:
         bad("no colouring array")
+
+
+def _read_constants(block: memoryview, count: int, path: str) -> list[str]:
+    """The constants of a block of `count` distinct `\\n`-ended UTF-8 lines."""
+    what = f"{path}: corrupt constants block"
+    try:
+        names = str(block, "utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        raise ColorcqError(f"{what} (not UTF-8: {e})") from None
+    if names.pop() or len(names) != count:
+        raise ColorcqError(f"{what} (not {count} lines, each ended by a line break)")
+    if count:
+        buf = np.frombuffer(bytes(block) + bytes(7), np.uint8)  # _keys reads 7 bytes past a line
+        ends = np.flatnonzero(buf == ord("\n")) + 1
+        # each line is keyed with its line break, so no two differ by trailing NULs only
+        for _, key in _keys(buf, np.append(0, ends[:-1]), np.diff(ends, prepend=0)):
+            if len(_starts(np.sort(key))) < len(key):
+                raise ColorcqError(f"{what} (repeated constant)")
+    return names
 
 
 def load_index(path: str) -> ColorIndex:
@@ -427,15 +449,19 @@ def load_index(path: str) -> ColorIndex:
         pos += size
         return data[pos - size:pos]
 
-    version, meta_len = struct.unpack("<IQ", take(12, "header"))
+    (version,) = struct.unpack("<I", take(4, "header"))
     if version != FORMAT_VERSION:
         raise ColorcqError(f"{path}: unsupported index format version {version}"
                            f" (this build reads version {FORMAT_VERSION}; rebuild the index)")
+    crc, meta_len = struct.unpack("<II", take(8, "header"))
+    if zlib.crc32(data[pos - 4:]) != crc:  # all that follows the checksum
+        raise ColorcqError(f"{path}: checksum mismatch (the index file is damaged or truncated)")
     try:
         meta = json.loads(bytes(take(meta_len, "metadata")).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ColorcqError(f"{path}: corrupt index metadata ({e})") from None
     _check_meta(meta, path)
+    constants = _read_constants(take(meta["constant_bytes"], "constants"), meta["constants"], path)
     blobs: dict[str, np.ndarray] = {}
     for entry in meta["arrays"]:
         shape = tuple(entry["shape"])
@@ -445,10 +471,8 @@ def load_index(path: str) -> ColorIndex:
         raise ColorcqError(f"{path}: {len(data) - pos} unexpected bytes after the arrays")
 
     try:
-        schema = Schema((r["name"], r["arity"]) for r in meta["relations"])
-        db = Database(schema, constants=meta["constants"])
-        if len(db.constants) != len(meta["constants"]):
-            raise ColorcqError("corrupt index metadata (repeated constant)")
+        db = Database(Schema((r["name"], r["arity"]) for r in meta["relations"]))
+        db.constants = constants  # distinct, as checked above
         for r in meta["relations"]:
             db.set_relation(r["name"], blobs[f"rel:{r['name']}"])
     except ColorcqError as e:

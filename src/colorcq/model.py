@@ -176,9 +176,10 @@ class Database:
 
     def adom_ids(self) -> np.ndarray:
         """Sorted ids that appear in at least one tuple."""
-        ids = np.sort(np.concatenate(
-            [self.array(s).ravel() for s in self.schema.symbols] + [np.zeros(0, np.int64)]))
-        return ids[np.append(True, ids[1:] != ids[:-1])] if len(ids) else ids
+        seen = np.zeros(len(self.constants), dtype=bool)
+        for s in self.schema.symbols:
+            seen[self.array(s).ravel()] = True
+        return np.flatnonzero(seen)
 
     def adom(self) -> set[int]:
         """Ids that appear in at least one tuple."""
@@ -305,29 +306,34 @@ def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     return None
 
 
-def _intern(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids in order of first appearance for the byte strings
-    buf[starts[i]:starts[i] + lens[i]], and the index i of each id's first
-    appearance.  `buf` must hold 7 bytes past the end of every string.
+def _keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """Per group of the byte strings buf[starts[i]:starts[i] + lens[i]] with
+    one word count, (length + 7) // 8, the indices i of the group and one key
+    per string.  `buf` must hold 7 bytes past the end of every string.
 
-    Strings are grouped by word count, (length + 7) // 8.  In a group each
-    string is read as whole little-endian uint64 words with the bytes past
-    its end masked off; no string holds a NUL byte, so the words tell lengths
-    apart.  The key is the one word, or the row of words as one opaque (void)
-    value past 8 bytes.  Equal keys form runs once sorted.
+    Each string is read as whole little-endian uint64 words with the bytes
+    past its end masked off; no string ends in a NUL byte, so the words tell
+    lengths apart.  The key is the one word, or the row of words as one
+    opaque (void) value past 8 bytes.  Equal keys are equal strings.
     """
     n_words = (lens + 7) >> 3
     by_words = np.argsort(n_words)
-    group = np.empty(len(starts), dtype=np.int64)
-    firsts: list[np.ndarray] = []
-    n_groups = 0
     for occ in np.split(by_words, np.flatnonzero(np.diff(n_words[by_words])) + 1):
         w = int(n_words[occ[0]])
         rows = np.lib.stride_tricks.sliding_window_view(buf, 8 * w)[starts[occ]]
         words = rows.view("<u8")
         past = (-lens[occ] & 7).astype(np.uint64) * np.uint64(8)  # bits past the end
         words[:, -1] &= np.uint64(2**64 - 1) >> past
-        key = words[:, 0] if w == 1 else rows.view(f"V{8 * w}")[:, 0]
+        yield occ, (words[:, 0] if w == 1 else rows.view(f"V{8 * w}")[:, 0])
+
+
+def _intern(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids in order of first appearance for the strings of `_keys`, and the
+    index i of each id's first appearance."""
+    group = np.empty(len(starts), dtype=np.int64)
+    firsts: list[np.ndarray] = []
+    n_groups = 0
+    for occ, key in _keys(buf, starts, lens):
         perm = np.argsort(key)
         key = key[perm]
         new = np.ones(len(occ), dtype=bool)

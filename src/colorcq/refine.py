@@ -63,31 +63,29 @@ class Coloring:
 
 
 def canonicalize(raw: np.ndarray) -> np.ndarray:
-    """Renumber dense colour ids so classes appear in order of least vertex."""
-    if len(raw) == 0:
-        return raw.astype(np.int64)
-    uniq, first_idx = np.unique(raw, return_index=True)
-    remap = np.empty(len(uniq), dtype=np.int64)
-    remap[np.argsort(first_idx, kind="stable")] = np.arange(len(uniq))
-    lookup = np.empty(int(uniq.max()) + 1, dtype=np.int64)
-    lookup[uniq] = remap
-    return lookup[raw]
+    """Renumber colour ids so classes appear in order of least vertex."""
+    return _as_coloring(raw).color_of
 
 
 def _as_coloring(raw: np.ndarray) -> Coloring:
-    colors = canonicalize(raw)
-    order = np.argsort(colors, kind="stable")  # members stay ascending per class
-    sizes = np.bincount(colors)
+    """The canonical colouring whose classes are those of the ids `raw`."""
+    by_raw = np.argsort(raw, kind="stable")  # members stay ascending per class
+    head = _starts(raw[by_raw])
+    seq = np.argsort(by_raw[head])  # the classes in order of least vertex
+    sizes = np.diff(np.append(head, len(raw)))[seq]
+    order = by_raw[_ranges(head[seq], sizes)]
     bounds = np.append(0, np.cumsum(sizes))
-    rank = np.empty(len(colors), np.int64)
-    rank[order] = np.arange(len(colors)) - np.repeat(bounds[:-1], sizes)
+    colors = np.empty(len(raw), np.int64)
+    colors[order] = np.repeat(np.arange(len(sizes)), sizes)
+    rank = np.empty(len(raw), np.int64)
+    rank[order] = np.arange(len(raw)) - np.repeat(bounds[:-1], sizes)
     return Coloring(color_of=colors, order=order, bounds=bounds.tolist(), rank=rank.tolist())
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenation of the integer ranges [starts[i], starts[i] + lens[i])."""
     ends = np.cumsum(lens)
-    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
+    return np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
 
 
 def refine(g: LabeledGraph) -> Coloring:

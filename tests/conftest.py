@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -73,6 +75,13 @@ def random_fc_query(rng: random.Random, max_atoms: int = 5,
     head = tuple(rng.sample(body_vars, k=rng.randint(0, min(max_free, len(body_vars)))))
     q = ConjunctiveQuery(head=head, atoms=tuple(atoms))
     return q if check_free_connex_acyclic(q).accepted else None
+
+
+def reseal(data: bytes) -> bytes:
+    """The bytes of an index file with the CRC-32 in its header written for
+    its current content, so that a test's edit reaches the check behind the
+    checksum."""
+    return data[:8] + struct.pack("<I", zlib.crc32(data[12:])) + data[12:]
 
 
 def graph_of(db: Database):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from colorcq.cli import main
 from colorcq.index import FORMAT_VERSION, MAGIC
 
-from .conftest import MOVIE_TEXT
+from .conftest import MOVIE_TEXT, reseal
 
 
 @pytest.fixture()
@@ -125,27 +126,30 @@ def test_truncated_or_corrupt_index_is_exit_1(movie_file, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
     # metadata that is not JSON: the first byte after the 16-byte header
-    cut_path.write_bytes(data[:16] + b"#" + data[17:])
+    cut_path.write_bytes(reseal(data[:16] + b"#" + data[17:]))
     assert main(["stats", "--index", str(cut_path)]) == 1
     assert "corrupt index metadata" in capsys.readouterr().err
 
     # JSON nested deeper than the decoder's recursion limit
     deep = b"[" * 200_000
-    cut_path.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(deep)) + deep)
+    cut_path.write_bytes(reseal(MAGIC + struct.pack("<III", FORMAT_VERSION, 0, len(deep)) + deep))
     assert main(["stats", "--index", str(cut_path)]) == 1
     assert "corrupt index metadata" in capsys.readouterr().err
 
 
-def _index_file(path, meta, arrays: dict[str, list]) -> None:
-    """An index file with the given metadata and int64 array contents."""
+def _index_file(path, meta, arrays: dict[str, list], block: bytes = b"a\nb\n") -> None:
+    """An index file with the given metadata, constants block and int64
+    array contents, and a valid checksum."""
     blob = json.dumps(meta).encode("utf-8")
     body = b"".join(np.array(a, dtype="<i8").tobytes() for a in arrays.values())
-    path.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob + body)
+    head = MAGIC + struct.pack("<III", FORMAT_VERSION, 0, len(blob))
+    path.write_bytes(reseal(head + blob + block + body))
 
 
 def _meta(constants=("a", "b"), relations=(("R", 2),), shapes=None) -> dict:
     shapes = shapes or {"rel:R": [1, 2], "coloring": [2]}
-    return {"constants": list(constants),
+    return {"constants": len(constants),
+            "constant_bytes": sum(len(c.encode("utf-8")) + 1 for c in constants),
             "relations": [{"name": n, "arity": a} for n, a in relations],
             "arrays": [{"name": n, "shape": s} for n, s in shapes.items()]}
 
@@ -155,9 +159,9 @@ _GOOD = {"rel:R": [[0, 1]], "coloring": [0, 1]}
 MALFORMED = {
     "only a format key": ({"format": 1}, {}),
     "not an object": ([], {}),
-    "constants not a list": ({**_meta(), "constants": "ab"}, _GOOD),
-    "constant not a string": (_meta(constants=("a", 7)), _GOOD),
-    "repeated constant": (_meta(constants=("a", "a")), _GOOD),
+    "constant count mismatch": ({**_meta(), "constants": 3}, _GOOD),
+    "constants not UTF-8": (_meta(), _GOOD, b"a\n\xff\n"),
+    "repeated constant": (_meta(), _GOOD, b"a\na\n"),
     "arity 3": (_meta(relations=(("R", 3),)), _GOOD),
     "relation entry not an object": ({**_meta(), "relations": ["R"]}, _GOOD),
     "negative shape": (_meta(shapes={"rel:R": [1, 2], "coloring": [-2]}), _GOOD),
@@ -185,12 +189,13 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_index_metadata_is_exit_1(case, tmp_path, capsys):
-    meta, arrays = MALFORMED[case]
+    meta, arrays, *block = MALFORMED[case]
     path = tmp_path / "bad.ccqx"
-    _index_file(path, meta, arrays)
+    _index_file(path, meta, arrays, *block)
     assert main(["stats", "--index", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert "checksum" not in err  # the file is refused by the check the case is about
 
 
 def test_handmade_index_file_loads(tmp_path, capsys):
@@ -199,6 +204,53 @@ def test_handmade_index_file_loads(tmp_path, capsys):
     _index_file(path, _meta(), _GOOD)
     assert main(["stats", "--index", str(path)]) == 0
     assert "num_colors: 2" in capsys.readouterr().out
+
+
+def _stats_lines(out: str) -> list[str]:
+    return [ln for ln in out.splitlines() if not ln.startswith("build_seconds.")]
+
+
+_MULTIREL = ("P(a{k},b{k})\nQ(a{k},b{k})\nP(b{k},c{k})\nS(c{k},c{k})\nP(c{k},a{k})\n"
+             "Q(d{k},c{k})\nS(d{k},d{k})\nP(d{k},a{k})\nU(a{k})\nU(d{k})\n")
+CORPUS = {
+    "movie": lambda: MOVIE_TEXT,
+    # copies of one template with self-loops, unary facts and a two-symbol edge
+    "multirel": lambda: "".join(_MULTIREL.format(k=k) for k in range(10_000)),
+    "cycle": lambda: "".join(f"R(v{i},v{(i + 1) % 200_000})\n" for i in range(200_000)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORPUS))
+def test_corrupted_index_gives_its_stats_or_exit_1(kind, tmp_path, capsys):
+    """Seeded corruption of a saved index: cuts at, and one-byte flips at,
+    random offsets (half of them in the first 512 bytes, where the header and
+    the metadata are).  Each case gives the original stats or exits 1, never a
+    traceback.  Flips with the checksum written for them reach the checks
+    behind it, which must exit 0 or 1."""
+    facts, path, bad = (tmp_path / name for name in ("f.facts", "i.ccqx", "bad.ccqx"))
+    facts.write_text(CORPUS[kind]())
+    assert main(["build", "--db", str(facts), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["stats", "--index", str(path)]) == 0
+    want = _stats_lines(capsys.readouterr().out)
+    data = path.read_bytes()
+    rng = random.Random(f"corrupt {kind}")
+    cases = []
+    for i in range(24):
+        at = rng.randrange(len(data) if i % 2 else min(len(data), 512))
+        flipped = data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+        cases += [(data[:at], False), (flipped, False)]
+        if kind != "cycle":  # a load that passes the checksum rebuilds the index
+            cases.append((reseal(flipped), True))
+    for blob, resealed in cases:
+        bad.write_bytes(blob)
+        rc = main(["stats", "--index", str(bad)])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if rc == 0:
+            assert resealed or _stats_lines(out) == want
+        else:
+            assert rc == 1 and err.startswith("error:"), err
 
 
 def test_gen_cycle(tmp_path, capsys):
@@ -262,6 +314,45 @@ def test_count_prints_every_digit(tmp_path, capsys):
         f"R(h,a{i})" for i in range(k)) + "."
     assert main(["query", text, "--db", str(facts), "--task", "count"]) == 0
     assert capsys.readouterr().out.strip() == "1" + "0" * 4600
+
+
+# prints the peak resident memory of a `colorcq` run, in KB
+_PEAK_MAIN = """
+import resource, sys
+from colorcq.cli import main
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_gen_memory_does_not_grow_with_n(tmp_path):
+    """`gen cycle --out` writes each line as it is made, so the peak memory at
+    10x the size stays within a few MB of the 1x run."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    peak_kb = {}
+    for n in (200_000, 2_000_000):
+        out = tmp_path / f"cycle{n}.facts"
+        res = subprocess.run([sys.executable, "-c", _PEAK_MAIN, "gen", "cycle", str(n),
+                              "--out", str(out)], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        peak_kb[n] = int(res.stdout.split()[-1])
+        assert out.stat().st_size > 13 * n
+    assert peak_kb[2_000_000] - peak_kb[200_000] < 4 * 1024, peak_kb
+
+
+def test_bench_prints_every_digit(tmp_path, capsys):
+    """`bench` prints the 4,601-digit count of test_count_prints_every_digit."""
+    facts = tmp_path / "star.facts"
+    facts.write_text("".join(f"R(h,l{i})\n" for i in range(100)))
+    k = 2300
+    queries = tmp_path / "star.queries"
+    queries.write_text(f"Ans(h,{','.join(f'a{i}' for i in range(k))}) <- " + ", ".join(
+        f"R(h,a{i})" for i in range(k)) + ".\n")
+    assert main(["bench", "--db", str(facts), "--queries", str(queries), "--limit", "1"]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split()
+    assert row[-3:-1] == ["1", "1" + "0" * 4600]  # tuples timed, count
 
 
 def test_query_limit(tmp_path, capsys):

@@ -5,10 +5,14 @@ import json
 import random
 import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
+from colorcq.cli import main
+from colorcq.evaluation import EnumerationSession, count_answers
+from colorcq.frontend import plan_query
 from colorcq.graph import EdgeLabel, build_labeled_graph, encode_self_loops
 from colorcq.index import (
     FORMAT_VERSION,
@@ -19,10 +23,10 @@ from colorcq.index import (
     load_index,
     save_index,
 )
-from colorcq.model import ColorcqError, Database, Schema
+from colorcq.model import ColorcqError, Database, Schema, load_database, parse_query
 from colorcq.refine import _as_coloring
 
-from .conftest import cycle_db, movie_db, names, random_db
+from .conftest import cycle_db, movie_db, names, random_db, reseal
 
 
 def _color_by_name(idx, db, name: str) -> int:
@@ -314,9 +318,9 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
 
 def _array_offset(data: bytes, name: str) -> int:
     """Byte offset of the named array in a saved index."""
-    (meta_len,) = struct.unpack("<Q", data[8:16])
+    (meta_len,) = struct.unpack("<I", data[12:16])
     meta = json.loads(data[16:16 + meta_len])
-    pos = 16 + meta_len
+    pos = 16 + meta_len + meta["constant_bytes"]
     for entry in meta["arrays"]:
         if entry["name"] == name:
             return pos
@@ -333,7 +337,7 @@ def test_tampered_coloring_is_refused_on_load(tmp_path):
     data = bytearray(path.read_bytes())
     at = _array_offset(bytes(data), "coloring")
     data[at:at + 8 * idx.g.n] = bytes(8 * idx.g.n)
-    path.write_bytes(bytes(data))
+    path.write_bytes(reseal(bytes(data)))
     with pytest.raises(ColorcqError, match="unstable colouring"):
         load_index(str(path))
 
@@ -349,6 +353,102 @@ def test_load_rejects_foreign_files(tmp_path):
         vers.write_bytes(MAGIC + struct.pack("<IQ", version, 2) + b"{}")
         with pytest.raises(ColorcqError, match=f"version {version}"):
             load_index(str(vers))
+
+
+def test_version_1_and_2_files_are_refused(tmp_path, capsys):
+    """Files in the layouts of format versions 1 and 2 (magic, version, the
+    length of a JSON metadata with the constants as a list, the metadata,
+    the arrays) are refused by name, with exit 1 from the command line."""
+    meta = json.dumps({"constants": ["a", "b"], "relations": [{"name": "R", "arity": 2}],
+                       "arrays": [{"name": "rel:R", "shape": [1, 2]},
+                                  {"name": "coloring", "shape": [2]}]}).encode("utf-8")
+    arrays = np.array([0, 1, 0, 1], dtype="<i8").tobytes()
+    path = tmp_path / "old.ccqx"
+    for version in (1, 2):
+        path.write_bytes(MAGIC + struct.pack("<IQ", version, len(meta)) + meta + arrays)
+        with pytest.raises(ColorcqError, match=f"unsupported index format version {version}"):
+            load_index(str(path))
+        assert main(["stats", "--index", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"unsupported index format version {version} " in err and "Traceback" not in err
+
+
+def test_checksum_mismatch_is_refused(tmp_path):
+    """A byte flipped anywhere after the checksum fails the checksum; with the
+    checksum written for the flipped bytes, a later check refuses the file."""
+    idx = build_index(movie_db())
+    path = tmp_path / "movie.ccqx"
+    save_index(idx, str(path))
+    good = path.read_bytes()
+    assert struct.unpack("<I", good[8:12])[0] == zlib.crc32(good[12:])
+    at = _array_offset(good, "coloring")
+    bad = good[:at] + bytes([good[at] ^ 0x40]) + good[at + 1:]
+    path.write_bytes(bad)
+    with pytest.raises(ColorcqError, match="checksum mismatch"):
+        load_index(str(path))
+    path.write_bytes(reseal(bad))
+    with pytest.raises(ColorcqError, match="colouring does not fit"):
+        load_index(str(path))
+
+
+def _odd_constants() -> list[str]:
+    """Constants with NUL bytes (in front, inside, and as the only difference
+    from another constant), non-ASCII text, and every length of 1 to 2,000
+    bytes."""
+    odd = ["a", "a\x00", "a\x00\x00", "\x00", "\x00a", "a\x00b", "café", "日本語", "🙂",
+           "x" * 7 + "é", " ", "\t", "#(,)"]
+    return odd + [chr(ord("A") + n % 26) * n for n in range(1, 2001)]
+
+
+def test_constants_of_any_text_and_length_round_trip(tmp_path):
+    consts = _odd_constants()
+    db = Database(Schema([("R", 2), ("U", 1)]), constants=consts)
+    n = len(db.constants)
+    assert n == len(consts)  # all distinct
+    rows = [(i, (i * 7 + 3) % n) for i in range(n)] + [(i, i) for i in range(0, n, 5)]
+    db.set_relation("R", np.array(rows))
+    db.set_relation("U", np.arange(0, n, 3)[:, None])
+    idx = build_index(db)
+    path = tmp_path / "odd.ccqx"
+    save_index(idx, str(path))
+    idx2 = load_index(str(path))
+    assert idx2.db.constants == consts
+    assert list(idx2.coloring.color_of) == list(idx.coloring.color_of)
+    for text in ("Ans(x,y) <- R(x,y).", "Ans(x) <- R(x,y), R(y,z), U(z).",
+                 "Ans(x,y,z) <- R(x,y), R(y,z).", "Ans() <- R(x,x), U(x)."):
+        plan = plan_query(parse_query(text, db.schema), db.schema)
+        assert count_answers(idx2, plan) == count_answers(idx, plan)
+        assert (list(EnumerationSession(idx2, plan, names=True))
+                == list(EnumerationSession(idx, plan, names=True)))
+
+
+def test_facts_file_constants_with_nul_round_trip(tmp_path, capsys):
+    """A facts file may hold constants that differ only by trailing NULs."""
+    facts = tmp_path / "nul.facts"
+    facts.write_text("R(a\x00,a)\nR(a,a\x00\x00)\nR(café,a\x00)\n", encoding="utf-8")
+    db = load_database(facts.read_text(encoding="utf-8"))
+    assert db.constants == ["a\x00", "a", "a\x00\x00", "café"]
+    path = tmp_path / "nul.ccqx"
+    assert main(["build", "--db", str(facts), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert load_index(str(path)).db.constants == db.constants
+    assert main(["query", "Ans(x,y) <- R(x,y).", "--index", str(path), "--task", "count"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
+@pytest.mark.parametrize("bad", ["a\nb", "\n", "\ud800", "x\udfff"])
+def test_save_refuses_constants_the_block_cannot_hold(bad, tmp_path, capsys, monkeypatch):
+    db = Database(Schema([("R", 2)]), constants=["a", bad])
+    db.set_relation("R", np.array([[0, 1]]))
+    path = tmp_path / "bad.ccqx"
+    with pytest.raises(ColorcqError, match="cannot save"):
+        save_index(build_index(db), str(path))
+    assert not path.exists()
+    # the command line exits 1; only the Python API can make such a constant
+    monkeypatch.setattr("colorcq.cli._load_db", lambda _: db)
+    assert main(["build", "--db", "unused", "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot save") and "Traceback" not in err
 
 
 def test_lazy_memoization_is_thread_safe():
