@@ -6,18 +6,17 @@ class under that label.  The coarsest such colouring refining the vertex
 labels is unique up to renaming; we pin the renaming by numbering classes in
 order of their smallest vertex.
 
-`refine` splits classes in rounds, in numpy, and each round re-examines only
-what split in the round before (Hopcroft; Paige–Tarjan 1987).  Round 0 splits
-every class by the full signatures of its vertices.  After that, the splitters
-of a round are the parts that received a fresh id in the previous round; their
-in-neighbours are grouped by (class, multiset of (edge label, splitter colour)
-counts), and the untouched rest of each touched class is one more part.  The
-largest part keeps the old id and is never re-examined: counts into it are the
-counts into the old class minus the counts into its fresh siblings, and those
-are already uniform.  A vertex therefore lands in a re-examined part O(log V)
-times, and the refinement costs O((V+E) log V) plus sorting, plus one O(V)
-scan in each (rare) round where an untouched residue is not the largest part.
-Refinement stops when a round hands out no fresh id.
+`refine` splits classes in rounds (Hopcroft; Paige–Tarjan 1987).  Round 0
+splits every class by full signatures; each later round walks the edges into
+the parts that got a fresh id in the round before.  Each such edge becomes one
+int64 (in-neighbour u, dual label, splitter colour); one sort of these keys
+yields u's (label, colour, count) items, named per u by prefix doubling when u
+has several.  One argsort of (class, items) then ranks the parts, class by
+class; the untouched rest of a touched class is one more part.  The largest
+part keeps the old id and is never re-examined (counts into it follow from
+its siblings'), so a vertex is re-examined O(log V) times and the refinement
+costs O((V+E) log V) plus sorting, plus an O(V) scan in each rare round where
+the untouched rest is not the largest part and loses its id.
 """
 from __future__ import annotations
 
@@ -27,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import EdgeLabel, LabeledGraph, _pack, _starts
+from .model import ColorcqError
 
 
 def default_backend() -> str:
@@ -84,81 +84,96 @@ def _as_coloring(raw: np.ndarray) -> Coloring:
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenation of the integer ranges [starts[i], starts[i] + lens[i])."""
-    ends = np.cumsum(lens)
-    return np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
+    out = (starts - np.add.accumulate(lens) + lens).repeat(lens)
+    return out + np.arange(len(out))
+
+
+def _bounds(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the non-empty `a` begins, then len(a)."""
+    cut = np.empty(len(a) + 1, bool)
+    cut[0] = cut[-1] = True
+    np.not_equal(a[1:], a[:-1], out=cut[1:-1])
+    return cut.nonzero()[0]
+
+
+def _key_width(n: int, n_labels: int) -> int:
+    """Width of a round's packed (label, colour) pairs, which the vertex or the count tops."""
+    if (n + 1) * n * n_labels >= 1 << 63:
+        raise ColorcqError(f"cannot refine a graph of {n} vertices and {n_labels} edge labels")
+    return n * n_labels
 
 
 def refine(g: LabeledGraph) -> Coloring:
     """Coarsest stable colouring refining g's vertex labels."""
     color, ncol = g.initial_colors()
-    deg = np.diff(g.indptr)
-    size = np.zeros(g.n, np.int64)  # by class id; there are never more than n ids
-    size[:ncol] = np.bincount(color, minlength=ncol)
-    moved = np.arange(g.n)  # members of this round's splitters
+    width, n = _key_width(g.n, len(g.labels)), g.n
+    deg = g.indptr[1:] - g.indptr[:-1]
+    size = np.bincount(color, minlength=n)  # by class id; there are never more than n ids
+    moved = np.arange(n)  # members of this round's splitters
     while len(moved):
-        # every edge has a reverse edge with the dual label, so the out-edges
-        # of the splitter members lead to each in-neighbour u, together with
-        # the label of u -> member and the member's colour
+        # every edge has a reverse edge with the dual label, so the out-edges of
+        # the splitter members lead to each in-neighbour u, with the label of
+        # u -> member and the member's colour, packed into one sortable key
         e = _ranges(g.indptr[moved], deg[moved])
         if not len(e):
             break
-        u = g.nbr[e]
-        lc = g.dual_id[g.elab[e]] * ncol + np.repeat(color[moved], deg[moved])
-        key = _pack(u, lc)
-        order = np.argsort(key)
-        run = _starts(key[order])
-        cnt = np.diff(np.append(run, len(order)))
-        u, item = u[order[run]], _pack(lc[order[run]], cnt)  # (label, colour, count)
+        key = g.nbr[e] * width + g.dual_id[g.elab[e]] * n + color[moved].repeat(deg[moved])
+        key.sort()
+        at = _bounds(key)
+        u, item = np.divmod(key[at[:-1]], width)
+        del e, key  # the per-edge temporaries go before the part step
+        cnt = at[1:] - at[:-1]
+        item = item * (cnt.max() + 1) + cnt  # (label, colour, count)
 
         # name each touched vertex's sorted run of items by prefix doubling:
         # after the pass with step h, item[j] names the items j .. j+2h-1 of
         # its run (fewer at the run's end, marked by the 0 of a missing half)
-        head = _starts(u)
-        hit = u[head]
-        length = np.diff(np.append(head, len(u)))
-        end = np.repeat(head + length, length)
-        step = 1
-        while step < length.max():
-            nxt = np.arange(step, len(u) + step)
-            half = np.where(nxt < end, item[np.minimum(nxt, len(u) - 1)] + 1, 0)
-            item = np.unique(_pack(item, half), return_inverse=True)[1]
-            step *= 2
-        _, part, psize = np.unique(
-            _pack(color[hit], item[head]), return_inverse=True, return_counts=True)
-        pcls = np.empty(len(psize), np.int64)
-        pcls[part] = color[hit]
+        at = _bounds(u)
+        if len(at) <= len(u):  # skipped when every run is one item long
+            length = at[1:] - at[:-1]
+            end = at[1:].repeat(length)
+            step = 1
+            while step < length.max():
+                nxt = np.arange(step, len(u) + step)
+                half = np.where(nxt < end, item[np.minimum(nxt, len(u) - 1)] + 1, 0)
+                item = np.unique(_pack(item, half), return_inverse=True)[1]
+                step *= 2
+            u, item = u[at[:-1]], item[at[:-1]]
+
+        # parts are the touched vertices grouped by (class, items); one sort
+        # ranks them, and they come out in class order
+        pkey = _pack(color[u], item)
+        by = pkey.argsort()
+        hit, at = u[by], _bounds(pkey[by])
+        psize, pcls = at[1:] - at[:-1], color[hit[at[:-1]]]
+        lead = _bounds(pcls)[:-1]
 
         # per touched class, the largest part keeps the id, the residue (the
         # members left untouched) winning ties; every other part gets a fresh one
-        by_cls = np.lexsort((-psize, pcls))
-        lead = _starts(pcls[by_cls])
-        cls, big = pcls[by_cls[lead]], psize[by_cls[lead]]
-        res = size[cls] - np.add.reduceat(psize[by_cls], lead)
-        keep = np.zeros(len(psize), bool)
-        keep[by_cls[lead]] = res < big
-        fresh = np.flatnonzero(~keep)
+        top = np.lexsort((-psize, pcls))[lead]
+        cls, big = pcls[lead], psize[top]
+        res = size[cls] - np.add.reduceat(psize, lead)
+        fresh = np.ones(len(psize), bool)
+        fresh[top] = res >= big
         lost = (res > 0) & (res < big)
-        n_fresh, n_lost = len(fresh), int(lost.sum())
 
         # a round with nothing fresh leaves `moved` empty, which ends the loop
-        new_id = np.full(len(psize), -1, np.int64)
-        new_id[fresh] = ncol + np.arange(n_fresh)
-        ids = new_id[part]
-        moved = hit[ids >= 0]
-        if n_lost:
+        moved = hit[fresh.repeat(psize)]
+        new_size = psize[fresh]
+        color[moved] = np.arange(ncol, ncol + len(new_size)).repeat(new_size)
+        if lost.any():
             # a residue that lost its id is found by a scan of all vertices;
             # this is rare, as the untouched residue is usually the largest part
-            res_id = np.full(ncol, -1, np.int64)
-            res_id[cls[lost]] = ncol + n_fresh + np.arange(n_lost)
+            res_id = np.full(n, -1, np.int64)
+            res_id[cls[lost]] = np.arange(lost.sum()) + (ncol + len(new_size))
             to = res_id[color]
             to[hit] = -1
-            res_v = np.flatnonzero(to >= 0)
+            res_v = (to >= 0).nonzero()[0]
             color[res_v] = to[res_v]
             moved = np.concatenate([moved, res_v])
-        color[hit[ids >= 0]] = ids[ids >= 0]
-        new_size = np.concatenate([psize[fresh], res[lost]])
+            new_size = np.concatenate([new_size, res[lost]])
+        size[cls] = np.maximum(res, big)
         size[ncol:ncol + len(new_size)] = new_size
-        np.subtract.at(size, np.concatenate([pcls[fresh], cls[lost]]), new_size)
         ncol += len(new_size)
     return _as_coloring(color)
 

@@ -6,9 +6,10 @@ import random
 import time
 
 import numpy as np
+import pytest
 
-from colorcq.model import Database, Schema
-from colorcq.refine import _pack, canonicalize, is_stable, naive_refine, refine
+from colorcq.model import ColorcqError, Database, Schema
+from colorcq.refine import _key_width, _pack, canonicalize, is_stable, naive_refine, refine
 
 from .conftest import cycle_db, graph_of, movie_db, random_db
 
@@ -134,6 +135,32 @@ def test_pack_keeps_pair_order_without_overflow():
     key = _pack(a, b)
     assert list(np.argsort(key)) == [3, 2, 0, 1]
     assert list(_pack(np.array([2, 0]), np.array([1, 1]))) == [5, 1]
+
+
+def test_pack_keeps_pair_order_on_overflow():
+    """(max a + 1)·(max b + 1) ≥ 2^63: the keys still sort like the pairs, and
+    equal pairs get equal keys."""
+    a = np.array([1 << 62, 0, 1 << 62, 7, 0, 7], dtype=np.int64)
+    b = np.array([3, 1 << 40, 2, 1 << 40, 1 << 40, 0], dtype=np.int64)
+    assert (int(a.max()) + 1) * (int(b.max()) + 1) >= 1 << 63
+    key = _pack(a, b).tolist()
+    pairs = list(zip(a.tolist(), b.tolist()))
+    for i in range(len(a)):
+        for j in range(len(a)):
+            assert (key[i] < key[j]) == (pairs[i] < pairs[j])
+            assert (key[i] == key[j]) == (pairs[i] == pairs[j])
+
+
+def test_key_width_guard():
+    """A round packs (vertex, label, colour) and (label, colour, count) into
+    one int64, so refine refuses graphs with (n + 1)·n·labels ≥ 2^63."""
+    assert _key_width(4000, 2) == 8000
+    assert _key_width(0, 0) == 0
+    n = 3_037_000_499  # the largest n with (n + 1)·n < 2^63
+    assert _key_width(n, 1) == n
+    for big_n, labels in ((n + 1, 1), (n // 2 + 1, 4), (1 << 21, 1 << 21)):
+        with pytest.raises(ColorcqError, match="cannot refine"):
+            _key_width(big_n, labels)
 
 
 def test_refine_matches_naive_random():
