@@ -44,7 +44,7 @@ from .graph import (
     e_symbol,
     encode_self_loops,
 )
-from .model import ColorcqError, Database, Schema, _keys
+from .model import ColorcqError, Database, Schema, _heads, _keys
 from .refine import Coloring, _as_coloring, refine
 
 MAGIC = b"CCQX"
@@ -422,7 +422,7 @@ def _read_constants(block: memoryview, count: int, path: str) -> list[str]:
         ends = np.flatnonzero(buf == ord("\n")) + 1
         # each line is keyed with its line break, so no two differ by trailing NULs only
         for _, key in _keys(buf, np.append(0, ends[:-1]), np.diff(ends, prepend=0)):
-            if len(_starts(np.sort(key))) < len(key):
+            if not _heads(np.sort(key) if key.ndim == 1 else key[np.lexsort(key.T)]).all():
                 raise ColorcqError(f"{what} (repeated constant)")
     return names
 

@@ -313,8 +313,9 @@ def _keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
 
     Each string is read as whole little-endian uint64 words with the bytes
     past its end masked off; no string ends in a NUL byte, so the words tell
-    lengths apart.  The key is the one word, or the row of words as one
-    opaque (void) value past 8 bytes.  Equal keys are equal strings.
+    lengths apart.  The key is the one word, or past 8 bytes the (m, w) rows
+    of words, sorted with `np.lexsort` and compared whole (`_heads`).  Equal
+    keys are equal strings.
     """
     n_words = (lens + 7) >> 3
     by_words = np.argsort(n_words)
@@ -324,7 +325,16 @@ def _keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
         words = rows.view("<u8")
         past = (-lens[occ] & 7).astype(np.uint64) * np.uint64(8)  # bits past the end
         words[:, -1] &= np.uint64(2**64 - 1) >> past
-        yield occ, (words[:, 0] if w == 1 else rows.view(f"V{8 * w}")[:, 0])
+        yield occ, (words[:, 0] if w == 1 else words)
+
+
+def _heads(key: np.ndarray) -> np.ndarray:
+    """For sorted keys of `_keys`, True where a key differs from the one
+    before it (rows are compared whole)."""
+    new = np.ones(len(key), dtype=bool)
+    ne = key[1:] != key[:-1]
+    new[1:] = ne if key.ndim == 1 else ne.any(axis=1)
+    return new
 
 
 def _intern(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,10 +344,8 @@ def _intern(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.n
     firsts: list[np.ndarray] = []
     n_groups = 0
     for occ, key in _keys(buf, starts, lens):
-        perm = np.argsort(key)
-        key = key[perm]
-        new = np.ones(len(occ), dtype=bool)
-        new[1:] = key[1:] != key[:-1]
+        perm = key.argsort() if key.ndim == 1 else np.lexsort(key.T)
+        new = _heads(key[perm])
         occ = occ[perm]
         group[occ] = np.cumsum(new) + (n_groups - 1)
         firsts.append(np.minimum.reduceat(occ, np.flatnonzero(new)))

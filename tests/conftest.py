@@ -38,6 +38,20 @@ def cycle_db(n: int) -> Database:
     return db
 
 
+def long_constants_text() -> tuple[list[str], str]:
+    """Constants of 17 to 40 bytes (3 to 5 words of 8 bytes), and a seeded
+    facts text over them.  The URIs share their first two words and differ
+    only in the last; the others differ only in their first word."""
+    uris = [f"http://example.org/r/{i:0{k}d}" for k in (2, 5, 9, 14, 19) for i in (0, 1, 7, 10)]
+    heads = [h.ljust(8, "_") + "/one/shared/tail" for h in ("a", "b", "ab", "ba", "a" * 8, "a" * 7 + "b")]
+    consts = uris + heads + ["x" * 16 + "a", "x" * 16 + "b", "y" + "x" * 15 + "a"]
+    rng = random.Random(17)
+    lines = [f"R({rng.choice(consts)},{rng.choice(consts)})" for _ in range(300)]
+    lines += [f"U({c})" for c in consts]
+    rng.shuffle(lines)
+    return consts, "\n".join(lines) + "\n"
+
+
 VARS = ("v", "w", "x", "y", "z")
 
 

@@ -20,13 +20,14 @@ from colorcq.index import (
     ColorIndex,
     build_index,
     index_stats,
+    _read_constants,
     load_index,
     save_index,
 )
 from colorcq.model import ColorcqError, Database, Schema, load_database, parse_query
 from colorcq.refine import _as_coloring
 
-from .conftest import cycle_db, movie_db, names, random_db, reseal
+from .conftest import cycle_db, long_constants_text, movie_db, names, random_db, reseal
 
 
 def _color_by_name(idx, db, name: str) -> int:
@@ -420,6 +421,23 @@ def test_constants_of_any_text_and_length_round_trip(tmp_path):
         assert count_answers(idx2, plan) == count_answers(idx, plan)
         assert (list(EnumerationSession(idx2, plan, names=True))
                 == list(EnumerationSession(idx, plan, names=True)))
+
+
+def test_long_constants_round_trip_and_repeats_are_refused(tmp_path):
+    """Constants of several words that differ only in their first or only in
+    their last word load back; a repeated one is refused however far apart."""
+    consts, text = long_constants_text()
+    idx = build_index(load_database(text))
+    path = tmp_path / "long.ccqx"
+    save_index(idx, str(path))
+    idx2 = load_index(str(path))
+    assert idx2.db.constants == idx.db.constants and sorted(idx2.db.constants) == sorted(consts)
+    assert list(idx2.coloring.color_of) == list(idx.coloring.color_of)
+    p, q = b"p" * 16 + b"\n", b"q" * 8 + b"p" * 8 + b"\n"  # 16-byte constants
+    assert _read_constants(memoryview(p + q), 2, "f") == ["p" * 16, "q" * 8 + "p" * 8]
+    for block in (p + p, p + q + p, q + b"r\n" + q):
+        with pytest.raises(ColorcqError, match="repeated constant"):
+            _read_constants(memoryview(block), block.count(b"\n"), "f")
 
 
 def test_facts_file_constants_with_nul_round_trip(tmp_path, capsys):

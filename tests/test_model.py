@@ -20,7 +20,7 @@ from colorcq.model import (
     parse_query,
 )
 
-from .conftest import MOVIE_TEXT, movie_db, random_db
+from .conftest import MOVIE_TEXT, long_constants_text, movie_db, random_db
 
 
 def test_schema_basic():
@@ -252,6 +252,16 @@ def test_save_index_bytes_agree_between_parse_paths(tmp_path):
         save_index(build_index(fast), str(tmp_path / f"{name}.fast"))
         save_index(build_index(model._parse_lines(text)), str(tmp_path / f"{name}.lines"))
         assert (tmp_path / f"{name}.fast").read_bytes() == (tmp_path / f"{name}.lines").read_bytes()
+
+
+def test_long_constants_get_the_line_parser_ids():
+    """Keys of several words are sorted as rows and compared whole, so
+    constants that differ only in their first or only in their last word
+    get the ids of `_parse_lines`, from the array path."""
+    consts, text = long_constants_text()
+    assert all(17 <= len(c) <= 40 for c in consts) and len(set(consts)) == len(consts)
+    assert _paths_agree(text)
+    assert sorted(load_database(text).constants) == sorted(consts)
 
 
 def test_generated_cycle_is_parsed_by_the_array_path(tmp_path, monkeypatch):
