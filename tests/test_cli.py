@@ -162,6 +162,8 @@ MALFORMED = {
     "constant count mismatch": ({**_meta(), "constants": 3}, _GOOD),
     "constants not UTF-8": (_meta(), _GOOD, b"a\n\xff\n"),
     "repeated constant": (_meta(), _GOOD, b"a\na\n"),
+    "repeated 16-byte constant": (
+        _meta(constants=("p" * 16,) * 2), _GOOD, (b"p" * 16 + b"\n") * 2),
     "arity 3": (_meta(relations=(("R", 3),)), _GOOD),
     "relation entry not an object": ({**_meta(), "relations": ["R"]}, _GOOD),
     "negative shape": (_meta(shapes={"rel:R": [1, 2], "coloring": [-2]}), _GOOD),
@@ -417,6 +419,37 @@ def test_gen_out_of_memory_is_an_error_not_a_traceback(argv):
     res = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=env,
                          capture_output=True, text=True, timeout=120)
     assert (res.returncode, res.stderr, res.stdout) == (1, "error: out of memory\n", "")
+
+
+def test_optimized_python_prints_the_same(movie_file, tmp_path):
+    """`python -O` drops every `assert`.  Build, query and stats print the
+    same and exit with the same code with and without it, on the movie facts
+    and on a truncated index.  Timings are left out of the comparison."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    good, cut = str(tmp_path / "movie.ccqx"), str(tmp_path / "cut.ccqx")
+
+    def run(flags: list[str], argv: list[str]):
+        res = subprocess.run([sys.executable, *flags, "-m", "colorcq.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        out = [ln for ln in res.stdout.splitlines() if not ln.startswith("build_seconds.")]
+        return res.returncode, out, res.stderr
+
+    def same(argv: list[str], code: int) -> None:
+        plain = run([], argv)
+        assert plain == run(["-O"], argv), argv
+        assert plain[0] == code and "Traceback" not in plain[2], (argv, plain)
+
+    same(["build", "--db", movie_file, "--out", good], 0)
+    with open(good, "rb") as f:
+        data = f.read()
+    with open(cut, "wb") as f:
+        f.write(data[:len(data) * 2 // 3])
+    query = ["query", "Ans(x,y) <- P(x,y), M(y,z).", "--index"]
+    for path, code in ((good, 0), (cut, 1)):
+        same(["stats", "--index", path], code)
+        same(query + [path], code)
+        same(query + [path, "--task", "count"], code)
 
 
 def test_bench_smoke(movie_file, tmp_path, capsys):
