@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import EdgeLabel, LabeledGraph, _pack, _starts
+from .graph import EdgeLabel, LabeledGraph, _pack
 from .model import ColorcqError
 
 
@@ -70,10 +70,10 @@ def canonicalize(raw: np.ndarray) -> np.ndarray:
 def _as_coloring(raw: np.ndarray) -> Coloring:
     """The canonical colouring whose classes are those of the ids `raw`."""
     by_raw = np.argsort(raw, kind="stable")  # members stay ascending per class
-    head = _starts(raw[by_raw])
-    seq = np.argsort(by_raw[head])  # the classes in order of least vertex
-    sizes = np.diff(np.append(head, len(raw)))[seq]
-    order = by_raw[_ranges(head[seq], sizes)]
+    at = _bounds(raw[by_raw])
+    seq = np.argsort(by_raw[at[:-1]])  # the classes in order of least vertex
+    sizes = (at[1:] - at[:-1])[seq]
+    order = by_raw[_ranges(at[:-1][seq], sizes)]
     bounds = np.append(0, np.cumsum(sizes))
     colors = np.empty(len(raw), np.int64)
     colors[order] = np.repeat(np.arange(len(sizes)), sizes)
@@ -89,7 +89,7 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def _bounds(a: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in the non-empty `a` begins, then len(a)."""
+    """Where each run of equal values in `a` begins, then len(a)."""
     cut = np.empty(len(a) + 1, bool)
     cut[0] = cut[-1] = True
     np.not_equal(a[1:], a[:-1], out=cut[1:-1])
@@ -97,7 +97,7 @@ def _bounds(a: np.ndarray) -> np.ndarray:
 
 
 def _key_width(n: int, n_labels: int) -> int:
-    """Width of a round's packed (label, colour) pairs, which the vertex or the count tops."""
+    """Width n·labels of packed (dual label, colour) pairs, under a vertex or a count ≤ n."""
     if (n + 1) * n * n_labels >= 1 << 63:
         raise ColorcqError(f"cannot refine a graph of {n} vertices and {n_labels} edge labels")
     return n * n_labels
