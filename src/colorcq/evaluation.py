@@ -37,14 +37,16 @@ class TreeRun:
     """A reduced component: per variable, a bool array of the values whose
     subtree can be completed; per tree edge, its pairs; per free tree edge,
     the numbers of the pairs into child values that can complete, grouped by
-    the parent's value as (ptr, pair numbers); the root values."""
+    the parent's value as (ptr, pair numbers); the root values.  Edges that
+    drop pairs, and the roots, hold `memoryview`s of numpy arrays: a session
+    builds no Python object per value, and each item reads as a Python int."""
 
     comp: PlanComponent
     cand: dict[str, np.ndarray]
     pairs: dict[tuple[str, str], PairRows]
-    fadj: dict[tuple[str, str], tuple[list[int], Sequence[int]]]
+    fadj: dict[tuple[str, str], tuple[Sequence[int], Sequence[int]]]
     satisfiable: bool
-    roots: list[int]
+    roots: Sequence[int]
 
 
 def _reduce(comp: PlanComponent, cand0: dict[str, np.ndarray],
@@ -82,20 +84,21 @@ def prepare_tree(
 ) -> TreeRun:
     """The semi-join sweep, then the kept pairs of each free tree edge."""
     cand = _reduce(comp, cand0, pairs)
-    satisfiable = bool(cand[comp.root].any())
+    roots = memoryview(np.flatnonzero(cand[comp.root]))
+    satisfiable = len(roots) > 0
 
-    fadj: dict[tuple[str, str], tuple[list[int], Sequence[int]]] = {}
+    fadj: dict[tuple[str, str], tuple[Sequence[int], Sequence[int]]] = {}
     if satisfiable:
         for w in comp.free_prefix[1:]:
-            p = pairs[(comp.parent[w], w)]
+            v = comp.parent[w]
+            p = pairs[(v, w)]
             ok = cand[w][p.b]
             if ok.all():
-                fadj[(comp.parent[w], w)] = (p.ptr, range(len(ok)))
+                fadj[(v, w)] = (p.ptr, range(len(ok)))
             else:  # drop the pairs into child values that cannot complete
                 js = np.flatnonzero(ok)
-                ptr = np.searchsorted(p.a[js], np.arange(len(cand[w]) + 1)).tolist()
-                fadj[(comp.parent[w], w)] = (ptr, js.tolist())
-    roots = np.flatnonzero(cand[comp.root]).tolist() if satisfiable and comp.free_prefix else []
+                ptr = np.bincount(p.a[js], minlength=len(cand[v])).cumsum()  # by parent value
+                fadj[(v, w)] = (memoryview(np.concatenate(([0], ptr))), memoryview(js))
     return TreeRun(comp=comp, cand=cand, pairs=pairs, fadj=fadj, satisfiable=satisfiable,
                    roots=roots)
 
@@ -121,7 +124,8 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
     A component with k free variables adds k colour levels, which walk its
     free prefix over the reduced tree: the root values (`_ROOT`), then per
     free tree edge the numbers of the kept pairs whose first value is the
-    parent's (`_GROUP` over the edge's ptr).  Quantified subtrees were folded
+    parent's (`_GROUP` over the edge's ptr), each a list, range or
+    `memoryview` read one item at a time.  Quantified subtrees were folded
     into the candidates, so every step leads to an answer.  Without an index
     the values are the answer.  With one they are colours, and k vertex
     levels follow: the members of the root colour (`_GROUP` over the class

@@ -2,14 +2,17 @@
 all checked against the brute-force reference."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import sys
 from collections import Counter
 from itertools import islice, product
 
 import numpy as np
 import pytest
 
+from colorcq import evaluation
 from colorcq.cli import main
 from colorcq.evaluation import (
     EnumerationSession,
@@ -18,6 +21,7 @@ from colorcq.evaluation import (
     cde_fc_acq,
     count_answers,
     eval_boolean,
+    prepare_tree,
 )
 from colorcq.frontend import plan_query
 from colorcq.graph import FWD, EdgeLabel
@@ -483,3 +487,87 @@ def test_session_accounting_per_answer():
         == [()]
     assert _drain_one_by_one(EnumerationSession(idx, _plan(db, "Ans() <- S(u,u).")))\
         == []
+
+
+def _half_unary_db(seed: int, n: int = 400, m: int = 2000) -> Database:
+    """m random R facts over n constants, and U on half of the constants."""
+    rng = random.Random(seed)
+    lines = [f"R(c{rng.randrange(n)},c{rng.randrange(n)})" for _ in range(m)]
+    lines += [f"U(c{i})" for i in rng.sample(range(n), n // 2)]
+    return load_database("\n".join(lines) + "\n")
+
+
+def test_kept_pairs_match_their_definitions(monkeypatch):
+    """Every `TreeRun` that enumeration (with an index, and `cde_fc_acq`
+    without one) prepares holds, per free tree edge, the numbers of the
+    pairs into child candidates and their pointers by parent value, and the
+    root candidates.  The instances drop pairs: a selective unary at a leaf
+    on half the constants, and small random ones."""
+    runs = []
+
+    def record(*args):
+        runs.append(prepare_tree(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(evaluation, "prepare_tree", record)
+    for seed in (1401, 1402):
+        db = _half_unary_db(seed)
+        idx = build_index(db)
+        for text in ("Ans(x,y) <- R(x,y), U(y).", "Ans(x,y,z) <- R(x,y), R(y,z), U(z).",
+                     "Ans(x,y) <- R(x,y), R(y,z), U(z).", "Ans(y,x) <- R(x,y), U(x), U(y)."):
+            plan = _plan(db, text)
+            EnumerationSession(idx, plan)
+            next(cde_fc_acq(db, plan), None)
+    rng = random.Random(1403)
+    for _ in range(300):
+        db = random_db(rng)
+        q = random_fc_query(rng)
+        if q is not None:
+            plan = plan_query(q, db.schema)
+            EnumerationSession(build_index(db), plan)
+            next(cde_fc_acq(db, plan), None)
+
+    seen = Counter()
+    for run in runs:
+        comp, cand = run.comp, run.cand
+        assert run.satisfiable == bool(cand[comp.root].any())
+        assert list(run.roots) == np.flatnonzero(cand[comp.root]).tolist()
+        if not run.satisfiable:
+            continue
+        for w in comp.free_prefix[1:]:
+            v = comp.parent[w]
+            p = run.pairs[(v, w)]
+            ok = cand[w][p.b]
+            js = np.flatnonzero(ok)
+            ptr, kept = run.fadj[(v, w)]
+            assert list(kept) == js.tolist()
+            want = np.searchsorted(p.a[js], np.arange(len(cand[v]) + 1))
+            assert list(ptr) == want.tolist()
+            lost = np.diff(p.ptr) - np.diff(want)  # pairs each parent value lost
+            seen["edges that drop pairs"] += bool(lost.any())
+            seen["parents that lose every pair"] += int(((lost > 0) & (np.diff(want) == 0)).sum())
+            seen["last values that lose a pair"] += bool(lost[-1])
+    assert min(seen.values()) >= 3 and len(seen) == 3, seen
+
+
+def test_session_holds_no_object_per_value():
+    """A fresh session's Python allocations do not grow with the data: on
+    paths of 2,000 and 20,000 vertices every edge of the 3-hop query drops
+    the pairs into the last vertices, yet the session holds only a few
+    dozen blocks once the labels' tables are memoized."""
+
+    def held(n: int) -> int:
+        db = load_database("".join(f"R({i},{i + 1})\n" for i in range(n - 1)))
+        idx = build_index(db)
+        plan = _plan(db, "Ans(x,y,z,w) <- R(x,y), R(y,z), R(z,w).")
+        EnumerationSession(idx, plan)  # memoizes the labels' pairs and tables
+        gc.collect()
+        before = sys.getallocatedblocks()
+        sess = EnumerationSession(idx, plan)
+        gc.collect()
+        blocks = sys.getallocatedblocks() - before
+        del sess
+        return blocks
+
+    small, large = held(2_000), held(20_000)
+    assert small < 150 and large < 150 and abs(large - small) <= 10, (small, large)
