@@ -12,7 +12,9 @@ colour tuple into vertex tuples through the index's class-major successor
 tables.  The cross product of the components is the odometer order itself,
 the last component fastest.  Counting runs the same pass, but over the free
 prefix it multiplies per-colour counts through the pairs' counts instead of
-keeping flags; quantified subtrees stay semi-joins.
+keeping flags; quantified subtrees stay semi-joins.  A leaf with no unary
+atom sends d̂^λ(c) = Σ_c′ #̂→^λ(c,c′) (`PairRows.deg`) if counted, else
+d̂^λ(c) > 0: stability gives every vertex of class c that many λ-neighbours.
 
 The color-level runs use the loop-augmented semantics: a vertex whose class
 carries self-loops for every relation in λ counts as its own λ-neighbour, and
@@ -60,13 +62,16 @@ def _reduce(comp: PlanComponent, cand0: dict[str, np.ndarray],
     child y, Σ_{c′} f(y)(c′)·n(c,c′) over the pairs' counts, times, per
     quantified child, its semi-join flag.  With every variable counted this is
     f↓(c,x), the homomorphism count of x's subtree with x pinned to any vertex
-    of class c (well-defined by stability)."""
+    of class c (well-defined by stability).  A leaf child with no unary atom
+    sends `p.deg` (d̂^λ, exact by stability) or `p.has`, with no pass over pairs."""
     f: dict[str, np.ndarray] = {}
     for v in reversed(comp.order):
         fv = cand0[v] if comp.rank[v] >= counted else cand0[v].astype(dtype)
         for w in comp.children[v]:
             p = pairs[(v, w)]
-            if comp.rank[w] < counted:
+            if not comp.children[w] and not comp.lambda_x[w]:  # every pair completes
+                g = p.deg if comp.rank[w] < counted else p.has
+            elif comp.rank[w] < counted:
                 g = np.zeros(len(fv), dtype)
                 np.add.at(g, p.a, f[w][p.b] * p.n)  # object times int64 gives exact Python ints
             else:
@@ -82,7 +87,8 @@ def prepare_tree(
     cand0: dict[str, np.ndarray],
     pairs: dict[tuple[str, str], PairRows],
 ) -> TreeRun:
-    """The semi-join sweep, then the kept pairs of each free tree edge."""
+    """The semi-join sweep, then the kept pairs of each free tree edge.  A
+    free leaf with no unary atom keeps all its pairs: every value completes."""
     cand = _reduce(comp, cand0, pairs)
     roots = memoryview(np.flatnonzero(cand[comp.root]))
     satisfiable = len(roots) > 0
@@ -92,9 +98,8 @@ def prepare_tree(
         for w in comp.free_prefix[1:]:
             v = comp.parent[w]
             p = pairs[(v, w)]
-            ok = cand[w][p.b]
-            if ok.all():
-                fadj[(v, w)] = (p.ptr, range(len(ok)))
+            if not comp.children[w] and not comp.lambda_x[w] or (ok := cand[w][p.b]).all():
+                fadj[(v, w)] = (p.ptr, range(len(p.b)))
             else:  # drop the pairs into child values that cannot complete
                 js = np.flatnonzero(ok)
                 ptr = np.bincount(p.a[js], minlength=len(cand[v])).cumsum()  # by parent value

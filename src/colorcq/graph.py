@@ -100,7 +100,8 @@ def encode_self_loops(db: Database) -> tuple[Database, Sigma1]:
             d1.set_relation(sym, rows)
         else:
             loop = rows[:, 0] == rows[:, 1]
-            d1.set_relation(sym, rows[~loop])
+            # without a loop, share the rows: arrays are replaced, never changed in place
+            d1.set_relation(sym, rows[~loop] if loop.any() else rows)
             d1.set_relation(s1.loop_symbol[sym], rows[loop, :1])
     return d1, s1
 

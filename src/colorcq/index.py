@@ -61,18 +61,24 @@ class PairRows(NamedTuple):
     """The pairs (a, b) of one label, sorted, with a count n per pair (None
     where only the pairs matter), and the same pairs grouped by a as Python
     lists, which the enumeration reads element by element: the b's of a are
-    nbr[ptr[a]:ptr[a + 1]]."""
+    nbr[ptr[a]:ptr[a + 1]].  Per a, `deg` sums n (counts the pairs if n is
+    None) and `has` is deg > 0; in `ColorIndex.rows(λ)`, deg(c) = d̂^λ(c) =
+    Σ_c′ #̂→^λ(c,c′), the λ-degree stability gives every member of class c."""
 
     a: np.ndarray
     b: np.ndarray
     n: np.ndarray | None
     ptr: list[int]
     nbr: list[int]
+    deg: np.ndarray
+    has: np.ndarray
 
 
 def pair_rows(a: np.ndarray, b: np.ndarray, n: np.ndarray | None, size: int) -> PairRows:
     """PairRows of pairs sorted by (a, b) over the ids 0..size-1."""
-    return PairRows(a, b, n, np.searchsorted(a, np.arange(size + 1)).tolist(), b.tolist())
+    deg = np.bincount(a, n, size).astype(np.int64)  # exact: a degree is at most |adom| + 1
+    return PairRows(a, b, n, np.searchsorted(a, np.arange(size + 1)).tolist(), b.tolist(),
+                    deg, deg > 0)
 
 
 class SuccTable(NamedTuple):
@@ -229,13 +235,16 @@ class ColorIndex:
     def _materialize_succ(self, lab: EdgeLabel) -> SuccTable:
         bounds, place, tgt, nbr = self._edges
         segs = [slice(bounds[lid], bounds[lid + 1]) for lid in self._supers.get(lab, ())]
-        # the labels partition the edges; merge their class-major runs
-        p, t, w = (np.concatenate([a[x] for x in segs] + [_EMPTY]) for a in (place, tgt, nbr))
-        w = w[np.argsort(_pack(_pack(p, t), w), kind="stable")]
+        # the labels partition the edges; merge their class-major runs (one
+        # label's run is already in (place, target colour, target) order)
+        w = np.concatenate([nbr[x] for x in segs] + [_EMPTY])
+        if len(segs) > 1:
+            p, t = (np.concatenate([a[x] for x in segs]) for a in (place, tgt))
+            w = w[np.argsort(_pack(_pack(p, t), w), kind="stable")]
         rows = self.rows(lab)
         loops = (rows.a == rows.b) & self.loop_cover_array(lab)[rows.a]
         own = rows.n - loops
-        deg = np.bincount(rows.a, own, self.num_colors).astype(np.int64)  # per member of c
+        deg = rows.deg - self.loop_cover_array(lab)  # per member of c, not counting itself
         start = np.cumsum(self.n_c * deg) - self.n_c * deg  # where each class begins
         lo = start[rows.a] + (np.cumsum(own) - own) - (np.cumsum(deg) - deg)[rows.a]
         table = SuccTable(w.tolist(), lo.tolist(), deg[rows.a].tolist(), own.tolist(),

@@ -25,7 +25,7 @@ from colorcq.evaluation import (
 )
 from colorcq.frontend import plan_query
 from colorcq.graph import FWD, EdgeLabel
-from colorcq.index import build_index
+from colorcq.index import build_index, load_index, save_index
 from colorcq.model import (
     Atom,
     ColorcqError,
@@ -571,3 +571,150 @@ def test_session_holds_no_object_per_value():
 
     small, large = held(2_000), held(20_000)
     assert small < 150 and large < 150 and abs(large - small) <= 10, (small, large)
+
+
+def _reduce_explicit(comp, cand0, pairs, counted=0, dtype=bool):
+    """`_reduce` without the leaf fold: every child, leaves included, is
+    gathered over its pairs, then scattered (semi-join) or summed with
+    `np.add.at` (counted)."""
+    f = {}
+    for v in reversed(comp.order):
+        fv = cand0[v] if comp.rank[v] >= counted else cand0[v].astype(dtype)
+        for w in comp.children[v]:
+            p = pairs[(v, w)]
+            if comp.rank[w] < counted:
+                g = np.zeros(len(fv), dtype)
+                np.add.at(g, p.a, f[w][p.b] * p.n)
+            else:
+                g = np.zeros(len(fv), bool)
+                g[p.a[f[w][p.b]]] = True
+            fv = fv * g
+        f[v] = fv
+    return f
+
+
+def test_folded_leaves_match_the_explicit_sweep(monkeypatch):
+    """A leaf with no unary atom reads its message off `PairRows.deg` (counted)
+    or `.has` (semi-join).  On seeded random instances (data self-loops, so
+    loop diagonals; unary-constrained leaves; `R(y,y)` leaves; cross
+    products) the folded sweep equals the explicit gather and scatter or
+    `np.add.at`, for every free-prefix length, in int64 and in Python ints,
+    on the index's pairs and on `cde_fc_acq`'s constant pairs."""
+    inputs = []  # (route, comp, cand0, pairs)
+
+    def record(comp, cand0, pairs):
+        inputs.append(("constants", comp, cand0, pairs))
+        return prepare_tree(comp, cand0, pairs)
+
+    monkeypatch.setattr(evaluation, "prepare_tree", record)
+    rng = random.Random(1501)
+    fixed = ("Ans(x,y) <- R(x,y), R(y,y).", "Ans(x,w) <- R(x,y), S(w,v).",
+             "Ans(x) <- R(x,y), U(y), S(x,z).", "Ans(y) <- R(x,y), R(y,z), S(z,z).")
+    for i in range(200):
+        db = random_db(rng)
+        idx = build_index(db)
+        if i < len(fixed):
+            plans = [_plan(db, fixed[i])]
+        else:
+            q = random_fc_query(rng)
+            plans = [] if q is None else [plan_query(q, db.schema)]
+        for plan in plans:
+            inputs += [("index", comp, *_color_tables(idx, comp)) for comp in plan.components]
+            next(cde_fc_acq(db, plan), None)
+
+    seen = Counter()
+    for route, comp, cand0, pairs in inputs:
+        for counted in range(len(comp.order) + 1):
+            if counted and route == "constants":  # count each pair once, as `deg` does
+                pairs = {e: p._replace(n=np.ones(len(p.a), np.int64)) if p.n is None else p
+                         for e, p in pairs.items()}
+            for dtype in ((bool,) if not counted else (np.int64, object)):
+                got = _reduce(comp, cand0, pairs, counted, dtype)
+                want = _reduce_explicit(comp, cand0, pairs, counted, dtype)
+                assert got.keys() == want.keys()
+                for v in comp.order:
+                    assert np.array_equal(got[v], want[v]), (comp.query, counted, dtype, v)
+                    assert got[v].dtype == want[v].dtype, (comp.query, counted, dtype, v)
+        for v in comp.order:
+            for w in comp.children[v]:
+                if not comp.children[w]:
+                    leaf = "unary leaf" if comp.lambda_x[w] else "folded leaf"
+                    seen[(route, leaf)] += 1
+        seen[(route, "components")] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 20, seen
+
+
+def test_pair_rows_degrees(tmp_path):
+    """`deg` of every memoized `rows(λ)` is the weighted bincount of its
+    first values, and `has` is deg > 0, on a built index and a loaded one
+    (loops included)."""
+    rng = random.Random(1502)
+    for i in range(30):
+        db = random_db(rng, max_adom=12, max_facts=30)
+        idx = build_index(db)
+        for lab in idx.closure_symbols:
+            idx.rows(lab)
+        save_index(idx, str(tmp_path / f"{i}.idx"))
+        for index in (idx, load_index(str(tmp_path / f"{i}.idx"))):
+            for lab in index.closure_symbols:
+                p = index.rows(lab)
+                assert np.array_equal(p.deg, np.bincount(p.a, p.n, index.num_colors))
+                assert np.array_equal(p.has, p.deg > 0)
+                assert len(p.deg) == len(p.has) == index.num_colors
+
+
+class _Reads:
+    """An array stand-in that records every read of its items."""
+
+    def __init__(self, arr: np.ndarray, log: list):
+        self.arr, self.log = arr, log
+
+    def __len__(self):
+        return len(self.arr)
+
+    def __array__(self, dtype=None, copy=None):
+        self.log.append("array")
+        return self.arr
+
+    def __getitem__(self, key):
+        self.log.append("item")
+        return self.arr[key]
+
+
+def test_leaf_edges_are_not_swept(monkeypatch):
+    """Counting `Ans(x,y) <- R(x,y).` and answering `Ans() <- R(x,y),
+    R(y,z).` make no `np.add.at` call and read no pair of a leaf edge: the
+    leaf's message is the label's degree vector."""
+    db = _half_unary_db(1503)
+    idx = build_index(db)
+    count = _plan(db, "Ans(x,y) <- R(x,y).")
+    boolean = _plan(db, "Ans() <- R(x,y), R(y,z).")
+    want = count_answers(idx, count), eval_boolean(idx, boolean)
+    assert want == (len(db.array("R")), True)
+
+    adds, reads, leaf_edges = [], [], []
+    color_tables = evaluation._color_tables
+
+    def tables(idx, comp):
+        cand0, pairs = color_tables(idx, comp)
+        for (v, w), p in list(pairs.items()):
+            if not comp.children[w] and not comp.lambda_x[w]:
+                leaf_edges.append((v, w))
+                pairs[(v, w)] = p._replace(a=_Reads(p.a, reads), b=_Reads(p.b, reads))
+        return cand0, pairs
+
+    class _Add:
+        def at(self, *args):
+            adds.append(args)
+            np.add.at(*args)
+
+    class _Numpy:
+        add = _Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(evaluation, "_color_tables", tables)
+    monkeypatch.setattr(evaluation, "np", _Numpy())
+    assert (count_answers(idx, count), eval_boolean(idx, boolean)) == want
+    assert len(leaf_edges) == 2 and adds == [] and reads == []
