@@ -29,49 +29,50 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .frontend import PlanComponent, QueryPlan, plan_query
-from .graph import BWD, encode_self_loops
+from .graph import BWD, encode_self_loops, label_of
 from .index import ColorIndex, PairRows, pair_rows
 from .model import ColorcqError, ConjunctiveQuery, Database
 
 
 @dataclass
 class TreeRun:
-    """A reduced component: per variable, a bool array of the values whose
-    subtree can be completed; per tree edge, its pairs; per free tree edge,
-    the numbers of the pairs into child values that can complete, grouped by
-    the parent's value as (ptr, pair numbers); the root values.  Edges that
-    drop pairs, and the roots, hold `memoryview`s of numpy arrays: a session
-    builds no Python object per value, and each item reads as a Python int."""
+    """A reduced component, by rank: per variable, a bool array of the values
+    whose subtree can be completed; per tree edge, named by its child's rank,
+    its pairs and, if free, the numbers of the pairs into child values that
+    can complete, grouped by the parent's value as (ptr, pair numbers); the
+    root values.  Edges that drop pairs, and the roots, hold `memoryview`s of
+    numpy arrays: a session builds no Python object per value, and each item
+    reads as a Python int."""
 
     comp: PlanComponent
-    cand: dict[str, np.ndarray]
-    pairs: dict[tuple[str, str], PairRows]
-    fadj: dict[tuple[str, str], tuple[Sequence[int], Sequence[int]]]
+    cand: list[np.ndarray]
+    pairs: list[PairRows | None]
+    fadj: list[tuple[Sequence[int], Sequence[int]] | None]
     satisfiable: bool
     roots: Sequence[int]
 
 
-def _reduce(comp: PlanComponent, cand0: dict[str, np.ndarray],
-            pairs: dict[tuple[str, str], PairRows], counted: int = 0,
-            dtype=bool) -> dict[str, np.ndarray]:
-    """One bottom-up pass over the component tree.  A variable of rank ≥
-    `counted` gets its semi-join (Yannakakis): the bool array of the values
-    whose subtree can be completed.  Each of the first `counted` variables (a
-    free prefix) gets instead, per value c, the number of completions of its
-    subtree projected on its counted variables: cand0(c) times, per counted
-    child y, Σ_{c′} f(y)(c′)·n(c,c′) over the pairs' counts, times, per
-    quantified child, its semi-join flag.  With every variable counted this is
-    f↓(c,x), the homomorphism count of x's subtree with x pinned to any vertex
-    of class c (well-defined by stability).  A leaf child with no unary atom
+def _reduce(comp: PlanComponent, cand0: list[np.ndarray], pairs: list[PairRows | None],
+            counted: int = 0, dtype=bool) -> list[np.ndarray]:
+    """One bottom-up pass over the component tree, by rank, the pairs of each
+    edge under its child's rank.  A variable of rank ≥ `counted` gets its
+    semi-join (Yannakakis): the bool array of the values whose subtree can be
+    completed.  Each of the first `counted` variables (a free prefix) gets
+    instead, per value c, the number of completions of its subtree projected
+    on its counted variables: cand0(c) times, per counted child y,
+    Σ_{c′} f(y)(c′)·n(c,c′) over the pairs' counts, times, per quantified
+    child, its semi-join flag.  With every variable counted this is f↓(c,x),
+    the homomorphism count of x's subtree with x pinned to any vertex of
+    class c (well-defined by stability).  A leaf child with no unary atom
     sends `p.deg` (d̂^λ, exact by stability) or `p.has`, with no pass over pairs."""
-    f: dict[str, np.ndarray] = {}
-    for v in reversed(comp.order):
-        fv = cand0[v] if comp.rank[v] >= counted else cand0[v].astype(dtype)
+    f = [None] * len(cand0)
+    for v in range(len(cand0) - 1, -1, -1):
+        fv = cand0[v] if v >= counted else cand0[v].astype(dtype)
         for w in comp.children[v]:
-            p = pairs[(v, w)]
-            if not comp.children[w] and not comp.lambda_x[w]:  # every pair completes
-                g = p.deg if comp.rank[w] < counted else p.has
-            elif comp.rank[w] < counted:
+            p = pairs[w]
+            if not comp.children[w] and not comp.unary[w]:  # every pair completes
+                g = p.deg if w < counted else p.has
+            elif w < counted:
                 g = np.zeros(len(fv), dtype)
                 np.add.at(g, p.a, f[w][p.b] * p.n)  # object times int64 gives exact Python ints
             else:
@@ -82,28 +83,24 @@ def _reduce(comp: PlanComponent, cand0: dict[str, np.ndarray],
     return f
 
 
-def prepare_tree(
-    comp: PlanComponent,
-    cand0: dict[str, np.ndarray],
-    pairs: dict[tuple[str, str], PairRows],
-) -> TreeRun:
+def prepare_tree(comp: PlanComponent, cand0: list[np.ndarray],
+                 pairs: list[PairRows | None]) -> TreeRun:
     """The semi-join sweep, then the kept pairs of each free tree edge.  A
     free leaf with no unary atom keeps all its pairs: every value completes."""
     cand = _reduce(comp, cand0, pairs)
-    roots = memoryview(np.flatnonzero(cand[comp.root]))
+    roots = memoryview(cand[0].nonzero()[0])  # cheaper than np.flatnonzero
     satisfiable = len(roots) > 0
 
-    fadj: dict[tuple[str, str], tuple[Sequence[int], Sequence[int]]] = {}
+    fadj: list[tuple[Sequence[int], Sequence[int]] | None] = [None] * len(cand)
     if satisfiable:
-        for w in comp.free_prefix[1:]:
-            v = comp.parent[w]
-            p = pairs[(v, w)]
-            if not comp.children[w] and not comp.lambda_x[w] or (ok := cand[w][p.b]).all():
-                fadj[(v, w)] = (p.ptr, range(len(p.b)))
+        for w in range(1, len(comp.free_prefix)):
+            v, p = comp.parent[w], pairs[w]
+            if not comp.children[w] and not comp.unary[w] or (ok := cand[w][p.b]).all():
+                fadj[w] = (p.ptr, range(len(p.b)))
             else:  # drop the pairs into child values that cannot complete
-                js = np.flatnonzero(ok)
+                js = ok.nonzero()[0]
                 ptr = np.bincount(p.a[js], minlength=len(cand[v])).cumsum()  # by parent value
-                fadj[(v, w)] = (memoryview(np.concatenate(([0], ptr))), memoryview(js))
+                fadj[w] = (memoryview(np.concatenate(([0], ptr))), memoryview(js))
     return TreeRun(comp=comp, cand=cand, pairs=pairs, fadj=fadj, satisfiable=satisfiable,
                    roots=roots)
 
@@ -159,17 +156,16 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
         heads.append(b + k if idx is not None else b)
         if not k:
             continue
-        edges = [(comp.parent[x], x) for x in comp.free_prefix[1:]]
-        ups = [b + comp.rank[v] for v, _ in edges]
-        value += [range(len(run.cand[comp.root]))] + [run.pairs[e].nbr for e in edges]
+        edges = range(1, k)  # by child rank
+        ups = [b + comp.parent[w] for w in edges]
+        value += [range(len(run.cand[0]))] + [run.pairs[w].nbr for w in edges]
         how += [(_ROOT, None, None, None)]
-        how += [(_GROUP, run.fadj[e][0], value[u], u) for e, u in zip(edges, ups)]
-        seqs += [run.roots] + [run.fadj[e][1] for e in edges]
+        how += [(_GROUP, run.fadj[w][0], value[u], u) for w, u in zip(edges, ups)]
+        seqs += [run.roots] + [run.fadj[w][1] for w in edges]
         if idx is not None:
             value += [None] * k
             how += [(_GROUP, bounds, value[b], b)]
-            how += [(_SUCC, idx.table(comp.lambda_e[e]), b + i, u + k)
-                    for i, (e, u) in enumerate(zip(edges, ups), 1)]
+            how += [(_SUCC, idx.table(comp.label[w]), b + w, u + k) for w, u in zip(edges, ups)]
             seqs += [order] + [None] * (k - 1)
     outs = [heads[ci] + i for ci, i in slots]
 
@@ -222,11 +218,12 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
             pos[level], end[level] = 0, len(seqs[level])
 
 
-def _color_tables(idx: ColorIndex, comp: PlanComponent) -> tuple[dict, dict]:
-    """Q_col's inputs over the augmented D_col: per variable its candidate
-    colours, per tree edge its pairs with their counts."""
-    return ({v: idx.unary_colors(comp.lambda_x[v]) for v in comp.order},
-            {edge: idx.rows(lab) for edge, lab in comp.lambda_e.items()})
+def _color_tables(idx: ColorIndex, comp: PlanComponent) -> tuple[list, list]:
+    """Q_col's inputs over the augmented D_col, by rank: per variable its
+    candidate colours, per tree edge its pairs with their counts (none at the
+    root).  Read straight off the index's memos: a warm lookup runs no Python."""
+    return ([*map(idx._unary.__getitem__, comp.unary)],
+            [None, *map(idx._rows.__getitem__, comp.label[1:])])
 
 
 class EnumerationSession:
@@ -241,9 +238,6 @@ class EnumerationSession:
     """
 
     def __init__(self, idx: ColorIndex, plan: QueryPlan, names: bool = False):
-        self.idx = idx
-        self.plan = plan
-        self.names = names
         self.steps = _Steps()
         # the stream holds no reference to self: a session then holds no
         # reference cycle and is freed as soon as it is dropped
@@ -257,7 +251,7 @@ class EnumerationSession:
     # -- iterator protocol --
 
     def __iter__(self):
-        return self
+        return self._gen  # a for loop then runs the generator with no frame of ours
 
     def __next__(self):
         return next(self._gen)
@@ -273,18 +267,22 @@ def count_answers(idx: ColorIndex, plan: QueryPlan) -> int:
     for comp in plan.components:
         k = len(comp.free_prefix)
         dtype = np.int64 if idx.g.n ** k < 2**63 else object
-        f = _reduce(comp, *_color_tables(idx, comp), k, dtype)[comp.root]
-        total *= int(idx.n_c @ f) if k else int(f.any())
+        f = _reduce(comp, *_color_tables(idx, comp), k, dtype)[0]
+        total *= int(idx.n_c.dot(f)) if k else int(np.count_nonzero(f) > 0)  # cheaper than .any()
         if not total:
             return 0
     return total
 
 
 def eval_boolean(idx: ColorIndex, plan: QueryPlan) -> bool:
-    """Answer a Boolean plan: every component reduces to a non-empty root."""
+    """Answer a Boolean plan: every component's semi-join sweep leaves a
+    non-empty root."""
     if plan.query.head:
         raise ColorcqError("eval_boolean needs a Boolean query (empty head)")
-    return count_answers(idx, plan) == 1
+    for comp in plan.components:
+        if not np.count_nonzero(_reduce(comp, *_color_tables(idx, comp))[0]):
+            return False
+    return True
 
 
 # -- generic tree evaluation on a plain database ----------------------------
@@ -307,10 +305,10 @@ def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[
         out[ids] = True
         return out
 
-    def const_pairs(lab) -> PairRows:
+    def const_pairs(lid: int) -> PairRows:
         """(a, b) with el(a, b) ⊇ λ, plus (a, a) where a loops over all of λ."""
         keys = loops = None
-        for r, d in lab.pairs:
+        for r, d in label_of(lid).pairs:
             rows = d1.array(r)
             k = rows[:, 1] * size + rows[:, 0] if d == BWD else rows[:, 0] * size + rows[:, 1]
             keys = k if keys is None else np.intersect1d(keys, k)
@@ -322,11 +320,7 @@ def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[
     adom = has(db.adom_ids())
     runs = []
     for comp in plan.components:
-        cand0 = {}
-        for v in comp.order:
-            cand0[v] = adom
-            for u in comp.lambda_x[v]:
-                cand0[v] = cand0[v] & has(d1.array(u)[:, 0])
-        pairs = {edge: const_pairs(lab) for edge, lab in comp.lambda_e.items()}
-        runs.append(prepare_tree(comp, cand0, pairs))
+        cand0 = [np.logical_and.reduce([adom, *(has(d1.array(u)[:, 0]) for u in us)])
+                 for us in comp.unary]
+        runs.append(prepare_tree(comp, cand0, [None, *map(const_pairs, comp.label[1:])]))
     yield from _odometer(runs, plan.head_slots, _Steps())

@@ -9,6 +9,7 @@ them.  The reverse pair always carries the dual label (directions flipped).
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -37,12 +38,10 @@ class EdgeLabel:
                 raise ValueError(f"bad direction {d!r}")
         object.__setattr__(self, "pairs", canon)
 
-    @classmethod
-    def _of_canonical(cls, pairs: tuple[tuple[str, str], ...]) -> EdgeLabel:
-        """The label of `pairs`, which are already sorted, distinct and valid."""
-        lab = object.__new__(cls)
-        object.__setattr__(lab, "pairs", pairs)
-        return lab
+    @property
+    def id(self) -> int:
+        """The label's process-wide id (`label_id`)."""
+        return label_id(self.pairs)
 
     def dual(self) -> EdgeLabel:
         return EdgeLabel((s, _DUAL_DIR[d]) for s, d in self.pairs)
@@ -52,6 +51,27 @@ class EdgeLabel:
 
     def __str__(self) -> str:
         return "{" + ",".join(f"({s},{d})" for s, d in self.pairs) + "}"
+
+
+# the process-wide intern table: canonical pairs -> id -> label, one entry
+# per distinct label ever named
+_LABEL_IDS: dict[tuple[tuple[str, str], ...], int] = {}
+_LABELS: list[EdgeLabel] = []
+_INTERN = threading.Lock()
+label_of = _LABELS.__getitem__  # the label of an id
+
+
+def label_id(pairs: tuple[tuple[str, str], ...]) -> int:
+    """The int id of the label of `pairs` (sorted, distinct), the same on every
+    schema, Σ1 and index: plans and index memos key on it, not on labels."""
+    lid = _LABEL_IDS.get(pairs)
+    if lid is None:
+        with _INTERN:
+            lid = _LABEL_IDS.get(pairs)
+            if lid is None:  # list the label before its id is published
+                _LABELS.append(EdgeLabel(pairs))
+                lid = _LABEL_IDS[pairs] = len(_LABELS) - 1
+    return lid
 
 
 def e_symbol(lab: EdgeLabel) -> str:

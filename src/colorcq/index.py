@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-import threading
 import time
+import weakref
 import zlib
 from bisect import bisect_left
 from itertools import combinations
@@ -33,8 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import (
-    BWD,
-    FWD,
     EdgeLabel,
     LabeledGraph,
     Sigma1,
@@ -43,6 +41,8 @@ from .graph import (
     build_labeled_graph,
     e_symbol,
     encode_self_loops,
+    label_id,
+    label_of,
 )
 from .model import ColorcqError, Database, Schema, _heads, _keys
 from .refine import Coloring, _as_coloring, refine
@@ -99,6 +99,21 @@ class SuccTable(NamedTuple):
     loops: frozenset[int]
 
 
+class _Memo(dict):
+    """A dict that makes a missing key's value with `make` and keeps it, so a
+    warm lookup runs no Python code; concurrent first lookups make equal values.
+    `make` is held weakly: a memo of its owner's method makes no cycle."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = weakref.WeakMethod(make)
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.make()(key))
+
+
 class ColorIndex:
     def __init__(
         self,
@@ -115,16 +130,14 @@ class ColorIndex:
         self.g = g
         self.coloring = coloring
         self.build_seconds = dict(build_seconds)
-        self._lock = threading.Lock()
-        # memoized hat (⊇λ) tables and count rows per label, colour masks per unary set
-        self._succ: dict[EdgeLabel, SuccTable] = {}
-        self._rows: dict[EdgeLabel, PairRows] = {}
-        self._unary: dict[frozenset[str], np.ndarray] = {}
+        # memos per label id (count rows, hat tables) and per unary set (colour flags)
+        self._rows, self._succ = _Memo(self._make_rows), _Memo(self._make_table)
+        self._unary = _Memo(self._make_flags)
         t0 = time.perf_counter()
         self._build_tables()
         self._build_color_db()
         for lab in self.actual_labels:
-            self.table(lab)
+            self.table(lab.id)
         self.build_seconds["tables"] = time.perf_counter() - t0
 
     # -- construction ------------------------------------------------------
@@ -180,20 +193,20 @@ class ColorIndex:
     def _build_color_db(self) -> None:
         g = self.g
         budget = _CLOSURE_CAP
-        # closure label -> ids of the actual labels that contain it; a label
-        # outside the closure is contained in no actual label
-        self._supers: dict[EdgeLabel, list[int]] = {}
-        for lid, lab in enumerate(self.actual_labels):
+        # closure label id -> numbers of the actual labels that contain it; a
+        # label outside the closure is contained in no actual label
+        self._supers: dict[int, list[int]] = {}
+        for i, lab in enumerate(self.actual_labels):
             pairs = lab.pairs
             budget -= 1 << len(pairs)
             if budget < 0:
                 raise ColorcqError("edge-label closure too large to materialize")
             for r in range(1, len(pairs) + 1):
-                for sub in combinations(pairs, r):
-                    self._supers.setdefault(EdgeLabel(sub), []).append(lid)
+                for sub in combinations(pairs, r):  # sorted and distinct, as `pairs`
+                    self._supers.setdefault(label_id(sub), []).append(i)
 
         schema = Schema((u, 1) for u in g.unary_symbols)
-        elabels = sorted(self._supers, key=lambda lab: (len(lab.pairs), lab.pairs))
+        elabels = sorted(map(label_of, self._supers), key=lambda lab: (len(lab.pairs), lab.pairs))
         self.closure_symbols: dict[EdgeLabel, str] = {}
         for lab in elabels:
             name = e_symbol(lab)
@@ -206,61 +219,58 @@ class ColorIndex:
         for lab, name in self.closure_symbols.items():
             # the closure entries are exactly the hat counts; seed the row
             # memo so queries never pay a first-use merge
-            hat = self._hat_count_rows(lab)
+            hat = self._hat_count_rows(lab.id)
             cdb.set_relation(name, np.stack(hat[:2], axis=1))
-            self._augment(lab, hat)
+            self._rows[lab.id] = self._make_rows(lab.id, hat)
         self.color_db = cdb
 
     # -- lookups -----------------------------------------------------------
 
-    def _hat_count_rows(self, lab: EdgeLabel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _hat_count_rows(self, lid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, c′, #̂→^λ(c,c′)) for the class pairs with a positive count, sorted."""
-        parts = [self._count_rows[lid] for lid in self._supers.get(lab, ())]
+        parts = [self._count_rows[i] for i in self._supers.get(lid, ())]
         return _merge_rows(parts, self.num_colors) if parts else (_EMPTY, _EMPTY, _EMPTY)
 
-    def _augment(self, lab: EdgeLabel, hat: tuple[np.ndarray, ...]) -> PairRows:
-        diag = np.flatnonzero(self.loop_cover_array(lab))
+    def _make_rows(self, lid: int, hat: tuple[np.ndarray, ...] | None = None) -> PairRows:
+        hat = self._hat_count_rows(lid) if hat is None else hat
+        diag = np.flatnonzero(self.loop_cover_array(label_of(lid)))
         if len(diag):
             hat = _merge_rows([hat, (diag, diag, np.ones(len(diag), np.int64))], self.num_colors)
-        rows = pair_rows(*hat, self.num_colors)
-        with self._lock:
-            return self._rows.setdefault(lab, rows)
+        return pair_rows(*hat, self.num_colors)
 
-    def rows(self, lab: EdgeLabel) -> PairRows:
-        """The loop-augmented counts of λ, sorted by (c, c′): #̂→^λ(c,c′) where
-        it is positive, plus one on (c, c) for every class c that loops over λ
-        (see `loop_cover_array`).  Memoized per label."""
-        return self._rows.get(lab) or self._augment(lab, self._hat_count_rows(lab))
+    def rows(self, lid: int) -> PairRows:
+        """The loop-augmented counts of the label λ of id `lid`, sorted by (c, c′):
+        #̂→^λ(c,c′) where it is positive, plus one on (c, c) for every class c
+        that loops over λ (see `loop_cover_array`).  Memoized per label id."""
+        return self._rows[lid]
 
-    def _materialize_succ(self, lab: EdgeLabel) -> SuccTable:
+    def table(self, lid: int) -> SuccTable:
+        """The successor table of the label of id `lid`, aligned with `rows(lid)`."""
+        return self._succ[lid]
+
+    def _make_table(self, lid: int) -> SuccTable:
         bounds, place, tgt, nbr = self._edges
-        segs = [slice(bounds[lid], bounds[lid + 1]) for lid in self._supers.get(lab, ())]
+        segs = [slice(bounds[i], bounds[i + 1]) for i in self._supers.get(lid, ())]
         # the labels partition the edges; merge their class-major runs (one
         # label's run is already in (place, target colour, target) order)
         w = np.concatenate([nbr[x] for x in segs] + [_EMPTY])
         if len(segs) > 1:
             p, t = (np.concatenate([a[x] for x in segs]) for a in (place, tgt))
             w = w[np.argsort(_pack(_pack(p, t), w), kind="stable")]
-        rows = self.rows(lab)
-        loops = (rows.a == rows.b) & self.loop_cover_array(lab)[rows.a]
+        rows, cover = self.rows(lid), self.loop_cover_array(label_of(lid))
+        loops = (rows.a == rows.b) & cover[rows.a]
         own = rows.n - loops
-        deg = rows.deg - self.loop_cover_array(lab)  # per member of c, not counting itself
+        deg = rows.deg - cover  # per member of c, not counting itself
         start = np.cumsum(self.n_c * deg) - self.n_c * deg  # where each class begins
         lo = start[rows.a] + (np.cumsum(own) - own) - (np.cumsum(deg) - deg)[rows.a]
-        table = SuccTable(w.tolist(), lo.tolist(), deg[rows.a].tolist(), own.tolist(),
-                          frozenset(np.flatnonzero(loops).tolist()))
-        with self._lock:
-            return self._succ.setdefault(lab, table)
-
-    def table(self, lab: EdgeLabel) -> SuccTable:
-        """The successor table of λ, aligned with `rows(λ)`; memoized."""
-        return self._succ.get(lab) or self._materialize_succ(lab)
+        return SuccTable(w.tolist(), lo.tolist(), deg[rows.a].tolist(), own.tolist(),
+                         frozenset(np.flatnonzero(loops).tolist()))
 
     def _pair(self, lab: EdgeLabel, c: int, c2: int) -> int | None:
         """The number of the pair (c, c2) in `rows(λ)`, or None."""
         if not (0 <= c < self.num_colors and 0 <= c2 < self.num_colors):
             raise ColorcqError(f"unknown color id in ({c}, {c2})")
-        rows = self.rows(lab)
+        rows = self.rows(lab.id)
         j = bisect_left(rows.nbr, c2, rows.ptr[c], rows.ptr[c + 1])
         return j if j < rows.ptr[c + 1] and rows.nbr[j] == c2 else None
 
@@ -272,35 +282,26 @@ class ColorIndex:
         j = self._pair(lab, self.coloring.color(v), c)
         if j is None:
             return []
-        t = self.table(lab)
+        t = self.table(lab.id)
         at = t.lo[j] + self.coloring.rank[v] * t.stride[j]
         return t.nbr[at:at + t.own[j]]
 
     def count(self, lab: EdgeLabel, c: int, c2: int) -> int:
         """#̂→^λ(c,c2): the λ-successors in class c2 of any member of class c."""
         j = self._pair(lab, c, c2)
-        return 0 if j is None else self.table(lab).own[j]
+        return 0 if j is None else self.table(lab.id).own[j]
 
     def unary_colors(self, symbols) -> np.ndarray:
         """Per-colour flags (read-only): do the class members carry every
         unary symbol in `symbols`?  Memoized per symbol set."""
-        key = frozenset(symbols)
-        arr = self._unary.get(key)
-        if arr is None:
-            need = sum(1 << self.g._uidx[u] for u in key)  # the vl_mask bits of the set
-            has = np.array([m & need == need for m in self.g.label_masks], dtype=bool)
-            arr = has[self._color_vl]
-            arr.flags.writeable = False
-            with self._lock:
-                arr = self._unary.setdefault(key, arr)
-        return arr
+        return self._unary[frozenset(symbols)]
 
-    @property
-    def loop_pairs(self) -> tuple[frozenset[tuple[str, str]], ...]:
-        """Per colour, the (relation, direction) pairs its members loop over."""
-        loops = [(r, self.unary_colors((s,))) for r, s in self.s1.loop_symbol.items()]
-        return tuple(frozenset(p for r, has in loops if has[c] for p in ((r, FWD), (r, BWD)))
-                     for c in range(self.num_colors))
+    def _make_flags(self, symbols: frozenset[str]) -> np.ndarray:
+        need = sum(1 << self.g._uidx[u] for u in symbols)  # the vl_mask bits of the set
+        has = np.array([m & need == need for m in self.g.label_masks], dtype=bool)
+        arr = has[self._color_vl]
+        arr.flags.writeable = False
+        return arr
 
     def loop_cover_array(self, lab: EdgeLabel) -> np.ndarray:
         """Per-color flags: does every class member carry a self-loop for every

@@ -106,7 +106,8 @@ def test_counts_pinned(dex_index):
 def _f_down(idx, comp):
     """f↓ per variable: `_reduce` with every variable counted, the path a
     full query's count takes."""
-    return _reduce(comp, *_color_tables(idx, comp), len(comp.order), np.int64)
+    return dict(zip(comp.order, _reduce(comp, *_color_tables(idx, comp), len(comp.order),
+                                        np.int64)))
 
 
 def test_f_down_tables_worked_example(dex_index):
@@ -220,7 +221,7 @@ def test_expansion_into_an_empty_set_raises():
     """A colour tuple whose successor set is empty means the index is
     inconsistent; enumeration must say so even under `python -O`."""
     idx = build_index(cycle_db(5))
-    table = idx.table(EdgeLabel([("R", FWD)]))
+    table = idx.table(EdgeLabel([("R", FWD)]).id)
     table.own[:] = [0] * len(table.own)  # every successor group is now empty
     with pytest.raises(ColorcqError, match="inconsistent"):
         list(EnumerationSession(idx, _plan(idx.db, "Ans(x,y) <- R(x,y).")))
@@ -237,22 +238,23 @@ def _subtree_query(plan, comp, x) -> ConjunctiveQuery | None:
     """The subtree of x translated back to original-schema atoms, with every
     subtree variable kept free so result rows are exactly homomorphisms."""
     rev = {s: r for r, s in plan.s1.loop_symbol.items()}
+    rank = comp.order.index
     svars = [x]
     stack = [x]
     while stack:
         v = stack.pop()
-        for w in comp.children[v]:
-            svars.append(w)
-            stack.append(w)
+        for w in comp.children[rank(v)]:
+            svars.append(comp.order[w])
+            stack.append(comp.order[w])
     atoms: list[Atom] = []
     for v in svars:
-        for u in sorted(comp.lambda_x[v]):
+        for u in sorted(comp.unary[rank(v)]):
             if u in rev:
                 atoms.append(Atom(rev[u], (v, v)))
             else:
                 atoms.append(Atom(u, (v,)))
         if v != x:
-            p = comp.parent[v]
+            p = comp.order[comp.parent[rank(v)]]
             for r, d in comp.lambda_e[(p, v)].pairs:
                 atoms.append(Atom(r, (p, v) if d == FWD else (v, p)))
     if not atoms:
@@ -497,6 +499,68 @@ def _half_unary_db(seed: int, n: int = 400, m: int = 2000) -> Database:
     return load_database("\n".join(lines) + "\n")
 
 
+def test_evaluation_hashes_no_edge_label(monkeypatch):
+    """With a plan made beforehand and the index's tables memoized, counting,
+    Boolean answering and a session with its first tuple read every label's
+    pairs and successor table by its int id: no `EdgeLabel` is hashed."""
+    db = _half_unary_db(1701)
+    idx = build_index(db)
+    plans = [_plan(db, text) for text in (
+        "Ans(x,y,z) <- R(x,y), R(y,z), U(z).", "Ans(x) <- R(x,y), R(y,x), R(y,y).",
+        "Ans(x,w) <- R(x,y), R(w,v), U(v).")]
+    boolean = _plan(db, "Ans() <- R(x,y), R(y,z), U(z).")
+
+    def run():  # the first run memoizes every label's tables
+        return ([(count_answers(idx, p), next(EnumerationSession(idx, p), None)) for p in plans],
+                eval_boolean(idx, boolean))
+
+    want = run()
+    hashed = []
+    label_hash = EdgeLabel.__hash__
+
+    def counted_hash(self):
+        hashed.append(self)
+        return label_hash(self)
+
+    monkeypatch.setattr(EdgeLabel, "__hash__", counted_hash)
+    assert run() == want and hashed == []
+    hash(EdgeLabel([("R", FWD)]))
+    assert len(hashed) == 1  # the count sees a hash
+
+
+def test_plans_on_an_equal_schema_give_the_same_answers():
+    """Label ids are process-wide: a plan made on an equal but distinct
+    `Schema` (so another Σ1) counts and enumerates on the index as the plan
+    made on the index's own schema does."""
+    db = _half_unary_db(1704, n=60, m=150)
+    idx = build_index(db)
+    other = Schema((sym, db.schema.arity(sym)) for sym in db.schema.symbols)
+    for text in ("Ans(x,y) <- R(x,y), R(y,y).", "Ans(x,y) <- R(x,y), R(y,z), U(z).",
+                 "Ans(x,y) <- R(x,y), R(y,x).", "Ans() <- R(x,y), R(z,y), U(z)."):
+        mine, theirs = _plan(db, text), plan_query(parse_query(text, other), other)
+        assert theirs.s1 is not mine.s1
+        assert count_answers(idx, theirs) == count_answers(idx, mine)
+        assert list(EnumerationSession(idx, theirs)) == list(EnumerationSession(idx, mine))
+
+
+def test_next_and_for_read_one_stream():
+    """`next(sess)` and `for t in sess` advance the same stream, which equals
+    `list(EnumerationSession(...))`."""
+    idx = build_index(cycle_db(7))
+    plan = _plan(idx.db, "Ans(x,y,z) <- R(x,y), R(y,z).")
+    want = list(EnumerationSession(idx, plan))
+    sess = EnumerationSession(idx, plan)
+    got = [next(sess), next(sess)]
+    for t in sess:
+        got.append(t)
+        if len(got) == 4:
+            break
+    got.append(next(sess))
+    got += list(sess)
+    assert got == want and len(want) == 7 and sess.emissions == 7
+    assert next(sess, None) is None
+
+
 def test_kept_pairs_match_their_definitions(monkeypatch):
     """Every `TreeRun` that enumeration (with an index, and `cde_fc_acq`
     without one) prepares holds, per free tree edge, the numbers of the
@@ -530,16 +594,16 @@ def test_kept_pairs_match_their_definitions(monkeypatch):
     seen = Counter()
     for run in runs:
         comp, cand = run.comp, run.cand
-        assert run.satisfiable == bool(cand[comp.root].any())
-        assert list(run.roots) == np.flatnonzero(cand[comp.root]).tolist()
+        assert run.satisfiable == bool(cand[0].any())
+        assert list(run.roots) == np.flatnonzero(cand[0]).tolist()
         if not run.satisfiable:
             continue
-        for w in comp.free_prefix[1:]:
+        for w in range(1, len(comp.free_prefix)):
             v = comp.parent[w]
-            p = run.pairs[(v, w)]
+            p = run.pairs[w]
             ok = cand[w][p.b]
             js = np.flatnonzero(ok)
-            ptr, kept = run.fadj[(v, w)]
+            ptr, kept = run.fadj[w]
             assert list(kept) == js.tolist()
             want = np.searchsorted(p.a[js], np.arange(len(cand[v]) + 1))
             assert list(ptr) == want.tolist()
@@ -577,12 +641,12 @@ def _reduce_explicit(comp, cand0, pairs, counted=0, dtype=bool):
     """`_reduce` without the leaf fold: every child, leaves included, is
     gathered over its pairs, then scattered (semi-join) or summed with
     `np.add.at` (counted)."""
-    f = {}
-    for v in reversed(comp.order):
-        fv = cand0[v] if comp.rank[v] >= counted else cand0[v].astype(dtype)
+    f = [None] * len(cand0)
+    for v in reversed(range(len(cand0))):
+        fv = cand0[v] if v >= counted else cand0[v].astype(dtype)
         for w in comp.children[v]:
-            p = pairs[(v, w)]
-            if comp.rank[w] < counted:
+            p = pairs[w]
+            if w < counted:
                 g = np.zeros(len(fv), dtype)
                 np.add.at(g, p.a, f[w][p.b] * p.n)
             else:
@@ -626,19 +690,19 @@ def test_folded_leaves_match_the_explicit_sweep(monkeypatch):
     for route, comp, cand0, pairs in inputs:
         for counted in range(len(comp.order) + 1):
             if counted and route == "constants":  # count each pair once, as `deg` does
-                pairs = {e: p._replace(n=np.ones(len(p.a), np.int64)) if p.n is None else p
-                         for e, p in pairs.items()}
+                pairs = [p._replace(n=np.ones(len(p.a), np.int64)) if p and p.n is None else p
+                         for p in pairs]
             for dtype in ((bool,) if not counted else (np.int64, object)):
                 got = _reduce(comp, cand0, pairs, counted, dtype)
                 want = _reduce_explicit(comp, cand0, pairs, counted, dtype)
-                assert got.keys() == want.keys()
-                for v in comp.order:
+                assert len(got) == len(want)
+                for v in range(len(comp.order)):
                     assert np.array_equal(got[v], want[v]), (comp.query, counted, dtype, v)
                     assert got[v].dtype == want[v].dtype, (comp.query, counted, dtype, v)
-        for v in comp.order:
-            for w in comp.children[v]:
+        for kids in comp.children:
+            for w in kids:
                 if not comp.children[w]:
-                    leaf = "unary leaf" if comp.lambda_x[w] else "folded leaf"
+                    leaf = "unary leaf" if comp.unary[w] else "folded leaf"
                     seen[(route, leaf)] += 1
         seen[(route, "components")] += 1
     assert len(seen) == 6 and min(seen.values()) >= 20, seen
@@ -653,11 +717,11 @@ def test_pair_rows_degrees(tmp_path):
         db = random_db(rng, max_adom=12, max_facts=30)
         idx = build_index(db)
         for lab in idx.closure_symbols:
-            idx.rows(lab)
+            idx.rows(lab.id)
         save_index(idx, str(tmp_path / f"{i}.idx"))
         for index in (idx, load_index(str(tmp_path / f"{i}.idx"))):
             for lab in index.closure_symbols:
-                p = index.rows(lab)
+                p = index.rows(lab.id)
                 assert np.array_equal(p.deg, np.bincount(p.a, p.n, index.num_colors))
                 assert np.array_equal(p.has, p.deg > 0)
                 assert len(p.deg) == len(p.has) == index.num_colors
@@ -697,10 +761,10 @@ def test_leaf_edges_are_not_swept(monkeypatch):
 
     def tables(idx, comp):
         cand0, pairs = color_tables(idx, comp)
-        for (v, w), p in list(pairs.items()):
-            if not comp.children[w] and not comp.lambda_x[w]:
-                leaf_edges.append((v, w))
-                pairs[(v, w)] = p._replace(a=_Reads(p.a, reads), b=_Reads(p.b, reads))
+        for w, p in enumerate(pairs):
+            if p and not comp.children[w] and not comp.unary[w]:
+                leaf_edges.append(w)
+                pairs[w] = p._replace(a=_Reads(p.a, reads), b=_Reads(p.b, reads))
         return cand0, pairs
 
     class _Add:

@@ -116,7 +116,8 @@ def test_worked_plan_with_loop_atom():
     assert c.root == "x1"
     assert c.order == ("x1", "x2", "x3")
     assert c.free_prefix == ("x1", "x2")
-    assert c.lambda_x == {"x1": frozenset(), "x2": frozenset({"S_R"}), "x3": frozenset()}
+    assert dict(zip(c.order, c.unary)) == {
+        "x1": frozenset(), "x2": frozenset({"S_R"}), "x3": frozenset()}
     assert c.lambda_e == {
         ("x1", "x2"): EdgeLabel([("R", "+")]),
         ("x1", "x3"): EdgeLabel([("R", "-")]),
@@ -243,7 +244,7 @@ def test_sigma1_memo_follows_schema_changes():
     q = _q("Ans(x) <- R(x,x), R(x,y).")
     plan = plan_query(q, schema)
     assert plan.s1 == sigma1_for(schema)
-    assert plan.components[0].lambda_x["x"] == {"S_R"}
+    assert plan.components[0].unary[0] == {"S_R"}  # x is the root
 
     schema.add("T", 2)
     plan = plan_query(q, schema)
@@ -254,7 +255,7 @@ def test_sigma1_memo_follows_schema_changes():
     plan = plan_query(q, schema)
     assert plan.s1 == sigma1_for(schema)
     assert plan.s1.loop_symbol == {"R": "_S_R", "T": "S_T"}
-    assert plan.components[0].lambda_x["x"] == {"_S_R"}
+    assert plan.components[0].unary[0] == {"_S_R"}
 
 
 def test_explain_plan_smoke():

@@ -219,8 +219,8 @@ def test_loop_cover_array():
     idx = build_index(db)
     ca = idx.coloring.color(idx.g.vertex_of(a))
     cb = idx.coloring.color(idx.g.vertex_of(b))
-    assert idx.loop_pairs[ca] == frozenset({("R", "+"), ("R", "-")})
-    assert idx.loop_pairs[cb] == frozenset()
+    loops = idx.unary_colors((idx.s1.loop_symbol["R"],))  # the classes that loop over R
+    assert bool(loops[ca]) and not bool(loops[cb])
     arr = idx.loop_cover_array(EdgeLabel([("R", "+")]))
     assert bool(arr[ca]) and not bool(arr[cb])
     both = idx.loop_cover_array(EdgeLabel([("R", "+"), ("R", "-")]))
@@ -288,7 +288,7 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
            multirel_db()]
     built = [build_index(db) for db in dbs]
     hat = EdgeLabel([("P", "+")])
-    assert len(built[-1]._supers[hat]) == 2  # the multirel hat lookup merges
+    assert len(built[-1]._supers[hat.id]) == 2  # the multirel hat lookup merges
 
     def no_refine(g):
         raise AssertionError("load_index must not refine")
@@ -315,6 +315,35 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
                 for c in range(idx.num_colors):
                     assert list(idx2.succ(lab, v, c)) == list(idx.succ(lab, v, c))
         assert index_stats(idx2)["db_size"] == index_stats(idx)["db_size"]
+
+
+def test_dual_rows_are_the_transpose(tmp_path):
+    """For every closure label λ of a built index and of its loaded copy,
+    `rows(λ.dual())` holds the transposed pairs of `rows(λ)`, loop diagonal
+    included, and the λ-edges between two classes balance: n_c[a]·n(a, b)
+    equals n_c[b]·n_dual(b, a)."""
+    rng = random.Random(1702)
+    dbs = [movie_db(), cycle_db(9), path_db(8), tree_db(3), multirel_db()]
+    dbs += [random_db(rng, max_adom=10, max_facts=30) for _ in range(25)]
+    seen = {"pairs": 0, "loop diagonal pairs": 0, "uneven class sizes": 0}
+    for i, db in enumerate(dbs):
+        idx = build_index(db)
+        save_index(idx, str(tmp_path / f"{i}.ccqx"))
+        for index in (idx, load_index(str(tmp_path / f"{i}.ccqx"))):
+            n_c = index.n_c.tolist()
+            for lab in index.closure_symbols:
+                assert lab.dual() in index.closure_symbols
+                p, d = index.rows(lab.id), index.rows(lab.dual().id)
+                fwd = dict(zip(zip(p.a.tolist(), p.b.tolist()), p.n.tolist()))
+                bwd = dict(zip(zip(d.b.tolist(), d.a.tolist()), d.n.tolist()))
+                assert fwd.keys() == bwd.keys(), lab
+                cover = index.loop_cover_array(lab)
+                for (a, b), n in fwd.items():
+                    assert n_c[a] * n == n_c[b] * bwd[(a, b)], (lab, a, b)
+                    seen["pairs"] += 1
+                    seen["loop diagonal pairs"] += a == b and bool(cover[a])
+                    seen["uneven class sizes"] += n_c[a] != n_c[b]
+    assert min(seen.values()) >= 20, seen
 
 
 def _array_offset(data: bytes, name: str) -> int:
@@ -508,4 +537,4 @@ def test_hat_tables_memoized(dex_index):
     c = idx.coloring.color(idx.g.vertex_of(idx.db.intern("LM")))
     first = idx.succ(lab, v, c)
     assert list(idx.succ(lab, v, c)) == list(first)
-    assert idx.table(lab) is idx.table(lab)
+    assert idx.table(lab.id) is idx.table(lab.id)
