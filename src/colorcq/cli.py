@@ -1,18 +1,16 @@
 """Command line: build an index once, then answer queries against it.
 
 Exit codes: 0 success; 1 I/O, parse, or schema errors; 2 query outside the
-supported class (with a diagnostic); 3 `--task bool` on a non-Boolean query.
+supported class (with a diagnostic), or a usage error reported by argparse;
+3 `--task bool` on a non-Boolean query.
 """
 from __future__ import annotations
 
 import argparse
 import random
 import sys
-import time
 from decimal import Decimal
 from itertools import islice
-
-import numpy as np
 
 from . import __version__
 from .evaluation import EnumerationSession, count_answers, eval_boolean
@@ -142,49 +140,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _percentile(xs: list[float], q: float) -> float:
-    return float(np.percentile(np.array(xs), q)) if xs else float("nan")
-
-
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    idx = _get_index(args)
-    load_secs = time.perf_counter() - t0
-    st = index_stats(idx)
-    print(f"db size {st['db_size']}, color db size {st['color_db_size']}, "
-          f"colors {st['num_colors']}, adom {st['adom_size']}")
-    print("build/load seconds: "
-          + ", ".join(f"{k}={v:.4f}" for k, v in st["build_seconds"].items())
-          + f", total_here={load_secs:.4f}")
-
-    lines = _read_text(args.queries).split("\n")
-    texts = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
-
-    print(f"{'query':<44} {'prep_ms':>8} {'p50_us':>8} {'p95_us':>8} "
-          f"{'max_us':>8} {'tuples':>8} {'count':>10} {'count_ms':>9}")
-    cap = 10000 if args.limit is None else args.limit
-    for text in texts:
-        q = parse_query(text, idx.db.schema)
-        plan = plan_query(q, idx.db.schema)
-        t0 = time.perf_counter()
-        sess = EnumerationSession(idx, plan)
-        prep = (time.perf_counter() - t0) * 1e3
-        gaps: list[float] = []
-        last = time.perf_counter()
-        for _ in islice(sess, cap):
-            now = time.perf_counter()
-            gaps.append((now - last) * 1e6)
-            last = now
-        t0 = time.perf_counter()
-        cnt = count_answers(idx, plan)
-        count_ms = (time.perf_counter() - t0) * 1e3
-        label = text if len(text) <= 44 else text[:41] + "..."
-        print(f"{label:<44} {prep:8.3f} {_percentile(gaps, 50):8.1f} "
-              f"{_percentile(gaps, 95):8.1f} {_percentile(gaps, 100):8.1f} "
-              f"{len(gaps):8d} {Decimal(cnt)!s:>10} {count_ms:9.3f}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="colorcq",
@@ -233,12 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--seed", type=int, default=0)
     gr.add_argument("--out")
     gr.set_defaults(fn=cmd_gen)
-
-    bp = sub.add_parser("bench", help="time preprocessing, delay and counting")
-    add_source(bp)
-    bp.add_argument("--queries", required=True, help="file with one query per line")
-    bp.add_argument("--limit", type=_limit, help="max tuples timed per query")
-    bp.set_defaults(fn=cmd_bench)
 
     st = sub.add_parser("stats", help="print index statistics")
     add_source(st)

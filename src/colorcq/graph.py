@@ -46,9 +46,6 @@ class EdgeLabel:
     def dual(self) -> EdgeLabel:
         return EdgeLabel((s, _DUAL_DIR[d]) for s, d in self.pairs)
 
-    def issubset(self, other: EdgeLabel) -> bool:
-        return set(self.pairs) <= set(other.pairs)
-
     def __str__(self) -> str:
         return "{" + ",".join(f"({s},{d})" for s, d in self.pairs) + "}"
 
@@ -206,23 +203,10 @@ class LabeledGraph:
 
         self._build_edges(vertex)
 
-    def vertex_of(self, cid: int) -> int:
-        v = int(np.searchsorted(self.verts, cid))
-        if v >= self.n or self.verts[v] != cid:
-            raise KeyError(f"constant id {cid} is not in the active domain")
-        return v
-
-    def const_of(self, v: int) -> int:
-        return int(self.verts[v])
-
     @cached_property
     def vl_mask(self) -> np.ndarray:
         """Per-vertex bitmask of the unary symbols (Python ints, any width)."""
         return np.array(self.label_masks, dtype=object)[self.vl_id]
-
-    def vl(self, v: int) -> frozenset[str]:
-        m = self.vl_mask[v]
-        return frozenset(u for u, i in self._uidx.items() if m >> i & 1)
 
     def _build_edges(self, vertex: np.ndarray) -> None:
         binary = self.d1.schema.binary_symbols
@@ -265,19 +249,6 @@ class LabeledGraph:
             mask >>= 1
             r += 1
         return out
-
-    # -- small query helpers (tests and naive code paths) --
-
-    def out_edges(self, v: int) -> list[tuple[int, EdgeLabel]]:
-        lo, hi = self.indptr[v], self.indptr[v + 1]
-        return [(int(self.nbr[e]), self.labels[self.elab[e]]) for e in range(lo, hi)]
-
-    def edge_label(self, v: int, w: int) -> EdgeLabel | None:
-        lo, hi = self.indptr[v], self.indptr[v + 1]
-        e = lo + np.searchsorted(self.nbr[lo:hi], w)
-        if e < hi and self.nbr[e] == w:
-            return self.labels[self.elab[e]]
-        return None
 
     @property
     def num_directed_edges(self) -> int:

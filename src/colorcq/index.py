@@ -279,17 +279,12 @@ class ColorIndex:
         index, c a colour id)."""
         if not 0 <= v < self.g.n:
             raise ColorcqError(f"unknown vertex {v}")
-        j = self._pair(lab, self.coloring.color(v), c)
+        j = self._pair(lab, int(self.coloring.color_of[v]), c)
         if j is None:
             return []
         t = self.table(lab.id)
         at = t.lo[j] + self.coloring.rank[v] * t.stride[j]
         return t.nbr[at:at + t.own[j]]
-
-    def count(self, lab: EdgeLabel, c: int, c2: int) -> int:
-        """#̂→^λ(c,c2): the λ-successors in class c2 of any member of class c."""
-        j = self._pair(lab, c, c2)
-        return 0 if j is None else self.table(lab.id).own[j]
 
     def unary_colors(self, symbols) -> np.ndarray:
         """Per-colour flags (read-only): do the class members carry every

@@ -91,43 +91,18 @@ class Database:
     """A set-semantics instance: interned constants plus one relation per symbol.
 
     A relation is an (m, arity) int64 array of constant ids, sorted by rows
-    and without repeated rows.  `add_fact` queues single facts, which are
-    merged into the array on the next read; `tuples` builds a Python set view
-    of a relation on first use.
+    and without repeated rows, which `set_relation` puts in; `tuples` builds a
+    Python set view of a relation on first use.
     """
 
     def __init__(self, schema: Schema, constants: Iterable[str] = ()):
         self.schema = schema
         self.constants: list[str] = list(dict.fromkeys(constants))
-        self._ids: dict[str, int] | None = None  # name -> id, built on first use
         self._arrays: dict[str, np.ndarray] = {}
-        self._pending: dict[str, list[tuple[int, ...]]] = {}
         self._sets: dict[str, set[tuple[int, ...]]] = {}
-
-    def _id_map(self) -> dict[str, int]:
-        if self._ids is None:
-            self._ids = dict(zip(self.constants, range(len(self.constants))))
-        return self._ids
-
-    def intern(self, name: str) -> int:
-        ids = self._id_map()
-        cid = ids.get(name)
-        if cid is None:
-            cid = len(self.constants)
-            ids[name] = cid
-            self.constants.append(name)
-        return cid
 
     def const_name(self, cid: int) -> str:
         return self.constants[cid]
-
-    def add_fact(self, rel: str, args: tuple[int, ...]) -> None:
-        if len(args) != self.schema.arity(rel):
-            raise SchemaError(
-                f"symbol {rel!r} has arity {self.schema.arity(rel)}, got {len(args)} arguments"
-            )
-        self._pending.setdefault(rel, []).append(tuple(args))
-        self._sets.pop(rel, None)
 
     def set_relation(self, rel: str, rows: np.ndarray) -> None:
         """Replace `rel` by the distinct rows of `rows`, which must hold ids of
@@ -146,17 +121,11 @@ class Database:
             key = key[order]
             rows = rows[order[np.append(True, key[1:] != key[:-1])]]
         self._arrays[rel] = rows
-        self._pending.pop(rel, None)
         self._sets.pop(rel, None)
 
     def array(self, rel: str) -> np.ndarray:
         """The rows of `rel` as a sorted (m, arity) int64 array."""
         arity = self.schema.arity(rel)
-        queued = self._pending.get(rel)
-        if queued:
-            rows = np.array(queued, dtype=np.int64).reshape(-1, arity)
-            old = self._arrays.get(rel)
-            self.set_relation(rel, rows if old is None else np.concatenate([old, rows]))
         out = self._arrays.get(rel)
         return np.zeros((0, arity), dtype=np.int64) if out is None else out
 
@@ -396,8 +365,9 @@ def _parse_lines(text: str) -> Database:
         args_of.setdefault(rel, []).extend(args)
 
     db = Database(schema, constants=names)
+    id_of = dict(zip(db.constants, range(len(db.constants))))
     for rel, args in args_of.items():
-        ids = np.fromiter(map(db._id_map().__getitem__, args), dtype=np.int64, count=len(args))
+        ids = np.fromiter(map(id_of.__getitem__, args), dtype=np.int64, count=len(args))
         db.set_relation(rel, ids.reshape(-1, schema.arity(rel)))
     return db
 

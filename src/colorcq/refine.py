@@ -21,7 +21,6 @@ the untouched rest is not the largest part and loses its id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,22 +48,9 @@ class Coloring:
     def num_colors(self) -> int:
         return len(self.bounds) - 1
 
-    def color(self, v: int) -> int:
-        return int(self.color_of[v])
-
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(np.array(self.bounds, dtype=np.int64))
-
-    @cached_property
-    def members(self) -> tuple[np.ndarray, ...]:
-        """One member array per class (built on first use)."""
-        return tuple(self.order[lo:hi] for lo, hi in zip(self.bounds, self.bounds[1:]))
-
-
-def canonicalize(raw: np.ndarray) -> np.ndarray:
-    """Renumber colour ids so classes appear in order of least vertex."""
-    return _as_coloring(raw).color_of
 
 
 def _as_coloring(raw: np.ndarray) -> Coloring:

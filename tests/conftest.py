@@ -5,10 +5,11 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from colorcq.frontend import check_free_connex_acyclic
-from colorcq.graph import build_labeled_graph, encode_self_loops
+from colorcq.graph import EdgeLabel, build_labeled_graph, encode_self_loops
 from colorcq.index import build_index
 from colorcq.model import Atom, ConjunctiveQuery, Database, Schema
 
@@ -22,19 +23,30 @@ MOVIE_FACTS = [
 MOVIE_TEXT = "\n".join(f"{r}({a},{b})" for r, a, b in MOVIE_FACTS) + "\n"
 
 
-def movie_db() -> Database:
-    db = Database(Schema([("P", 2), ("A", 2), ("M", 2), ("S", 2)]))
-    for r, a, b in MOVIE_FACTS:
-        db.add_fact(r, (db.intern(a), db.intern(b)))
+def make_db(schema: Schema, facts, constants=()) -> Database:
+    """A Database over `schema` that holds `facts`, each (relation, constant,
+    ...).  Constants are numbered in the order of `constants`, then of first
+    use in `facts`; each relation is put in with one `set_relation`."""
+    facts = list(facts)
+    db = Database(schema, constants=[*constants, *(c for _, *args in facts for c in args)])
+    id_of = {c: i for i, c in enumerate(db.constants)}
+    rows: dict[str, list[list[int]]] = {}
+    for rel, *args in facts:
+        rows.setdefault(rel, []).append([id_of[c] for c in args])
+    for rel, r in rows.items():
+        db.set_relation(rel, np.array(r, dtype=np.int64))
     return db
+
+
+def movie_db() -> Database:
+    return make_db(Schema([("P", 2), ("A", 2), ("M", 2), ("S", 2)]), MOVIE_FACTS)
 
 
 def cycle_db(n: int) -> Database:
     """R(1,2), R(2,3), ..., R(n,1) over constants named 1..n."""
-    db = Database(Schema([("R", 2)]))
-    ids = [db.intern(str(i)) for i in range(1, n + 1)]
-    for i in range(n):
-        db.add_fact("R", (ids[i], ids[(i + 1) % n]))
+    db = Database(Schema([("R", 2)]), constants=[str(i) for i in range(1, n + 1)])
+    ids = np.arange(n)
+    db.set_relation("R", np.stack([ids, (ids + 1) % n], axis=1))
     return db
 
 
@@ -58,15 +70,15 @@ VARS = ("v", "w", "x", "y", "z")
 def random_db(rng: random.Random, max_adom: int = 8, max_facts: int = 10,
               loops: bool = True) -> Database:
     """Two binary relations and one unary over at most `max_adom` constants."""
-    db = Database(Schema([("R", 2), ("S", 2), ("U", 1)]))
     n = rng.randint(1, max_adom)
-    cs = [db.intern(f"c{i}") for i in range(n)]
+    schema = Schema([("R", 2), ("S", 2), ("U", 1)])
+    db = Database(schema, constants=[f"c{i}" for i in range(n)])
+    cs = list(range(n))
     pool = [(u, v) for u in cs for v in cs if loops or u != v]
     for rel in ("R", "S"):
-        for t in rng.sample(pool, k=rng.randint(0, min(max_facts, len(pool)))):
-            db.add_fact(rel, t)
-    for u in rng.sample(cs, k=rng.randint(0, n)):
-        db.add_fact("U", (u,))
+        pairs = rng.sample(pool, k=rng.randint(0, min(max_facts, len(pool))))
+        db.set_relation(rel, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    db.set_relation("U", np.array(rng.sample(cs, k=rng.randint(0, n)), dtype=np.int64)[:, None])
     return db
 
 
@@ -103,9 +115,42 @@ def graph_of(db: Database):
     return build_labeled_graph(d1, s1)
 
 
+def vertex(g, cid: int) -> int:
+    """The vertex index of the constant id `cid`, which must be in the active domain."""
+    return int(np.flatnonzero(g.verts == cid)[0])
+
+
+def color_of_name(idx, name: str) -> int:
+    return int(idx.coloring.color_of[vertex(idx.g, idx.db.constants.index(name))])
+
+
+def members(coloring) -> list[np.ndarray]:
+    """The vertices of each class, ascending, in class order."""
+    return [coloring.order[lo:hi] for lo, hi in zip(coloring.bounds, coloring.bounds[1:])]
+
+
 def partition(coloring) -> frozenset[frozenset[int]]:
     """Coloring as a renaming-independent set of vertex classes."""
-    return frozenset(frozenset(int(v) for v in m) for m in coloring.members)
+    return frozenset(frozenset(int(v) for v in m) for m in members(coloring))
+
+
+def out_edges(g, v: int) -> list[tuple[int, EdgeLabel]]:
+    """The (target, label) pairs of the out-edges of vertex v, by target."""
+    return [(int(g.nbr[e]), g.labels[g.elab[e]]) for e in range(g.indptr[v], g.indptr[v + 1])]
+
+
+def edge_label(g, v: int, w: int) -> EdgeLabel | None:
+    return dict(out_edges(g, v)).get(w)
+
+
+def vertex_symbols(g, v: int) -> frozenset[str]:
+    """The unary symbols that hold on vertex v."""
+    return frozenset(u for i, u in enumerate(g.unary_symbols) if g.vl_mask[v] >> i & 1)
+
+
+def hat_count(idx, lab: EdgeLabel, c: int, c2: int) -> int:
+    """#̂→^λ(c,c2): the λ-successors in class c2 of any member of class c."""
+    return len(idx.succ(lab, int(idx.coloring.order[idx.coloring.bounds[c]]), c2))
 
 
 def names(db: Database, tuples) -> set[tuple[str, ...]]:

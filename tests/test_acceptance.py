@@ -20,24 +20,23 @@ from colorcq.evaluation import (
 from colorcq.frontend import plan_query
 from colorcq.graph import EdgeLabel
 from colorcq.index import build_index, index_stats
-from colorcq.model import Atom, ConjunctiveQuery, Database, Schema, parse_query
+from colorcq.model import Atom, ConjunctiveQuery, Schema, parse_query
 from colorcq.oracle import naive_eval
 from colorcq.refine import naive_refine, refine
 
 from .conftest import (
+    color_of_name,
     cycle_db,
     graph_of,
+    hat_count,
+    make_db,
+    members,
     movie_db,
-    names,
     partition,
     random_db,
     random_fc_query,
 )
 from .test_refine import _refines, _set_partitions, _stable_partition
-
-
-def _color_of_name(idx, name: str) -> int:
-    return idx.coloring.color(idx.g.vertex_of(idx.db.intern(name)))
 
 
 def test_criterion_1_running_example_coloring():
@@ -46,8 +45,8 @@ def test_criterion_1_running_example_coloring():
     idx = build_index(db)
     elapsed = time.perf_counter() - t0
     classes = {
-        frozenset(db.const_name(idx.g.const_of(int(v))) for v in members)
-        for members in idx.coloring.members
+        frozenset(db.const_name(int(idx.g.verts[v])) for v in cls)
+        for cls in members(idx.coloring)
     }
     assert classes == {
         frozenset({"PS"}),
@@ -61,7 +60,7 @@ def test_criterion_1_running_example_coloring():
 
 def test_criterion_2_running_example_color_database():
     idx = build_index(movie_db())
-    b, r, g, y = (_color_of_name(idx, n) for n in ("PS", "LM", "Dr.S", "18m"))
+    b, r, g, y = (color_of_name(idx, n) for n in ("PS", "LM", "Dr.S", "18m"))
     want = {
         EdgeLabel([("P", "+"), ("A", "-")]): {(b, r)},
         EdgeLabel([("P", "+")]): {(b, r)},
@@ -91,7 +90,7 @@ def test_criterion_2_running_example_color_database():
         assert idx.color_db.tuples(u) == set()
     for lab in (EdgeLabel([("P", "+"), ("S", "+")]), EdgeLabel([("P", "+"), ("P", "-")])):
         assert all(
-            idx.count(lab, c, c2) == 0 for c in range(4) for c2 in range(4)
+            hat_count(idx, lab, c, c2) == 0 for c in range(4) for c2 in range(4)
         )
     assert idx.color_db.size() == 10
     print("\n[criterion 2] colour database matches the worked example exactly")
@@ -186,15 +185,12 @@ def test_criterion_6_coarsest_stable_partition():
     graphs += [graph_of(random_db(rng, max_adom=8, max_facts=16)) for _ in range(3)]
     # shapes whose coarsest stable partition is far from discrete: a cycle
     # (single class) and an out-star (center vs. interchangeable leaves)
-    star_db = Database(Schema([("R", 2)]))
-    center = star_db.intern("c")
-    for i in range(4):
-        star_db.add_fact("R", (center, star_db.intern(f"l{i}")))
+    star_db = make_db(Schema([("R", 2)]), [("R", "c", f"l{i}") for i in range(4)])
     graphs += [graph_of(cycle_db(6)), graph_of(star_db)]
     for g in graphs:
         if g.n == 0:
             continue
-        star = [set(int(v) for v in m) for m in refine(g).members]
+        star = [set(int(v) for v in m) for m in members(refine(g))]
         assert _stable_partition(g, star)
         for cand in _set_partitions(list(range(g.n))):
             if _stable_partition(g, cand):

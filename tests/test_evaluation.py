@@ -37,7 +37,16 @@ from colorcq.model import (
 )
 from colorcq.oracle import naive_count, naive_eval
 
-from .conftest import cycle_db, names, random_db, random_fc_query
+from .conftest import (
+    color_of_name,
+    cycle_db,
+    make_db,
+    members,
+    names,
+    random_db,
+    random_fc_query,
+    vertex,
+)
 
 
 def _plan(db, text):
@@ -115,8 +124,7 @@ def test_f_down_tables_worked_example(dex_index):
     plan = _plan(db, "Ans(y,z) <- P(x,y), M(y,z).")
     comp = plan.components[0]
     assert comp.order == ("y", "z", "x")
-    col = lambda name: idx.coloring.color(idx.g.vertex_of(db.intern(name)))
-    b, r, g, y = col("PS"), col("LM"), col("Dr.S"), col("18m")
+    b, r, g, y = (color_of_name(idx, name) for name in ("PS", "LM", "Dr.S", "18m"))
     f_down = _f_down(idx, comp)
     for leaf in ("x", "z"):
         assert f_down[leaf].tolist() == [1, 1, 1, 1]
@@ -127,9 +135,7 @@ def test_f_down_tables_worked_example(dex_index):
 
 
 def test_loop_facts_are_answers():
-    db = Database(Schema([("R", 2)]))
-    a = db.intern("a")
-    db.add_fact("R", (a, a))
+    db = make_db(Schema([("R", 2)]), [("R", "a", "a")])
     idx = build_index(db)
     assert names(db, _answers(idx, _plan(db, "Ans(x,y) <- R(x,y)."))) == {("a", "a")}
     assert count_answers(idx, _plan(db, "Ans(x,y) <- R(x,y).")) == 1
@@ -139,10 +145,7 @@ def test_loop_facts_are_answers():
     assert names(db, _answers(idx, _plan(db, q5))) == {("a", "a")}
     assert count_answers(idx, _plan(db, q5)) == 1
 
-    db2 = Database(Schema([("R", 2)]))
-    a, b = db2.intern("a"), db2.intern("b")
-    db2.add_fact("R", (a, a))
-    db2.add_fact("R", (a, b))
+    db2 = make_db(Schema([("R", 2)]), [("R", "a", "a"), ("R", "a", "b")])
     idx2 = build_index(db2)
     assert names(db2, _answers(idx2, _plan(db2, "Ans(x,y) <- R(x,y), R(y,x)."))) == {
         ("a", "a")
@@ -162,10 +165,8 @@ def test_empty_database_evaluation():
 
 
 def test_cross_product_components():
-    db = Database(Schema([("R", 2), ("S", 2), ("U", 1)]))
-    for rel, pairs in (("R", [("a", "b"), ("b", "c")]), ("S", [("d", "e"), ("e", "f")])):
-        for x, y in pairs:
-            db.add_fact(rel, (db.intern(x), db.intern(y)))
+    db = make_db(Schema([("R", 2), ("S", 2), ("U", 1)]),
+                 [("R", "a", "b"), ("R", "b", "c"), ("S", "d", "e"), ("S", "e", "f")])
     idx = build_index(db)
     plan = _plan(db, "Ans(x,w) <- R(x,y), S(w,v).")
     sess = EnumerationSession(idx, plan)
@@ -180,7 +181,7 @@ def test_cross_product_components():
     assert _answers(idx, plan0) == set()
     assert count_answers(idx, plan0) == 0
 
-    db.add_fact("U", (db.intern("d"),))
+    db.set_relation("U", [[db.constants.index("d")]])
     idx = build_index(db)
     assert len(_answers(idx, _plan(db, "Ans(x,w) <- R(x,y), S(w,v), U(u)."))) == 4
 
@@ -286,8 +287,8 @@ def test_subtree_counts_match_brute_force():
                         continue
                     per_const = Counter(t[0] for t in naive_eval(db, sq))
                     for c in range(idx.num_colors):
-                        for vi in idx.coloring.members[c]:
-                            cid = idx.g.const_of(int(vi))
+                        for vi in members(idx.coloring)[c]:
+                            cid = int(idx.g.verts[vi])
                             assert f_down[x][c] == per_const.get(cid, 0)
                             checked += 1
     assert checked > 500
@@ -307,7 +308,7 @@ def test_color_vectors_match_color_query_semantics():
         plan = plan_query(q, db.schema)
         col = idx.coloring.color_of
         got = {
-            tuple(int(col[idx.g.vertex_of(c)]) for c in t)
+            tuple(int(col[vertex(idx.g, c)]) for c in t)
             for t in EnumerationSession(idx, plan)
         }
         per_comp = [
@@ -468,12 +469,9 @@ def _drain_one_by_one(sess) -> list[tuple]:
 
 
 def test_session_accounting_per_answer():
-    db = Database(Schema([("R", 2), ("S", 2), ("U", 1)]))
-    for rel, pairs in (("R", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]),
-                       ("S", [("d", "e"), ("e", "f")])):
-        for x, y in pairs:
-            db.add_fact(rel, (db.intern(x), db.intern(y)))
-    db.add_fact("U", (db.intern("d"),))
+    facts = [("R", "a", "b"), ("R", "b", "c"), ("R", "c", "a"), ("R", "a", "c"),
+             ("S", "d", "e"), ("S", "e", "f"), ("U", "d")]
+    db = make_db(Schema([("R", 2), ("S", 2), ("U", 1)]), facts)
     idx = build_index(db)
     for text, n in (("Ans(x,y,z) <- R(x,y), R(y,z).", 5),
                     ("Ans(x,w,v) <- R(x,y), S(w,v).", 3 * 2),

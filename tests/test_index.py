@@ -27,11 +27,19 @@ from colorcq.index import (
 from colorcq.model import ColorcqError, Database, Schema, load_database, parse_query
 from colorcq.refine import _as_coloring
 
-from .conftest import cycle_db, long_constants_text, movie_db, names, random_db, reseal
-
-
-def _color_by_name(idx, db, name: str) -> int:
-    return idx.coloring.color(idx.g.vertex_of(db.intern(name)))
+from .conftest import (
+    color_of_name,
+    cycle_db,
+    hat_count,
+    long_constants_text,
+    make_db,
+    movie_db,
+    names,
+    out_edges,
+    random_db,
+    reseal,
+    vertex,
+)
 
 
 def test_movie_colors_and_stats(dex_index):
@@ -47,12 +55,12 @@ def test_movie_colors_and_stats(dex_index):
     assert st["k_sigma"] == pytest.approx(1.25)
     assert set(st["build_seconds"]) == {"graph", "refine", "tables"}
 
-    b = _color_by_name(idx, db, "PS")
-    r = _color_by_name(idx, db, "LM")
-    assert _color_by_name(idx, db, "MM") == r
-    g_ = _color_by_name(idx, db, "Dr.S")
-    y = _color_by_name(idx, db, "18m")
-    assert _color_by_name(idx, db, "34m") == y
+    b = color_of_name(idx, "PS")
+    r = color_of_name(idx, "LM")
+    assert color_of_name(idx, "MM") == r
+    g_ = color_of_name(idx, "Dr.S")
+    y = color_of_name(idx, "18m")
+    assert color_of_name(idx, "34m") == y
     assert len({b, r, g_, y}) == 4
     assert [int(idx.n_c[c]) for c in (b, r, g_, y)] == [1, 2, 1, 2]
 
@@ -61,11 +69,7 @@ def test_movie_color_db_matches_displayed_relations(dex_index):
     """The colour database of the running example: six displayed singleton
     relations, the two stated label equalities, and nothing else."""
     idx = dex_index
-    db = idx.db
-    b = _color_by_name(idx, db, "PS")
-    r = _color_by_name(idx, db, "LM")
-    g_ = _color_by_name(idx, db, "Dr.S")
-    y = _color_by_name(idx, db, "18m")
+    b, r, g_, y = (color_of_name(idx, name) for name in ("PS", "LM", "Dr.S", "18m"))
 
     cdb = idx.color_db
     want = {
@@ -94,29 +98,25 @@ def test_movie_color_db_matches_displayed_relations(dex_index):
 def test_movie_hat_lookups(dex_index):
     idx = dex_index
     db = idx.db
-    b = _color_by_name(idx, db, "PS")
-    r = _color_by_name(idx, db, "LM")
-    y = _color_by_name(idx, db, "18m")
-    ps = idx.g.vertex_of(db.intern("PS"))
+    b, r, y = (color_of_name(idx, name) for name in ("PS", "LM", "18m"))
+    ps = vertex(idx.g, db.constants.index("PS"))
 
     got = idx.succ(EdgeLabel([("P", "+")]), ps, r)
-    assert names(db, [(idx.g.const_of(w),) for w in got]) == {("LM",), ("MM",)}
+    assert names(db, [(int(idx.g.verts[w]),) for w in got]) == {("LM",), ("MM",)}
     assert idx.succ(EdgeLabel([("P", "+"), ("A", "-")]), ps, y) == []
     # a label larger than every actual label has empty semantics
     assert idx.succ(EdgeLabel([("P", "+"), ("M", "+")]), ps, r) == []
-    assert idx.count(EdgeLabel([("P", "+")]), b, r) == 2
-    assert idx.count(EdgeLabel([("P", "+"), ("M", "+")]), b, r) == 0
+    assert hat_count(idx, EdgeLabel([("P", "+")]), b, r) == 2
+    assert hat_count(idx, EdgeLabel([("P", "+"), ("M", "+")]), b, r) == 0
 
 
 def test_hat_lookup_errors(dex_index):
     idx = dex_index
     lab = EdgeLabel([("P", "+")])
     with pytest.raises(ColorcqError):
-        idx.count(lab, 0, 99)
+        hat_count(idx, lab, 0, 99)
     with pytest.raises(ColorcqError):
-        idx.succ(lab, idx.g.vertex_of(idx.db.intern("PS")), -1)
-    with pytest.raises(KeyError):
-        idx.succ(lab, idx.g.vertex_of(10_000), 0)
+        idx.succ(lab, vertex(idx.g, idx.db.constants.index("PS")), -1)
     for v in (-1, idx.g.n):  # a vertex index out of range never aliases another vertex
         with pytest.raises(ColorcqError, match="unknown vertex"):
             idx.succ(lab, v, 0)
@@ -130,16 +130,14 @@ def test_cycle_index_prop2():
     fwd, bwd = EdgeLabel([("R", "+")]), EdgeLabel([("R", "-")])
     assert idx.color_db.tuples(idx.closure_symbols[fwd]) == {(0, 0)}
     assert idx.color_db.tuples(idx.closure_symbols[bwd]) == {(0, 0)}
-    assert idx.count(fwd, 0, 0) == 1
-    assert idx.count(bwd, 0, 0) == 1
-    assert idx.count(EdgeLabel([("R", "+"), ("R", "-")]), 0, 0) == 0
+    assert hat_count(idx, fwd, 0, 0) == 1
+    assert hat_count(idx, bwd, 0, 0) == 1
+    assert hat_count(idx, EdgeLabel([("R", "+"), ("R", "-")]), 0, 0) == 0
     assert EdgeLabel([("R", "+"), ("R", "-")]) not in idx.closure_symbols
 
 
 def test_single_unary_fact_color_db():
-    db = Database(Schema([("R", 2), ("U", 1)]))
-    db.add_fact("U", (db.intern("a"),))
-    idx = build_index(db)
+    idx = build_index(make_db(Schema([("R", 2), ("U", 1)]), [("U", "a")]))
     cdb = idx.color_db
     assert cdb.tuples("U") == {(0,)}
     assert cdb.size() == 1
@@ -172,14 +170,14 @@ def test_succ_tables_against_brute_force():
         for lab in labs:
             for v in range(g.n):
                 by_c: dict[int, list[int]] = {}
-                for w, elab in g.out_edges(v):
-                    if lab.issubset(elab):
-                        by_c.setdefault(col.color(w), []).append(w)
+                for w, elab in out_edges(g, v):
+                    if set(lab.pairs) <= set(elab.pairs):
+                        by_c.setdefault(int(col.color_of[w]), []).append(w)
                 for c in range(idx.num_colors):
                     expect = sorted(by_c.get(c, []))
                     got = [int(x) for x in idx.succ(lab, v, c)]
                     assert got == expect
-                    assert idx.count(lab, col.color(v), c) == len(expect)
+                    assert hat_count(idx, lab, int(col.color_of[v]), c) == len(expect)
 
 
 def test_monotone_in_the_label():
@@ -190,7 +188,7 @@ def test_monotone_in_the_label():
         labs = list(idx.closure_symbols)
         for mu in labs:
             for lam in labs:
-                if not lam.issubset(mu):
+                if not set(lam.pairs) <= set(mu.pairs):
                     continue
                 for v in range(idx.g.n):
                     for c in range(idx.num_colors):
@@ -208,17 +206,12 @@ def test_color_db_membership_iff_positive_count():
             tuples = idx.color_db.tuples(sym)
             for c in range(idx.num_colors):
                 for c2 in range(idx.num_colors):
-                    assert ((c, c2) in tuples) == (idx.count(lab, c, c2) > 0)
+                    assert ((c, c2) in tuples) == (hat_count(idx, lab, c, c2) > 0)
 
 
 def test_loop_cover_array():
-    db = Database(Schema([("R", 2), ("S", 2)]))
-    a, b = db.intern("a"), db.intern("b")
-    db.add_fact("R", (a, a))
-    db.add_fact("R", (a, b))
-    idx = build_index(db)
-    ca = idx.coloring.color(idx.g.vertex_of(a))
-    cb = idx.coloring.color(idx.g.vertex_of(b))
+    idx = build_index(make_db(Schema([("R", 2), ("S", 2)]), [("R", "a", "a"), ("R", "a", "b")]))
+    ca, cb = color_of_name(idx, "a"), color_of_name(idx, "b")
     loops = idx.unary_colors((idx.s1.loop_symbol["R"],))  # the classes that loop over R
     assert bool(loops[ca]) and not bool(loops[cb])
     arr = idx.loop_cover_array(EdgeLabel([("R", "+")]))
@@ -230,10 +223,8 @@ def test_loop_cover_array():
 
 def test_closure_cap_guards_adversarial_schemas():
     n_rel = 21  # one edge carrying 21 symbols: 2^21 closure labels
-    db = Database(Schema([(f"R{i:02d}", 2) for i in range(n_rel)]))
-    a, b = db.intern("a"), db.intern("b")
-    for i in range(n_rel):
-        db.add_fact(f"R{i:02d}", (a, b))
+    db = make_db(Schema([(f"R{i:02d}", 2) for i in range(n_rel)]),
+                 [(f"R{i:02d}", "a", "b") for i in range(n_rel)])
     with pytest.raises(ColorcqError, match="closure"):
         build_index(db)
 
@@ -252,19 +243,13 @@ def test_unstable_coloring_is_rejected():
 
 def path_db(n: int) -> Database:
     """R(0,1), ..., R(n-2,n-1): a directed path."""
-    db = Database(Schema([("R", 2)]))
-    for i in range(n - 1):
-        db.add_fact("R", (db.intern(str(i)), db.intern(str(i + 1))))
-    return db
+    return make_db(Schema([("R", 2)]), [("R", str(i), str(i + 1)) for i in range(n - 1)])
 
 
 def tree_db(depth: int) -> Database:
     """A complete binary tree with R-edges from parents to children."""
-    db = Database(Schema([("R", 2)]))
-    for i in range(2 ** depth - 1):
-        for child in (2 * i + 1, 2 * i + 2):
-            db.add_fact("R", (db.intern(str(i)), db.intern(str(child))))
-    return db
+    return make_db(Schema([("R", 2)]), [("R", str(i), str(child)) for i in range(2 ** depth - 1)
+                                        for child in (2 * i + 1, 2 * i + 2)])
 
 
 def multirel_db(copies: int = 2) -> Database:
@@ -274,12 +259,9 @@ def multirel_db(copies: int = 2) -> Database:
     template = [("P", "a", "b"), ("Q", "a", "b"), ("P", "b", "c"), ("S", "c", "c"),
                 ("P", "c", "a"), ("Q", "d", "c"), ("S", "d", "d"), ("P", "d", "a"),
                 ("U", "a", None), ("U", "d", None)]
-    db = Database(Schema([("P", 2), ("Q", 2), ("S", 2), ("U", 1)]))
-    for k in range(copies):
-        for rel, x, y in template:
-            args = (x,) if y is None else (x, y)
-            db.add_fact(rel, tuple(db.intern(f"{a}{k}") for a in args))
-    return db
+    facts = [(rel, *(f"{a}{k}" for a in ((x,) if y is None else (x, y))))
+             for k in range(copies) for rel, x, y in template]
+    return make_db(Schema([("P", 2), ("Q", 2), ("S", 2), ("U", 1)]), facts)
 
 
 def test_persistence_round_trip(tmp_path, monkeypatch):
@@ -310,7 +292,7 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
         for lab in idx.closure_symbols:
             for c in range(idx.num_colors):
                 for c2 in range(idx.num_colors):
-                    assert idx2.count(lab, c, c2) == idx.count(lab, c, c2)
+                    assert hat_count(idx2, lab, c, c2) == hat_count(idx, lab, c, c2)
             for v in range(idx.g.n):
                 for c in range(idx.num_colors):
                     assert list(idx2.succ(lab, v, c)) == list(idx.succ(lab, v, c))
@@ -533,8 +515,8 @@ def test_lazy_memoization_is_thread_safe():
 def test_hat_tables_memoized(dex_index):
     lab = EdgeLabel([("A", "-")])
     idx = dex_index
-    v = idx.g.vertex_of(idx.db.intern("PS"))
-    c = idx.coloring.color(idx.g.vertex_of(idx.db.intern("LM")))
+    v = vertex(idx.g, idx.db.constants.index("PS"))
+    c = color_of_name(idx, "LM")
     first = idx.succ(lab, v, c)
     assert list(idx.succ(lab, v, c)) == list(first)
     assert idx.table(lab.id) is idx.table(lab.id)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import random
 
+import numpy as np
 import pytest
 
 from colorcq import model
@@ -20,7 +21,7 @@ from colorcq.model import (
     parse_query,
 )
 
-from .conftest import MOVIE_TEXT, long_constants_text, movie_db, random_db
+from .conftest import MOVIE_FACTS, MOVIE_TEXT, long_constants_text, make_db, movie_db, random_db
 
 
 def test_schema_basic():
@@ -50,14 +51,14 @@ def test_load_database_movie():
     assert db.size() == 8
     assert len(db.adom()) == 6
     assert db.schema.arity("P") == 2
-    assert (db.intern("PS"), db.intern("LM")) in db.tuples("P")
+    assert (db.constants.index("PS"), db.constants.index("LM")) in db.tuples("P")
 
 
 def test_load_database_comments_blank_lines_duplicates():
     text = "# header\nR(a,b)\n\nR(a,b)  # repeated on purpose\nU(a)\n"
     db = load_database(text)
     assert db.size() == 2
-    assert db.tuples("R") == {(db.intern("a"), db.intern("b"))}
+    assert db.tuples("R") == {(db.constants.index("a"), db.constants.index("b"))}
 
 
 def test_load_database_reports_line_numbers():
@@ -280,11 +281,11 @@ def test_generated_cycle_is_parsed_by_the_array_path(tmp_path, monkeypatch):
 def test_interning_round_trip_and_adom():
     db = movie_db()
     for name in ("PS", "LM", "MM", "Dr.S", "18m", "34m"):
-        assert db.const_name(db.intern(name)) == name
+        assert db.const_name(db.constants.index(name)) == name
     assert db.adom() == set(range(6))
     # an interned constant that appears in no fact is not in the active domain
-    db.intern("ghost")
-    assert db.intern("ghost") not in db.adom()
+    db = make_db(db.schema, MOVIE_FACTS, constants=[*db.constants, "ghost"])
+    assert db.constants.index("ghost") not in db.adom()
 
 
 def test_tuples_of_absent_symbol_is_empty():
@@ -292,10 +293,20 @@ def test_tuples_of_absent_symbol_is_empty():
     assert db.tuples("R") == set()
 
 
-def test_add_fact_arity_checked():
-    db = Database(Schema([("R", 2)]))
-    with pytest.raises(SchemaError):
-        db.add_fact("R", (0,))
+def test_set_relation_checks_shape_and_ids():
+    """`set_relation` is the one way rows enter a Database; `load_index`
+    relies on its checks for foreign files."""
+    db = Database(Schema([("R", 2), ("U", 1)]), constants=["a", "b"])
+    for rel, rows in (("R", [[0]]), ("R", [0, 1]), ("R", [[0, 1, 1]]), ("U", [[0, 1]]),
+                      ("R", np.zeros((0, 1), np.int64)), ("T", [[0, 1]])):
+        with pytest.raises(SchemaError):
+            db.set_relation(rel, rows)
+    for rel, rows in (("R", [[0, 2]]), ("R", [[-1, 0]]), ("U", [[2]]), ("U", [[-1]])):
+        with pytest.raises(ColorcqError, match="not interned"):
+            db.set_relation(rel, rows)
+    assert db.size() == 0
+    db.set_relation("R", [[1, 0], [0, 1], [1, 0]])
+    assert db.array("R").tolist() == [[0, 1], [1, 0]]
 
 
 def test_rename_genericity():

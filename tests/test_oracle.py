@@ -8,7 +8,7 @@ import pytest
 from colorcq.model import Database, Schema, parse_query
 from colorcq.oracle import ResultSet, naive_count, naive_eval
 
-from .conftest import cycle_db, movie_db, names, random_db, random_fc_query
+from .conftest import cycle_db, make_db, movie_db, names, random_db, random_fc_query
 
 
 def test_movie_pinned_results():
@@ -29,10 +29,7 @@ def test_cycle_pinned_results():
 
 
 def test_loops_and_repeated_variables():
-    db = Database(Schema([("R", 2)]))
-    a, b = db.intern("a"), db.intern("b")
-    db.add_fact("R", (a, a))
-    db.add_fact("R", (a, b))
+    db = make_db(Schema([("R", 2)]), [("R", "a", "a"), ("R", "a", "b")])
     assert names(db, naive_eval(db, parse_query("Ans(x,y) <- R(x,y), R(y,x)."))) == {
         ("a", "a")
     }
@@ -61,11 +58,9 @@ def test_generic_under_constant_renaming():
             continue
         perm = list(db.constants)
         rng.shuffle(perm)
-        rename = {db.intern(old): perm[i] for i, old in enumerate(db.constants)}
-        db2 = Database(db.schema)
-        for sym in db.schema.symbols:
-            for t in db.tuples(sym):
-                db2.add_fact(sym, tuple(db2.intern(rename[c]) for c in t))
+        rename = {db.constants.index(old): perm[i] for i, old in enumerate(db.constants)}
+        db2 = make_db(db.schema, [(sym, *(rename[c] for c in t))
+                                  for sym in db.schema.symbols for t in db.tuples(sym)])
         want = {tuple(rename[c] for c in t) for t in naive_eval(db, q)}
         got = {tuple(db2.const_name(c) for c in t) for t in naive_eval(db2, q)}
         assert got == want
@@ -79,10 +74,13 @@ def test_monotone_under_fact_addition():
         if q is None:
             continue
         before = set(naive_eval(db, q).tuples)
+        facts = [(sym, *(db.constants[c] for c in t))
+                 for sym in db.schema.symbols for t in db.tuples(sym)]
         for _ in range(3):
-            x = db.intern(rng.choice("abcde"))
-            y = db.intern(rng.choice("abcde"))
-            db.add_fact(rng.choice(("R", "S")), (x, y))
+            x = rng.choice("abcde")
+            y = rng.choice("abcde")
+            facts.append((rng.choice(("R", "S")), x, y))
+        db = make_db(db.schema, facts, constants=db.constants)
         assert before <= set(naive_eval(db, q).tuples)
 
 

@@ -20,3 +20,20 @@ def test_public_names_are_pinned_and_resolve():
     assert len(set(colorcq.__all__)) == len(colorcq.__all__)
     for name in colorcq.__all__:
         assert hasattr(colorcq, name), name
+
+
+# the public methods and properties of the core classes; re-adding a method
+# that only tests call takes an edit of this table
+METHODS = {
+    "ColorIndex": ["loop_cover_array", "rows", "succ", "table", "unary_colors"],
+    "Coloring": ["num_colors", "sizes"],
+    "Database": ["adom", "adom_ids", "array", "const_name", "set_relation", "size", "tuples"],
+    "EdgeLabel": ["dual", "id"],
+    "LabeledGraph": ["initial_colors", "num_directed_edges", "vl_mask"],
+}
+
+
+def test_class_methods_are_pinned():
+    for name, methods in METHODS.items():
+        cls = getattr(colorcq, name)
+        assert sorted(m for m in dir(cls) if not m.startswith("_")) == methods, name

@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 
 from colorcq.model import ColorcqError, Database, Schema
-from colorcq.refine import _key_width, _pack, canonicalize, is_stable, naive_refine, refine
+from colorcq.refine import _as_coloring, _key_width, _pack, is_stable, naive_refine, refine
 
-from .conftest import cycle_db, graph_of, movie_db, random_db
+from .conftest import cycle_db, graph_of, make_db, members, movie_db, random_db, vertex
 
 
 def movie_partition_names(db, coloring):
     g = graph_of(db)
     out = []
-    for members in coloring.members:
-        out.append(frozenset(db.const_name(g.const_of(int(v))) for v in members))
+    for cls in members(coloring):
+        out.append(frozenset(db.const_name(int(g.verts[v])) for v in cls))
     return set(out)
 
 
@@ -39,11 +39,12 @@ def test_movie_canonical_numbering():
     db = movie_db()
     g = graph_of(db)
     col = refine(g)
-    assert col.color(g.vertex_of(db.intern("PS"))) == 0
-    assert col.color(g.vertex_of(db.intern("LM"))) == 1
-    assert col.color(g.vertex_of(db.intern("MM"))) == 1
-    assert col.color(g.vertex_of(db.intern("Dr.S"))) == 2
-    assert col.color(g.vertex_of(db.intern("18m"))) == 3
+    color = {name: col.color_of[vertex(g, db.constants.index(name))] for name in db.constants}
+    assert color["PS"] == 0
+    assert color["LM"] == 1
+    assert color["MM"] == 1
+    assert color["Dr.S"] == 2
+    assert color["18m"] == 3
     assert list(col.sizes) == [1, 2, 1, 2]
 
 
@@ -55,9 +56,7 @@ def test_cycle_single_class():
 
 
 def test_edgeless_uniform_graph_single_class():
-    db = Database(Schema([("U", 1)]))
-    for name in "abc":
-        db.add_fact("U", (db.intern(name),))
+    db = make_db(Schema([("U", 1)]), [("U", name) for name in "abc"])
     col = refine(graph_of(db))
     assert col.num_colors == 1
 
@@ -69,12 +68,8 @@ def test_empty_graph():
 
 
 def _undirected_db(n: int, edges) -> Database:
-    db = Database(Schema([("R", 2)]))
-    ids = [db.intern(f"u{i}") for i in range(n)]
-    for a, b in edges:
-        db.add_fact("R", (ids[a], ids[b]))
-        db.add_fact("R", (ids[b], ids[a]))
-    return db
+    facts = [("R", f"u{x}", f"u{y}") for a, b in edges for x, y in ((a, b), (b, a))]
+    return make_db(Schema([("R", 2)]), facts, constants=[f"u{i}" for i in range(n)])
 
 
 def test_black_vertices_share_color_across_nonisomorphic_components():
@@ -86,11 +81,11 @@ def test_black_vertices_share_color_across_nonisomorphic_components():
     db = _undirected_db(12, left + right)
     g = graph_of(db)
     col = refine(g)
-    blacks = {g.vertex_of(db.intern(f"u{i}")) for i in (2, 3, 8, 9)}
+    blacks = {vertex(g, db.constants.index(f"u{i}")) for i in (2, 3, 8, 9)}
     whites = set(range(12)) - blacks
     assert col.num_colors == 2
-    assert len({col.color(v) for v in blacks}) == 1
-    assert len({col.color(v) for v in whites}) == 1
+    assert len({int(col.color_of[v]) for v in blacks}) == 1
+    assert len({int(col.color_of[v]) for v in whites}) == 1
 
 
 def test_is_stable_on_refined_and_witness_on_coarse():
@@ -125,8 +120,8 @@ def test_is_stable_discrete_coloring():
 
 def test_canonicalize():
     raw = np.array([5, 2, 5, 9, 2], dtype=np.int64)
-    assert list(canonicalize(raw)) == [0, 1, 0, 2, 1]
-    assert list(canonicalize(np.array([], dtype=np.int64))) == []
+    assert list(_as_coloring(raw).color_of) == [0, 1, 0, 2, 1]
+    assert list(_as_coloring(np.array([], dtype=np.int64)).color_of) == []
 
 
 def test_pack_keeps_pair_order_without_overflow():
@@ -172,8 +167,8 @@ def test_refine_matches_naive_random():
         ok, witness = is_stable(g, col.color_of)
         assert ok, witness
         # the refinement respects the initial vertex-label partition
-        for members in col.members:
-            assert len({g.vl_mask[int(v)] for v in members}) == 1
+        for cls in members(col):
+            assert len({g.vl_mask[int(v)] for v in cls}) == 1
 
 
 def test_refine_matches_naive_random_larger():
@@ -233,7 +228,7 @@ def test_coarsest_by_exhaustive_partition_search_small():
     for g in graphs:
         if g.n == 0:
             continue
-        star = [set(int(v) for v in m) for m in refine(g).members]
+        star = [set(int(v) for v in m) for m in members(refine(g))]
         assert _stable_partition(g, star)
         for cand in _set_partitions(list(range(g.n))):
             if _stable_partition(g, cand):
@@ -251,29 +246,21 @@ def test_incoming_counts_uniform_within_classes():
         for u in range(g.n):
             for e in range(g.indptr[u], g.indptr[u + 1]):
                 w = int(g.nbr[e])
-                key = (int(g.elab[e]), col.color(u))
+                key = (int(g.elab[e]), int(col.color_of[u]))
                 incoming[w][key] = incoming[w].get(key, 0) + 1
-        for members in col.members:
-            sigs = {tuple(sorted(incoming[int(v)].items())) for v in members}
+        for cls in members(col):
+            sigs = {tuple(sorted(incoming[int(v)].items())) for v in cls}
             assert len(sigs) == 1
 
 
 def _directed_path_db(n: int, unary=()) -> Database:
-    db = Database(Schema([("R", 2), ("U", 1)]))
-    ids = [db.intern(f"p{i}") for i in range(n)]
-    for i in range(n - 1):
-        db.add_fact("R", (ids[i], ids[i + 1]))
-    for i in unary:
-        db.add_fact("U", (ids[i],))
-    return db
+    facts = [("R", f"p{i}", f"p{i + 1}") for i in range(n - 1)] + [("U", f"p{i}") for i in unary]
+    return make_db(Schema([("R", 2), ("U", 1)]), facts, constants=[f"p{i}" for i in range(n)])
 
 
 def _binary_tree_db(n: int) -> Database:
-    db = Database(Schema([("R", 2)]))
-    ids = [db.intern(f"t{i}") for i in range(n)]
-    for i in range(1, n):
-        db.add_fact("R", (ids[(i - 1) // 2], ids[i]))
-    return db
+    facts = [("R", f"t{(i - 1) // 2}", f"t{i}") for i in range(1, n)]
+    return make_db(Schema([("R", 2)]), facts, constants=[f"t{i}" for i in range(n)])
 
 
 def test_refine_matches_naive_structured():
