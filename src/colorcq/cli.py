@@ -1,5 +1,7 @@
 """Command line: build an index once, then answer queries against it.
 
+`query` (on the index) and `oracle` (brute force) print each task's answer alike.
+
 Exit codes: 0 success; 1 I/O, parse, or schema errors; 2 query outside the
 supported class (with a diagnostic), or a usage error reported by argparse;
 3 `--task bool` on a non-Boolean query.
@@ -33,9 +35,7 @@ def _load_db(path: str) -> Database:
 
 
 def _get_index(args) -> ColorIndex:
-    if getattr(args, "index", None):
-        return load_index(args.index)
-    return build_index(_load_db(args.db))
+    return load_index(args.index) if args.index else build_index(_load_db(args.db))
 
 
 def _print_stats(st: dict) -> None:
@@ -71,10 +71,24 @@ def _limit(text: str) -> int:
     return n
 
 
-def _emit_enum(tuples, limit: int | None) -> None:
-    for t in islice(tuples, limit):
-        print("(" + ",".join(t) + ")")
-    print("EOE")
+def _answer(args, q, boolean, count, tuples) -> int:
+    """Print the answer of `args.task` (by default `bool` if `q` is Boolean, else
+    `enum`), computed by `boolean`, `count` or `tuples`: only that one runs."""
+    task = args.task or ("bool" if q.is_boolean else "enum")
+    if task == "bool":
+        if not q.is_boolean:
+            print("error: --task bool requires a Boolean query", file=sys.stderr)
+            return 3
+        print("yes" if boolean() else "no")
+    elif task == "count":
+        # str() of an int past sys.get_int_max_str_digits() raises; Decimal
+        # holds any int exactly and prints all its digits
+        print(Decimal(count()))
+    else:
+        for t in islice(tuples(), args.limit):
+            print("(" + ",".join(t) + ")")
+        print("EOE")
+    return 0
 
 
 def cmd_query(args) -> int:
@@ -83,37 +97,16 @@ def cmd_query(args) -> int:
     plan = plan_query(q, idx.db.schema)
     if args.explain:
         print(explain_plan(plan))
-    task = args.task or ("bool" if q.is_boolean else "enum")
-    if task == "bool":
-        if not q.is_boolean:
-            print("error: --task bool requires a Boolean query", file=sys.stderr)
-            return 3
-        print("yes" if eval_boolean(idx, plan) else "no")
-    elif task == "count":
-        # str() of an int past sys.get_int_max_str_digits() raises; Decimal
-        # holds any int exactly and prints all its digits
-        print(Decimal(count_answers(idx, plan)))
-    else:
-        _emit_enum(EnumerationSession(idx, plan, names=True), args.limit)
-    return 0
+    return _answer(args, q, lambda: eval_boolean(idx, plan), lambda: count_answers(idx, plan),
+                   lambda: EnumerationSession(idx, plan, names=True))
 
 
 def cmd_oracle(args) -> int:
     db = _load_db(args.db)
     q = parse_query(args.query, db.schema)
-    res = naive_eval(db, q)
-    task = args.task or ("bool" if q.is_boolean else "enum")
-    if task == "bool":
-        if not q.is_boolean:
-            print("error: --task bool requires a Boolean query", file=sys.stderr)
-            return 3
-        print("yes" if len(res) else "no")
-    elif task == "count":
-        print(len(res))
-    else:
-        names = (tuple(db.const_name(c) for c in t) for t in sorted(res.tuples))
-        _emit_enum(names, args.limit)
-    return 0
+    # the brute force runs inside the task asked for, so a usage error exits at once
+    return _answer(args, q, lambda: len(naive_eval(db, q)), lambda: len(naive_eval(db, q)),
+                   lambda: (tuple(db.constants[c] for c in t) for t in sorted(naive_eval(db, q))))
 
 
 def cmd_gen(args) -> int:
@@ -153,13 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, help="output index path")
     b.set_defaults(fn=cmd_build)
 
-    def add_source(sp, db_only: bool = False):
-        if db_only:
-            sp.add_argument("--db", required=True)
-        else:
-            g = sp.add_mutually_exclusive_group(required=True)
-            g.add_argument("--index", help="persisted index file")
-            g.add_argument("--db", help="facts file (a transient index is built)")
+    def add_source(sp):
+        g = sp.add_mutually_exclusive_group(required=True)
+        g.add_argument("--index", help="persisted index file")
+        g.add_argument("--db", help="facts file (a transient index is built)")
 
     qp = sub.add_parser("query", help="answer a query against an index")
     qp.add_argument("query", help="query text, e.g. 'Ans(x,y) <- R(x,y).'")
@@ -171,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     op = sub.add_parser("oracle", help="answer a query by brute force (reference)")
     op.add_argument("query")
-    add_source(op, db_only=True)
+    op.add_argument("--db", required=True)
     op.add_argument("--task", choices=["bool", "count", "enum"])
     op.add_argument("--limit", type=_limit)
     op.set_defaults(fn=cmd_oracle)

@@ -40,20 +40,19 @@ class TreeRun:
     whose subtree can be completed; per tree edge, named by its child's rank,
     its pairs and, if free, the numbers of the pairs into child values that
     can complete, grouped by the parent's value as (ptr, pair numbers); the
-    root values.  Edges that drop pairs, and the roots, hold `memoryview`s of
-    numpy arrays: a session builds no Python object per value, and each item
-    reads as a Python int."""
+    root values, empty (so falsy) if it has no answer.  Edges that drop pairs,
+    and the roots, hold `memoryview`s of numpy arrays: a session builds no
+    Python object per value, and each item reads as a Python int."""
 
     comp: PlanComponent
     cand: list[np.ndarray]
     pairs: list[PairRows | None]
     fadj: list[tuple[Sequence[int], Sequence[int]] | None]
-    satisfiable: bool
     roots: Sequence[int]
 
 
 def _reduce(comp: PlanComponent, cand0: list[np.ndarray], pairs: list[PairRows | None],
-            counted: int = 0, dtype=bool) -> list[np.ndarray]:
+            counted: int = 0, dtype=bool) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
     """One bottom-up pass over the component tree, by rank, the pairs of each
     edge under its child's rank.  A variable of rank ≥ `counted` gets its
     semi-join (Yannakakis): the bool array of the values whose subtree can be
@@ -64,8 +63,9 @@ def _reduce(comp: PlanComponent, cand0: list[np.ndarray], pairs: list[PairRows |
     child, its semi-join flag.  With every variable counted this is f↓(c,x),
     the homomorphism count of x's subtree with x pinned to any vertex of
     class c (well-defined by stability).  A leaf child with no unary atom
-    sends `p.deg` (d̂^λ, exact by stability) or `p.has`, with no pass over pairs."""
-    f = [None] * len(cand0)
+    sends `p.deg` (d̂^λ, exact by stability) or `p.has`, with no pass over pairs.
+    Returns (f, kept): `kept[w]` is semi-join edge w's mask f(w)[p.b], or `None`."""
+    f, kept = [None] * len(cand0), [None] * len(cand0)
     for v in range(len(cand0) - 1, -1, -1):
         fv = cand0[v] if v >= counted else cand0[v].astype(dtype)
         for w in comp.children[v]:
@@ -76,33 +76,32 @@ def _reduce(comp: PlanComponent, cand0: list[np.ndarray], pairs: list[PairRows |
                 g = np.zeros(len(fv), dtype)
                 np.add.at(g, p.a, f[w][p.b] * p.n)  # object times int64 gives exact Python ints
             else:
+                kept[w] = ok = f[w][p.b]
                 g = np.zeros(len(fv), bool)
-                g[p.a[f[w][p.b]]] = True
+                g[p.a[ok]] = True
             fv = fv * g  # arrays are replaced, never changed in place
         f[v] = fv
-    return f
+    return f, kept
 
 
 def prepare_tree(comp: PlanComponent, cand0: list[np.ndarray],
                  pairs: list[PairRows | None]) -> TreeRun:
-    """The semi-join sweep, then the kept pairs of each free tree edge.  A
-    free leaf with no unary atom keeps all its pairs: every value completes."""
-    cand = _reduce(comp, cand0, pairs)
+    """The semi-join sweep, then the kept pairs of each free tree edge, read
+    off the sweep's masks: with no mask, or a full one, it keeps all its pairs."""
+    cand, kept = _reduce(comp, cand0, pairs)
     roots = memoryview(cand[0].nonzero()[0])  # cheaper than np.flatnonzero
-    satisfiable = len(roots) > 0
 
     fadj: list[tuple[Sequence[int], Sequence[int]] | None] = [None] * len(cand)
-    if satisfiable:
+    if roots:
         for w in range(1, len(comp.free_prefix)):
-            v, p = comp.parent[w], pairs[w]
-            if not comp.children[w] and not comp.unary[w] or (ok := cand[w][p.b]).all():
+            p, ok = pairs[w], kept[w]
+            if ok is None or ok.all():
                 fadj[w] = (p.ptr, range(len(p.b)))
             else:  # drop the pairs into child values that cannot complete
                 js = ok.nonzero()[0]
-                ptr = np.bincount(p.a[js], minlength=len(cand[v])).cumsum()  # by parent value
+                ptr = np.bincount(p.a[js], minlength=len(cand[comp.parent[w]])).cumsum()
                 fadj[w] = (memoryview(np.concatenate(([0], ptr))), memoryview(js))
-    return TreeRun(comp=comp, cand=cand, pairs=pairs, fadj=fadj, satisfiable=satisfiable,
-                   roots=roots)
+    return TreeRun(comp=comp, cand=cand, pairs=pairs, fadj=fadj, roots=roots)
 
 
 class _Steps:
@@ -138,7 +137,7 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
     crossed in odometer order, the last one fastest.  Answers are constant
     ids, or their names from `names`.
     """
-    if not all(run.satisfiable for run in runs):
+    if not all(run.roots for run in runs):
         return
     # per level: (kind, ptr, value map of level u, u) for a group of level u's
     # value, (kind, SuccTable, pair level, parent vertex level u) for a successor group
@@ -267,7 +266,7 @@ def count_answers(idx: ColorIndex, plan: QueryPlan) -> int:
     for comp in plan.components:
         k = len(comp.free_prefix)
         dtype = np.int64 if idx.g.n ** k < 2**63 else object
-        f = _reduce(comp, *_color_tables(idx, comp), k, dtype)[0]
+        f = _reduce(comp, *_color_tables(idx, comp), k, dtype)[0][0]
         total *= int(idx.n_c.dot(f)) if k else int(np.count_nonzero(f) > 0)  # cheaper than .any()
         if not total:
             return 0
@@ -280,7 +279,7 @@ def eval_boolean(idx: ColorIndex, plan: QueryPlan) -> bool:
     if plan.query.head:
         raise ColorcqError("eval_boolean needs a Boolean query (empty head)")
     for comp in plan.components:
-        if not np.count_nonzero(_reduce(comp, *_color_tables(idx, comp))[0]):
+        if not np.count_nonzero(_reduce(comp, *_color_tables(idx, comp))[0][0]):
             return False
     return True
 

@@ -137,11 +137,14 @@ def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * width + b
 
 
-def _starts(a: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal values begins in `a`."""
-    head = np.ones(len(a), bool)
-    head[1:] = a[1:] != a[:-1]
-    return np.flatnonzero(head)
+def _bounds(a: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows (a[i], *more[i]) begins, then len(a)."""
+    cut = np.empty(len(a) + 1, bool)
+    cut[0] = cut[-1] = True
+    np.not_equal(a[1:], a[:-1], out=cut[1:-1])
+    for b in more:  # compared in place: cheaper than gathering a packed key
+        cut[1:-1] |= b[1:] != b[:-1]
+    return cut.nonzero()[0]
 
 
 def _rank_bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
@@ -226,10 +229,9 @@ class LabeledGraph:
         tag = np.concatenate(tags)
         order = np.argsort(_pack(_pack(src, dst), tag))
         src, dst, tag = src[order], dst[order], tag[order]
-        first = np.ones(len(src), dtype=bool)
-        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        starts = np.flatnonzero(first)
-        elab, masks = _rank_bitsets(np.cumsum(first) - 1, tag, len(starts))
+        at = _bounds(src, dst)  # one run per (src, dst) pair
+        starts = at[:-1]
+        elab, masks = _rank_bitsets(np.arange(len(starts)).repeat(np.diff(at)), tag, len(starts))
 
         self.labels: tuple[EdgeLabel, ...] = tuple(
             EdgeLabel(self._mask_pairs(m, binary)) for m in masks)

@@ -36,8 +36,8 @@ from .graph import (
     EdgeLabel,
     LabeledGraph,
     Sigma1,
+    _bounds,
     _pack,
-    _starts,
     build_labeled_graph,
     e_symbol,
     encode_self_loops,
@@ -169,13 +169,13 @@ class ColorIndex:
         # source and target colour) must repeat the first member's run of
         # (target colour, count) n_c times; target colours ascend within a
         # member, so each repeat is a member of its own
-        grp = _starts(key)
-        size = np.diff(np.append(grp, len(key)))
+        grp = _bounds(key)
+        size, grp = np.diff(grp), grp[:-1]
         glab, gtgt, gcol = lab[grp], tgt[grp], col.color_of[src[grp]]
-        seg = _starts(_pack(glab, gcol))
-        blk = _starts(_pack(glab, src[grp]))
-        seg_len = np.diff(np.append(seg, len(grp)))
-        width = np.diff(np.append(blk, len(grp)))[np.searchsorted(blk, seg)]  # groups per member
+        seg = _bounds(_pack(glab, gcol))
+        blk = _bounds(_pack(glab, src[grp]))
+        seg_len, seg = np.diff(seg), seg[:-1]
+        width = np.diff(blk)[np.searchsorted(blk, seg)]  # groups per member
         sid = np.repeat(np.arange(len(seg)), seg_len)
         ref = seg[sid] + (np.arange(len(grp)) - seg[sid]) % width[sid]
         if ((seg_len != width * self.n_c[gcol[seg]]).any()

@@ -101,9 +101,6 @@ class Database:
         self._arrays: dict[str, np.ndarray] = {}
         self._sets: dict[str, set[tuple[int, ...]]] = {}
 
-    def const_name(self, cid: int) -> str:
-        return self.constants[cid]
-
     def set_relation(self, rel: str, rows: np.ndarray) -> None:
         """Replace `rel` by the distinct rows of `rows`, which must hold ids of
         interned constants."""

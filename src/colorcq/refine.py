@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EdgeLabel, LabeledGraph, _pack
+from .graph import EdgeLabel, LabeledGraph, _bounds, _pack
 from .model import ColorcqError
 
 
@@ -72,14 +72,6 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenation of the integer ranges [starts[i], starts[i] + lens[i])."""
     out = (starts - np.add.accumulate(lens) + lens).repeat(lens)
     return out + np.arange(len(out))
-
-
-def _bounds(a: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in `a` begins, then len(a)."""
-    cut = np.empty(len(a) + 1, bool)
-    cut[0] = cut[-1] = True
-    np.not_equal(a[1:], a[:-1], out=cut[1:-1])
-    return cut.nonzero()[0]
 
 
 def _key_width(n: int, n_labels: int) -> int:

@@ -154,7 +154,7 @@ def hat_count(idx, lab: EdgeLabel, c: int, c2: int) -> int:
 
 
 def names(db: Database, tuples) -> set[tuple[str, ...]]:
-    return {tuple(db.const_name(c) for c in t) for t in tuples}
+    return {tuple(db.constants[c] for c in t) for t in tuples}
 
 
 @pytest.fixture()

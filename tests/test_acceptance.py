@@ -45,7 +45,7 @@ def test_criterion_1_running_example_coloring():
     idx = build_index(db)
     elapsed = time.perf_counter() - t0
     classes = {
-        frozenset(db.const_name(int(idx.g.verts[v])) for v in cls)
+        frozenset(db.constants[int(idx.g.verts[v])] for v in cls)
         for cls in members(idx.coloring)
     }
     assert classes == {

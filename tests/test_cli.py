@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from colorcq import cli
 from colorcq.cli import main
 from colorcq.index import FORMAT_VERSION, MAGIC
 
@@ -101,11 +102,14 @@ def test_error_paths_are_exit_1(movie_file, tmp_path, capsys):
     (["query", "Ans(x,y) <- P(x,y).", "--index", "{tmp}"], 1),
     (["query", "Ans(x,x) <- P(x,y).", "--db", "{db}"], 1),
     (["oracle", "Ans(x,y) <- T(x,y).", "--db", "{db}"], 1),
+    (["oracle", "Ans(x,y) <- P(x,y).", "--db", "{db}", "--task", "bool"], 3),
     (["bench", "--db", "{db}", "--queries", "{db}"], 2),
 ])
-def test_exit_codes(argv, code, movie_file, tmp_path, capsys):
-    """Errors exit 1 with a one-line message; a usage error (`bench` is no
-    subcommand) is argparse's exit 2."""
+def test_exit_codes(argv, code, movie_file, tmp_path, capsys, monkeypatch):
+    """Errors exit 1, and `--task bool` on a non-Boolean query exits 3, with a
+    one-line message; a usage error (`bench` is no subcommand) is argparse's
+    exit 2.  Each is found before the oracle's brute-force search runs."""
+    monkeypatch.setattr(cli, "naive_eval", lambda *a: pytest.fail("the search ran"))
     argv = [a.replace("{db}", movie_file).replace("{tmp}", str(tmp_path)) for a in argv]
     if code == 2:
         with pytest.raises(SystemExit) as exc:
@@ -181,6 +185,7 @@ MALFORMED = {
         _meta(constants=("p" * 16,) * 2), _GOOD, (b"p" * 16 + b"\n") * 2),
     "arity 3": (_meta(relations=(("R", 3),)), _GOOD),
     "relation entry not an object": ({**_meta(), "relations": ["R"]}, _GOOD),
+    "relations not a list": ({**_meta(), "relations": {"R": 2}}, _GOOD),
     "negative shape": (_meta(shapes={"rel:R": [1, 2], "coloring": [-2]}), _GOOD),
     "float shape": (_meta(shapes={"rel:R": [1, 2], "coloring": [2.0]}), _GOOD),
     "dimension too large for numpy": (

@@ -169,7 +169,7 @@ def test_initial_colors_rank_wide_vertex_labels():
     facts = [(f"U{i:02d}", name) for name, on in bits.items() for i in on] + [("R", "a", "b")]
     db = make_db(Schema([(f"U{i:02d}", 1) for i in range(70)] + [("R", 2)]), facts)
     g = graph_of(db)
-    masks = [sum(1 << i for i in bits[db.const_name(int(g.verts[v]))]) for v in range(g.n)]
+    masks = [sum(1 << i for i in bits[db.constants[int(g.verts[v])]]) for v in range(g.n)]
     assert list(g.vl_mask) == masks
     init, n_init = g.initial_colors()
     ranks = sorted(set(masks))

@@ -1,6 +1,7 @@
 """The colour index: tables, colour database, stats, persistence."""
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import struct
@@ -262,6 +263,26 @@ def multirel_db(copies: int = 2) -> Database:
     facts = [(rel, *(f"{a}{k}" for a in ((x,) if y is None else (x, y))))
              for k in range(copies) for rel, x, y in template]
     return make_db(Schema([("P", 2), ("Q", 2), ("S", 2), ("U", 1)]), facts)
+
+
+# sha256 of `save_index`'s file per database: a change to how the index is
+# built or written that alters one byte fails here
+SAVED_SHA256 = {
+    "movie": "3f89517abdca572799f10973939b8361ac48da0817e8bd910e4f8be108d5d84a",
+    "cycle 7": "63f4e0dfbff9cedb046523a2d39020c74b3c2f5049abdd782f0a1f30d909dfb1",
+    "random 1901": "66ab0fe66841f9d1c5d6b8b1617823bd0bb155b038224030b6589fd8b8ee66f2",
+    "random 1904": "2f4f4215f41d3ce72bde153c18e99bc6478bdd50cb87a1acbbbc5aad633a34d7",
+}
+
+
+def test_saved_bytes_are_pinned(tmp_path):
+    dbs = {"movie": movie_db(), "cycle 7": cycle_db(7)}
+    for seed in (1901, 1904):
+        dbs[f"random {seed}"] = random_db(random.Random(seed), max_adom=40, max_facts=120)
+    for name, db in dbs.items():
+        path = tmp_path / "x.ccqx"
+        save_index(build_index(db), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_SHA256[name], name
 
 
 def test_persistence_round_trip(tmp_path, monkeypatch):

@@ -40,6 +40,8 @@ def test_schema_rejects_bad_arity_and_redefinition():
         sch.add("R", 3)
     with pytest.raises(SchemaError):
         sch.add("R", 0)
+    with pytest.raises(SchemaError):
+        sch.add("", 1)  # an empty name
     sch.add("R", 2)
     sch.add("R", 2)  # same arity again is a no-op
     with pytest.raises(SchemaError):
@@ -167,7 +169,7 @@ def _random_fact_text(rng: random.Random) -> str:
     alphabet = "abcxyzAB019._-+'!"
     rename = {c: "".join(rng.choice(alphabet) for _ in range(rng.choice((1, 2, 7, 8, 9, 16, 17, 30))))
               for c in db.constants}
-    facts = [(sym, tuple(rename[db.const_name(c)] for c in t))
+    facts = [(sym, tuple(rename[db.constants[c]] for c in t))
              for sym in db.schema.symbols for t in sorted(db.tuples(sym))]
     facts += rng.sample(facts, k=min(len(facts), rng.randint(0, 3)))  # repeated facts
     rng.shuffle(facts)
@@ -281,7 +283,7 @@ def test_generated_cycle_is_parsed_by_the_array_path(tmp_path, monkeypatch):
 def test_interning_round_trip_and_adom():
     db = movie_db()
     for name in ("PS", "LM", "MM", "Dr.S", "18m", "34m"):
-        assert db.const_name(db.constants.index(name)) == name
+        assert db.constants[db.constants.index(name)] == name
     assert db.adom() == set(range(6))
     # an interned constant that appears in no fact is not in the active domain
     db = make_db(db.schema, MOVIE_FACTS, constants=[*db.constants, "ghost"])
@@ -318,7 +320,7 @@ def test_rename_genericity():
         text = []
         for sym in db.schema.symbols:
             for t in db.tuples(sym):
-                text.append(f"{sym}({','.join(ren[db.const_name(c)] for c in t)})")
+                text.append(f"{sym}({','.join(ren[db.constants[c]] for c in t)})")
         if not text:
             continue
         db2 = load_database("\n".join(text))
@@ -326,10 +328,10 @@ def test_rename_genericity():
         assert len(db2.adom()) == len(db.adom())
         for sym in db.schema.symbols:
             back = {
-                tuple(db.const_name(c) for c in t): None for t in db.tuples(sym)
+                tuple(db.constants[c] for c in t): None for t in db.tuples(sym)
             }
             fwd = {
-                tuple(db2.const_name(c) for c in t) for t in db2.tuples(sym)
+                tuple(db2.constants[c] for c in t) for t in db2.tuples(sym)
             }
             assert fwd == {tuple(ren[n] for n in t) for t in back}
 
@@ -365,6 +367,8 @@ def test_parse_query_errors():
         parse_query("Ans(x) <- R(x,y) junk R(y,x).")
     with pytest.raises(ParseError):
         parse_query("Ans() <- .")  # no atoms
+    with pytest.raises(ParseError):
+        ConjunctiveQuery(head=(), atoms=())  # no atoms, built without the parser
 
 
 def test_parse_query_against_schema():

@@ -62,7 +62,7 @@ def test_generic_under_constant_renaming():
         db2 = make_db(db.schema, [(sym, *(rename[c] for c in t))
                                   for sym in db.schema.symbols for t in db.tuples(sym)])
         want = {tuple(rename[c] for c in t) for t in naive_eval(db, q)}
-        got = {tuple(db2.const_name(c) for c in t) for t in naive_eval(db2, q)}
+        got = {tuple(db2.constants[c] for c in t) for t in naive_eval(db2, q)}
         assert got == want
 
 

@@ -18,7 +18,7 @@ def movie_partition_names(db, coloring):
     g = graph_of(db)
     out = []
     for cls in members(coloring):
-        out.append(frozenset(db.const_name(int(g.verts[v])) for v in cls))
+        out.append(frozenset(db.constants[int(g.verts[v])] for v in cls))
     return set(out)
 
 
@@ -95,21 +95,30 @@ def test_is_stable_on_refined_and_witness_on_coarse():
     ok, witness = is_stable(g, col.color_of)
     assert ok and witness is None
 
-    all_one = np.zeros(g.n, dtype=np.int64)
-    ok, witness = is_stable(g, all_one)
-    assert not ok
-    v, w, lab, target = witness
-    # the witness must be a genuine violation: same colour, different signature
-    assert all_one[v] == all_one[w]
-    if lab is None:
-        assert g.vl_mask[v] != g.vl_mask[w]
-    else:
-        lid = g.labels.index(lab)
-        cnt_v = sum(1 for e in range(g.indptr[v], g.indptr[v + 1])
-                    if g.elab[e] == lid and all_one[g.nbr[e]] == target)
-        cnt_w = sum(1 for e in range(g.indptr[w], g.indptr[w + 1])
-                    if g.elab[e] == lid and all_one[g.nbr[e]] == target)
-        assert cnt_v != cnt_w
+    # one colour for all of movie; on R(a,b), R(b,c) with U(a), a merged with
+    # c (a vertex-label witness) and b alone
+    u_db = make_db(Schema([("R", 2), ("U", 1)]), [("R", "a", "b"), ("R", "b", "c"), ("U", "a")])
+    u_g = graph_of(u_db)
+    merged = np.arange(u_g.n, dtype=np.int64)
+    merged[vertex(u_g, 2)] = merged[vertex(u_g, 0)]
+    kinds = set()
+    for g, all_one in ((g, np.zeros(g.n, dtype=np.int64)), (u_g, merged)):
+        ok, witness = is_stable(g, all_one)
+        assert not ok
+        v, w, lab, target = witness
+        # the witness must be a genuine violation: same colour, different signature
+        assert all_one[v] == all_one[w]
+        kinds.add(lab is None)
+        if lab is None:
+            assert g.vl_mask[v] != g.vl_mask[w]
+        else:
+            lid = g.labels.index(lab)
+            cnt_v = sum(1 for e in range(g.indptr[v], g.indptr[v + 1])
+                        if g.elab[e] == lid and all_one[g.nbr[e]] == target)
+            cnt_w = sum(1 for e in range(g.indptr[w], g.indptr[w + 1])
+                        if g.elab[e] == lid and all_one[g.nbr[e]] == target)
+            assert cnt_v != cnt_w
+    assert kinds == {True, False}  # both kinds of witness were checked
 
 
 def test_is_stable_discrete_coloring():
