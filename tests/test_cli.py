@@ -102,8 +102,8 @@ def test_error_paths_are_exit_1(movie_file, tmp_path, capsys):
     (["query", "Ans(x,y) <- P(x,y).", "--index", "{tmp}"], 1),
     (["query", "Ans(x,x) <- P(x,y).", "--db", "{db}"], 1),
     (["oracle", "Ans(x,y) <- T(x,y).", "--db", "{db}"], 1),
-    (["oracle", "Ans(x,y) <- P(x,y).", "--db", "{db}", "--task", "bool"], 3),
     (["bench", "--db", "{db}", "--queries", "{db}"], 2),
+    (["oracle", "Ans(x,y) <- P(x,y).", "--db", "{db}", "--task", "bool"], 3),
 ])
 def test_exit_codes(argv, code, movie_file, tmp_path, capsys, monkeypatch):
     """Errors exit 1, and `--task bool` on a non-Boolean query exits 3, with a
