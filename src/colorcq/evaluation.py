@@ -15,6 +15,9 @@ prefix it multiplies per-colour counts through the pairs' counts instead of
 keeping flags; quantified subtrees stay semi-joins.  A leaf with no unary
 atom sends d̂^λ(c) = Σ_c′ #̂→^λ(c,c′) (`PairRows.deg`) if counted, else
 d̂^λ(c) > 0: stability gives every vertex of class c that many λ-neighbours.
+A semi-join edge with more than two pairs per colour reads only its pairs
+into removed child colours, off the dual label's memoized rows;
+`cde_fc_acq` builds its pairs per query, has no transpose, and gathers.
 
 The color-level runs use the loop-augmented semantics: a vertex whose class
 carries self-loops for every relation in λ counts as its own λ-neighbour, and
@@ -29,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .frontend import PlanComponent, QueryPlan, plan_query
-from .graph import BWD, encode_self_loops, label_of
+from .graph import BWD, dual_of, encode_self_loops, label_of
 from .index import ColorIndex, PairRows, pair_rows
 from .model import ColorcqError, ConjunctiveQuery, Database
 
@@ -52,7 +55,8 @@ class TreeRun:
 
 
 def _reduce(comp: PlanComponent, cand0: list[np.ndarray], pairs: list[PairRows | None],
-            counted: int = 0, dtype=bool) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+            counted: int = 0, dtype=bool, rows=None
+            ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
     """One bottom-up pass over the component tree, by rank, the pairs of each
     edge under its child's rank.  A variable of rank ≥ `counted` gets its
     semi-join (Yannakakis): the bool array of the values whose subtree can be
@@ -64,7 +68,15 @@ def _reduce(comp: PlanComponent, cand0: list[np.ndarray], pairs: list[PairRows |
     the homomorphism count of x's subtree with x pinned to any vertex of
     class c (well-defined by stability).  A leaf child with no unary atom
     sends `p.deg` (d̂^λ, exact by stability) or `p.has`, with no pass over pairs.
-    Returns (f, kept): `kept[w]` is semi-join edge w's mask f(w)[p.b], or `None`."""
+
+    Given `rows` (the index's row memo), a semi-join edge with more than two
+    pairs per value takes the support route instead of gathering: g(c) =
+    [cnt(c) > #pairs from c into removed child values] (Dynamic Yannakakis),
+    read off runs of the dual label's rows, the edge's pairs transposed.  It is
+    O(values + removed pairs), not O(pairs); with fewer pairs per value its
+    O(values) steps cost more than the gather saves.  Returns (f, kept):
+    `kept[w]` is semi-join edge w's mask f(w)[p.b], or `None` (leaf rule; on
+    the support route, also where every pair completes or w is not free)."""
     f, kept = [None] * len(cand0), [None] * len(cand0)
     for v in range(len(cand0) - 1, -1, -1):
         fv = cand0[v] if v >= counted else cand0[v].astype(dtype)
@@ -75,6 +87,13 @@ def _reduce(comp: PlanComponent, cand0: list[np.ndarray], pairs: list[PairRows |
             elif w < counted:
                 g = np.zeros(len(fv), dtype)
                 np.add.at(g, p.a, f[w][p.b] * p.n)  # object times int64 gives exact Python ints
+            elif rows is not None and len(p.b) > 2 * len(fv):
+                d, dead = rows[dual_of(comp.label[w])], (~f[w]).nonzero()[0]
+                lo, hi = d.a.searchsorted(dead), d.a.searchsorted(dead, "right")
+                m = hi - lo  # the runs of the dual's pairs (removed c′, c), concatenated:
+                ix = np.repeat(hi - m.cumsum(), m) + np.arange(m.sum())
+                g = p.cnt > np.bincount(d.b[ix], minlength=len(fv)) if len(ix) else p.has
+                kept[w] = f[w][p.b] if len(ix) and w < len(comp.free_prefix) else None
             else:
                 kept[w] = ok = f[w][p.b]
                 g = np.zeros(len(fv), bool)
@@ -85,10 +104,10 @@ def _reduce(comp: PlanComponent, cand0: list[np.ndarray], pairs: list[PairRows |
 
 
 def prepare_tree(comp: PlanComponent, cand0: list[np.ndarray],
-                 pairs: list[PairRows | None]) -> TreeRun:
+                 pairs: list[PairRows | None], rows=None) -> TreeRun:
     """The semi-join sweep, then the kept pairs of each free tree edge, read
     off the sweep's masks: with no mask, or a full one, it keeps all its pairs."""
-    cand, kept = _reduce(comp, cand0, pairs)
+    cand, kept = _reduce(comp, cand0, pairs, rows=rows)
     roots = memoryview(cand[0].nonzero()[0])  # cheaper than np.flatnonzero
 
     fadj: list[tuple[Sequence[int], Sequence[int]] | None] = [None] * len(cand)
@@ -240,7 +259,7 @@ class EnumerationSession:
         self.steps = _Steps()
         # the stream holds no reference to self: a session then holds no
         # reference cycle and is freed as soon as it is dropped
-        runs = [prepare_tree(comp, *_color_tables(idx, comp)) for comp in plan.components]
+        runs = [prepare_tree(c, *_color_tables(idx, c), idx._rows) for c in plan.components]
         self._gen = _odometer(runs, plan.head_slots, self.steps, idx,
                               idx.db.constants if names else None)
 
@@ -266,7 +285,7 @@ def count_answers(idx: ColorIndex, plan: QueryPlan) -> int:
     for comp in plan.components:
         k = len(comp.free_prefix)
         dtype = np.int64 if idx.g.n ** k < 2**63 else object
-        f = _reduce(comp, *_color_tables(idx, comp), k, dtype)[0][0]
+        f = _reduce(comp, *_color_tables(idx, comp), k, dtype, rows=idx._rows)[0][0]
         total *= int(idx.n_c.dot(f)) if k else int(np.count_nonzero(f) > 0)  # cheaper than .any()
         if not total:
             return 0
@@ -279,7 +298,7 @@ def eval_boolean(idx: ColorIndex, plan: QueryPlan) -> bool:
     if plan.query.head:
         raise ColorcqError("eval_boolean needs a Boolean query (empty head)")
     for comp in plan.components:
-        if not np.count_nonzero(_reduce(comp, *_color_tables(idx, comp))[0][0]):
+        if not np.count_nonzero(_reduce(comp, *_color_tables(idx, comp), rows=idx._rows)[0][0]):
             return False
     return True
 

@@ -71,6 +71,14 @@ def label_id(pairs: tuple[tuple[str, str], ...]) -> int:
     return lid
 
 
+class _Duals(dict):
+    def __missing__(self, lid: int) -> int:  # made on first lookup, then kept
+        return self.setdefault(lid, label_id(label_of(lid).dual().pairs))
+
+
+dual_of = _Duals().__getitem__  # label id -> its dual's id; warm, one dict get
+
+
 def e_symbol(lab: EdgeLabel) -> str:
     """Relation name used for the edge label λ in colour-level schemas."""
     return "E" + str(lab)

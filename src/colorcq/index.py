@@ -63,7 +63,8 @@ class PairRows(NamedTuple):
     lists, which the enumeration reads element by element: the b's of a are
     nbr[ptr[a]:ptr[a + 1]].  Per a, `deg` sums n (counts the pairs if n is
     None) and `has` is deg > 0; in `ColorIndex.rows(λ)`, deg(c) = d̂^λ(c) =
-    Σ_c′ #̂→^λ(c,c′), the λ-degree stability gives every member of class c."""
+    Σ_c′ #̂→^λ(c,c′), the λ-degree stability gives every member of class c.
+    `cnt` counts the pairs per a (the sweep's support counts start there)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -72,13 +73,15 @@ class PairRows(NamedTuple):
     nbr: list[int]
     deg: np.ndarray
     has: np.ndarray
+    cnt: np.ndarray
 
 
 def pair_rows(a: np.ndarray, b: np.ndarray, n: np.ndarray | None, size: int) -> PairRows:
     """PairRows of pairs sorted by (a, b) over the ids 0..size-1."""
     deg = np.bincount(a, n, size).astype(np.int64)  # exact: a degree is at most |adom| + 1
-    return PairRows(a, b, n, np.searchsorted(a, np.arange(size + 1)).tolist(), b.tolist(),
-                    deg, deg > 0)
+    ptr = np.searchsorted(a, np.arange(size + 1))
+    cnt, ptr = (deg if n is None else np.diff(ptr)), ptr.tolist()  # free it before b.tolist()
+    return PairRows(a, b, n, ptr, b.tolist(), deg, deg > 0, cnt)
 
 
 class SuccTable(NamedTuple):

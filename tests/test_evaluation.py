@@ -706,10 +706,73 @@ def test_folded_leaves_match_the_explicit_sweep(monkeypatch):
     assert len(seen) == 6 and min(seen.values()) >= 20, seen
 
 
-def test_pair_rows_degrees(tmp_path):
+def _dense_db(rng: random.Random, n: int, unary: float) -> Database:
+    """R: a directed n-cycle plus 4n random facts; S: 3n random facts; U on
+    a share `unary` of the n constants.  Refinement leaves about n colours,
+    so R's and S's labels have about 5 and 3 pairs per colour."""
+    lines = [f"R(c{i},c{(i + 1) % n})" for i in range(n)]
+    lines += [f"R(c{rng.randrange(n)},c{rng.randrange(n)})" for _ in range(4 * n)]
+    lines += [f"S(c{rng.randrange(n)},c{rng.randrange(n)})" for _ in range(3 * n)]
+    lines += [f"U(c{i})" for i in rng.sample(range(n), round(unary * n))]
+    return load_database("\n".join(lines) + "\n")
+
+
+def test_support_counting_matches_the_explicit_sweep():
+    """Given the row memo, a semi-join edge with more than two pairs per
+    colour counts the pairs into removed child colours on the dual's rows
+    instead of gathering over all its pairs.  On seeded dense instances, with
+    child colours removed (by U, by S) and with none removed (R's cycle), the
+    sweep equals the explicit gather and scatter for every free-prefix length
+    and dtype.  Each semi-join edge's mask is f(w)[p.b]; on the support
+    route it is None when every pair completes or the edge is not free."""
+    rng = random.Random(2001)
+    fixed = ("Ans() <- R(x,y), R(y,z), R(z,w).", "Ans(x) <- R(x,y), R(y,z), U(z).",
+             "Ans(x,y,z) <- R(x,y), R(y,z), U(z).", "Ans(x,y) <- R(x,y), S(y,z), R(z,w).",
+             "Ans(x,y,z,w) <- R(x,y), R(y,z), R(w,z).", "Ans(y,z) <- R(x,y), R(y,z), R(z,z).",
+             "Ans(x,y) <- R(x,y), R(y,x), S(y,z), U(z).", "Ans(x) <- R(x,y), S(x,y), R(y,z).")
+    seen = Counter()
+    for i in range(12):
+        db = _dense_db(rng, 40, (1.0, 0.9, 0.5)[i % 3])
+        idx = build_index(db)
+        qs = [parse_query(t, db.schema) for t in fixed] + [random_fc_query(rng) for _ in range(8)]
+        for q in filter(None, qs):
+            for comp in plan_query(q, db.schema).components:
+                cand0, pairs = _color_tables(idx, comp)
+                for counted in range(len(comp.order) + 1):
+                    for dtype in ((bool,) if not counted else (np.int64, object)):
+                        got, kept = _reduce(comp, cand0, pairs, counted, dtype, rows=idx._rows)
+                        want = _reduce_explicit(comp, cand0, pairs, counted, dtype)
+                        for v in range(len(comp.order)):
+                            assert np.array_equal(got[v], want[v]), (q, counted, dtype, v)
+                            assert got[v].dtype == want[v].dtype, (q, counted, dtype, v)
+                        for w in range(max(counted, 1), len(comp.order)):
+                            p, ok = pairs[w], want[w][pairs[w].b]
+                            if not comp.children[w] and not comp.unary[w]:
+                                assert kept[w] is None
+                            elif len(p.b) <= 2 * idx.num_colors:
+                                assert np.array_equal(kept[w], ok)
+                                seen["gather"] += 1
+                            elif w >= len(comp.free_prefix) or ok.all():
+                                assert kept[w] is None, (q, counted, w)
+                                seen["values removed" if not want[w].all() else "none removed"] += 1
+                            else:
+                                assert np.array_equal(kept[w], ok), (q, counted, w)
+                                seen["free, drops pairs"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
+def test_pair_rows_degrees(tmp_path, monkeypatch):
     """`deg` of every memoized `rows(λ)` is the weighted bincount of its
-    first values, and `has` is deg > 0, on a built index and a loaded one
-    (loops included)."""
+    first values, `has` is deg > 0, and `cnt` is the number of pairs per
+    first value, on a built index and a loaded one (loops included); `cnt`
+    also on `cde_fc_acq`'s constant pairs."""
+    consts = []
+
+    def record(comp, cand0, pairs):
+        consts.extend((p, len(cand0[0])) for p in pairs if p)
+        return prepare_tree(comp, cand0, pairs)
+
+    monkeypatch.setattr(evaluation, "prepare_tree", record)
     rng = random.Random(1502)
     for i in range(30):
         db = random_db(rng, max_adom=12, max_facts=30)
@@ -722,11 +785,18 @@ def test_pair_rows_degrees(tmp_path):
                 p = index.rows(lab.id)
                 assert np.array_equal(p.deg, np.bincount(p.a, p.n, index.num_colors))
                 assert np.array_equal(p.has, p.deg > 0)
-                assert len(p.deg) == len(p.has) == index.num_colors
+                assert np.array_equal(p.cnt, np.bincount(p.a, minlength=index.num_colors))
+                assert len(p.deg) == len(p.has) == len(p.cnt) == index.num_colors
+        for text in ("Ans(x,y) <- R(x,y).", "Ans(x,y) <- R(x,y), S(y,z), R(y,y)."):
+            next(cde_fc_acq(db, _plan(db, text)), None)
+    assert len(consts) == 90
+    for p, size in consts:
+        assert np.array_equal(p.cnt, np.bincount(p.a, minlength=size)) and len(p.cnt) == size
 
 
 class _Reads:
-    """An array stand-in that records every read of its items."""
+    """An array stand-in that records every read of its items, as (kind,
+    items read, items held); a binary search reads too few to record."""
 
     def __init__(self, arr: np.ndarray, log: list):
         self.arr, self.log = arr, log
@@ -735,12 +805,16 @@ class _Reads:
         return len(self.arr)
 
     def __array__(self, dtype=None, copy=None):
-        self.log.append("array")
+        self.log.append(("array", len(self.arr), len(self.arr)))
         return self.arr
 
     def __getitem__(self, key):
-        self.log.append("item")
-        return self.arr[key]
+        out = self.arr[key]
+        self.log.append(("item", np.size(out), len(self.arr)))
+        return out
+
+    def searchsorted(self, *args, **kwargs):
+        return self.arr.searchsorted(*args, **kwargs)
 
 
 def test_leaf_edges_are_not_swept(monkeypatch):
@@ -780,3 +854,28 @@ def test_leaf_edges_are_not_swept(monkeypatch):
     monkeypatch.setattr(evaluation, "np", _Numpy())
     assert (count_answers(idx, count), eval_boolean(idx, boolean)) == want
     assert len(leaf_edges) == 2 and adds == [] and reads == []
+
+
+def test_dense_semi_joins_read_only_the_removed_pairs(monkeypatch):
+    """On dense data (about 5 pairs per colour) where a tenth of the
+    constants lack U, answering `Ans() <- R(x,y), R(y,z), U(z).`, counting
+    and enumerating its `Ans(x)` version read no label's pairs whole: no
+    gather over any label's pairs, only the dual's pairs into removed
+    colours, and no mask for the session, whose tree has no free edge."""
+    db = _dense_db(random.Random(2002), 300, 0.9)
+    idx = build_index(db)
+    boolean = _plan(db, "Ans() <- R(x,y), R(y,z), U(z).")
+    free = _plan(db, "Ans(x) <- R(x,y), R(y,z), U(z).")
+    want = (eval_boolean(idx, boolean), count_answers(idx, free), set(cde_fc_acq(db, free)))
+    assert want[0] and want[1] == len(want[2]) > 0
+
+    reads = []
+    spied = {lid: p._replace(a=_Reads(p.a, reads), b=_Reads(p.b, reads))
+             for lid, p in idx._rows.items()}
+    assert all(len(p.b) > 2 * idx.num_colors for lid, p in spied.items()
+               if lid in (EdgeLabel([("R", "+")]).id, EdgeLabel([("R", "-")]).id))
+    monkeypatch.setattr(idx, "_rows", spied)
+    assert (eval_boolean(idx, boolean), count_answers(idx, free),
+            set(EnumerationSession(idx, free))) == want
+    assert reads and {kind for kind, _, _ in reads} == {"item"}, reads
+    assert all(0 < got < held / 5 for _, got, held in reads), reads

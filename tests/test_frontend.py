@@ -430,19 +430,21 @@ def test_front_end_outcomes_match_pinned_digest():
 
 
 def _front_end_seconds(text: str) -> float:
-    t0 = time.perf_counter()
+    """CPU time of parse plus plan: time other processes take is not counted."""
+    t0 = time.process_time()
     try:
         plan_query(parse_query(text, RS), RS)
     except ParseError:
         pass
-    return time.perf_counter() - t0
+    return time.process_time() - t0
 
 
 def test_front_end_is_linear_in_the_query():
     """Parse plus plan of a query 4x as long takes < 8x the time (linear is
     ~4x, quadratic ~16x), for whitespace before junk, a full path query and a
-    full star query; each size is timed 5 times, interleaved, and the least
-    time counts.  Whitespace before junk once backtracked cubically."""
+    full star query; each size is timed 15 times in CPU time, interleaved,
+    and the least time counts.  Whitespace before junk once backtracked
+    cubically."""
     shapes = {
         "junk": lambda n: "Ans() <- R(x,y)" + " " * (10 * n) + "z",
         "path": lambda n: f"Ans({','.join(f'x{i}' for i in range(n + 1))}) <- "
@@ -453,7 +455,7 @@ def test_front_end_is_linear_in_the_query():
     for name, make in shapes.items():
         texts = (make(1000), make(4000))
         best = [float("inf")] * 2
-        for _ in range(5):
+        for _ in range(15):
             best = [min(b, _front_end_seconds(t)) for b, t in zip(best, texts)]
         assert best[1] < 8 * best[0], (name, best)
 
