@@ -293,14 +293,11 @@ def count_answers(idx: ColorIndex, plan: QueryPlan) -> int:
 
 
 def eval_boolean(idx: ColorIndex, plan: QueryPlan) -> bool:
-    """Answer a Boolean plan: every component's semi-join sweep leaves a
-    non-empty root."""
+    """Answer a Boolean plan: its count, 0 or 1, is not 0 (every component's
+    semi-join sweep leaves a non-empty root)."""
     if plan.query.head:
         raise ColorcqError("eval_boolean needs a Boolean query (empty head)")
-    for comp in plan.components:
-        if not np.count_nonzero(_reduce(comp, *_color_tables(idx, comp), rows=idx._rows)[0][0]):
-            return False
-    return True
+    return count_answers(idx, plan) > 0
 
 
 # -- generic tree evaluation on a plain database ----------------------------

@@ -91,14 +91,13 @@ def _dfs(adj: Adjacency, start: str, within, parent: dict[str, str | None]):
     return None
 
 
-def check_free_connex_acyclic(q: ConjunctiveQuery, adj: Adjacency | None = None) -> FcCheck:
-    """Accept iff the Gaifman graph `adj` (built from q if not given) is a
-    forest and, per component, the free variables induce a connected or empty
-    subgraph.  The witness is the first cycle met, else the first component,
-    by first variable, whose least free variable does not reach all its free
-    variables through free ones.  `plan_query` calls it only to explain a
-    rejection."""
-    adj = adj or _scan(q)[0]
+def check_free_connex_acyclic(q: ConjunctiveQuery) -> FcCheck:
+    """Accept iff the Gaifman graph of q is a forest and, per component, the
+    free variables induce a connected or empty subgraph.  The witness is the
+    first cycle met, else the first component, by first variable, whose least
+    free variable does not reach all its free variables through free ones.
+    `plan_query` calls it only to explain a rejection."""
+    adj = _scan(q)[0]
     comps: list[dict[str, str | None]] = []
     seen: set[str] = set()
     for v in adj:
@@ -180,7 +179,6 @@ class PlanComponent:
 @dataclass
 class QueryPlan:
     query: ConjunctiveQuery
-    schema: Schema
     s1: Sigma1
     components: tuple[PlanComponent, ...]
     # user head position -> (component index, position in that component's
@@ -233,8 +231,8 @@ def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
             root, tuple(order), tuple(order[:n_free]), tuple(parent), tuple(kids),
             tuple(lambda_x), tuple(label), q, s1))
     if not connex or sum(map(len, adj.values())) != 2 * (len(adj) - len(components)):
-        raise QueryRejected(check_free_connex_acyclic(q, adj).diagnostic)
-    return QueryPlan(q, schema, s1, tuple(components), tuple(map(slot.__getitem__, q.head)))
+        raise QueryRejected(check_free_connex_acyclic(q).diagnostic)
+    return QueryPlan(q, s1, tuple(components), tuple(map(slot.__getitem__, q.head)))
 
 
 def explain_plan(plan: QueryPlan) -> str:

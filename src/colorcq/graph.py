@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -213,11 +212,6 @@ class LabeledGraph:
             np.concatenate(owner), np.concatenate(bit), self.n)
 
         self._build_edges(vertex)
-
-    @cached_property
-    def vl_mask(self) -> np.ndarray:
-        """Per-vertex bitmask of the unary symbols (Python ints, any width)."""
-        return np.array(self.label_masks, dtype=object)[self.vl_id]
 
     def _build_edges(self, vertex: np.ndarray) -> None:
         binary = self.d1.schema.binary_symbols

@@ -295,7 +295,7 @@ class ColorIndex:
         return self._unary[frozenset(symbols)]
 
     def _make_flags(self, symbols: frozenset[str]) -> np.ndarray:
-        need = sum(1 << self.g._uidx[u] for u in symbols)  # the vl_mask bits of the set
+        need = sum(1 << self.g._uidx[u] for u in symbols)  # the `label_masks` bits of the set
         has = np.array([m & need == need for m in self.g.label_masks], dtype=bool)
         arr = has[self._color_vl]
         arr.flags.writeable = False

@@ -91,15 +91,13 @@ class Database:
     """A set-semantics instance: interned constants plus one relation per symbol.
 
     A relation is an (m, arity) int64 array of constant ids, sorted by rows
-    and without repeated rows, which `set_relation` puts in; `tuples` builds a
-    Python set view of a relation on first use.
+    and without repeated rows, which `set_relation` puts in.
     """
 
     def __init__(self, schema: Schema, constants: Iterable[str] = ()):
         self.schema = schema
         self.constants: list[str] = list(dict.fromkeys(constants))
         self._arrays: dict[str, np.ndarray] = {}
-        self._sets: dict[str, set[tuple[int, ...]]] = {}
 
     def set_relation(self, rel: str, rows: np.ndarray) -> None:
         """Replace `rel` by the distinct rows of `rows`, which must hold ids of
@@ -118,24 +116,12 @@ class Database:
             key = key[order]
             rows = rows[order[np.append(True, key[1:] != key[:-1])]]
         self._arrays[rel] = rows
-        self._sets.pop(rel, None)
 
     def array(self, rel: str) -> np.ndarray:
         """The rows of `rel` as a sorted (m, arity) int64 array."""
         arity = self.schema.arity(rel)
         out = self._arrays.get(rel)
         return np.zeros((0, arity), dtype=np.int64) if out is None else out
-
-    def tuples(self, rel: str) -> set[tuple[int, ...]]:
-        """Tuple set of `rel`; empty for symbols absent from this instance.
-
-        The set is cached and shared between callers: do not modify it.
-        """
-        out = self._sets.get(rel)
-        if out is None:
-            out = set(map(tuple, self.array(rel).tolist())) if rel in self.schema else set()
-            self._sets[rel] = out
-        return out
 
     def size(self) -> int:
         return sum(len(self.array(s)) for s in self.schema.symbols)
@@ -146,10 +132,6 @@ class Database:
         for s in self.schema.symbols:
             seen[self.array(s).ravel()] = True
         return np.flatnonzero(seen)
-
-    def adom(self) -> set[int]:
-        """Ids that appear in at least one tuple."""
-        return set(self.adom_ids().tolist())
 
     def __repr__(self) -> str:
         return f"<Database |D|={self.size()} adom={len(self.constants)}>"

@@ -48,7 +48,10 @@ def naive_eval(db: Database, q: ConjunctiveQuery) -> ResultSet:
     for a in q.atoms:
         due[max(pos[v] for v in a.args)].append(a)
 
-    adom = sorted(db.adom())
+    adom = db.adom_ids().tolist()
+    # the rows of each relation the query names; one absent from the schema has none
+    facts = {a.rel: set(map(tuple, db.array(a.rel).tolist())) if a.rel in db.schema else set()
+             for a in q.atoms}
     assignment: dict[str, int] = {}
     results: set[tuple[int, ...]] = set()
 
@@ -58,8 +61,7 @@ def naive_eval(db: Database, q: ConjunctiveQuery) -> ResultSet:
             return
         for c in adom:
             assignment[order[i]] = c
-            if all(tuple(assignment[v] for v in a.args) in db.tuples(a.rel)
-                   for a in due[i]):
+            if all(tuple(assignment[v] for v in a.args) in facts[a.rel] for a in due[i]):
                 extend(i + 1)
 
     extend(0)

@@ -181,7 +181,7 @@ def is_stable(
             rep_sig[c] = _signature(g, colors, v)
             continue
         w = rep[c]
-        if g.vl_mask[v] != g.vl_mask[w]:
+        if g.vl_id[v] != g.vl_id[w]:
             return False, (w, v, None, None)
         sig_v = _signature(g, colors, v)
         sig_w = rep_sig[c]

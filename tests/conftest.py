@@ -143,9 +143,25 @@ def edge_label(g, v: int, w: int) -> EdgeLabel | None:
     return dict(out_edges(g, v)).get(w)
 
 
+def tuples(db: Database, rel: str) -> set[tuple[int, ...]]:
+    """The rows of `rel` as a set of tuples; empty for a symbol absent from the schema."""
+    return set(map(tuple, db.array(rel).tolist())) if rel in db.schema else set()
+
+
+def adom(db: Database) -> set[int]:
+    """The ids that appear in at least one tuple."""
+    return set(db.adom_ids().tolist())
+
+
+def vl_mask(g) -> list[int]:
+    """Per-vertex bitmask of the unary symbols (Python ints, any width)."""
+    return [g.label_masks[i] for i in g.vl_id.tolist()]
+
+
 def vertex_symbols(g, v: int) -> frozenset[str]:
     """The unary symbols that hold on vertex v."""
-    return frozenset(u for i, u in enumerate(g.unary_symbols) if g.vl_mask[v] >> i & 1)
+    mask = g.label_masks[g.vl_id[v]]
+    return frozenset(u for i, u in enumerate(g.unary_symbols) if mask >> i & 1)
 
 
 def hat_count(idx, lab: EdgeLabel, c: int, c2: int) -> int:

@@ -35,6 +35,8 @@ from .conftest import (
     partition,
     random_db,
     random_fc_query,
+    tuples,
+    vl_mask,
 )
 from .test_refine import _refines, _set_partitions, _stable_partition
 
@@ -84,10 +86,10 @@ def test_criterion_2_running_example_color_database():
     # ... each realized by exactly the displayed tuple (so the stated label
     # equalities hold), every unary colour relation is empty, and labels
     # outside the closure have empty semantics
-    for lab, tuples in want.items():
-        assert idx.color_db.tuples(idx.closure_symbols[lab]) == tuples
+    for lab, rows in want.items():
+        assert tuples(idx.color_db, idx.closure_symbols[lab]) == rows
     for u in idx.color_db.schema.unary_symbols:
-        assert idx.color_db.tuples(u) == set()
+        assert tuples(idx.color_db, u) == set()
     for lab in (EdgeLabel([("P", "+"), ("S", "+")]), EdgeLabel([("P", "+"), ("P", "-")])):
         assert all(
             hat_count(idx, lab, c, c2) == 0 for c in range(4) for c2 in range(4)
@@ -315,7 +317,8 @@ def _subdivision_partition(g) -> frozenset[frozenset[int]]:
         for e in range(int(g.indptr[v]), int(g.indptr[v + 1])):
             out[v].append(n + e)
             out[n + e].append(int(g.nbr[e]))
-    init = [("v", int(g.vl_mask[v])) for v in range(n)]
+    masks = vl_mask(g)
+    init = [("v", int(masks[v])) for v in range(n)]
     init += [("e", int(g.elab[e])) for e in range(m)]
     ranks = {c: i for i, c in enumerate(sorted(set(init)))}
     colors = [ranks[c] for c in init]

@@ -24,8 +24,10 @@ from .conftest import (
     movie_db,
     out_edges,
     random_db,
+    tuples,
     vertex,
     vertex_symbols,
+    vl_mask,
 )
 
 
@@ -72,8 +74,8 @@ def test_encode_self_loops_movie_unchanged():
     db = movie_db()
     d1, s1 = encode_self_loops(db)
     for sym in ("P", "A", "M", "S"):
-        assert d1.tuples(sym) == db.tuples(sym)
-        assert d1.tuples(s1.loop_symbol[sym]) == set()
+        assert tuples(d1, sym) == tuples(db, sym)
+        assert tuples(d1, s1.loop_symbol[sym]) == set()
     assert d1.size() == db.size()
 
 
@@ -81,15 +83,15 @@ def test_encode_self_loops_strips_loops():
     db = make_db(Schema([("R", 2)]), [("R", "a", "a"), ("R", "a", "b")])
     a, b = map(db.constants.index, "ab")
     d1, s1 = encode_self_loops(db)
-    assert d1.tuples("R") == {(a, b)}
-    assert d1.tuples(s1.loop_symbol["R"]) == {(a,)}
+    assert tuples(d1, "R") == {(a, b)}
+    assert tuples(d1, s1.loop_symbol["R"]) == {(a,)}
 
 
 def test_encode_self_loops_cycle_is_identity():
     db = cycle_db(7)
     d1, s1 = encode_self_loops(db)
-    assert d1.tuples("R") == db.tuples("R")
-    assert d1.tuples(s1.loop_symbol["R"]) == set()
+    assert tuples(d1, "R") == tuples(db, "R")
+    assert tuples(d1, s1.loop_symbol["R"]) == set()
 
 
 def test_movie_graph_structure():
@@ -98,7 +100,7 @@ def test_movie_graph_structure():
     assert g.n == 6
     # 6 undirected adjacencies, both directions materialized
     assert g.num_directed_edges == 12
-    assert all(m == 0 for m in g.vl_mask)  # no unary facts, no loops
+    assert all(m == 0 for m in vl_mask(g))  # no unary facts, no loops
 
     ps, lm, drs = (vertex(g, db.constants.index(name)) for name in ("PS", "LM", "Dr.S"))
     lab = edge_label(g, ps, lm)
@@ -174,7 +176,7 @@ def test_label_count_bounded_by_d1():
         d1, _ = encode_self_loops(db)
         g = graph_of(db)
         assert len(g.labels) <= max(1, d1.size())
-        assert len(set(g.vl_mask)) <= max(1, d1.size())
+        assert len(set(vl_mask(g))) <= max(1, d1.size())
 
 
 def test_initial_colors_rank_wide_vertex_labels():
@@ -186,7 +188,7 @@ def test_initial_colors_rank_wide_vertex_labels():
     db = make_db(Schema([(f"U{i:02d}", 1) for i in range(70)] + [("R", 2)]), facts)
     g = graph_of(db)
     masks = [sum(1 << i for i in bits[db.constants[int(g.verts[v])]]) for v in range(g.n)]
-    assert list(g.vl_mask) == masks
+    assert list(vl_mask(g)) == masks
     init, n_init = g.initial_colors()
     ranks = sorted(set(masks))
     assert n_init == len(ranks) == 4

@@ -29,6 +29,7 @@ from colorcq.model import ColorcqError, Database, Schema, load_database, parse_q
 from colorcq.refine import _as_coloring
 
 from .conftest import (
+    adom,
     color_of_name,
     cycle_db,
     hat_count,
@@ -39,6 +40,7 @@ from .conftest import (
     out_edges,
     random_db,
     reseal,
+    tuples,
     vertex,
 )
 
@@ -87,13 +89,13 @@ def test_movie_color_db_matches_displayed_relations(dex_index):
         EdgeLabel([("A", "+")]): {(r, b)},
     }
     assert set(idx.closure_symbols) == set(want)
-    for lab, tuples in want.items():
-        assert cdb.tuples(idx.closure_symbols[lab]) == tuples
+    for lab, rows in want.items():
+        assert tuples(cdb, idx.closure_symbols[lab]) == rows
     # every unary relation of the colour schema is empty (no loops, no unary facts)
     for u in cdb.schema.unary_symbols:
-        assert cdb.tuples(u) == set()
+        assert tuples(cdb, u) == set()
     assert cdb.size() == 10
-    assert set(cdb.adom()) <= set(range(4))
+    assert set(adom(cdb)) <= set(range(4))
 
 
 def test_movie_hat_lookups(dex_index):
@@ -129,8 +131,8 @@ def test_cycle_index_prop2():
     assert st["num_colors"] == 1
     assert st["color_db_size"] == 2
     fwd, bwd = EdgeLabel([("R", "+")]), EdgeLabel([("R", "-")])
-    assert idx.color_db.tuples(idx.closure_symbols[fwd]) == {(0, 0)}
-    assert idx.color_db.tuples(idx.closure_symbols[bwd]) == {(0, 0)}
+    assert tuples(idx.color_db, idx.closure_symbols[fwd]) == {(0, 0)}
+    assert tuples(idx.color_db, idx.closure_symbols[bwd]) == {(0, 0)}
     assert hat_count(idx, fwd, 0, 0) == 1
     assert hat_count(idx, bwd, 0, 0) == 1
     assert hat_count(idx, EdgeLabel([("R", "+"), ("R", "-")]), 0, 0) == 0
@@ -140,7 +142,7 @@ def test_cycle_index_prop2():
 def test_single_unary_fact_color_db():
     idx = build_index(make_db(Schema([("R", 2), ("U", 1)]), [("U", "a")]))
     cdb = idx.color_db
-    assert cdb.tuples("U") == {(0,)}
+    assert tuples(cdb, "U") == {(0,)}
     assert cdb.size() == 1
     assert idx.closure_symbols == {}
 
@@ -204,10 +206,10 @@ def test_color_db_membership_iff_positive_count():
         db = random_db(rng, max_adom=7)
         idx = build_index(db)
         for lab, sym in idx.closure_symbols.items():
-            tuples = idx.color_db.tuples(sym)
+            rows = tuples(idx.color_db, sym)
             for c in range(idx.num_colors):
                 for c2 in range(idx.num_colors):
-                    assert ((c, c2) in tuples) == (hat_count(idx, lab, c, c2) > 0)
+                    assert ((c, c2) in rows) == (hat_count(idx, lab, c, c2) > 0)
 
 
 def test_loop_cover_array():
@@ -304,11 +306,11 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
 
         assert idx2.db.constants == idx.db.constants
         for sym in idx.db.schema.symbols:
-            assert idx2.db.tuples(sym) == idx.db.tuples(sym)
+            assert tuples(idx2.db, sym) == tuples(idx.db, sym)
         assert list(idx2.coloring.color_of) == list(idx.coloring.color_of)
         assert idx2.closure_symbols == idx.closure_symbols
         for sym in idx.color_db.schema.symbols:
-            assert idx2.color_db.tuples(sym) == idx.color_db.tuples(sym)
+            assert tuples(idx2.color_db, sym) == tuples(idx.color_db, sym)
         # hat lookups agree, including ones that need lazy materialization
         for lab in idx.closure_symbols:
             for c in range(idx.num_colors):

@@ -21,7 +21,16 @@ from colorcq.model import (
     parse_query,
 )
 
-from .conftest import MOVIE_FACTS, MOVIE_TEXT, long_constants_text, make_db, movie_db, random_db
+from .conftest import (
+    MOVIE_FACTS,
+    MOVIE_TEXT,
+    adom,
+    long_constants_text,
+    make_db,
+    movie_db,
+    random_db,
+    tuples,
+)
 
 
 def test_schema_basic():
@@ -51,16 +60,16 @@ def test_schema_rejects_bad_arity_and_redefinition():
 def test_load_database_movie():
     db = load_database(io.StringIO(MOVIE_TEXT))
     assert db.size() == 8
-    assert len(db.adom()) == 6
+    assert len(adom(db)) == 6
     assert db.schema.arity("P") == 2
-    assert (db.constants.index("PS"), db.constants.index("LM")) in db.tuples("P")
+    assert (db.constants.index("PS"), db.constants.index("LM")) in tuples(db, "P")
 
 
 def test_load_database_comments_blank_lines_duplicates():
     text = "# header\nR(a,b)\n\nR(a,b)  # repeated on purpose\nU(a)\n"
     db = load_database(text)
     assert db.size() == 2
-    assert db.tuples("R") == {(db.constants.index("a"), db.constants.index("b"))}
+    assert tuples(db, "R") == {(db.constants.index("a"), db.constants.index("b"))}
 
 
 def test_load_database_reports_line_numbers():
@@ -72,7 +81,7 @@ def test_load_database_reports_line_numbers():
 
 def test_load_database_empty_document():
     db = load_database("")
-    assert db.size() == 0 and db.adom() == set()
+    assert db.size() == 0 and adom(db) == set()
 
 
 def _outcome(parse, text: str):
@@ -170,7 +179,7 @@ def _random_fact_text(rng: random.Random) -> str:
     rename = {c: "".join(rng.choice(alphabet) for _ in range(rng.choice((1, 2, 7, 8, 9, 16, 17, 30))))
               for c in db.constants}
     facts = [(sym, tuple(rename[db.constants[c]] for c in t))
-             for sym in db.schema.symbols for t in sorted(db.tuples(sym))]
+             for sym in db.schema.symbols for t in sorted(tuples(db, sym))]
     facts += rng.sample(facts, k=min(len(facts), rng.randint(0, 3)))  # repeated facts
     rng.shuffle(facts)
 
@@ -284,15 +293,10 @@ def test_interning_round_trip_and_adom():
     db = movie_db()
     for name in ("PS", "LM", "MM", "Dr.S", "18m", "34m"):
         assert db.constants[db.constants.index(name)] == name
-    assert db.adom() == set(range(6))
+    assert adom(db) == set(range(6))
     # an interned constant that appears in no fact is not in the active domain
     db = make_db(db.schema, MOVIE_FACTS, constants=[*db.constants, "ghost"])
-    assert db.constants.index("ghost") not in db.adom()
-
-
-def test_tuples_of_absent_symbol_is_empty():
-    db = Database(Schema([("R", 2)]))
-    assert db.tuples("R") == set()
+    assert db.constants.index("ghost") not in adom(db)
 
 
 def test_set_relation_checks_shape_and_ids():
@@ -319,19 +323,19 @@ def test_rename_genericity():
         ren = {c: f"z{i}" for i, c in enumerate(db.constants)}
         text = []
         for sym in db.schema.symbols:
-            for t in db.tuples(sym):
+            for t in tuples(db, sym):
                 text.append(f"{sym}({','.join(ren[db.constants[c]] for c in t)})")
         if not text:
             continue
         db2 = load_database("\n".join(text))
         assert db2.size() == db.size()
-        assert len(db2.adom()) == len(db.adom())
+        assert len(adom(db2)) == len(adom(db))
         for sym in db.schema.symbols:
             back = {
-                tuple(db.constants[c] for c in t): None for t in db.tuples(sym)
+                tuple(db.constants[c] for c in t): None for t in tuples(db, sym)
             }
             fwd = {
-                tuple(db2.constants[c] for c in t) for t in db2.tuples(sym)
+                tuple(db2.constants[c] for c in t) for t in tuples(db2, sym)
             }
             assert fwd == {tuple(ren[n] for n in t) for t in back}
 

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from colorcq.model import Database, Schema, parse_query
+from colorcq.model import Atom, ConjunctiveQuery, Database, Schema, parse_query
 from colorcq.oracle import ResultSet, naive_count, naive_eval
 
-from .conftest import cycle_db, make_db, movie_db, names, random_db, random_fc_query
+from .conftest import cycle_db, make_db, movie_db, names, random_db, random_fc_query, tuples
 
 
 def test_movie_pinned_results():
@@ -43,6 +43,18 @@ def test_empty_database():
     assert naive_count(db, parse_query("Ans() <- R(x,y).")) == 0
 
 
+def test_relation_without_facts_gives_no_answers():
+    """A relation absent from the schema has no facts, like a schema relation
+    with no rows: a query that names one has no answers, though its other
+    atoms match."""
+    db = make_db(Schema([("R", 2), ("S", 2)]), [("R", "a", "b")])
+    r = Atom("R", ("x", "y"))
+    assert naive_count(db, ConjunctiveQuery(head=("x",), atoms=(r,))) == 1
+    for rel in ("T", "S"):  # T is not in the schema; S has no rows
+        q = ConjunctiveQuery(head=("x",), atoms=(r, Atom(rel, ("y", "x"))))
+        assert naive_eval(db, q).tuples == frozenset()
+
+
 def test_cyclic_queries_are_supported():
     db = cycle_db(3)
     assert naive_count(db, parse_query("Ans() <- R(x,y), R(y,z), R(z,x).")) == 1
@@ -60,7 +72,7 @@ def test_generic_under_constant_renaming():
         rng.shuffle(perm)
         rename = {db.constants.index(old): perm[i] for i, old in enumerate(db.constants)}
         db2 = make_db(db.schema, [(sym, *(rename[c] for c in t))
-                                  for sym in db.schema.symbols for t in db.tuples(sym)])
+                                  for sym in db.schema.symbols for t in tuples(db, sym)])
         want = {tuple(rename[c] for c in t) for t in naive_eval(db, q)}
         got = {tuple(db2.constants[c] for c in t) for t in naive_eval(db2, q)}
         assert got == want
@@ -75,7 +87,7 @@ def test_monotone_under_fact_addition():
             continue
         before = set(naive_eval(db, q).tuples)
         facts = [(sym, *(db.constants[c] for c in t))
-                 for sym in db.schema.symbols for t in db.tuples(sym)]
+                 for sym in db.schema.symbols for t in tuples(db, sym)]
         for _ in range(3):
             x = rng.choice("abcde")
             y = rng.choice("abcde")

@@ -27,9 +27,9 @@ def test_public_names_are_pinned_and_resolve():
 METHODS = {
     "ColorIndex": ["loop_cover_array", "rows", "succ", "table", "unary_colors"],
     "Coloring": ["num_colors", "sizes"],
-    "Database": ["adom", "adom_ids", "array", "set_relation", "size", "tuples"],
+    "Database": ["adom_ids", "array", "set_relation", "size"],
     "EdgeLabel": ["dual", "id"],
-    "LabeledGraph": ["initial_colors", "num_directed_edges", "vl_mask"],
+    "LabeledGraph": ["initial_colors", "num_directed_edges"],
 }
 
 

@@ -11,7 +11,16 @@ import pytest
 from colorcq.model import ColorcqError, Database, Schema
 from colorcq.refine import _as_coloring, _key_width, _pack, is_stable, naive_refine, refine
 
-from .conftest import cycle_db, graph_of, make_db, members, movie_db, random_db, vertex
+from .conftest import (
+    cycle_db,
+    graph_of,
+    make_db,
+    members,
+    movie_db,
+    random_db,
+    vertex,
+    vl_mask,
+)
 
 
 def movie_partition_names(db, coloring):
@@ -110,7 +119,7 @@ def test_is_stable_on_refined_and_witness_on_coarse():
         assert all_one[v] == all_one[w]
         kinds.add(lab is None)
         if lab is None:
-            assert g.vl_mask[v] != g.vl_mask[w]
+            assert vl_mask(g)[v] != vl_mask(g)[w]
         else:
             lid = g.labels.index(lab)
             cnt_v = sum(1 for e in range(g.indptr[v], g.indptr[v + 1])
@@ -176,8 +185,9 @@ def test_refine_matches_naive_random():
         ok, witness = is_stable(g, col.color_of)
         assert ok, witness
         # the refinement respects the initial vertex-label partition
+        masks = vl_mask(g)
         for cls in members(col):
-            assert len({g.vl_mask[int(v)] for v in cls}) == 1
+            assert len({masks[int(v)] for v in cls}) == 1
 
 
 def test_refine_matches_naive_random_larger():
@@ -210,9 +220,10 @@ def _stable_partition(g, classes) -> bool:
     for ci, cl in enumerate(classes):
         for v in cl:
             color[v] = ci
+    masks = vl_mask(g)
     for cl in classes:
         vs = sorted(cl)
-        if len({g.vl_mask[v] for v in vs}) > 1:
+        if len({masks[v] for v in vs}) > 1:
             return False
         sigs = {
             tuple(sorted((int(g.elab[e]), color[int(g.nbr[e])])
