@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .frontend import PlanComponent, QueryPlan, plan_query
-from .graph import BWD, dual_of, encode_self_loops, label_of
+from .graph import BWD, _ranges, dual_of, encode_self_loops, label_of
 from .index import ColorIndex, PairRows, pair_rows
 from .model import ColorcqError, ConjunctiveQuery, Database
 
@@ -89,9 +89,8 @@ def _reduce(comp: PlanComponent, cand0: list[np.ndarray], pairs: list[PairRows |
                 np.add.at(g, p.a, f[w][p.b] * p.n)  # object times int64 gives exact Python ints
             elif rows is not None and len(p.b) > 2 * len(fv):
                 d, dead = rows[dual_of(comp.label[w])], (~f[w]).nonzero()[0]
-                lo, hi = d.a.searchsorted(dead), d.a.searchsorted(dead, "right")
-                m = hi - lo  # the runs of the dual's pairs (removed c′, c), concatenated:
-                ix = np.repeat(hi - m.cumsum(), m) + np.arange(m.sum())
+                lo = d.a.searchsorted(dead)  # the runs of the dual's pairs (removed c′, c):
+                ix = _ranges(lo, d.a.searchsorted(dead, "right") - lo)
                 g = p.cnt > np.bincount(d.b[ix], minlength=len(fv)) if len(ix) else p.has
                 kept[w] = f[w][p.b] if len(ix) and w < len(comp.free_prefix) else None
             else:
@@ -144,17 +143,17 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
     A component with k free variables adds k colour levels, which walk its
     free prefix over the reduced tree: the root values (`_ROOT`), then per
     free tree edge the numbers of the kept pairs whose first value is the
-    parent's (`_GROUP` over the edge's ptr), each a list, range or
-    `memoryview` read one item at a time.  Quantified subtrees were folded
-    into the candidates, so every step leads to an answer.  Without an index
-    the values are the answer.  With one they are colours, and k vertex
-    levels follow: the members of the root colour (`_GROUP` over the class
-    bounds), then per free tree edge the parent vertex's successor group for
-    the pair (`_SUCC`, from the `SuccTable`), plus the parent itself, last,
-    when its class loops over λ_e.  Every group is non-empty, so the delay
-    per tuple is O(levels).  The last level advances fastest: components are
-    crossed in odometer order, the last one fastest.  Answers are constant
-    ids, or their names from `names`.
+    parent's (`_GROUP` over the edge's ptr), each a range or `memoryview`
+    read one item at a time, as are the pairs' second values.  Quantified
+    subtrees were folded into the candidates, so every step leads to an
+    answer.  Without an index the values are the answer.  With one they are
+    colours, and k vertex levels follow: the members of the root colour
+    (`_GROUP` over the class bounds), then per free tree edge the parent
+    vertex's successor group for the pair (`_SUCC`, from the `SuccTable`),
+    plus the parent itself, last, when its class loops over λ_e.  Every
+    group is non-empty, so the delay per tuple is O(levels).  The last level
+    advances fastest: components are crossed in odometer order, the last one
+    fastest.  Answers are constant ids, or their names from `names`.
     """
     if not all(run.roots for run in runs):
         return
@@ -176,14 +175,14 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
             continue
         edges = range(1, k)  # by child rank
         ups = [b + comp.parent[w] for w in edges]
-        value += [range(len(run.cand[0]))] + [run.pairs[w].nbr for w in edges]
+        value += [range(len(run.cand[0]))] + [memoryview(run.pairs[w].b) for w in edges]
         how += [(_ROOT, None, None, None)]
         how += [(_GROUP, run.fadj[w][0], value[u], u) for w, u in zip(edges, ups)]
         seqs += [run.roots] + [run.fadj[w][1] for w in edges]
         if idx is not None:
             value += [None] * k
             how += [(_GROUP, bounds, value[b], b)]
-            how += [(_SUCC, idx.table(comp.label[w]), b + w, u + k) for w, u in zip(edges, ups)]
+            how += [(_SUCC, idx.tables[comp.label[w]], b + w, u + k) for w, u in zip(edges, ups)]
             seqs += [order] + [None] * (k - 1)
     outs = [heads[ci] + i for ci, i in slots]
 
@@ -240,8 +239,8 @@ def _color_tables(idx: ColorIndex, comp: PlanComponent) -> tuple[list, list]:
     """Q_col's inputs over the augmented D_col, by rank: per variable its
     candidate colours, per tree edge its pairs with their counts (none at the
     root).  Read straight off the index's memos: a warm lookup runs no Python."""
-    return ([*map(idx._unary.__getitem__, comp.unary)],
-            [None, *map(idx._rows.__getitem__, comp.label[1:])])
+    return ([*map(idx.unary_colors.__getitem__, comp.unary)],
+            [None, *map(idx.rows.__getitem__, comp.label[1:])])
 
 
 class EnumerationSession:
@@ -259,7 +258,7 @@ class EnumerationSession:
         self.steps = _Steps()
         # the stream holds no reference to self: a session then holds no
         # reference cycle and is freed as soon as it is dropped
-        runs = [prepare_tree(c, *_color_tables(idx, c), idx._rows) for c in plan.components]
+        runs = [prepare_tree(c, *_color_tables(idx, c), idx.rows) for c in plan.components]
         self._gen = _odometer(runs, plan.head_slots, self.steps, idx,
                               idx.db.constants if names else None)
 
@@ -285,7 +284,7 @@ def count_answers(idx: ColorIndex, plan: QueryPlan) -> int:
     for comp in plan.components:
         k = len(comp.free_prefix)
         dtype = np.int64 if idx.g.n ** k < 2**63 else object
-        f = _reduce(comp, *_color_tables(idx, comp), k, dtype, rows=idx._rows)[0][0]
+        f = _reduce(comp, *_color_tables(idx, comp), k, dtype, rows=idx.rows)[0][0]
         total *= int(idx.n_c.dot(f)) if k else int(np.count_nonzero(f) > 0)  # cheaper than .any()
         if not total:
             return 0

@@ -154,6 +154,12 @@ def _bounds(a: np.ndarray, *more: np.ndarray) -> np.ndarray:
     return cut.nonzero()[0]
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of the integer ranges [starts[i], starts[i] + lens[i])."""
+    out = (starts - np.add.accumulate(lens) + lens).repeat(lens)
+    return out + np.arange(len(out))
+
+
 def _rank_bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     """Rank the sets {bit[i] : owner[i] == o} of the owners o in range(n).
 
@@ -257,10 +263,6 @@ class LabeledGraph:
     @property
     def num_directed_edges(self) -> int:
         return len(self.nbr)
-
-    def initial_colors(self) -> tuple[np.ndarray, int]:
-        """Dense ids of the vertex-label partition (refinement starting point)."""
-        return self.vl_id.copy(), len(self.label_masks)
 
 
 def build_labeled_graph(d1: Database, s1: Sigma1) -> LabeledGraph:

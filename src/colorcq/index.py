@@ -59,18 +59,16 @@ _CLOSURE_CAP = 1 << 20
 
 class PairRows(NamedTuple):
     """The pairs (a, b) of one label, sorted, with a count n per pair (None
-    where only the pairs matter), and the same pairs grouped by a as Python
-    lists, which the enumeration reads element by element: the b's of a are
-    nbr[ptr[a]:ptr[a + 1]].  Per a, `deg` sums n (counts the pairs if n is
-    None) and `has` is deg > 0; in `ColorIndex.rows(λ)`, deg(c) = d̂^λ(c) =
-    Σ_c′ #̂→^λ(c,c′), the λ-degree stability gives every member of class c.
+    where only the pairs matter); the b's of a are b[ptr[a]:ptr[a + 1]], with
+    `ptr` a memoryview.  Per a, `deg` sums n (counts the pairs if n is None)
+    and `has` is deg > 0; in `ColorIndex.rows`, deg(c) = d̂^λ(c) = Σ_c′
+    #̂→^λ(c,c′), the λ-degree stability gives every member of class c.
     `cnt` counts the pairs per a (the sweep's support counts start there)."""
 
     a: np.ndarray
     b: np.ndarray
     n: np.ndarray | None
-    ptr: list[int]
-    nbr: list[int]
+    ptr: memoryview
     deg: np.ndarray
     has: np.ndarray
     cnt: np.ndarray
@@ -80,12 +78,11 @@ def pair_rows(a: np.ndarray, b: np.ndarray, n: np.ndarray | None, size: int) -> 
     """PairRows of pairs sorted by (a, b) over the ids 0..size-1."""
     deg = np.bincount(a, n, size).astype(np.int64)  # exact: a degree is at most |adom| + 1
     ptr = np.searchsorted(a, np.arange(size + 1))
-    cnt, ptr = (deg if n is None else np.diff(ptr)), ptr.tolist()  # free it before b.tolist()
-    return PairRows(a, b, n, ptr, b.tolist(), deg, deg > 0, cnt)
+    return PairRows(a, b, n, memoryview(ptr), deg, deg > 0, deg if n is None else np.diff(ptr))
 
 
 class SuccTable(NamedTuple):
-    """Successor table of one label λ, aligned with the pairs of `rows(λ)`.
+    """Successor table of one label λ, aligned with the pairs of `rows[λ]`.
 
     `nbr` holds the targets of the λ-edges sorted by (source colour, source,
     target colour, target).  By stability, every member of class c has own[j]
@@ -133,14 +130,14 @@ class ColorIndex:
         self.g = g
         self.coloring = coloring
         self.build_seconds = dict(build_seconds)
-        # memos per label id (count rows, hat tables) and per unary set (colour flags)
-        self._rows, self._succ = _Memo(self._make_rows), _Memo(self._make_table)
-        self._unary = _Memo(self._make_flags)
+        # the lookups, memoized per label id (`rows`, `tables`) and per unary symbol set
+        self.rows, self.tables = _Memo(self._make_rows), _Memo(self._make_table)
+        self.unary_colors = _Memo(self._make_flags)
         t0 = time.perf_counter()
         self._build_tables()
         self._build_color_db()
         for lab in self.actual_labels:
-            self.table(lab.id)
+            self.tables[lab.id] = self._make_table(lab.id)
         self.build_seconds["tables"] = time.perf_counter() - t0
 
     # -- construction ------------------------------------------------------
@@ -218,13 +215,13 @@ class ColorIndex:
 
         cdb = Database(schema, constants=map(str, range(self.num_colors)))
         for u in g.unary_symbols:
-            cdb.set_relation(u, np.flatnonzero(self.unary_colors((u,)))[:, None])
+            cdb.set_relation(u, np.flatnonzero(self.unary_colors[frozenset((u,))])[:, None])
         for lab, name in self.closure_symbols.items():
             # the closure entries are exactly the hat counts; seed the row
             # memo so queries never pay a first-use merge
             hat = self._hat_count_rows(lab.id)
             cdb.set_relation(name, np.stack(hat[:2], axis=1))
-            self._rows[lab.id] = self._make_rows(lab.id, hat)
+            self.rows[lab.id] = self._make_rows(lab.id, hat)
         self.color_db = cdb
 
     # -- lookups -----------------------------------------------------------
@@ -235,21 +232,14 @@ class ColorIndex:
         return _merge_rows(parts, self.num_colors) if parts else (_EMPTY, _EMPTY, _EMPTY)
 
     def _make_rows(self, lid: int, hat: tuple[np.ndarray, ...] | None = None) -> PairRows:
+        """The loop-augmented counts of the label λ of id `lid`, sorted by (c, c′):
+        #̂→^λ(c,c′) where it is positive, plus one on (c, c) for every class c
+        that loops over λ (see `loop_cover_array`)."""
         hat = self._hat_count_rows(lid) if hat is None else hat
         diag = np.flatnonzero(self.loop_cover_array(label_of(lid)))
         if len(diag):
             hat = _merge_rows([hat, (diag, diag, np.ones(len(diag), np.int64))], self.num_colors)
         return pair_rows(*hat, self.num_colors)
-
-    def rows(self, lid: int) -> PairRows:
-        """The loop-augmented counts of the label λ of id `lid`, sorted by (c, c′):
-        #̂→^λ(c,c′) where it is positive, plus one on (c, c) for every class c
-        that loops over λ (see `loop_cover_array`).  Memoized per label id."""
-        return self._rows[lid]
-
-    def table(self, lid: int) -> SuccTable:
-        """The successor table of the label of id `lid`, aligned with `rows(lid)`."""
-        return self._succ[lid]
 
     def _make_table(self, lid: int) -> SuccTable:
         bounds, place, tgt, nbr = self._edges
@@ -260,7 +250,7 @@ class ColorIndex:
         if len(segs) > 1:
             p, t = (np.concatenate([a[x] for x in segs]) for a in (place, tgt))
             w = w[np.argsort(_pack(_pack(p, t), w), kind="stable")]
-        rows, cover = self.rows(lid), self.loop_cover_array(label_of(lid))
+        rows, cover = self.rows[lid], self.loop_cover_array(label_of(lid))
         loops = (rows.a == rows.b) & cover[rows.a]
         own = rows.n - loops
         deg = rows.deg - cover  # per member of c, not counting itself
@@ -270,12 +260,12 @@ class ColorIndex:
                          frozenset(np.flatnonzero(loops).tolist()))
 
     def _pair(self, lab: EdgeLabel, c: int, c2: int) -> int | None:
-        """The number of the pair (c, c2) in `rows(λ)`, or None."""
+        """The number of the pair (c, c2) in `rows[λ]`, or None."""
         if not (0 <= c < self.num_colors and 0 <= c2 < self.num_colors):
             raise ColorcqError(f"unknown color id in ({c}, {c2})")
-        rows = self.rows(lab.id)
-        j = bisect_left(rows.nbr, c2, rows.ptr[c], rows.ptr[c + 1])
-        return j if j < rows.ptr[c + 1] and rows.nbr[j] == c2 else None
+        rows = self.rows[lab.id]
+        j = bisect_left(rows.b, c2, rows.ptr[c], rows.ptr[c + 1])
+        return j if j < rows.ptr[c + 1] and rows.b[j] == c2 else None
 
     def succ(self, lab: EdgeLabel, v: int, c: int) -> list[int]:
         """N̂→^λ(v,c) as an ascending list of vertex indices (v is a vertex
@@ -285,16 +275,12 @@ class ColorIndex:
         j = self._pair(lab, int(self.coloring.color_of[v]), c)
         if j is None:
             return []
-        t = self.table(lab.id)
+        t = self.tables[lab.id]
         at = t.lo[j] + self.coloring.rank[v] * t.stride[j]
         return t.nbr[at:at + t.own[j]]
 
-    def unary_colors(self, symbols) -> np.ndarray:
-        """Per-colour flags (read-only): do the class members carry every
-        unary symbol in `symbols`?  Memoized per symbol set."""
-        return self._unary[frozenset(symbols)]
-
     def _make_flags(self, symbols: frozenset[str]) -> np.ndarray:
+        """Read-only per-colour flags: do the class members carry every symbol?"""
         need = sum(1 << self.g._uidx[u] for u in symbols)  # the `label_masks` bits of the set
         has = np.array([m & need == need for m in self.g.label_masks], dtype=bool)
         arr = has[self._color_vl]
@@ -306,7 +292,7 @@ class ColorIndex:
         relation mentioned in λ?  Such a vertex is its own λ-superset neighbour
         under the loop-augmented semantics used by the evaluation layer.
         """
-        return self.unary_colors(self.s1.loop_symbol[r] for r, _ in lab.pairs)
+        return self.unary_colors[frozenset(self.s1.loop_symbol[r] for r, _ in lab.pairs)]
 
 
 def _merge_rows(parts, ncol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -100,10 +100,13 @@ class Database:
         self._arrays: dict[str, np.ndarray] = {}
 
     def set_relation(self, rel: str, rows: np.ndarray) -> None:
-        """Replace `rel` by the distinct rows of `rows`, which must hold ids of
-        interned constants."""
+        """Replace `rel` by the distinct rows of `rows`, which must hold integer
+        ids of interned constants."""
         arity = self.schema.arity(rel)
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu":  # a cast would truncate floats and read bools as ids
+            raise ColorcqError(f"relation {rel!r} takes integer ids, not dtype {rows.dtype}")
+        rows = rows.astype(np.int64, copy=False)
         if rows.ndim != 2 or rows.shape[1] != arity:
             raise SchemaError(f"symbol {rel!r} has arity {arity}, got rows of shape {rows.shape}")
         if len(rows) and (rows.min() < 0 or rows.max() >= len(self.constants)):

@@ -6,31 +6,10 @@ over unary/binary relations — acyclicity is not required here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import ConjunctiveQuery, Database
 
 
-@dataclass(frozen=True)
-class ResultSet:
-    arity: int
-    tuples: frozenset[tuple[int, ...]]
-
-    def __post_init__(self) -> None:
-        if any(len(t) != self.arity for t in self.tuples):
-            raise ValueError(f"a tuple of a ResultSet of arity {self.arity} has another length")
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __contains__(self, t: tuple[int, ...]) -> bool:
-        return t in self.tuples
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-
-def naive_eval(db: Database, q: ConjunctiveQuery) -> ResultSet:
+def naive_eval(db: Database, q: ConjunctiveQuery) -> frozenset[tuple[int, ...]]:
     """All head images of homomorphisms q -> db, by backtracking search.
 
     Variables are assigned in decreasing atom-coverage order (ties by name);
@@ -65,7 +44,7 @@ def naive_eval(db: Database, q: ConjunctiveQuery) -> ResultSet:
                 extend(i + 1)
 
     extend(0)
-    return ResultSet(arity=len(q.head), tuples=frozenset(results))
+    return frozenset(results)
 
 
 def naive_count(db: Database, q: ConjunctiveQuery) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EdgeLabel, LabeledGraph, _bounds, _pack
+from .graph import EdgeLabel, LabeledGraph, _bounds, _pack, _ranges
 from .model import ColorcqError
 
 
@@ -68,12 +68,6 @@ def _as_coloring(raw: np.ndarray) -> Coloring:
     return Coloring(color_of=colors, order=order, bounds=bounds.tolist(), rank=rank.tolist())
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenation of the integer ranges [starts[i], starts[i] + lens[i])."""
-    out = (starts - np.add.accumulate(lens) + lens).repeat(lens)
-    return out + np.arange(len(out))
-
-
 def _key_width(n: int, n_labels: int) -> int:
     """Width n·labels of packed (dual label, colour) pairs, under a vertex or a count ≤ n."""
     if (n + 1) * n * n_labels >= 1 << 63:
@@ -83,7 +77,7 @@ def _key_width(n: int, n_labels: int) -> int:
 
 def refine(g: LabeledGraph) -> Coloring:
     """Coarsest stable colouring refining g's vertex labels."""
-    color, ncol = g.initial_colors()
+    color, ncol = g.vl_id.copy(), len(g.label_masks)  # the vertex labels; rounds write the copy
     width, n = _key_width(g.n, len(g.labels)), g.n
     deg = g.indptr[1:] - g.indptr[:-1]
     size = np.bincount(color, minlength=n)  # by class id; there are never more than n ids
@@ -194,8 +188,7 @@ def is_stable(
 
 def naive_refine(g: LabeledGraph) -> Coloring:
     """Fixpoint iteration with explicit signatures; reference implementation."""
-    init, ncol = g.initial_colors()
-    colors = [int(c) for c in init]
+    colors, ncol = g.vl_id.tolist(), len(g.label_masks)
     while True:
         sigs = []
         for v in range(g.n):

@@ -154,7 +154,7 @@ def test_criterion_5_oracle_equivalence():
         ref = naive_eval(db, q)
 
         got = list(EnumerationSession(idx, plan))
-        if len(got) != len(set(got)) or set(got) != set(ref.tuples):
+        if len(got) != len(set(got)) or set(got) != ref:
             mismatches.append(("enum", str(q)))
         if count_answers(idx, plan) != len(ref):
             mismatches.append(("count", str(q)))

@@ -222,7 +222,7 @@ def test_expansion_into_an_empty_set_raises():
     """A colour tuple whose successor set is empty means the index is
     inconsistent; enumeration must say so even under `python -O`."""
     idx = build_index(cycle_db(5))
-    table = idx.table(EdgeLabel([("R", FWD)]).id)
+    table = idx.tables[EdgeLabel([("R", FWD)]).id]
     table.own[:] = [0] * len(table.own)  # every successor group is now empty
     with pytest.raises(ColorcqError, match="inconsistent"):
         list(EnumerationSession(idx, _plan(idx.db, "Ans(x,y) <- R(x,y).")))
@@ -321,7 +321,7 @@ def test_color_vectors_match_color_query_semantics():
         }
         # Boolean components gate the product instead of contributing slots
         for comp, tuples in zip(plan.components, per_comp):
-            if comp.is_boolean and not naive_eval(idx.color_db, comp.q_col).tuples:
+            if comp.is_boolean and not naive_eval(idx.color_db, comp.q_col):
                 want = set()
         assert got == want
         checked += 1
@@ -338,7 +338,7 @@ def test_cde_matches_naive():
             continue
         out = list(cde_fc_acq(db, q))
         assert len(out) == len(set(out))
-        assert set(out) == set(naive_eval(db, q).tuples)
+        assert set(out) == naive_eval(db, q)
         checked += 1
     assert checked > 120
 
@@ -359,9 +359,9 @@ def test_fuzz_all_paths_agree():
 
         got = list(EnumerationSession(idx, plan))
         assert len(got) == len(set(got)), (q, sorted(got))
-        assert set(got) == set(ref.tuples), q
+        assert set(got) == ref, q
         assert count_answers(idx, plan) == len(ref), q
-        assert set(cde_fc_acq(db, plan)) == set(ref.tuples), q
+        assert set(cde_fc_acq(db, plan)) == ref, q
 
         bq = ConjunctiveQuery(head=(), atoms=q.atoms)
         bplan = plan_query(bq, db.schema)
@@ -478,7 +478,7 @@ def test_session_accounting_per_answer():
                     ("Ans(x,w) <- R(x,y), S(w,v), U(u).", 3 * 2)):
         got = _drain_one_by_one(EnumerationSession(idx, _plan(db, text)))
         assert len(got) == len(set(got)) == n, text
-        assert set(got) == set(naive_eval(db, parse_query(text, db.schema)).tuples), text
+        assert set(got) == naive_eval(db, parse_query(text, db.schema)), text
 
     # an unsatisfiable Boolean component yields nothing, a Boolean plan () once
     assert _drain_one_by_one(EnumerationSession(idx, _plan(db, "Ans(x) <- R(x,y), S(u,u).")))\
@@ -740,7 +740,7 @@ def test_support_counting_matches_the_explicit_sweep():
                 cand0, pairs = _color_tables(idx, comp)
                 for counted in range(len(comp.order) + 1):
                     for dtype in ((bool,) if not counted else (np.int64, object)):
-                        got, kept = _reduce(comp, cand0, pairs, counted, dtype, rows=idx._rows)
+                        got, kept = _reduce(comp, cand0, pairs, counted, dtype, rows=idx.rows)
                         want = _reduce_explicit(comp, cand0, pairs, counted, dtype)
                         for v in range(len(comp.order)):
                             assert np.array_equal(got[v], want[v]), (q, counted, dtype, v)
@@ -762,7 +762,7 @@ def test_support_counting_matches_the_explicit_sweep():
 
 
 def test_pair_rows_degrees(tmp_path, monkeypatch):
-    """`deg` of every memoized `rows(λ)` is the weighted bincount of its
+    """`deg` of every memoized `rows[λ]` is the weighted bincount of its
     first values, `has` is deg > 0, and `cnt` is the number of pairs per
     first value, on a built index and a loaded one (loops included); `cnt`
     also on `cde_fc_acq`'s constant pairs."""
@@ -778,11 +778,11 @@ def test_pair_rows_degrees(tmp_path, monkeypatch):
         db = random_db(rng, max_adom=12, max_facts=30)
         idx = build_index(db)
         for lab in idx.closure_symbols:
-            idx.rows(lab.id)
+            idx.rows[lab.id]
         save_index(idx, str(tmp_path / f"{i}.idx"))
         for index in (idx, load_index(str(tmp_path / f"{i}.idx"))):
             for lab in index.closure_symbols:
-                p = index.rows(lab.id)
+                p = index.rows[lab.id]
                 assert np.array_equal(p.deg, np.bincount(p.a, p.n, index.num_colors))
                 assert np.array_equal(p.has, p.deg > 0)
                 assert np.array_equal(p.cnt, np.bincount(p.a, minlength=index.num_colors))
@@ -871,10 +871,10 @@ def test_dense_semi_joins_read_only_the_removed_pairs(monkeypatch):
 
     reads = []
     spied = {lid: p._replace(a=_Reads(p.a, reads), b=_Reads(p.b, reads))
-             for lid, p in idx._rows.items()}
+             for lid, p in idx.rows.items()}
     assert all(len(p.b) > 2 * idx.num_colors for lid, p in spied.items()
                if lid in (EdgeLabel([("R", "+")]).id, EdgeLabel([("R", "-")]).id))
-    monkeypatch.setattr(idx, "_rows", spied)
+    monkeypatch.setattr(idx, "rows", spied)
     assert (eval_boolean(idx, boolean), count_answers(idx, free),
             set(EnumerationSession(idx, free))) == want
     assert reads and {kind for kind, _, _ in reads} == {"item"}, reads

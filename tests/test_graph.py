@@ -132,7 +132,7 @@ def test_vertex_labels_reflect_unary_and_loops():
     va, vb = (vertex(g, db.constants.index(name)) for name in "ab")
     assert vertex_symbols(g, va) == {"S_R"}
     assert vertex_symbols(g, vb) == {"U"}
-    init, n_init = g.initial_colors()
+    init, n_init = g.vl_id, len(g.label_masks)
     assert n_init == 2 and init[va] != init[vb]
 
 
@@ -141,7 +141,7 @@ def test_edgeless_graph_from_unary_facts():
     g = graph_of(db)
     assert g.n == 2 and g.num_directed_edges == 0
     assert g.labels == ()
-    init, n_init = g.initial_colors()
+    init, n_init = g.vl_id, len(g.label_masks)
     assert n_init == 1  # both vertices carry exactly {U}
 
 
@@ -189,7 +189,7 @@ def test_initial_colors_rank_wide_vertex_labels():
     g = graph_of(db)
     masks = [sum(1 << i for i in bits[db.constants[int(g.verts[v])]]) for v in range(g.n)]
     assert list(vl_mask(g)) == masks
-    init, n_init = g.initial_colors()
+    init, n_init = g.vl_id, len(g.label_masks)
     ranks = sorted(set(masks))
     assert n_init == len(ranks) == 4
     assert list(init) == [ranks.index(m) for m in masks]

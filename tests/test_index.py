@@ -215,7 +215,7 @@ def test_color_db_membership_iff_positive_count():
 def test_loop_cover_array():
     idx = build_index(make_db(Schema([("R", 2), ("S", 2)]), [("R", "a", "a"), ("R", "a", "b")]))
     ca, cb = color_of_name(idx, "a"), color_of_name(idx, "b")
-    loops = idx.unary_colors((idx.s1.loop_symbol["R"],))  # the classes that loop over R
+    loops = idx.unary_colors[frozenset({idx.s1.loop_symbol["R"]})]  # the classes that loop over R
     assert bool(loops[ca]) and not bool(loops[cb])
     arr = idx.loop_cover_array(EdgeLabel([("R", "+")]))
     assert bool(arr[ca]) and not bool(arr[cb])
@@ -324,7 +324,7 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
 
 def test_dual_rows_are_the_transpose(tmp_path):
     """For every closure label λ of a built index and of its loaded copy,
-    `rows(λ.dual())` holds the transposed pairs of `rows(λ)`, loop diagonal
+    `rows[λ.dual()]` holds the transposed pairs of `rows[λ]`, loop diagonal
     included, and the λ-edges between two classes balance: n_c[a]·n(a, b)
     equals n_c[b]·n_dual(b, a)."""
     rng = random.Random(1702)
@@ -338,7 +338,7 @@ def test_dual_rows_are_the_transpose(tmp_path):
             n_c = index.n_c.tolist()
             for lab in index.closure_symbols:
                 assert lab.dual() in index.closure_symbols
-                p, d = index.rows(lab.id), index.rows(lab.dual().id)
+                p, d = index.rows[lab.id], index.rows[lab.dual().id]
                 fwd = dict(zip(zip(p.a.tolist(), p.b.tolist()), p.n.tolist()))
                 bwd = dict(zip(zip(d.b.tolist(), d.a.tolist()), d.n.tolist()))
                 assert fwd.keys() == bwd.keys(), lab
@@ -349,6 +349,20 @@ def test_dual_rows_are_the_transpose(tmp_path):
                     seen["loop diagonal pairs"] += a == b and bool(cover[a])
                     seen["uneven class sizes"] += n_c[a] != n_c[b]
     assert min(seen.values()) >= 20, seen
+
+
+def test_pair_rows_hold_arrays_only(tmp_path):
+    """No memoized `rows[λ]` of a built index or of its loaded copy holds a
+    Python list, and every `ptr` is a memoryview."""
+    dbs = (movie_db(), random_db(random.Random(2203), max_adom=12, max_facts=30))
+    for i, db in enumerate(dbs):
+        idx = build_index(db)
+        save_index(idx, str(tmp_path / f"{i}.ccqx"))
+        for index in (idx, load_index(str(tmp_path / f"{i}.ccqx"))):
+            assert len(index.rows) == len(index.closure_symbols) >= 4
+            for p in index.rows.values():
+                assert isinstance(p.ptr, memoryview), p
+                assert not any(isinstance(x, list) for x in p), p
 
 
 def _array_offset(data: bytes, name: str) -> int:
@@ -542,4 +556,4 @@ def test_hat_tables_memoized(dex_index):
     c = color_of_name(idx, "LM")
     first = idx.succ(lab, v, c)
     assert list(idx.succ(lab, v, c)) == list(first)
-    assert idx.table(lab.id) is idx.table(lab.id)
+    assert idx.tables[lab.id] is idx.tables[lab.id]

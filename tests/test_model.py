@@ -310,6 +310,11 @@ def test_set_relation_checks_shape_and_ids():
     for rel, rows in (("R", [[0, 2]]), ("R", [[-1, 0]]), ("U", [[2]]), ("U", [[-1]])):
         with pytest.raises(ColorcqError, match="not interned"):
             db.set_relation(rel, rows)
+    # a cast would store [[0.9, 1.7]] as [[0, 1]] and read bools and digits as ids
+    for rows, dtype in (([[0.9, 1.7]], "float64"), ([[True, False]], "bool"),
+                        ([["0", "1"]], "<U1"), ([[2**70, 1]], "object")):
+        with pytest.raises(ColorcqError, match=f"takes integer ids, not dtype {dtype}"):
+            db.set_relation("R", rows)
     assert db.size() == 0
     db.set_relation("R", [[1, 0], [0, 1], [1, 0]])
     assert db.array("R").tolist() == [[0, 1], [1, 0]]
