@@ -187,36 +187,37 @@ def _rank_bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> tuple[np.ndarra
     return rank, sets
 
 
-class LabeledGraph:
+class Vertices:
+    """The vertices of a labeled graph and their labels, without the edges:
+    `verts[i]` is the constant id of vertex i, `unary[j]` the vertices, ascending,
+    of the j-th unary symbol of Σ1; `vl_id[v]` names the set of unary symbols
+    of v, and `label_masks[vl_id[v]]` is that set as a bitmask (bit j: symbol j)."""
+
+    def __init__(self, s1: Sigma1, verts: np.ndarray, unary: list[np.ndarray]):
+        self.s1 = s1
+        self.unary_symbols: tuple[str, ...] = s1.schema.unary_symbols
+        self._uidx = {u: i for i, u in enumerate(self.unary_symbols)}
+        self.verts, self.n, self.unary = verts, len(verts), unary
+        bit = [np.full(len(rows), j, np.int64) for j, rows in enumerate(unary)]
+        none = [np.zeros(0, np.int64)]
+        self.vl_id, self.label_masks = _rank_bitsets(
+            np.concatenate(none + unary), np.concatenate(none + bit), self.n)
+
+
+class LabeledGraph(Vertices):
     """CSR adjacency over the active domain, with interned edge labels.
 
-    `verts[i]` is the constant id of vertex i; `indptr`/`nbr`/`elab` store the
-    out-edges of each vertex sorted by target; `labels[elab[e]]` is the edge
-    label of directed edge e and `dual_id` maps a label id to its dual's id.
+    `indptr`/`nbr`/`elab` store the out-edges of each vertex sorted by
+    target; `labels[elab[e]]` is the edge label of directed edge e and
+    `dual_id` maps a label id to its dual's id.
     """
 
     def __init__(self, d1: Database, s1: Sigma1):
         self.d1 = d1
-        self.s1 = s1
-        self.unary_symbols: tuple[str, ...] = s1.schema.unary_symbols
-        self._uidx = {u: i for i, u in enumerate(self.unary_symbols)}
-
-        self.verts = d1.adom_ids()
-        self.n = len(self.verts)
+        verts = d1.adom_ids()
         vertex = np.zeros(len(d1.constants), np.int64)  # vertex index by constant id
-        vertex[self.verts] = np.arange(self.n)
-
-        # vertex labels: `vl_id[v]` names the set of unary symbols holding on
-        # v, and `label_masks[vl_id[v]]` is that set as a bitmask (bit i for
-        # unary symbol i)
-        owner = [np.zeros(0, np.int64)]
-        bit = [np.zeros(0, np.int64)]
-        for u, i in self._uidx.items():
-            owner.append(vertex[d1.array(u)[:, 0]])
-            bit.append(np.full(len(owner[-1]), i, np.int64))
-        self.vl_id, self.label_masks = _rank_bitsets(
-            np.concatenate(owner), np.concatenate(bit), self.n)
-
+        vertex[verts] = np.arange(len(verts))
+        super().__init__(s1, verts, [vertex[d1.array(u)[:, 0]] for u in s1.schema.unary_symbols])
         self._build_edges(vertex)
 
     def _build_edges(self, vertex: np.ndarray) -> None:
@@ -241,24 +242,14 @@ class LabeledGraph:
         starts = at[:-1]
         elab, masks = _rank_bitsets(np.arange(len(starts)).repeat(np.diff(at)), tag, len(starts))
 
+        pairs = [(r, d) for r in binary for d in (FWD, BWD)]  # the pair of each tag, as a bit of a mask
         self.labels: tuple[EdgeLabel, ...] = tuple(
-            EdgeLabel(self._mask_pairs(m, binary)) for m in masks)
+            EdgeLabel(p for b, p in enumerate(pairs[:m.bit_length()]) if m >> b & 1) for m in masks)
         label_ids = {lab: i for i, lab in enumerate(self.labels)}
         self.dual_id = np.array([label_ids[lab.dual()] for lab in self.labels], dtype=np.int64)
         self.nbr = dst[starts]
         self.elab = elab
         self.indptr = np.append(0, np.cumsum(np.bincount(src[starts], minlength=self.n)))
-
-    @staticmethod
-    def _mask_pairs(mask: int, binary: tuple[str, ...]) -> list[tuple[str, str]]:
-        out = []
-        r = 0
-        while mask:
-            if mask & 1:
-                out.append((binary[r // 2], FWD if r % 2 == 0 else BWD))
-            mask >>= 1
-            r += 1
-        return out
 
     @property
     def num_directed_edges(self) -> int:

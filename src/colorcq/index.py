@@ -7,16 +7,17 @@ relational instance over the colours with one unary relation per unary symbol
 and one binary relation E_λ per edge label λ, holding (c,c′) iff some (hence
 every) vertex of colour c has a λ-superset edge to a vertex of colour c′.
 
-All tables come from one class-major sort of the directed edges, by (label,
-source colour, source, target colour), which also checks that the colouring
-is stable.  Stability fixes where each successor group sits, so a label's
-table is one flat target list with an offset and a stride per class pair
-(`SuccTable`).  The hat tables (union over the actual labels ⊇ λ) of the
-actual labels are built with the index, the others on first use; all are
-memoized (thread-safe; concurrent first calls compute identical values).
-The colour database materializes E_λ for the downward closure of the actual
-labels (any other label has empty semantics by construction) and seeds the
-sorted count rows per label that the evaluation layer reads as arrays.
+All tables come from the class-major edges: per label, the targets sorted by
+(source colour, source, target colour, target) and per class the λ-degree,
+which stability gives every member; a build sorts them out of the graph, a
+load reads them.  So a label's table is one flat target list with an offset
+and a stride per class pair (`SuccTable`).  The hat tables (union over the
+actual labels ⊇ λ) of the actual labels are built with the index, the others
+on first use; all are memoized (thread-safe; concurrent first calls compute
+identical values).  The colour database materializes E_λ for the downward
+closure of the actual labels (any other label has empty semantics by
+construction) and seeds the sorted count rows per label that the evaluation
+layer reads as arrays.
 """
 from __future__ import annotations
 
@@ -27,28 +28,19 @@ import time
 import weakref
 import zlib
 from bisect import bisect_left
+from functools import cached_property, partial
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (
-    EdgeLabel,
-    LabeledGraph,
-    Sigma1,
-    _bounds,
-    _pack,
-    build_labeled_graph,
-    e_symbol,
-    encode_self_loops,
-    label_id,
-    label_of,
-)
-from .model import ColorcqError, Database, Schema, _heads, _keys
-from .refine import Coloring, _as_coloring, refine
+from .graph import (BWD, FWD, EdgeLabel, LabeledGraph, Sigma1, Vertices, _bounds, _pack, _ranges,
+                    build_labeled_graph, e_symbol, encode_self_loops, label_id, label_of, sigma1_for)
+from .model import ColorcqError, Database, Schema
+from .refine import Coloring, _coloring, refine
 
 MAGIC = b"CCQX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -115,26 +107,18 @@ class _Memo(dict):
 
 
 class ColorIndex:
-    def __init__(
-        self,
-        db: Database,
-        d1: Database,
-        s1: Sigma1,
-        g: LabeledGraph,
-        coloring: Coloring,
-        build_seconds: dict[str, float],
-    ):
-        self.db = db
-        self.d1 = d1
-        self.s1 = s1
-        self.g = g
-        self.coloring = coloring
+    def __init__(self, db: Database, d1: Database, s1: Sigma1, g: Vertices, coloring: Coloring,
+                 build_seconds: dict[str, float], edges: tuple | None = None):
+        """The index of `g` under the stable `coloring`, from its class-major `edges`
+        (labels, degree rows, targets): checked when given, sorted out of the
+        LabeledGraph `g` when None."""
+        self.db, self.d1, self.s1, self.g, self.coloring = db, d1, s1, g, coloring
         self.build_seconds = dict(build_seconds)
         # the lookups, memoized per label id (`rows`, `tables`) and per unary symbol set
         self.rows, self.tables = _Memo(self._make_rows), _Memo(self._make_table)
         self.unary_colors = _Memo(self._make_flags)
         t0 = time.perf_counter()
-        self._build_tables()
+        self._build_tables(*(edges or _class_major(g, coloring)))
         self._build_color_db()
         for lab in self.actual_labels:
             self.tables[lab.id] = self._make_table(lab.id)
@@ -142,11 +126,11 @@ class ColorIndex:
 
     # -- construction ------------------------------------------------------
 
-    def _build_tables(self) -> None:
+    def _build_tables(self, labels: tuple[EdgeLabel, ...], degrees: np.ndarray, nbr: np.ndarray,
+                      sources: np.ndarray | None = None) -> None:
         g, col = self.g, self.coloring
-        self.n_c = col.sizes
-        self.num_colors = col.num_colors
-        self.actual_labels: tuple[EdgeLabel, ...] = g.labels
+        self.n_c, self.num_colors, self.actual_labels = col.sizes, col.num_colors, labels
+        self._degrees = degrees
 
         # vertex labels and data self-loops must be uniform within a class,
         # so one representative per class stands for all of its members
@@ -155,40 +139,32 @@ class ColorIndex:
             raise ColorcqError("unstable colouring: a class mixes vertex labels")
         self._color_vl = color_vl
 
-        # the directed edges sorted class-major: by (label, source colour,
-        # source, target colour); the stable sort keeps targets ascending
-        src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-        place = np.empty(g.n, np.int64)  # a vertex's place in the class-major order
-        place[col.order] = np.arange(g.n)
-        key = _pack(_pack(g.elab, place[src]), col.color_of[g.nbr])
-        order = np.argsort(key, kind="stable")
-        key, lab, src, nbr = key[order], g.elab[order], src[order], g.nbr[order]
+        # a row (λ, c, d) of `degrees` gives each member of class c, in class-major
+        # order, its d λ-targets from `nbr` in turn; so the rows place every source
+        lab, cls, deg = degrees.T
+        size = self.n_c[cls]
+        per = deg.repeat(size)  # the targets of each member, row by row
+        ends = np.append(0, np.cumsum(size * deg))  # where each row's targets begin, then end
+        src = _ranges(np.array(col.bounds)[cls], size).repeat(per)  # source places
+        if sources is None:  # edges read from a file: checked before use
+            _check_pairs(labels, lab.repeat(size * deg), src, nbr, col.order)
+
+        # stability: each member has its row's degree (so the `sources` of a sort
+        # match), and repeats r·d targets on, for rank r, the first one's colours
         tgt = col.color_of[nbr]
-
-        # stability: in each segment (label λ, class c), the groups (one per
-        # source and target colour) must repeat the first member's run of
-        # (target colour, count) n_c times; target colours ascend within a
-        # member, so each repeat is a member of its own
-        grp = _bounds(key)
-        size, grp = np.diff(grp), grp[:-1]
-        glab, gtgt, gcol = lab[grp], tgt[grp], col.color_of[src[grp]]
-        seg = _bounds(_pack(glab, gcol))
-        blk = _bounds(_pack(glab, src[grp]))
-        seg_len, seg = np.diff(seg), seg[:-1]
-        width = np.diff(blk)[np.searchsorted(blk, seg)]  # groups per member
-        sid = np.repeat(np.arange(len(seg)), seg_len)
-        ref = seg[sid] + (np.arange(len(grp)) - seg[sid]) % width[sid]
-        if ((seg_len != width * self.n_c[gcol[seg]]).any()
-                or (gtgt != gtgt[ref]).any() or (size != size[ref]).any()):
+        shift = (np.cumsum(per) - per - ends[:-1].repeat(size)).repeat(per)
+        if ((sources is not None and not np.array_equal(src, sources))
+                or (tgt != tgt[np.arange(len(nbr)) - shift]).any()):
             raise ColorcqError("unstable colouring: uneven class counts")
-        first = np.flatnonzero(ref == np.arange(len(grp)))  # the first member's groups
 
-        bounds = np.searchsorted(lab, np.arange(len(self.actual_labels) + 1)).tolist()
-        row_bounds = np.searchsorted(glab[first], np.arange(len(self.actual_labels) + 1)).tolist()
-        self._edges = (bounds, place[src], tgt, nbr)
-        rows = (gcol[first], gtgt[first], size[first])
-        self._count_rows = [tuple(x[row_bounds[lid]:row_bounds[lid + 1]] for x in rows)
-                            for lid in range(len(self.actual_labels))]
+        # the count rows (c, c′, #̂→^λ(c,c′)) per label: the first member's
+        # targets per target colour
+        flab, fcls, ftgt = lab.repeat(deg), cls.repeat(deg), tgt[_ranges(ends[:-1], deg)]
+        grp = _bounds(flab, fcls, ftgt)
+        cut = np.searchsorted(flab[grp[:-1]], np.arange(len(labels) + 1)).tolist()
+        rows = (fcls[grp[:-1]], ftgt[grp[:-1]], np.diff(grp))
+        self._count_rows = [tuple(x[cut[i]:cut[i + 1]] for x in rows) for i in range(len(labels))]
+        self._edges = (ends[np.searchsorted(lab, np.arange(len(labels) + 1))].tolist(), src, tgt, nbr)
 
     def _build_color_db(self) -> None:
         g = self.g
@@ -306,6 +282,23 @@ def _merge_rows(parts, ncol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pair // ncol, pair % ncol, total
 
 
+def _class_major(g: LabeledGraph, col: Coloring) -> tuple:
+    """g's labels, the rows (label number, class c, d) with d·n_c the label's
+    edges out of c, and the targets and source places of the edges sorted by
+    (label, source place, target colour, target); a place is a position in `col.order`."""
+    place = np.empty(g.n, np.int64)
+    place[col.order] = np.arange(g.n)
+    src = np.arange(g.n).repeat(np.diff(g.indptr))
+    # the stable sort keeps the targets of a vertex ascending
+    by = np.argsort(_pack(_pack(g.elab, place[src]), col.color_of[g.nbr]), kind="stable")
+    lab, src = g.elab[by], src[by]
+    blk = _bounds(lab, col.color_of[src])  # one block per (label, source class)
+    head = blk[:-1]
+    cls = col.color_of[src[head]]
+    rows = np.stack([lab[head], cls, np.diff(blk) // col.sizes[cls]], axis=1)
+    return g.labels, rows, g.nbr[by], place[src]
+
+
 def build_index(db: Database) -> ColorIndex:
     """Index a binary-schema database: encode loops, build the graph, refine."""
     times: dict[str, float] = {}
@@ -337,28 +330,44 @@ def index_stats(idx: ColorIndex) -> dict:
 # -- persistence -----------------------------------------------------------
 
 
+def _need(ok, what: str) -> None:
+    """Raise ColorcqError(what) unless `ok`."""
+    if not ok:
+        raise ColorcqError(what)
+
+
+_DTYPES = ("|u1", "<u2", "<i4")  # the dtypes of the stored arrays, narrowest first
+
+
+def _narrow(arr: np.ndarray) -> np.ndarray:
+    """`arr`, whose values are >= 0, in the narrowest of `_DTYPES` that holds them."""
+    top = int(arr.max(initial=0))
+    _need(top < 1 << 31, "cannot save an index of 2^31 or more vertices")
+    return np.ascontiguousarray(arr, dtype=_DTYPES[(top >> 8 > 0) + (top >> 16 > 0)])
+
+
 def save_index(idx: ColorIndex, path: str) -> None:
-    """Versioned binary file: magic, format version, the CRC-32 of the rest of
-    the file, the length of the JSON metadata (constant count and block size,
-    schema, array shapes), the metadata, the constants as one UTF-8 block of
-    `\\n`-ended lines (a constant that holds `\\n` or is not UTF-8 raises
-    ColorcqError), then little-endian int64 blocks: the sorted (m, arity) rows
-    of each relation, then the colouring.  The rest is derived again on load.
-    """
+    """Versioned binary file: magic, format version, CRC-32 of the rest, JSON
+    metadata length and metadata, the constants as one block of `\\n`-ended
+    UTF-8 lines (ColorcqError for a constant that holds `\\n` or is not UTF-8),
+    then the arrays, each in the narrowest of `_DTYPES`; see the README."""
     consts = idx.db.constants
     try:
         block = "\n".join([*consts, ""]).encode("utf-8")
     except (TypeError, UnicodeEncodeError) as e:
         raise ColorcqError(f"cannot save the constants ({e})") from None
-    if block.count(b"\n") != len(consts):
-        raise ColorcqError("cannot save a constant that holds a line break")
-    schema = idx.db.schema
-    named = {f"rel:{sym}": idx.db.array(sym) for sym in schema.symbols}
-    named["coloring"] = idx.coloring.color_of
-    arrays = [np.ascontiguousarray(arr, dtype="<i8") for arr in named.values()]
+    _need(block.count(b"\n") == len(consts), "cannot save a constant that holds a line break")
+    g, schema = idx.g, idx.db.schema
+    named = {f"unary:{u}": rows for u, rows in zip(g.unary_symbols, g.unary)}
+    if g.n != len(consts):  # else vertex i is constant i
+        named["verts"] = g.verts
+    named.update(order=idx.coloring.order, sizes=idx.n_c, degrees=idx._degrees, targets=idx._edges[3])
+    arrays = [_narrow(arr) for arr in named.values()]
     meta = {"constants": len(consts), "constant_bytes": len(block),
             "relations": [{"name": sym, "arity": schema.arity(sym)} for sym in schema.symbols],
-            "arrays": [{"name": n, "shape": list(arr.shape)} for n, arr in zip(named, arrays)]}
+            "labels": [lab.pairs for lab in idx.actual_labels],
+            "arrays": [{"name": n, "shape": list(arr.shape), "dtype": arr.dtype.str}
+                       for n, arr in zip(named, arrays)]}
     payload = json.dumps(meta).encode("utf-8")
     body = b"".join([struct.pack("<I", len(payload)), payload, block, *arrays])
     with open(path, "wb") as out:
@@ -369,37 +378,27 @@ def save_index(idx: ColorIndex, path: str) -> None:
 def _check_meta(meta, path: str) -> None:
     """Raise ColorcqError unless `meta` has the keys and types save_index writes."""
 
-    def bad(what: str):
-        raise ColorcqError(f"{path}: corrupt index metadata ({what})")
+    def need(ok, what: str) -> None:
+        _need(ok, f"{path}: corrupt index metadata ({what})")
 
-    if not isinstance(meta, dict):
-        bad("not an object")
+    need(isinstance(meta, dict), "not an object")
     for key in ("constants", "constant_bytes"):
-        if not (type(meta.get(key)) is int and 0 <= meta[key] < 1 << 62):
-            bad(f"{key!r} is missing or not a count")
-    for key in ("relations", "arrays"):
-        if not isinstance(meta.get(key), list):
-            bad(f"{key!r} is missing or not a list")
+        need(type(meta.get(key)) is int and 0 <= meta[key] < 1 << 62, f"{key!r} missing or not a count")
+    for key in ("relations", "labels", "arrays"):
+        need(isinstance(meta.get(key), list), f"{key!r} is missing or not a list")
     for r in meta["relations"]:
-        if not (isinstance(r, dict) and isinstance(r.get("name"), str)
-                and type(r.get("arity")) is int and r["arity"] in (1, 2)):
-            bad(f"bad relation entry {r!r}")
-    names = set()
+        need(isinstance(r, dict) and isinstance(r.get("name"), str) and type(r.get("arity")) is int
+             and r["arity"] in (1, 2), f"bad relation entry {r!r}")
+    binary = [r["name"] for r in meta["relations"] if r["arity"] == 2]
+    for pairs in meta["labels"]:  # non-empty lists of (binary symbol, direction)
+        need(isinstance(pairs, list) and pairs and all(
+            isinstance(p, list) and len(p) == 2 and p[0] in binary and p[1] in (FWD, BWD) for p in pairs),
+             f"bad edge label {pairs!r}")
     for a in meta["arrays"]:
-        if not (isinstance(a, dict) and isinstance(a.get("name"), str)
-                and isinstance(a.get("shape"), list) and len(a["shape"]) <= 2
-                and all(type(x) is int and 0 <= x < 1 << 62 for x in a["shape"])):
-            bad(f"bad array entry {a!r}")
-        if a["name"] in names:
-            bad(f"array {a['name']!r} listed twice")
-        names.add(a["name"])
-    shapes = {a["name"]: a["shape"] for a in meta["arrays"]}
-    for r in meta["relations"]:
-        shape = shapes.get(f"rel:{r['name']}")
-        if shape is None or len(shape) != 2 or shape[1] != r["arity"]:
-            bad(f"no (m, {r['arity']}) array for relation {r['name']!r}")
-    if len(shapes.get("coloring", ())) != 1:
-        bad("no colouring array")
+        need(isinstance(a, dict) and isinstance(a.get("name"), str) and a.get("dtype") in _DTYPES
+             and isinstance(a.get("shape"), list) and len(a["shape"]) <= 2
+             and all(type(x) is int and 0 <= x < 1 << 62 for x in a["shape"]), f"bad array entry {a!r}")
+    need(len({a["name"] for a in meta["arrays"]}) == len(meta["arrays"]), "an array listed twice")
 
 
 def _read_constants(block: memoryview, count: int, path: str) -> list[str]:
@@ -409,47 +408,103 @@ def _read_constants(block: memoryview, count: int, path: str) -> list[str]:
         names = str(block, "utf-8").split("\n")
     except UnicodeDecodeError as e:
         raise ColorcqError(f"{what} (not UTF-8: {e})") from None
-    if names.pop() or len(names) != count:
-        raise ColorcqError(f"{what} (not {count} lines, each ended by a line break)")
-    if count:
-        buf = np.frombuffer(bytes(block) + bytes(7), np.uint8)  # _keys reads 7 bytes past a line
-        ends = np.flatnonzero(buf == ord("\n")) + 1
-        # each line is keyed with its line break, so no two differ by trailing NULs only
-        for _, key in _keys(buf, np.append(0, ends[:-1]), np.diff(ends, prepend=0)):
-            if not _heads(np.sort(key) if key.ndim == 1 else key[np.lexsort(key.T)]).all():
-                raise ColorcqError(f"{what} (repeated constant)")
+    _need(names.pop() == "" and len(names) == count, f"{what} (not {count} lines, each ended by a break)")
+    _need(len(set(names)) == count, f"{what} (repeated constant)")  # exact: hashing compares strings
     return names
 
 
-def load_index(path: str) -> ColorIndex:
-    """Read a file written by `save_index` and derive the index from it.
+def _within(arr: np.ndarray, top: int, ascending: bool = False) -> bool:
+    """Do the values of `arr` lie in range(top), strictly increasing if `ascending`?"""
+    return not len(arr) or bool(arr.min() >= 0 and arr.max() < top
+                                and (not ascending or (arr[1:] > arr[:-1]).all()))
 
-    Graph, tables and colour database are rebuilt with the same code as
-    `build_index`, which also checks that the stored colouring is stable;
-    only refinement is skipped.
-    """
+
+def _canonical(order: np.ndarray, sizes: np.ndarray) -> bool:
+    """Is `order`, cut into classes of `sizes`, a permutation of range(len(order))
+    with each class ascending and the classes in order of their least vertex?"""
+    n = len(order)
+    if (sizes < 1).any() or sizes.sum() != n or not _within(order, n):
+        return False
+    heads = np.cumsum(sizes) - sizes  # where each class begins
+    up = order[1:] > order[:-1]
+    up[heads[1:] - 1] = True
+    once = np.bincount(order, minlength=n) == 1
+    return bool(up.all() and once.all()) and _within(order[heads], n, ascending=True)
+
+
+def _check_pairs(labels: tuple[EdgeLabel, ...], elab: np.ndarray, src: np.ndarray, nbr: np.ndarray,
+                 order: np.ndarray) -> None:
+    """Raise ColorcqError unless the edges (label number, source place, target
+    `nbr[i]`), keyed by places in `order`, hold no loop, ascend strictly, hold
+    each edge's reverse under the dual label, and hold no vertex pair under two labels."""
+    n, number = len(order), {lab: i for i, lab in enumerate(labels)}
+    place = np.empty(n, np.int64)
+    place[order] = np.arange(n)
+    tgt = place[nbr]
+    dual = np.array([number.get(lab.dual(), -1) for lab in labels], np.int64)[elab]  # -1: none
+    # one int64 per (label number, pair); `refine` refuses a graph too large for it
+    _need(len(labels) * n * n < 1 << 63, f"cannot check {n} vertices under {len(labels)} edge labels")
+    pair = src * n + tgt
+    fwd, rev = elab * (n * n) + pair, dual * (n * n) + tgt * n + src
+    rev.sort()
+    pair.sort()
+    _need((src != tgt).all(), "corrupt edges (a loop edge)")
+    _need((fwd[1:] > fwd[:-1]).all(), "corrupt edges (a label's edges not ascending by source, target)")
+    _need(np.array_equal(fwd, rev), "corrupt edges (an edge's reverse not stored under the dual label)")
+    _need((pair[1:] != pair[:-1]).all(), "corrupt edges (a vertex pair stored under two labels)")
+
+
+class _LazyRows(Database):
+    """A Database with its schema and constants at once, and the rows `make()` returns on first use."""
+
+    def __init__(self, schema: Schema, constants: list[str], make):
+        self.schema, self.constants, self._make = schema, constants, make
+
+    _arrays = cached_property(lambda self: self._make())
+
+
+def _base_rows(schema: Schema, constants: list[str], g: Vertices, labels: tuple[EdgeLabel, ...],
+               edges: tuple, order: np.ndarray) -> dict[str, np.ndarray]:
+    """The relations of a loaded index's base database: R(s, t) holds for
+    every loop of R and every edge (s, t) whose label holds (R, +); a unary
+    relation holds on its rows of g."""
+    bounds, src, _, nbr = edges
+    out = Database(schema)
+    out.constants = constants
+    unary = dict(zip(g.unary_symbols, g.unary))
+    for sym in schema.symbols:
+        segs = [slice(*bounds[i:i + 2]) for i, lab in enumerate(labels) if (sym, FWD) in lab.pairs]
+        loop = unary[g.s1.loop_symbol.get(sym, sym)]  # a binary symbol's loops, a unary one's rows
+        rows = np.stack([np.concatenate([loop, *(order[src[x]] for x in segs)]),
+                         np.concatenate([loop, *(nbr[x] for x in segs)])], axis=1)
+        out.set_relation(sym, g.verts[rows[:, :schema.arity(sym)]])
+    return out._arrays
+
+
+def load_index(path: str) -> ColorIndex:
+    """Read and check a file written by `save_index`.  It holds the class-major
+    edges: no graph is built, nothing refined, no edge array sorted but by the
+    two `np.sort` of `_check_pairs`, which the constructor runs on them.
+    `idx.db` and `idx.d1` make their rows on first use."""
     t0 = time.perf_counter()
     with open(path, "rb") as f:
         data = memoryview(f.read())
     magic = bytes(data[:4])
-    if magic != MAGIC:
-        raise ColorcqError(f"{path}: not an index file (bad magic {magic!r})")
+    _need(magic == MAGIC, f"{path}: not an index file (bad magic {magic!r})")
     pos = len(MAGIC)
 
     def take(size: int, what: str) -> memoryview:
         nonlocal pos
-        if size < 0 or pos + size > len(data):
-            raise ColorcqError(f"{path}: truncated index file ({what})")
+        _need(0 <= size <= len(data) - pos, f"{path}: truncated index file ({what})")
         pos += size
         return data[pos - size:pos]
 
     (version,) = struct.unpack("<I", take(4, "header"))
-    if version != FORMAT_VERSION:
-        raise ColorcqError(f"{path}: unsupported index format version {version}"
-                           f" (this build reads version {FORMAT_VERSION}; rebuild the index)")
+    _need(version == FORMAT_VERSION, f"{path}: unsupported index format version {version}"
+          f" (this build reads version {FORMAT_VERSION}; rebuild the index)")
     crc, meta_len = struct.unpack("<II", take(8, "header"))
-    if zlib.crc32(data[pos - 4:]) != crc:  # all that follows the checksum
-        raise ColorcqError(f"{path}: checksum mismatch (the index file is damaged or truncated)")
+    crc_ok = zlib.crc32(data[pos - 4:]) == crc  # the checksum covers all that follows it
+    _need(crc_ok, f"{path}: checksum mismatch (the index file is damaged or truncated)")
     try:
         meta = json.loads(bytes(take(meta_len, "metadata")).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
@@ -458,27 +513,39 @@ def load_index(path: str) -> ColorIndex:
     constants = _read_constants(take(meta["constant_bytes"], "constants"), meta["constants"], path)
     blobs: dict[str, np.ndarray] = {}
     for entry in meta["arrays"]:
-        shape = tuple(entry["shape"])
-        raw = take(math.prod(shape) * 8, f"array {entry['name']}")
-        blobs[entry["name"]] = np.frombuffer(raw, dtype="<i8").astype(np.int64).reshape(shape)
-    if pos != len(data):
-        raise ColorcqError(f"{path}: {len(data) - pos} unexpected bytes after the arrays")
+        shape, dtype = tuple(entry["shape"]), np.dtype(entry["dtype"])
+        raw = take(math.prod(shape) * dtype.itemsize, f"array {entry['name']}")
+        blobs[entry["name"]] = np.frombuffer(raw, dtype).astype(np.int64).reshape(shape)
+    _need(pos == len(data), f"{path}: {len(data) - pos} unexpected bytes after the arrays")
 
     try:
-        db = Database(Schema((r["name"], r["arity"]) for r in meta["relations"]))
-        db.constants = constants  # distinct, as checked above
-        for r in meta["relations"]:
-            db.set_relation(r["name"], blobs[f"rel:{r['name']}"])
+        schema = Schema((r["name"], r["arity"]) for r in meta["relations"])
+        s1, labels = sigma1_for(schema), tuple(EdgeLabel(map(tuple, pairs)) for pairs in meta["labels"])
+        _need(len(set(labels)) == len(labels), "corrupt index metadata (an edge label listed twice)")
+        unary = [f"unary:{u}" for u in s1.schema.unary_symbols]
+        want = {**dict.fromkeys(unary, 1), "order": 1, "sizes": 1, "degrees": 2, "targets": 1}
+        ndim = {name: arr.ndim for name, arr in blobs.items()}
+        _need(ndim.pop("verts", 1) == 1 and ndim == want and blobs["degrees"].shape[1] == 3,
+              f"corrupt index metadata (the arrays must be {', '.join(want)}, and verts where needed)")
+        order, sizes, degrees, nbr = (blobs[name] for name in ("order", "sizes", "degrees", "targets"))
+        n, (lab, cls, deg) = len(order), degrees.T
+        verts = blobs.get("verts", np.arange(len(constants)))
+        _need(len(verts) == n and _within(verts, len(constants), ascending=True),
+              f"the {n} vertices do not fit the {len(constants)} constants")
+        _need(all(_within(blobs[u], n, ascending=True) for u in unary), "unary rows not ascending")
+        _need(_canonical(order, sizes), "the colouring's order is not a canonical permutation")
+        key, top = lab * len(sizes) + cls, len(labels) * len(sizes)  # (label, class) keys
+        _need(_within(cls, len(sizes)) and _within(key, top, ascending=True) and _within(deg - 1, n - 1)
+              and np.bincount(lab, minlength=len(labels)).all(),
+              "corrupt edges (degree rows not one per label and class, in order)")
+        _need(np.sum(sizes[cls] * deg, dtype=float) == len(nbr) and _within(nbr, n),  # float: no wrap
+              f"corrupt edges (the degrees do not add up to the {len(nbr)} targets, all in range)")
+        g = Vertices(s1, verts, [blobs[name] for name in unary])
+        idx = ColorIndex(None, None, s1, g, _coloring(order, sizes), {"load": time.perf_counter() - t0},
+                         (labels, degrees, nbr))
     except ColorcqError as e:
         raise ColorcqError(f"{path}: {e}") from None
-
-    times = {"load": time.perf_counter() - t0}
-
-    t0 = time.perf_counter()
-    d1, s1 = encode_self_loops(db)
-    g = build_labeled_graph(d1, s1)
-    times["graph"] = time.perf_counter() - t0
-    raw = blobs["coloring"]
-    if len(raw) != g.n or (g.n and (raw.min() < 0 or raw.max() >= g.n)):
-        raise ColorcqError(f"{path}: the colouring does not fit the {g.n} vertices")
-    return ColorIndex(db, d1, s1, g, _as_coloring(raw), times)
+    rows = partial(_base_rows, schema, constants, g, labels, idx._edges, order)
+    idx.db = db = _LazyRows(schema, constants, rows)
+    idx.d1 = _LazyRows(s1.schema, constants, lambda: encode_self_loops(db)[0]._arrays)
+    return idx

@@ -265,8 +265,8 @@ def _keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
     Each string is read as whole little-endian uint64 words with the bytes
     past its end masked off; no string ends in a NUL byte, so the words tell
     lengths apart.  The key is the one word, or past 8 bytes the (m, w) rows
-    of words, sorted with `np.lexsort` and compared whole (`_heads`).  Equal
-    keys are equal strings.
+    of words, sorted with `np.lexsort` and compared whole.  Equal keys are
+    equal strings.
     """
     n_words = (lens + 7) >> 3
     by_words = np.argsort(n_words)
@@ -279,15 +279,6 @@ def _keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
         yield occ, (words[:, 0] if w == 1 else words)
 
 
-def _heads(key: np.ndarray) -> np.ndarray:
-    """For sorted keys of `_keys`, True where a key differs from the one
-    before it (rows are compared whole)."""
-    new = np.ones(len(key), dtype=bool)
-    ne = key[1:] != key[:-1]
-    new[1:] = ne if key.ndim == 1 else ne.any(axis=1)
-    return new
-
-
 def _intern(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids in order of first appearance for the strings of `_keys`, and the
     index i of each id's first appearance."""
@@ -296,7 +287,9 @@ def _intern(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.n
     n_groups = 0
     for occ, key in _keys(buf, starts, lens):
         perm = key.argsort() if key.ndim == 1 else np.lexsort(key.T)
-        new = _heads(key[perm])
+        key = key[perm]
+        ne = key[1:] != key[:-1]  # where a sorted key differs from the one before it
+        new = np.append(True, ne if key.ndim == 1 else ne.any(axis=1))
         occ = occ[perm]
         group[occ] = np.cumsum(new) + (n_groups - 1)
         firsts.append(np.minimum.reduceat(occ, np.flatnonzero(new)))

@@ -59,12 +59,16 @@ def _as_coloring(raw: np.ndarray) -> Coloring:
     at = _bounds(raw[by_raw])
     seq = np.argsort(by_raw[at[:-1]])  # the classes in order of least vertex
     sizes = (at[1:] - at[:-1])[seq]
-    order = by_raw[_ranges(at[:-1][seq], sizes)]
+    return _coloring(by_raw[_ranges(at[:-1][seq], sizes)], sizes)
+
+
+def _coloring(order: np.ndarray, sizes: np.ndarray) -> Coloring:
+    """The Coloring whose classes, of sizes `sizes`, lie in turn in `order`."""
     bounds = np.append(0, np.cumsum(sizes))
-    colors = np.empty(len(raw), np.int64)
+    colors = np.empty(len(order), np.int64)
     colors[order] = np.repeat(np.arange(len(sizes)), sizes)
-    rank = np.empty(len(raw), np.int64)
-    rank[order] = np.arange(len(raw)) - np.repeat(bounds[:-1], sizes)
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order)) - np.repeat(bounds[:-1], sizes)
     return Coloring(color_of=colors, order=order, bounds=bounds.tolist(), rank=rank.tolist())
 
 

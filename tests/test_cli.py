@@ -157,23 +157,33 @@ def test_truncated_or_corrupt_index_is_exit_1(movie_file, tmp_path, capsys):
 
 
 def _index_file(path, meta, arrays: dict[str, list], block: bytes = b"a\nb\n") -> None:
-    """An index file with the given metadata, constants block and int64
+    """An index file with the given metadata, constants block and int32
     array contents, and a valid checksum."""
     blob = json.dumps(meta).encode("utf-8")
-    body = b"".join(np.array(a, dtype="<i8").tobytes() for a in arrays.values())
+    body = b"".join(np.array(a, dtype="<i4").tobytes() for a in arrays.values())
     head = MAGIC + struct.pack("<III", FORMAT_VERSION, 0, len(blob))
     path.write_bytes(reseal(head + blob + block + body))
 
 
+# the index of R(a, b): the edge labels {(R,+)} and {(R,-)}, no loop of R,
+# a and b in classes of their own, one target each
+_GOOD = {"unary:S_R": [], "order": [0, 1], "sizes": [1, 1], "degrees": [[0, 0, 1], [1, 1, 1]],
+         "targets": [1, 0]}
+
+
+def _shapes(**change) -> dict:
+    """The array shapes of `_GOOD`, with those in `change` set (or dropped where None)."""
+    shapes = {n: list(np.shape(a)) for n, a in _GOOD.items()} | change
+    return {n: s for n, s in shapes.items() if s is not None}
+
+
 def _meta(constants=("a", "b"), relations=(("R", 2),), shapes=None) -> dict:
-    shapes = shapes or {"rel:R": [1, 2], "coloring": [2]}
     return {"constants": len(constants),
             "constant_bytes": sum(len(c.encode("utf-8")) + 1 for c in constants),
             "relations": [{"name": n, "arity": a} for n, a in relations],
-            "arrays": [{"name": n, "shape": s} for n, s in shapes.items()]}
+            "labels": [[["R", "+"]], [["R", "-"]]],
+            "arrays": [{"name": n, "shape": s, "dtype": "<i4"} for n, s in (shapes or _shapes()).items()]}
 
-
-_GOOD = {"rel:R": [[0, 1]], "coloring": [0, 1]}
 
 MALFORMED = {
     "only a format key": ({"format": 1}, {}),
@@ -186,25 +196,20 @@ MALFORMED = {
     "arity 3": (_meta(relations=(("R", 3),)), _GOOD),
     "relation entry not an object": ({**_meta(), "relations": ["R"]}, _GOOD),
     "relations not a list": ({**_meta(), "relations": {"R": 2}}, _GOOD),
-    "negative shape": (_meta(shapes={"rel:R": [1, 2], "coloring": [-2]}), _GOOD),
-    "float shape": (_meta(shapes={"rel:R": [1, 2], "coloring": [2.0]}), _GOOD),
-    "dimension too large for numpy": (
-        _meta(shapes={"rel:R": [1, 2], "coloring": [2], "x": [0, 2 ** 70]}), _GOOD),
-    "three dimensions": (
-        _meta(shapes={"rel:R": [1, 2], "coloring": [2], "x": [1, 1, 1]}), {**_GOOD, "x": [0]}),
-    "relation array missing": (_meta(shapes={"coloring": [2]}), {"coloring": [0, 1]}),
+    "negative shape": (_meta(shapes=_shapes(order=[-2])), _GOOD),
+    "float shape": (_meta(shapes=_shapes(order=[2.0])), _GOOD),
+    "dimension too large for numpy": (_meta(shapes=_shapes(x=[0, 2 ** 70])), _GOOD),
+    "three dimensions": (_meta(shapes=_shapes(x=[1, 1, 1])), {**_GOOD, "x": [0]}),
+    "relation array missing": (
+        _meta(shapes=_shapes(**{"unary:S_R": None})), {k: v for k, v in _GOOD.items() if k != "unary:S_R"}),
     "relation array of the wrong width": (
-        _meta(shapes={"rel:R": [1, 3], "coloring": [2]}),
-        {"rel:R": [[0, 1, 1]], "coloring": [0, 1]}),
-    "array listed twice": (
-        {**_meta(), "arrays": _meta()["arrays"] * 2}, {**_GOOD, "x": [0, 1, 0, 1]}),
-    "colouring missing": (_meta(shapes={"rel:R": [1, 2]}), {"rel:R": [[0, 1]]}),
-    "colouring too long": (
-        _meta(shapes={"rel:R": [1, 2], "coloring": [3]}),
-        {"rel:R": [[0, 1]], "coloring": [0, 1, 1]}),
-    "colour id out of range": (_meta(), {"rel:R": [[0, 1]], "coloring": [0, 9]}),
-    "negative colour id": (_meta(), {"rel:R": [[0, 1]], "coloring": [-1, 0]}),
-    "constant id not interned": (_meta(), {"rel:R": [[0, 5]], "coloring": [0, 1]}),
+        _meta(shapes=_shapes(**{"unary:S_R": [1, 3]})), {**_GOOD, "unary:S_R": [[0, 1, 1]]}),
+    "array listed twice": ({**_meta(), "arrays": _meta()["arrays"] * 2}, _GOOD),
+    "colouring missing": (_meta(shapes=_shapes(order=None)), {k: v for k, v in _GOOD.items() if k != "order"}),
+    "colouring too long": (_meta(shapes=_shapes(order=[3])), {**_GOOD, "order": [0, 1, 1]}),
+    "colour id out of range": (_meta(), {**_GOOD, "order": [0, 9]}),
+    "negative colour id": (_meta(), {**_GOOD, "order": [-1, 0]}),
+    "constant id not interned": (_meta(shapes=_shapes(verts=[2])), {**_GOOD, "verts": [0, 5]}),
     "bytes after the arrays": (_meta(), {**_GOOD, "extra": [0]}),
 }
 

@@ -21,6 +21,7 @@ from colorcq.index import (
     ColorIndex,
     build_index,
     index_stats,
+    _narrow,
     _read_constants,
     load_index,
     save_index,
@@ -268,19 +269,22 @@ def multirel_db(copies: int = 2) -> Database:
 
 
 # sha256 of `save_index`'s file per database: a change to how the index is
-# built or written that alters one byte fails here
+# built or written that alters one byte fails here.  Multirel covers the loop
+# arrays and an edge label of two symbols.
 SAVED_SHA256 = {
-    "movie": "3f89517abdca572799f10973939b8361ac48da0817e8bd910e4f8be108d5d84a",
-    "cycle 7": "63f4e0dfbff9cedb046523a2d39020c74b3c2f5049abdd782f0a1f30d909dfb1",
-    "random 1901": "66ab0fe66841f9d1c5d6b8b1617823bd0bb155b038224030b6589fd8b8ee66f2",
-    "random 1904": "2f4f4215f41d3ce72bde153c18e99bc6478bdd50cb87a1acbbbc5aad633a34d7",
+    "movie": "1632235af271b7ec4a0d1cfa35934dba304156fc113d9f984c4553c302d30ea6",
+    "cycle 7": "adf4e4bfcf658bc96f12dfde3b7aeceb03b2ff089a17ca0fa58c402d2bea4502",
+    "random 1901": "4bed4165749447de6c12b49794cde3b7295666454c1d7e70b411b27b6419e168",
+    "random 1904": "a72a58cae43ba01460faa01c0ccee7b4abdb640e49db6c7d765f1ba77fe0bc01",
+    "multirel": "ad16ed03aae2b92b04710a82b267d33f411b9e76866f63ae5acb50913100bb08",
 }
 
 
 def test_saved_bytes_are_pinned(tmp_path):
-    dbs = {"movie": movie_db(), "cycle 7": cycle_db(7)}
+    dbs = {"movie": movie_db(), "cycle 7": cycle_db(7), "multirel": multirel_db()}
     for seed in (1901, 1904):
         dbs[f"random {seed}"] = random_db(random.Random(seed), max_adom=40, max_facts=120)
+    assert dbs.keys() == SAVED_SHA256.keys()
     for name, db in dbs.items():
         path = tmp_path / "x.ccqx"
         save_index(build_index(db), str(path))
@@ -298,7 +302,11 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
     def no_refine(g):
         raise AssertionError("load_index must not refine")
 
+    def no_graph(d1, s1):
+        raise AssertionError("load_index must not build the labeled graph")
+
     monkeypatch.setattr("colorcq.index.refine", no_refine)
+    monkeypatch.setattr("colorcq.index.build_labeled_graph", no_graph)
     for i, idx in enumerate(built):
         path = str(tmp_path / f"idx{i}.ccqx")
         save_index(idx, path)
@@ -320,6 +328,63 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
                 for c in range(idx.num_colors):
                     assert list(idx2.succ(lab, v, c)) == list(idx.succ(lab, v, c))
         assert index_stats(idx2)["db_size"] == index_stats(idx)["db_size"]
+        assert set(idx2.build_seconds) == {"load", "tables"}
+
+
+def _families() -> dict[str, Database]:
+    """A database per family; one built through the API with a constant in
+    no fact (so the file stores the vertex -> constant map); the empty one."""
+    ghost = make_db(Schema([("R", 2), ("U", 1)]), [("R", "a", "b"), ("R", "b", "b"), ("U", "c")],
+                    constants=["ghost"])
+    return {"movie": movie_db(), "cycle": cycle_db(9), "random": random_db(random.Random(41)),
+            "path": path_db(8), "tree": tree_db(3), "multirel": multirel_db(), "ghost": ghost,
+            "empty": Database(Schema([("R", 2)]))}
+
+
+@pytest.mark.parametrize("family", sorted(_families()))
+def test_loaded_index_equals_the_built_one(family, tmp_path):
+    """A loaded index has the colouring, count rows, successor tables,
+    `rows`, colour database, base database and stats of the index it was
+    saved from, and saving it again writes the same bytes."""
+    db = _families()[family]
+    idx = build_index(db)
+    first, again = tmp_path / "first.ccqx", tmp_path / "again.ccqx"
+    save_index(idx, str(first))
+    idx2 = load_index(str(first))
+    col, col2 = idx.coloring, idx2.coloring
+    assert np.array_equal(col2.color_of, col.color_of) and np.array_equal(col2.order, col.order)
+    assert (col2.bounds, col2.rank) == (col.bounds, col.rank)
+    assert np.array_equal(idx2.g.verts, idx.g.verts) and idx2.g.n == idx.g.n
+    assert idx2.actual_labels == idx.actual_labels
+    for rows, rows2 in zip(idx._count_rows, idx2._count_rows, strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(rows, rows2, strict=True))
+    assert idx2.closure_symbols == idx.closure_symbols
+    for lab in idx.closure_symbols:  # the hat tables of the closure labels, lazy ones included
+        assert idx2.tables[lab.id] == idx.tables[lab.id]
+    assert idx2.tables.keys() == idx.tables.keys() and idx2.rows.keys() == idx.rows.keys()
+    for lid, p in idx.rows.items():
+        p2 = idx2.rows[lid]
+        assert bytes(p2.ptr) == bytes(p.ptr)
+        assert all(np.array_equal(x, y) for x, y in zip(p2[:3] + p2[4:], p[:3] + p[4:], strict=True))
+    for cdb, cdb2 in ((idx.color_db, idx2.color_db), (idx.db, idx2.db), (idx.d1, idx2.d1)):
+        assert cdb2.schema == cdb.schema and cdb2.constants == cdb.constants
+        assert all(np.array_equal(cdb2.array(sym), cdb.array(sym)) for sym in cdb.schema.symbols)
+    st, st2 = index_stats(idx), index_stats(idx2)
+    assert {**st2, "build_seconds": None} == {**st, "build_seconds": None}
+    save_index(idx2, str(again))
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_loaded_base_rows_are_made_on_first_use(tmp_path):
+    """A loaded index's base database has its schema and constants at once;
+    its relation rows, and those of `d1`, are made when first read."""
+    db = multirel_db()
+    save_index(build_index(db), str(tmp_path / "m.ccqx"))
+    idx = load_index(str(tmp_path / "m.ccqx"))
+    assert idx.db.schema == db.schema and idx.db.constants == db.constants
+    assert "_arrays" not in vars(idx.db) and "_arrays" not in vars(idx.d1)
+    assert idx.db.size() == db.size() and "_arrays" in vars(idx.db)
+    assert idx.d1.size() == db.size()
 
 
 def test_dual_rows_are_the_transpose(tmp_path):
@@ -365,28 +430,46 @@ def test_pair_rows_hold_arrays_only(tmp_path):
                 assert not any(isinstance(x, list) for x in p), p
 
 
-def _array_offset(data: bytes, name: str) -> int:
-    """Byte offset of the named array in a saved index."""
+def _read_file(data: bytes) -> tuple[dict, bytes, dict[str, np.ndarray], dict[str, int]]:
+    """The metadata, the constants block, the named arrays and their byte
+    offsets of a saved index."""
     (meta_len,) = struct.unpack("<I", data[12:16])
     meta = json.loads(data[16:16 + meta_len])
     pos = 16 + meta_len + meta["constant_bytes"]
+    block, arrays, offsets = data[pos - meta["constant_bytes"]:pos], {}, {}
     for entry in meta["arrays"]:
-        if entry["name"] == name:
-            return pos
-        pos += 8 * int(np.prod(entry["shape"]))
-    raise KeyError(name)
+        size = int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+        arrays[entry["name"]] = np.frombuffer(data[pos:pos + size], entry["dtype"]).reshape(entry["shape"])
+        offsets[entry["name"]] = pos
+        pos += size
+    return meta, block, arrays, offsets
+
+
+def _write_file(path, meta: dict, block: bytes, arrays: dict) -> None:
+    """A format-4 file of `meta` (its array list made here), the constants
+    `block` and the `arrays`, written as int32, with a valid checksum."""
+    arrays = {name: np.asarray(a, dtype="<i4") for name, a in arrays.items()}
+    meta = {**meta, "arrays": [{"name": name, "shape": list(a.shape), "dtype": "<i4"}
+                               for name, a in arrays.items()]}
+    blob = json.dumps(meta).encode("utf-8")
+    body = b"".join(a.tobytes() for a in arrays.values())
+    path.write_bytes(reseal(MAGIC + struct.pack("<III", FORMAT_VERSION, 0, len(blob)) + blob + block + body))
 
 
 def test_tampered_coloring_is_refused_on_load(tmp_path):
-    """The colouring of test_unstable_coloring_is_rejected, written into a
-    saved index: every load checks stability again."""
-    idx = build_index(movie_db())
-    path = tmp_path / "movie.ccqx"
-    save_index(idx, str(path))
-    data = bytearray(path.read_bytes())
-    at = _array_offset(bytes(data), "coloring")
-    data[at:at + 8 * idx.g.n] = bytes(8 * idx.g.n)
-    path.write_bytes(reseal(bytes(data)))
+    """A saved index of the path 0 → 1 → 2 → 3 with the colouring tampered to
+    put 1 and 2 in one class.  The file stays consistent (every member of the
+    class has one target per label), so only the stability check, which every
+    load runs, refuses it: 1's successor has colour {1, 2} and 2's has {3}."""
+    path = tmp_path / "path.ccqx"
+    save_index(build_index(path_db(4)), str(path))
+    meta, block, arrays, _ = _read_file(path.read_bytes())
+    assert arrays["order"].tolist() == [0, 1, 2, 3] and arrays["sizes"].tolist() == [1] * 4
+    arrays = {name: a.astype(np.int64) for name, a in arrays.items()}
+    lab, cls, deg = arrays["degrees"].T
+    arrays["sizes"] = [1, 2, 1]
+    arrays["degrees"] = np.unique(np.stack([lab, np.array([0, 1, 1, 2])[cls], deg], axis=1), axis=0)
+    _write_file(path, meta, block, arrays)
     with pytest.raises(ColorcqError, match="unstable colouring"):
         load_index(str(path))
 
@@ -422,6 +505,106 @@ def test_version_1_and_2_files_are_refused(tmp_path, capsys):
         assert f"unsupported index format version {version} " in err and "Traceback" not in err
 
 
+def test_version_3_files_are_refused(tmp_path, capsys):
+    """A file in the layout of format version 3 (checksum, constants block,
+    the relations as int64 rows and a colouring, from which a load built the
+    graph again) is refused by name, with exit 1 from the command line."""
+    meta = json.dumps({"constants": 2, "constant_bytes": 4, "relations": [{"name": "R", "arity": 2}],
+                       "arrays": [{"name": "rel:R", "shape": [1, 2]},
+                                  {"name": "coloring", "shape": [2]}]}).encode("utf-8")
+    body = struct.pack("<I", len(meta)) + meta + b"a\nb\n" + np.array([0, 1, 0, 1], "<i8").tobytes()
+    path = tmp_path / "v3.ccqx"
+    path.write_bytes(MAGIC + struct.pack("<II", 3, zlib.crc32(body)) + body)
+    with pytest.raises(ColorcqError, match="unsupported index format version 3 .*rebuild the index"):
+        load_index(str(path))
+    assert main(["stats", "--index", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "unsupported index format version 3 " in err and "Traceback" not in err
+
+
+def _graph_file(path, classes, labels, edges, relations=(("R", 2),), **arrays) -> None:
+    """A format-4 file over the vertices 0..n-1, vertex i being constant ci,
+    with the colouring `classes` (lists of vertices, in order) and the
+    directed `edges` (source, target, label number) under `labels` (lists of
+    [symbol, direction]), laid out class-major as `save_index` lays them.
+    An array given in `arrays` replaces the one laid out."""
+    order = [v for c in classes for v in c]
+    place = {v: i for i, v in enumerate(order)}
+    rows, targets = [], []
+    for lab in range(len(labels)):
+        for c, members in enumerate(classes):
+            runs = [sorted((t for s, t, x in edges if s == v and x == lab), key=place.get) for v in members]
+            if runs[0]:
+                rows.append([lab, c, len(runs[0])])
+                targets += [t for run in runs for t in run]
+    block = "".join(f"c{i}\n" for i in range(len(order))).encode("utf-8")
+    meta = {"constants": len(order), "constant_bytes": len(block), "labels": labels,
+            "relations": [{"name": r, "arity": a} for r, a in relations]}
+    laid = {f"unary:S_{r}": [] for r, a in relations if a == 2}
+    laid.update(order=order, sizes=[len(c) for c in classes], degrees=np.reshape(rows, (-1, 3)),
+                targets=targets)
+    _write_file(path, meta, block, {**laid, **arrays})
+
+
+_R = [[["R", "+"]], [["R", "-"]]]
+_RS = [[["R", "+"]], [["R", "-"]], [["S", "+"]], [["S", "-"]]]
+_TWO = {"classes": [[0], [1]], "labels": _R, "edges": [(0, 1, 0), (1, 0, 1)]}  # R(c0, c1)
+_DEFECTS = {
+    "missing reverse edge": (
+        {"classes": [[0], [1], [2]], "labels": _R, "edges": [(0, 1, 0), (1, 2, 0), (1, 0, 1)]},
+        "reverse not stored under the dual label"),
+    "reverse under a non-dual label": (
+        {"classes": [[0], [1], [2], [3]], "labels": _RS, "relations": (("R", 2), ("S", 2)),
+         "edges": [(0, 1, 0), (1, 0, 3), (2, 3, 2), (3, 2, 1)]},
+        "reverse not stored under the dual label"),
+    "label without its dual": (
+        {"classes": [[0], [1]], "labels": [[["R", "+"]]], "edges": [(0, 1, 0), (1, 0, 0)]},
+        "reverse not stored under the dual label"),
+    "pair under two labels": (
+        {"classes": [[0], [1]], "labels": _RS, "relations": (("R", 2), ("S", 2)),
+         "edges": [(0, 1, 0), (1, 0, 1), (0, 1, 2), (1, 0, 3)]},
+        "stored under two labels"),
+    "loop edge": (
+        {"classes": [[0], [1], [2]], "labels": _R, "edges": [(0, 0, 0), (0, 0, 1), (1, 2, 0), (2, 1, 1)]},
+        "a loop edge"),
+    "order not a permutation": ({**_TWO, "order": [0, 0]}, "order is not a canonical permutation"),
+    "order not canonical": ({**_TWO, "classes": [[1], [0]]}, "order is not a canonical permutation"),
+    "uneven degrees": (
+        {"classes": [[0], [1], [2]], "labels": _R, "edges": [(0, 1, 0), (0, 2, 0), (1, 0, 1), (2, 0, 1)],
+         "degrees": [[0, 0, 2], [1, 1, 1], [1, 2, 2]]},
+        "degrees do not add up"),
+    "uneven target colours": (
+        {"classes": [[0, 1], [2], [3]], "labels": _R, "edges": [(0, 2, 0), (1, 3, 0), (2, 0, 1), (3, 1, 1)]},
+        "unstable colouring"),
+    "label of an unknown symbol": ({**_TWO, "labels": [[["T", "+"]], [["R", "-"]]]}, "bad edge label"),
+    "label of an unknown direction": ({**_TWO, "labels": [[["R", "*"]], [["R", "-"]]]}, "bad edge label"),
+}
+
+
+def test_graph_file_helper_writes_loadable_files(tmp_path):
+    """`_graph_file` writes files that load when nothing is broken: here R(c0,
+    c1), and the graph of the uneven-degrees case with its own degrees."""
+    spec = {k: v for k, v in _DEFECTS["uneven degrees"][0].items() if k != "degrees"}
+    for spec, rows in ((_TWO, [[0, 1]]), (spec, [[0, 1], [0, 2]])):
+        _graph_file(tmp_path / "x.ccqx", **spec)
+        assert load_index(str(tmp_path / "x.ccqx")).db.array("R").tolist() == rows
+
+
+@pytest.mark.parametrize("case", sorted(_DEFECTS))
+def test_foreign_file_defects_are_refused(case, tmp_path, capsys):
+    """A file that passes the checksum but whose arrays or labels break one
+    rule of the format is refused with an error naming the defect, and
+    `colorcq stats` exits 1 with no traceback."""
+    spec, what = _DEFECTS[case]
+    path = tmp_path / "bad.ccqx"
+    _graph_file(path, **spec)
+    with pytest.raises(ColorcqError, match=what):
+        load_index(str(path))
+    assert main(["stats", "--index", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and what in err and "Traceback" not in err
+
+
 def test_checksum_mismatch_is_refused(tmp_path):
     """A byte flipped anywhere after the checksum fails the checksum; with the
     checksum written for the flipped bytes, a later check refuses the file."""
@@ -430,13 +613,13 @@ def test_checksum_mismatch_is_refused(tmp_path):
     save_index(idx, str(path))
     good = path.read_bytes()
     assert struct.unpack("<I", good[8:12])[0] == zlib.crc32(good[12:])
-    at = _array_offset(good, "coloring")
+    at = _read_file(good)[3]["order"]
     bad = good[:at] + bytes([good[at] ^ 0x40]) + good[at + 1:]
     path.write_bytes(bad)
     with pytest.raises(ColorcqError, match="checksum mismatch"):
         load_index(str(path))
     path.write_bytes(reseal(bad))
-    with pytest.raises(ColorcqError, match="colouring does not fit"):
+    with pytest.raises(ColorcqError, match="order is not a canonical permutation"):
         load_index(str(path))
 
 
@@ -515,6 +698,18 @@ def test_save_refuses_constants_the_block_cannot_hold(bad, tmp_path, capsys, mon
     assert main(["build", "--db", "unused", "--out", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot save") and "Traceback" not in err
+
+
+def test_arrays_are_stored_in_the_narrowest_dtype():
+    """Each array is written as uint8, uint16 or int32, the narrowest that
+    holds its values; a value of 2^31 or more (an index of that many
+    vertices) cannot be saved."""
+    for top, dtype in ((0, "|u1"), (255, "|u1"), (256, "<u2"), (65535, "<u2"), (65536, "<i4"),
+                       (2**31 - 1, "<i4")):
+        arr = _narrow(np.array([0, top], dtype=np.int64))
+        assert arr.dtype.str == dtype and arr.tolist() == [0, top]
+    with pytest.raises(ColorcqError, match="2\\^31 or more vertices"):
+        _narrow(np.array([2**31]))
 
 
 def test_lazy_memoization_is_thread_safe():
