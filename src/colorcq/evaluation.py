@@ -27,6 +27,7 @@ adjacent tree variables onto one looping vertex would be lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -150,10 +151,11 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
     colours, and k vertex levels follow: the members of the root colour
     (`_GROUP` over the class bounds), then per free tree edge the parent
     vertex's successor group for the pair (`_SUCC`, from the `SuccTable`),
-    plus the parent itself, last, when its class loops over λ_e.  Every
-    group is non-empty, so the delay per tuple is O(levels).  The last level
-    advances fastest: components are crossed in odometer order, the last one
-    fastest.  Answers are constant ids, or their names from `names`.
+    plus the parent itself, last, when its class loops over λ_e; both read
+    views, so each value is a Python int.  Every group is non-empty, so the
+    delay per tuple is O(levels).  The last level, and so the last component,
+    advances fastest.  An answer is one `itemgetter` over the output levels,
+    mapped to constant ids unless vertex i is constant i, then to `names`.
     """
     if not all(run.roots for run in runs):
         return
@@ -164,9 +166,9 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
     value: list = []  # per colour level: its position -> colour (or constant)
     heads = []  # per component: its first output level
     if idx is not None:
-        order, bounds, rank = idx.coloring.order, idx.coloring.bounds, idx.coloring.rank
-        item = idx.g.verts.item
-        const_of = item if names is None else lambda v: names[item(v)]
+        bounds, rank, ids = idx.coloring.bounds, idx.coloring.rank, idx.const_of
+        conv = (None if ids is None else ids.__getitem__) if names is None else (
+            names.__getitem__ if ids is None else lambda v: names[ids[v]])
     for run in runs:
         comp, b = run.comp, len(how)
         k = len(comp.free_prefix)
@@ -183,7 +185,7 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
             value += [None] * k
             how += [(_GROUP, bounds, value[b], b)]
             how += [(_SUCC, idx.tables[comp.label[w]], b + w, u + k) for w, u in zip(edges, ups)]
-            seqs += [order] + [None] * (k - 1)
+            seqs += [idx.members] + [None] * (k - 1)
     outs = [heads[ci] + i for ci, i in slots]
 
     last = len(how) - 1
@@ -191,6 +193,7 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
         steps.emissions = 1
         yield ()
         return
+    get, one = itemgetter(*outs), len(outs) == 1
     vals = [0] * (last + 1)
     pos = [0] * (last + 1)
     end = [len(seqs[0])] + [0] * last
@@ -207,13 +210,14 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
         if level == last:
             emitted += 1
             if n - seen > gap:
-                gap = n - seen
+                gap = steps.max_gap = n - seen
             seen = steps.n = n
-            steps.emissions, steps.max_gap = emitted, gap
+            steps.emissions = emitted
             if idx is None:
                 yield tuple([value[i][vals[i]] for i in outs])
             else:
-                yield tuple([const_of(vals[i]) for i in outs])
+                out = (get(vals),) if one else get(vals)
+                yield out if conv is None else tuple(map(conv, out))
             continue
         level += 1
         kd, ptr, key, u = how[level]

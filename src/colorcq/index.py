@@ -1,7 +1,7 @@
 """The colour index: everything the evaluation phase needs, built once per db.
 
 Components: the loop-free database and its labeled graph; the coarsest stable
-colouring (with class member lists and sizes n_c); per-label successor tables
+colouring (with its class members and sizes n_c); per-label successor tables
 N̂→^λ(v,c) and class-pair counts #̂→^λ(c,c′); and the colour database — a
 relational instance over the colours with one unary relation per unary symbol
 and one binary relation E_λ per edge label λ, holding (c,c′) iff some (hence
@@ -10,14 +10,14 @@ every) vertex of colour c has a λ-superset edge to a vertex of colour c′.
 All tables come from the class-major edges: per label, the targets sorted by
 (source colour, source, target colour, target) and per class the λ-degree,
 which stability gives every member; a build sorts them out of the graph, a
-load reads them.  So a label's table is one flat target list with an offset
-and a stride per class pair (`SuccTable`).  The hat tables (union over the
-actual labels ⊇ λ) of the actual labels are built with the index, the others
-on first use; all are memoized (thread-safe; concurrent first calls compute
-identical values).  The colour database materializes E_λ for the downward
-closure of the actual labels (any other label has empty semantics by
-construction) and seeds the sorted count rows per label that the evaluation
-layer reads as arrays.
+load reads them.  So a label's table is one read-only view of the targets,
+with an offset and a stride per class pair (`SuccTable`): no Python list per
+vertex or edge.  The hat tables (union over the actual labels ⊇ λ) of the
+actual labels are built with the index, the others on first use; all are
+memoized (thread-safe; concurrent first calls compute identical values).
+The colour database materializes E_λ for the downward closure of the actual
+labels (any other label has empty semantics by construction) and seeds the
+sorted count rows per label that the evaluation layer reads as arrays.
 """
 from __future__ import annotations
 
@@ -80,11 +80,11 @@ class SuccTable(NamedTuple):
     target colour, target).  By stability, every member of class c has own[j]
     λ-successors in class c′, for pair j = (c, c′), so the member of rank r
     finds them at nbr[lo[j] + r·stride[j]:][:own[j]].  `loops` holds the pairs
-    (c, c) whose class loops over λ.  The enumeration reads single elements,
-    which costs less on Python lists than on arrays.
+    (c, c) whose class loops over λ.  `nbr` is a read-only `memoryview`, so an
+    item reads as a Python int and no Python object is made per edge.
     """
 
-    nbr: list[int]
+    nbr: memoryview
     lo: list[int]
     stride: list[int]
     own: list[int]
@@ -117,6 +117,9 @@ class ColorIndex:
         # the lookups, memoized per label id (`rows`, `tables`) and per unary symbol set
         self.rows, self.tables = _Memo(self._make_rows), _Memo(self._make_table)
         self.unary_colors = _Memo(self._make_flags)
+        # enumeration's views of the class members and vertex -> constant id (None: identity)
+        self.members = memoryview(coloring.order)
+        self.const_of = None if not g.n or g.verts[-1] == g.n - 1 else memoryview(g.verts).toreadonly()
         t0 = time.perf_counter()
         self._build_tables(*(edges or _class_major(g, coloring)))
         self._build_color_db()
@@ -131,6 +134,7 @@ class ColorIndex:
         g, col = self.g, self.coloring
         self.n_c, self.num_colors, self.actual_labels = col.sizes, col.num_colors, labels
         self._degrees = degrees
+        nbr.flags.writeable = False  # the successor tables hold views of it
 
         # vertex labels and data self-loops must be uniform within a class,
         # so one representative per class stands for all of its members
@@ -222,17 +226,18 @@ class ColorIndex:
         segs = [slice(bounds[i], bounds[i + 1]) for i in self._supers.get(lid, ())]
         # the labels partition the edges; merge their class-major runs (one
         # label's run is already in (place, target colour, target) order)
-        w = np.concatenate([nbr[x] for x in segs] + [_EMPTY])
+        w = nbr[segs[0]] if len(segs) == 1 else np.concatenate([nbr[x] for x in segs] + [_EMPTY])
         if len(segs) > 1:
             p, t = (np.concatenate([a[x] for x in segs]) for a in (place, tgt))
             w = w[np.argsort(_pack(_pack(p, t), w), kind="stable")]
+        w.flags.writeable = False
         rows, cover = self.rows[lid], self.loop_cover_array(label_of(lid))
         loops = (rows.a == rows.b) & cover[rows.a]
         own = rows.n - loops
         deg = rows.deg - cover  # per member of c, not counting itself
         start = np.cumsum(self.n_c * deg) - self.n_c * deg  # where each class begins
         lo = start[rows.a] + (np.cumsum(own) - own) - (np.cumsum(deg) - deg)[rows.a]
-        return SuccTable(w.tolist(), lo.tolist(), deg[rows.a].tolist(), own.tolist(),
+        return SuccTable(memoryview(w), lo.tolist(), deg[rows.a].tolist(), own.tolist(),
                          frozenset(np.flatnonzero(loops).tolist()))
 
     def _pair(self, lab: EdgeLabel, c: int, c2: int) -> int | None:
@@ -253,7 +258,7 @@ class ColorIndex:
             return []
         t = self.tables[lab.id]
         at = t.lo[j] + self.coloring.rank[v] * t.stride[j]
-        return t.nbr[at:at + t.own[j]]
+        return t.nbr[at:at + t.own[j]].tolist()
 
     def _make_flags(self, symbols: frozenset[str]) -> np.ndarray:
         """Read-only per-colour flags: do the class members carry every symbol?"""

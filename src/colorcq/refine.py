@@ -37,12 +37,12 @@ def default_backend() -> str:
 class Coloring:
     """Canonical colouring: `color_of[v]`, and the vertices sorted by colour
     (`order`, ascending within a class), with class c at
-    order[bounds[c]:bounds[c + 1]] and v at order[bounds[c] + rank[v]]."""
+    order[bounds[c]:bounds[c + 1]] and v at order[bounds[c] + rank[v]]; both read-only."""
 
     color_of: np.ndarray
     order: np.ndarray
     bounds: list[int]
-    rank: list[int]
+    rank: memoryview
 
     @property
     def num_colors(self) -> int:
@@ -69,7 +69,8 @@ def _coloring(order: np.ndarray, sizes: np.ndarray) -> Coloring:
     colors[order] = np.repeat(np.arange(len(sizes)), sizes)
     rank = np.empty(len(order), np.int64)
     rank[order] = np.arange(len(order)) - np.repeat(bounds[:-1], sizes)
-    return Coloring(color_of=colors, order=order, bounds=bounds.tolist(), rank=rank.tolist())
+    order.flags.writeable = rank.flags.writeable = False
+    return Coloring(color_of=colors, order=order, bounds=bounds.tolist(), rank=memoryview(rank))
 
 
 def _key_width(n: int, n_labels: int) -> int:

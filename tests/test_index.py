@@ -1,6 +1,7 @@
 """The colour index: tables, colour database, stats, persistence."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from colorcq.cli import main
-from colorcq.evaluation import EnumerationSession, count_answers
+from colorcq.evaluation import EnumerationSession, cde_fc_acq, count_answers
 from colorcq.frontend import plan_query
 from colorcq.graph import EdgeLabel, build_labeled_graph, encode_self_loops
 from colorcq.index import (
@@ -428,6 +429,72 @@ def test_pair_rows_hold_arrays_only(tmp_path):
             for p in index.rows.values():
                 assert isinstance(p.ptr, memoryview), p
                 assert not any(isinstance(x, list) for x in p), p
+
+
+@pytest.mark.parametrize("family", sorted(_families()))
+def test_answers_are_tuples_of_python_ints(family, tmp_path):
+    """On a built index and on its loaded copy, every answer is a tuple of
+    Python ints, in one order, and they are the answers of `cde_fc_acq`;
+    with names=True each is its ids' names.  In "ghost" a constant is in no
+    fact, so vertex i is not constant i.  (The order itself is pinned by
+    `test_enumeration_order_matches_pinned_digest`.)"""
+    db = _families()[family]
+    idx = build_index(db)
+    save_index(idx, str(tmp_path / "i.ccqx"))
+    loaded = load_index(str(tmp_path / "i.ccqx"))
+    assert (idx.const_of is None) == (loaded.const_of is None) == (family != "ghost")
+    for r in db.schema.binary_symbols:
+        for text in (f"Ans(x,y) <- {r}(x,y).", f"Ans(x) <- {r}(x,y), {r}(y,z).",
+                     f"Ans(z,x,y) <- {r}(x,y), {r}(y,z).", f"Ans(x,w) <- {r}(x,y), {r}(w,v)."):
+            plan = plan_query(parse_query(text, db.schema), db.schema)
+            ids = list(EnumerationSession(idx, plan))
+            assert list(EnumerationSession(loaded, plan)) == ids, text
+            assert all(type(t) is tuple and len(t) == len(plan.query.head)
+                       and {type(c) for c in t} == {int} for t in ids), text
+            assert sorted(ids) == sorted(cde_fc_acq(db, plan)), text
+            named = [tuple(db.constants[c] for c in t) for t in ids]
+            for index in (idx, loaded):
+                assert list(EnumerationSession(index, plan, names=True)) == named, text
+
+
+def _long_lists(root, n: int, skip) -> list[int]:
+    """The lengths of the Python lists of at least n items reachable from
+    `root` through containers and instance dicts, but not through `skip`,
+    types or callables."""
+    seen, todo, out = {id(x) for x in skip}, [root], []
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, type) or callable(x):
+            continue
+        seen.add(id(x))
+        if isinstance(x, list) and len(x) >= n:
+            out.append(len(x))
+        todo += gc.get_referents(x)
+    return out
+
+
+def test_vertex_data_is_read_only_views(tmp_path):
+    """Enumeration reads the class members, the ranks and the successor
+    tables through read-only views whose items are Python ints; `succ` still
+    returns a list.  Neither a built index nor its loaded copy holds a
+    Python list as long as the vertices (its databases, whose constants are
+    one list, aside)."""
+    db = cycle_db(60)  # one class: a list per class or class pair is short
+    idx = build_index(db)
+    save_index(idx, str(tmp_path / "c.ccqx"))
+    for index in (idx, load_index(str(tmp_path / "c.ccqx"))):
+        for lab in index.closure_symbols:  # the lazy tables too
+            got = index.succ(lab, 0, 0)
+            assert type(got) is list and got == sorted(got)
+        views = [index.coloring.rank, index.members, *(t.nbr for t in index.tables.values())]
+        assert len(views) == 2 + len(index.closure_symbols)
+        for view in views:
+            assert isinstance(view, memoryview) and view.readonly and type(view[0]) is int
+            with pytest.raises(TypeError):
+                view[0] = 0
+        with pytest.raises(ValueError):
+            index.coloring.order[0] = 0
+        assert _long_lists(index, index.g.n, (index.db, index.d1)) == []
 
 
 def _read_file(data: bytes) -> tuple[dict, bytes, dict[str, np.ndarray], dict[str, int]]:
