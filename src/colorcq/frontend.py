@@ -216,10 +216,10 @@ def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
             slot[x] = (ci, r)
             order.append(x)
             lambda_x.append(unary.get(x, _NO_SYMBOLS))
-            kids.append(())
+            kids.append([])
             parent.append(p := up[x])
             if p >= 0:
-                kids[p] += (r,)
+                kids[p].append(r)
                 label.append(label_id(tuple(adj[order[p]][x])))
             for y in adj[x]:
                 if y not in up:
@@ -228,7 +228,7 @@ def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
         n_free = len(free.intersection(order))
         connex = connex and free.issuperset(order[:n_free])
         components.append(PlanComponent(  # positional: keywords cost ~0.4 µs a call
-            root, tuple(order), tuple(order[:n_free]), tuple(parent), tuple(kids),
+            root, tuple(order), tuple(order[:n_free]), tuple(parent), tuple(map(tuple, kids)),
             tuple(lambda_x), tuple(label), q, s1))
     if not connex or sum(map(len, adj.values())) != 2 * (len(adj) - len(components)):
         raise QueryRejected(check_free_connex_acyclic(q).diagnostic)

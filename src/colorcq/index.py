@@ -30,7 +30,7 @@ import zlib
 from bisect import bisect_left
 from functools import cached_property, partial
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -406,16 +406,36 @@ def _check_meta(meta, path: str) -> None:
     need(len({a["name"] for a in meta["arrays"]}) == len(meta["arrays"]), "an array listed twice")
 
 
-def _read_constants(block: memoryview, count: int, path: str) -> list[str]:
-    """The constants of a block of `count` distinct `\\n`-ended UTF-8 lines."""
-    what = f"{path}: corrupt constants block"
-    try:
-        names = str(block, "utf-8").split("\n")
-    except UnicodeDecodeError as e:
-        raise ColorcqError(f"{what} (not UTF-8: {e})") from None
-    _need(names.pop() == "" and len(names) == count, f"{what} (not {count} lines, each ended by a break)")
-    _need(len(set(names)) == count, f"{what} (repeated constant)")  # exact: hashing compares strings
-    return names
+def _check_constants(block: memoryview, count: int, path: str) -> Callable[[], list[str]]:
+    """Check that `block` is `count` distinct `\\n`-ended UTF-8 lines, decoding
+    it only if it is not ASCII; return the function that decodes and splits it."""
+    what, raw = f"{path}: corrupt constants block", b"".join((bytes(8), block))  # 8 bytes of padding
+    if not raw.isascii():
+        try:
+            str(block, "utf-8")
+        except UnicodeDecodeError as e:
+            raise ColorcqError(f"{what} (not UTF-8: {e})") from None
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8, offset=8) == 10)
+    _need(len(ends) == count and (ends[-1] + 1 if count else 0) == len(block),
+          f"{what} (not {count} lines, each ended by a break)")
+    size = np.diff(ends, prepend=-1)
+    size -= 1
+    short, n = size < 8, size.view(np.uint64)
+    if not short.all():  # longer lines are compared as bytes
+        far = np.flatnonzero(~short)
+        longs = {raw[e - k:e] for k, e in zip(size[far].tolist(), (ends[far] + 8).tolist())}
+        _need(len(longs) == len(far), f"{what} (repeated constant)")
+        ends, n = ends[short], n[short]
+    # exact: the 8 bytes before a break end with its line; a line of at most 7
+    # bytes, shifted down to its own bytes, with its length in the top byte, is one key
+    window = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))  # item i: the 8 bytes before byte i of block
+    keys, shift = window[ends], n << 3
+    keys >>= np.subtract(56, shift, out=shift)
+    keys >>= 8
+    keys |= np.left_shift(n, 56, out=shift)
+    keys.sort()
+    _need(not (keys[1:] == keys[:-1]).any(), f"{what} (repeated constant)")
+    return lambda: str(memoryview(raw)[8:], "utf-8").split("\n")[:-1]
 
 
 def _within(arr: np.ndarray, top: int, ascending: bool = False) -> bool:
@@ -460,26 +480,29 @@ def _check_pairs(labels: tuple[EdgeLabel, ...], elab: np.ndarray, src: np.ndarra
 
 
 class _LazyRows(Database):
-    """A Database with its schema and constants at once, and the rows `make()` returns on first use."""
+    """A Database with its schema at once; its constants, a list that `names()`
+    returns, and its rows, that `make()` returns, are made on first use."""
 
-    def __init__(self, schema: Schema, constants: list[str], make):
-        self.schema, self.constants, self._make = schema, constants, make
+    def __init__(self, schema: Schema, names, make):
+        self.schema, self._names, self._make = schema, names, make
 
+    constants = cached_property(lambda self: self._names())
     _arrays = cached_property(lambda self: self._make())
 
 
-def _base_rows(schema: Schema, constants: list[str], g: Vertices, labels: tuple[EdgeLabel, ...],
-               edges: tuple, order: np.ndarray) -> dict[str, np.ndarray]:
-    """The relations of a loaded index's base database: R(s, t) holds for
-    every loop of R and every edge (s, t) whose label holds (R, +); a unary
-    relation holds on its rows of g."""
+def _base_rows(schema: Schema, count: int, g: Vertices, labels: tuple[EdgeLabel, ...],
+               edges: tuple, order: np.ndarray, loops: dict[str, str]) -> dict[str, np.ndarray]:
+    """The relations over `count` constants of a loaded index's base database
+    (`loops` its `loop_symbol`) or its loop-encoded one (`loops` empty): R(s, t)
+    holds for every edge (s, t) whose label holds (R, +) and for every loop of R
+    (in the base database); a unary relation holds on its rows of g."""
     bounds, src, _, nbr = edges
     out = Database(schema)
-    out.constants = constants
+    out.constants = range(count)  # `set_relation` reads its length only
     unary = dict(zip(g.unary_symbols, g.unary))
     for sym in schema.symbols:
         segs = [slice(*bounds[i:i + 2]) for i, lab in enumerate(labels) if (sym, FWD) in lab.pairs]
-        loop = unary[g.s1.loop_symbol.get(sym, sym)]  # a binary symbol's loops, a unary one's rows
+        loop = unary.get(loops.get(sym, sym), _EMPTY)  # a binary symbol's loops, a unary one's rows
         rows = np.stack([np.concatenate([loop, *(order[src[x]] for x in segs)]),
                          np.concatenate([loop, *(nbr[x] for x in segs)])], axis=1)
         out.set_relation(sym, g.verts[rows[:, :schema.arity(sym)]])
@@ -490,7 +513,8 @@ def load_index(path: str) -> ColorIndex:
     """Read and check a file written by `save_index`.  It holds the class-major
     edges: no graph is built, nothing refined, no edge array sorted but by the
     two `np.sort` of `_check_pairs`, which the constructor runs on them.
-    `idx.db` and `idx.d1` make their rows on first use."""
+    The constants block is checked but not decoded: `idx.db` and `idx.d1`
+    make their rows, and decode their one list of constants, on first use."""
     t0 = time.perf_counter()
     with open(path, "rb") as f:
         data = memoryview(f.read())
@@ -515,7 +539,8 @@ def load_index(path: str) -> ColorIndex:
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ColorcqError(f"{path}: corrupt index metadata ({e})") from None
     _check_meta(meta, path)
-    constants = _read_constants(take(meta["constant_bytes"], "constants"), meta["constants"], path)
+    count = meta["constants"]
+    names = _check_constants(take(meta["constant_bytes"], "constants"), count, path)
     blobs: dict[str, np.ndarray] = {}
     for entry in meta["arrays"]:
         shape, dtype = tuple(entry["shape"]), np.dtype(entry["dtype"])
@@ -534,9 +559,9 @@ def load_index(path: str) -> ColorIndex:
               f"corrupt index metadata (the arrays must be {', '.join(want)}, and verts where needed)")
         order, sizes, degrees, nbr = (blobs[name] for name in ("order", "sizes", "degrees", "targets"))
         n, (lab, cls, deg) = len(order), degrees.T
-        verts = blobs.get("verts", np.arange(len(constants)))
-        _need(len(verts) == n and _within(verts, len(constants), ascending=True),
-              f"the {n} vertices do not fit the {len(constants)} constants")
+        verts = blobs.get("verts", np.arange(count))
+        _need(len(verts) == n and _within(verts, count, ascending=True),
+              f"the {n} vertices do not fit the {count} constants")
         _need(all(_within(blobs[u], n, ascending=True) for u in unary), "unary rows not ascending")
         _need(_canonical(order, sizes), "the colouring's order is not a canonical permutation")
         key, top = lab * len(sizes) + cls, len(labels) * len(sizes)  # (label, class) keys
@@ -550,7 +575,7 @@ def load_index(path: str) -> ColorIndex:
                          (labels, degrees, nbr))
     except ColorcqError as e:
         raise ColorcqError(f"{path}: {e}") from None
-    rows = partial(_base_rows, schema, constants, g, labels, idx._edges, order)
-    idx.db = db = _LazyRows(schema, constants, rows)
-    idx.d1 = _LazyRows(s1.schema, constants, lambda: encode_self_loops(db)[0]._arrays)
+    rows = partial(_base_rows, count=count, g=g, labels=labels, edges=idx._edges, order=order)
+    idx.db = db = _LazyRows(schema, names, partial(rows, schema, loops=s1.loop_symbol))
+    idx.d1 = _LazyRows(s1.schema, lambda: db.constants, partial(rows, s1.schema, loops={}))
     return idx

@@ -193,6 +193,9 @@ MALFORMED = {
     "repeated constant": (_meta(), _GOOD, b"a\na\n"),
     "repeated 16-byte constant": (
         _meta(constants=("p" * 16,) * 2), _GOOD, (b"p" * 16 + b"\n") * 2),
+    "repeated empty constant": (_meta(constants=("", "")), _GOOD, b"\n\n"),
+    "repeated 7-byte constant": (_meta(constants=("p" * 7,) * 2), _GOOD, (b"p" * 7 + b"\n") * 2),
+    "repeated 2-byte non-ASCII constant": (_meta(constants=("é", "é")), _GOOD, "é\né\n".encode("utf-8")),
     "arity 3": (_meta(relations=(("R", 3),)), _GOOD),
     "relation entry not an object": ({**_meta(), "relations": ["R"]}, _GOOD),
     "relations not a list": ({**_meta(), "relations": {"R": 2}}, _GOOD),
@@ -212,6 +215,12 @@ MALFORMED = {
     "constant id not interned": (_meta(shapes=_shapes(verts=[2])), {**_GOOD, "verts": [0, 5]}),
     "bytes after the arrays": (_meta(), {**_GOOD, "extra": [0]}),
 }
+# the refusals of the constants block, word for word
+CONSTANTS_REFUSED = {
+    "constant count mismatch": "not 3 lines, each ended by a break",
+    "constants not UTF-8": "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte",
+    **{case: "repeated constant" for case in MALFORMED if case.startswith("repeated")},
+}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -223,6 +232,8 @@ def test_malformed_index_metadata_is_exit_1(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "checksum" not in err  # the file is refused by the check the case is about
+    if case in CONSTANTS_REFUSED:
+        assert err == f"error: {path}: corrupt constants block ({CONSTANTS_REFUSED[case]})\n"
 
 
 def test_handmade_index_file_loads(tmp_path, capsys):

@@ -22,8 +22,8 @@ from colorcq.index import (
     ColorIndex,
     build_index,
     index_stats,
+    _check_constants,
     _narrow,
-    _read_constants,
     load_index,
     save_index,
 )
@@ -477,12 +477,14 @@ def test_vertex_data_is_read_only_views(tmp_path):
     """Enumeration reads the class members, the ranks and the successor
     tables through read-only views whose items are Python ints; `succ` still
     returns a list.  Neither a built index nor its loaded copy holds a
-    Python list as long as the vertices (its databases, whose constants are
-    one list, aside)."""
+    Python list as long as the vertices (a built index's databases, whose
+    constants are lists, aside).  A loaded index makes its one list of
+    constants when a names=True session first reads them."""
     db = cycle_db(60)  # one class: a list per class or class pair is short
     idx = build_index(db)
     save_index(idx, str(tmp_path / "c.ccqx"))
-    for index in (idx, load_index(str(tmp_path / "c.ccqx"))):
+    loaded = load_index(str(tmp_path / "c.ccqx"))
+    for index in (idx, loaded):
         for lab in index.closure_symbols:  # the lazy tables too
             got = index.succ(lab, 0, 0)
             assert type(got) is list and got == sorted(got)
@@ -494,7 +496,12 @@ def test_vertex_data_is_read_only_views(tmp_path):
                 view[0] = 0
         with pytest.raises(ValueError):
             index.coloring.order[0] = 0
-        assert _long_lists(index, index.g.n, (index.db, index.d1)) == []
+    assert _long_lists(idx, idx.g.n, (idx.db, idx.d1)) == []
+    n = loaded.g.n
+    assert index_stats(loaded)["d1_size"] == n and _long_lists(loaded, n, ()) == []
+    plan = plan_query(parse_query("Ans(x) <- R(x,y).", db.schema), db.schema)
+    assert len(list(EnumerationSession(loaded, plan, names=True))) == n
+    assert loaded.d1.constants is loaded.db.constants and _long_lists(loaded, n, ()) == [n]
 
 
 def _read_file(data: bytes) -> tuple[dict, bytes, dict[str, np.ndarray], dict[str, int]]:
@@ -732,10 +739,63 @@ def test_long_constants_round_trip_and_repeats_are_refused(tmp_path):
     assert idx2.db.constants == idx.db.constants and sorted(idx2.db.constants) == sorted(consts)
     assert list(idx2.coloring.color_of) == list(idx.coloring.color_of)
     p, q = b"p" * 16 + b"\n", b"q" * 8 + b"p" * 8 + b"\n"  # 16-byte constants
-    assert _read_constants(memoryview(p + q), 2, "f") == ["p" * 16, "q" * 8 + "p" * 8]
+    assert _check_constants(memoryview(p + q), 2, "f")() == ["p" * 16, "q" * 8 + "p" * 8]
     for block in (p + p, p + q + p, q + b"r\n" + q):
         with pytest.raises(ColorcqError, match="repeated constant"):
-            _read_constants(memoryview(block), block.count(b"\n"), "f")
+            _check_constants(memoryview(block), block.count(b"\n"), "f")
+
+
+def test_constants_that_differ_in_length_or_last_byte_load(tmp_path):
+    """The load-time check keys a constant of at most 7 bytes by its bytes and
+    its length, so `a`, `a\\0` and `a\\0\\0` are distinct; 7- and 8-byte
+    constants that share a prefix fall on either side of that cut."""
+    consts = ["a", "a\0", "a\0\0", "", "pppppp", "ppppppp", "pppppppp", "ppppppq", "pppppppq",
+              "é", "é\0", "ée"]
+    db = Database(Schema([("R", 2)]), constants=consts)
+    db.set_relation("R", np.array([[i, (i + 1) % len(consts)] for i in range(len(consts))]))
+    path = tmp_path / "len.ccqx"
+    save_index(build_index(db), str(path))
+    assert load_index(str(path)).db.constants == consts
+    block = "".join(c + "\n" for c in consts).encode("utf-8")
+    assert _check_constants(memoryview(block), len(consts), "f")() == consts
+
+
+def test_constants_check_agrees_with_a_set():
+    """On random blocks of lines cut from one stem at lengths around the
+    7-byte cut, over a small alphabet (NUL and a two-byte letter in it), the
+    check refuses exactly the blocks whose lines are not distinct."""
+    rng = random.Random(2606)
+    verdicts = set()
+    for _ in range(600):
+        stem = "".join(rng.choice("ab\0é") for _ in range(9))
+        pool = [stem[:k] + rng.choice(("", "a", "\0", "é")) for k in rng.choices((0, 1, 5, 6, 7, 8), k=5)]
+        lines = rng.choices(pool, k=rng.randrange(1, 8))
+        block = memoryview("".join(c + "\n" for c in lines).encode("utf-8"))
+        distinct = len(set(lines)) == len(lines)
+        repeated = [c for c in set(lines) if lines.count(c) > 1]
+        verdicts.add((distinct, max(len(c.encode("utf-8")) for c in repeated or lines) > 7))
+        if distinct:
+            assert _check_constants(block, len(lines), "f")() == lines
+        else:
+            with pytest.raises(ColorcqError, match="repeated constant"):
+                _check_constants(block, len(lines), "f")
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_constants_block_at_the_end_of_the_file(tmp_path):
+    """With no facts every array is empty, so the constants block is the last
+    thing in the file, and the check's 8-byte reads have no bytes after it to
+    fall on: the index saves, loads, and saves again to the same bytes."""
+    db = Database(Schema([("R", 2)]), constants=["ghost", "x"])
+    idx = build_index(db)
+    path = tmp_path / "empty.ccqx"
+    save_index(idx, str(path))
+    assert path.read_bytes().endswith(b"ghost\nx\n")
+    idx2 = load_index(str(path))
+    assert idx2.db.constants == ["ghost", "x"] and index_stats(idx2) == {
+        **index_stats(idx), "build_seconds": idx2.build_seconds}
+    save_index(idx2, str(tmp_path / "again.ccqx"))
+    assert (tmp_path / "again.ccqx").read_bytes() == path.read_bytes()
 
 
 def test_facts_file_constants_with_nul_round_trip(tmp_path, capsys):
