@@ -147,28 +147,30 @@ class ColorIndex:
         # order, its d λ-targets from `nbr` in turn; so the rows place every source
         lab, cls, deg = degrees.T
         size = self.n_c[cls]
-        per = deg.repeat(size)  # the targets of each member, row by row
         ends = np.append(0, np.cumsum(size * deg))  # where each row's targets begin, then end
-        src = _ranges(np.array(col.bounds)[cls], size).repeat(per)  # source places
+        src = _ranges(np.array(col.bounds)[cls], size).repeat(deg.repeat(size))  # source places
+        at = ends[np.searchsorted(lab, np.arange(len(labels) + 1))]  # each label's first edge, then the end
         if sources is None:  # edges read from a file: checked before use
-            _check_pairs(labels, lab.repeat(size * deg), src, nbr, col.order)
+            _check_pairs(labels, at, src, nbr, col.order)
 
         # stability: each member has its row's degree (so the `sources` of a sort
-        # match), and repeats r·d targets on, for rank r, the first one's colours
-        tgt = col.color_of[nbr]
-        shift = (np.cumsum(per) - per - ends[:-1].repeat(size)).repeat(per)
-        if ((sources is not None and not np.array_equal(src, sources))
-                or (tgt != tgt[np.arange(len(nbr)) - shift]).any()):
-            raise ColorcqError("unstable colouring: uneven class counts")
+        # match), and the colours of its targets repeat those of the member
+        # before it (d targets back), so all repeat the first member's
+        uneven = "unstable colouring: uneven class counts"
+        _need(sources is None or np.array_equal(src, sources), uneven)
+        tgt, first, back = col.color_of[nbr], _ranges(ends[:-1], deg), np.arange(len(nbr))
+        back -= deg.repeat(size * deg)
+        back[first] = first
+        _need(np.array_equal(tgt[back], tgt), uneven)
 
         # the count rows (c, c′, #̂→^λ(c,c′)) per label: the first member's
         # targets per target colour
-        flab, fcls, ftgt = lab.repeat(deg), cls.repeat(deg), tgt[_ranges(ends[:-1], deg)]
+        flab, fcls, ftgt = lab.repeat(deg), cls.repeat(deg), tgt[first]
         grp = _bounds(flab, fcls, ftgt)
         cut = np.searchsorted(flab[grp[:-1]], np.arange(len(labels) + 1)).tolist()
         rows = (fcls[grp[:-1]], ftgt[grp[:-1]], np.diff(grp))
         self._count_rows = [tuple(x[cut[i]:cut[i + 1]] for x in rows) for i in range(len(labels))]
-        self._edges = (ends[np.searchsorted(lab, np.arange(len(labels) + 1))].tolist(), src, tgt, nbr)
+        self._edges = (at.tolist(), src, tgt, nbr)
 
     def _build_color_db(self) -> None:
         g = self.g
@@ -193,7 +195,8 @@ class ColorIndex:
             schema.add(name, 2)
             self.closure_symbols[lab] = name
 
-        cdb = Database(schema, constants=map(str, range(self.num_colors)))
+        cdb = Database(schema)
+        cdb.constants = range(self.num_colors)  # `set_relation` reads its length only
         for u in g.unary_symbols:
             cdb.set_relation(u, np.flatnonzero(self.unary_colors[frozenset((u,))])[:, None])
         for lab, name in self.closure_symbols.items():
@@ -202,7 +205,8 @@ class ColorIndex:
             hat = self._hat_count_rows(lab.id)
             cdb.set_relation(name, np.stack(hat[:2], axis=1))
             self.rows[lab.id] = self._make_rows(lab.id, hat)
-        self.color_db = cdb
+        # colour c is the constant "c"; the names are made on first read
+        self.color_db = _LazyRows(schema, lambda: list(map(str, cdb.constants)), lambda: cdb._arrays)
 
     # -- lookups -----------------------------------------------------------
 
@@ -457,26 +461,31 @@ def _canonical(order: np.ndarray, sizes: np.ndarray) -> bool:
     return bool(up.all() and once.all()) and _within(order[heads], n, ascending=True)
 
 
-def _check_pairs(labels: tuple[EdgeLabel, ...], elab: np.ndarray, src: np.ndarray, nbr: np.ndarray,
+def _check_pairs(labels: tuple[EdgeLabel, ...], cut: np.ndarray, src: np.ndarray, nbr: np.ndarray,
                  order: np.ndarray) -> None:
-    """Raise ColorcqError unless the edges (label number, source place, target
-    `nbr[i]`), keyed by places in `order`, hold no loop, ascend strictly, hold
-    each edge's reverse under the dual label, and hold no vertex pair under two labels."""
+    """Raise ColorcqError unless the edges (source place, target `nbr[i]`; label i's at
+    cut[i]:cut[i + 1]), keyed by places in `order`, hold no loop, ascend strictly per label,
+    hold each edge's reverse under the dual label, and hold no vertex pair under two labels."""
     n, number = len(order), {lab: i for i, lab in enumerate(labels)}
+    # `refine` refuses such a graph, so no build wrote it; the keys are one int64 per vertex pair
+    _need(len(labels) * n * n < 1 << 63, f"cannot check {n} vertices under {len(labels)} edge labels")
     place = np.empty(n, np.int64)
     place[order] = np.arange(n)
-    tgt = place[nbr]
-    dual = np.array([number.get(lab.dual(), -1) for lab in labels], np.int64)[elab]  # -1: none
-    # one int64 per (label number, pair); `refine` refuses a graph too large for it
-    _need(len(labels) * n * n < 1 << 63, f"cannot check {n} vertices under {len(labels)} edge labels")
-    pair = src * n + tgt
-    fwd, rev = elab * (n * n) + pair, dual * (n * n) + tgt * n + src
-    rev.sort()
-    pair.sort()
-    _need((src != tgt).all(), "corrupt edges (a loop edge)")
-    _need((fwd[1:] > fwd[:-1]).all(), "corrupt edges (a label's edges not ascending by source, target)")
-    _need(np.array_equal(fwd, rev), "corrupt edges (an edge's reverse not stored under the dual label)")
-    _need((pair[1:] != pair[:-1]).all(), "corrupt edges (a vertex pair stored under two labels)")
+    pair, rev = np.multiply(src, n), place[nbr]  # rev: the target places, until the reverse keys
+    pair += rev
+    _need(not (src == rev).any(), "corrupt edges (a loop edge)")
+    up = pair[1:] > pair[:-1]
+    up[cut[1:-1] - 1] = True  # a label's first edge follows the last one of the label before it
+    _need(up.all(), "corrupt edges (a label's edges not ascending by source, target)")
+    rev *= n
+    rev += src
+    for i, lab in enumerate(labels):  # the reverses of label i's edges are its dual's edges
+        j, mine = number.get(lab.dual()), rev[cut[i]:cut[i + 1]]
+        mine.sort()
+        _need(j is not None and np.array_equal(mine, pair[cut[j]:cut[j + 1]]),
+              "corrupt edges (an edge's reverse not stored under the dual label)")
+    pair.sort(kind="stable")  # merges the labels' ascending runs
+    _need(not (pair[1:] == pair[:-1]).any(), "corrupt edges (a vertex pair stored under two labels)")
 
 
 class _LazyRows(Database):
@@ -511,8 +520,8 @@ def _base_rows(schema: Schema, count: int, g: Vertices, labels: tuple[EdgeLabel,
 
 def load_index(path: str) -> ColorIndex:
     """Read and check a file written by `save_index`.  It holds the class-major
-    edges: no graph is built, nothing refined, no edge array sorted but by the
-    two `np.sort` of `_check_pairs`, which the constructor runs on them.
+    edges: no graph is built, nothing refined, no edge array sorted but the
+    keys of `_check_pairs`, which the constructor runs on them.
     The constants block is checked but not decoded: `idx.db` and `idx.d1`
     make their rows, and decode their one list of constants, on first use."""
     t0 = time.perf_counter()
@@ -547,6 +556,7 @@ def load_index(path: str) -> ColorIndex:
         raw = take(math.prod(shape) * dtype.itemsize, f"array {entry['name']}")
         blobs[entry["name"]] = np.frombuffer(raw, dtype).astype(np.int64).reshape(shape)
     _need(pos == len(data), f"{path}: {len(data) - pos} unexpected bytes after the arrays")
+    data = raw = None  # the arrays are copies: the file's bytes go before the checks below
 
     try:
         schema = Schema((r["name"], r["arity"]) for r in meta["relations"])

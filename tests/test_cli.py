@@ -17,6 +17,7 @@ from colorcq.cli import main
 from colorcq.index import FORMAT_VERSION, MAGIC
 
 from .conftest import MOVIE_TEXT, reseal
+from .test_index import _DEFECTS, _graph_file
 
 
 @pytest.fixture()
@@ -446,8 +447,9 @@ def test_gen_out_of_memory_is_an_error_not_a_traceback(argv):
 
 def test_optimized_python_prints_the_same(movie_file, tmp_path):
     """`python -O` drops every `assert`.  Build, query and stats print the
-    same and exit with the same code with and without it, on the movie facts
-    and on a truncated index.  Timings are left out of the comparison."""
+    same and exit with the same code with and without it, on the movie facts,
+    on a truncated index, and on one crafted index per `corrupt edges` text.
+    Timings are left out of the comparison."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     good, cut = str(tmp_path / "movie.ccqx"), str(tmp_path / "cut.ccqx")
@@ -473,6 +475,10 @@ def test_optimized_python_prints_the_same(movie_file, tmp_path):
         same(["stats", "--index", path], code)
         same(query + [path], code)
         same(query + [path, "--task", "count"], code)
+    for case in ("degree rows out of order", "uneven degrees", "loop edge", "targets not ascending",
+                 "missing reverse edge", "pair under two labels"):
+        _graph_file(tmp_path / "bad.ccqx", **_DEFECTS[case][0])
+        same(["stats", "--index", str(tmp_path / "bad.ccqx")], 1)
 
 
 def test_version_flag(capsys):

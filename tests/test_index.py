@@ -7,6 +7,7 @@ import json
 import random
 import struct
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -561,6 +562,15 @@ def test_load_rejects_foreign_files(tmp_path):
             load_index(str(vers))
 
 
+def test_file_without_arrays_is_refused(tmp_path):
+    """A file whose metadata lists no arrays is refused by the check that
+    names the arrays it must hold."""
+    meta = {"constants": 1, "constant_bytes": 2, "relations": [{"name": "R", "arity": 2}], "labels": []}
+    _write_file(tmp_path / "bare.ccqx", meta, b"a\n", {})
+    with pytest.raises(ColorcqError, match="corrupt index metadata \\(the arrays must be"):
+        load_index(str(tmp_path / "bare.ccqx"))
+
+
 def test_version_1_and_2_files_are_refused(tmp_path, capsys):
     """Files in the layouts of format versions 1 and 2 (magic, version, the
     length of a JSON metadata with the constants as a list, the metadata,
@@ -641,6 +651,11 @@ _DEFECTS = {
     "loop edge": (
         {"classes": [[0], [1], [2]], "labels": _R, "edges": [(0, 0, 0), (0, 0, 1), (1, 2, 0), (2, 1, 1)]},
         "a loop edge"),
+    "targets not ascending": (
+        {"classes": [[0], [1], [2]], "labels": _R, "edges": [(0, 1, 0), (0, 2, 0), (1, 0, 1), (2, 0, 1)],
+         "targets": [2, 1, 0, 0]},
+        "not ascending by source, target"),
+    "degree rows out of order": ({**_TWO, "degrees": [[1, 1, 1], [0, 0, 1]]}, "degree rows not one per label"),
     "order not a permutation": ({**_TWO, "order": [0, 0]}, "order is not a canonical permutation"),
     "order not canonical": ({**_TWO, "classes": [[1], [0]]}, "order is not a canonical permutation"),
     "uneven degrees": (
@@ -677,6 +692,107 @@ def test_foreign_file_defects_are_refused(case, tmp_path, capsys):
     assert main(["stats", "--index", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and what in err and "Traceback" not in err
+
+
+def _slots(arrays: dict) -> list[tuple[int, int]]:
+    """(label number, source vertex) of each stored target of a saved index, in turn."""
+    order, bounds = arrays["order"].tolist(), np.cumsum([0, *arrays["sizes"].tolist()]).tolist()
+    return [(lab, v) for lab, c, d in arrays["degrees"].tolist()
+            for v in order[bounds[c]:bounds[c + 1]] for _ in range(d)]
+
+
+def _edges_verdict(meta: dict, arrays: dict) -> str | None:
+    """A plain-Python model, over sets, of a load's first three edge checks, in
+    their order: the text of the first one that fails, or None when all pass.
+    An edit of the targets that changes the set of edges always leaves some
+    edge without its reverse, so the later checks never decide such a file."""
+    place = {v: i for i, v in enumerate(arrays["order"].tolist())}
+    edges = [(lab, s, t) for (lab, s), t in zip(_slots(arrays), arrays["targets"].tolist())]
+    labels, flip = [tuple(map(tuple, pairs)) for pairs in meta["labels"]], {"+": "-", "-": "+"}
+    dual = [labels.index(d) if d in labels else None
+            for d in (tuple(sorted((r, flip[x]) for r, x in lab)) for lab in labels)]
+    if any(s == t for _, s, t in edges):
+        return "corrupt edges (a loop edge)"
+    keys = [(lab, place[s], place[t]) for lab, s, t in edges]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return "corrupt edges (a label's edges not ascending by source, target)"
+    stored = set(edges)
+    if any((dual[lab], t, s) not in stored for lab, s, t in edges):
+        return "corrupt edges (an edge's reverse not stored under the dual label)"
+    return None
+
+
+def _edit_targets(rng: random.Random, slots: list[tuple[int, int]], targets: list[int], n: int) -> np.ndarray:
+    """`targets` with one random edit: two targets of one label's run swapped,
+    a target set to its source, a pair moved to another label's run (swapped
+    with a target of the same source there, if any), or a reverse edge dropped."""
+    t, i = list(targets), rng.randrange(len(targets))
+    (lab, s), kind = slots[i], rng.choice(("swap", "loop", "move", "drop"))
+    if kind == "loop":
+        t[i] = s
+        return np.array(t)
+    if kind == "drop":  # the reverse (t[i], s) of edge i gets another target
+        pick = [k for k, (_, v) in enumerate(slots) if v == t[i] and t[k] == s]
+        j = rng.choice(pick)
+        t[j] = rng.choice([v for v in range(n) if v != s] or [s])
+        return np.array(t)
+    if kind == "swap":
+        pick = [k for k, (x, _) in enumerate(slots) if x == lab]
+    else:
+        pick = ([k for k, (x, v) in enumerate(slots) if x != lab and v == s]
+                or [k for k, (x, _) in enumerate(slots) if x != lab] or [i])
+    j = rng.choice(pick)
+    t[i], t[j] = t[j], t[i]
+    return np.array(t)
+
+
+def test_edge_checks_agree_with_a_set_model(tmp_path):
+    """Saved indexes of the `_families()` databases and of three larger ones get
+    random single edits of their stored targets (`_edit_targets`), with the
+    checksum redone.  A load refuses each edited file with exactly the text
+    of `_edges_verdict`, a set-based model of the edge checks, or loads it
+    when the model finds nothing wrong; every verdict is met."""
+    rng = random.Random(2707)
+    dbs = [*_families().values(), multirel_db(copies=100), random_db(random.Random(7), 60, 900), tree_db(8)]
+    path, verdicts, stored = tmp_path / "edited.ccqx", [], 0
+    for db in dbs:
+        save_index(build_index(db), str(path))
+        meta, block, arrays, _ = _read_file(path.read_bytes())
+        if not len(arrays["targets"]):
+            continue
+        meta = {k: v for k, v in meta.items() if k != "arrays"}
+        slots, targets = _slots(arrays), arrays["targets"].tolist()
+        stored += len(targets)
+        for _ in range(120):
+            edited = {**arrays, "targets": _edit_targets(rng, slots, targets, len(arrays["order"]))}
+            want = _edges_verdict(meta, edited)
+            verdicts.append(want)
+            _write_file(path, meta, block, edited)
+            if want is None:
+                assert load_index(str(path)).g.n == len(arrays["order"])
+            else:
+                with pytest.raises(ColorcqError) as err:
+                    load_index(str(path))
+                assert str(err.value) == f"{path}: {want}"
+    assert stored > 2000 and set(verdicts) == {
+        None, "corrupt edges (a loop edge)", "corrupt edges (a label's edges not ascending by source, target)",
+        "corrupt edges (an edge's reverse not stored under the dual label)"}
+
+
+def test_load_peak_memory_is_near_what_the_index_keeps(tmp_path):
+    """A load makes few temporaries: on the index of a 50,000-vertex cycle,
+    the peak of the memory it allocates stays under 1.75 times the memory
+    the loaded index keeps."""
+    path = tmp_path / "cycle.ccqx"
+    save_index(build_index(cycle_db(50_000)), str(path))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        idx = load_index(str(path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert idx.g.n == 50_000 and peak < 1.75 * kept, (peak, kept)
 
 
 def test_checksum_mismatch_is_refused(tmp_path):
