@@ -17,7 +17,7 @@ from .model import (
     parse_query,
 )
 from .graph import EdgeLabel, LabeledGraph, Sigma1, build_labeled_graph, encode_self_loops
-from .refine import Coloring, default_backend, is_stable, naive_refine, refine
+from .refine import Coloring, default_backend, refine
 from .index import ColorIndex, build_index, index_stats, load_index, save_index
 from .frontend import (
     FcCheck,
@@ -54,8 +54,6 @@ __all__ = [
     "encode_self_loops",
     "Coloring",
     "default_backend",
-    "is_stable",
-    "naive_refine",
     "refine",
     "ColorIndex",
     "build_index",

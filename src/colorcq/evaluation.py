@@ -318,6 +318,10 @@ def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[
     d1, s1 = encode_self_loops(db)
     size = len(db.constants)
 
+    def facts(sym: str | None, arity: int) -> np.ndarray:
+        """`sym`'s rows in d1; none where d1 lacks `sym` or gives it another arity."""
+        return d1.array(sym) if d1.schema._arity.get(sym) == arity else np.zeros((0, arity), np.int64)
+
     def has(ids: np.ndarray) -> np.ndarray:
         out = np.zeros(size, bool)
         out[ids] = True
@@ -327,10 +331,10 @@ def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[
         """(a, b) with el(a, b) ⊇ λ, plus (a, a) where a loops over all of λ."""
         keys = loops = None
         for r, d in label_of(lid).pairs:
-            rows = d1.array(r)
+            rows = facts(r, 2)
             k = rows[:, 1] * size + rows[:, 0] if d == BWD else rows[:, 0] * size + rows[:, 1]
             keys = k if keys is None else np.intersect1d(keys, k)
-            lp = d1.array(s1.loop_symbol[r])[:, 0]
+            lp = facts(s1.loop_symbol.get(r), 1)[:, 0]
             loops = lp if loops is None else np.intersect1d(loops, lp)
         keys = np.union1d(keys, loops * (size + 1))
         return pair_rows(keys // size, keys % size, None, size)
@@ -338,7 +342,7 @@ def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[
     adom = has(db.adom_ids())
     runs = []
     for comp in plan.components:
-        cand0 = [np.logical_and.reduce([adom, *(has(d1.array(u)[:, 0]) for u in us)])
+        cand0 = [np.logical_and.reduce([adom, *(has(facts(u, 1)[:, 0]) for u in us)])
                  for us in comp.unary]
         runs.append(prepare_tree(comp, cand0, [None, *map(const_pairs, comp.label[1:])]))
     yield from _odometer(runs, plan.head_slots, _Steps())

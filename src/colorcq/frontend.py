@@ -2,20 +2,21 @@
 
 A conjunctive query over a binary schema is answerable here iff its Gaifman
 graph is a forest and, within every connected component, the free variables
-induce a connected (or empty) subgraph.  Accepted queries are decomposed into
-connected components, rewritten loop-free, and each component gets a rooted
-tree with a total variable order, per-variable unary labels λ_x, per-tree-edge
-labels λ_e, and the colour-level query Q_col that drives the index.
+induce a connected (or empty) subgraph.  A `ConjunctiveQuery`, parsed or built
+by hand, builds that graph and the unary and loop symbols per variable in its
+constructor's one pass over the atoms.  `plan_query` checks arities against its
+own schema and walks the graph once: an accepted query is split into components,
+rewritten loop-free, each with a rooted tree, a variable order, labels λ_x and
+λ_e, and the colour-level query Q_col that drives the index.
 """
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 
-from .graph import BWD, FWD, EdgeLabel, Sigma1, e_symbol, label_id, label_of, sigma1_for
-from .model import Atom, ColorcqError, ConjunctiveQuery, Schema, SchemaError
+from .graph import EdgeLabel, Sigma1, e_symbol, label_id, label_of, sigma1_for
+from .model import _NO_SYMBOLS, Atom, ColorcqError, ConjunctiveQuery, Schema, SchemaError
 
 
 class QueryRejected(ColorcqError):
@@ -37,40 +38,10 @@ class FcCheck:
         return self.accepted
 
 
-# variable -> adjacent variable -> the sorted label pairs of that edge
-Adjacency = dict[str, dict[str, list[tuple[str, str]]]]
-_NO_SYMBOLS: frozenset[str] = frozenset()
-
-
-def _scan(q: ConjunctiveQuery, s1: Sigma1 | None = None):
-    """One pass over q's distinct atoms: the Gaifman adjacency, keyed in order
-    of first appearance, where R(x,y) adds (R,+) to edge (x, y) and (R,-) to
-    (y, x); and, given `s1`, per variable its unary symbols, where R(x,x)
-    adds the loop symbol S_R.  Given `s1`, arities are checked against it."""
-    adj: Adjacency = {v: {} for v in q.variables()}
-    unary: dict[str, frozenset[str]] = {}
-    arity = None if s1 is None else s1.base._arity
-    for a in dict.fromkeys(q.atoms):
-        rel, args = a
-        n = len(args)
-        if arity is not None and arity.get(rel) != n:
-            ar = s1.base.arity(rel)  # raises SchemaError on unknown symbols
-            raise SchemaError(f"atom {a} uses {rel} with arity {n}, schema says {ar}")
-        if n == 2 and args[0] != args[1]:
-            x, y = args
-            insort(adj[x].setdefault(y, []), (rel, FWD))
-            insort(adj[y].setdefault(x, []), (rel, BWD))
-        elif arity is not None:
-            x = args[0]
-            unary[x] = unary.get(x, _NO_SYMBOLS) | {rel if n == 1 else s1.loop_symbol[rel]}
-    return adj, unary
-
-
-def _dfs(adj: Adjacency, start: str, within, parent: dict[str, str | None]):
-    """Depth-first search from `start` through the variables in `within`,
-    neighbours in sorted order, recording each visited variable's tree
-    parent in `parent`.  Returns the closed walk of the first cycle met, or
-    None once all is visited."""
+def _dfs(adj: dict[str, dict], start: str, within, parent: dict[str, str | None]):
+    """Depth-first search from `start` through the variables in `within`, in
+    sorted order, recording each visited variable's tree parent in `parent`;
+    returns the closed walk of the first cycle met, or None."""
     parent[start] = None
     stack = [(start, iter(sorted(adj[start])))]
     while stack:
@@ -78,11 +49,9 @@ def _dfs(adj: Adjacency, start: str, within, parent: dict[str, str | None]):
         for w in it:
             if w == parent[v] or w not in within:
                 continue
-            if w in parent:  # back edge: w is an ancestor of v on the stack
-                path = [v]
-                while path[-1] != w:
-                    path.append(parent[path[-1]])
-                return tuple(reversed(path)) + (w,)
+            if w in parent:  # back edge: w is an ancestor of v, so on the stack
+                path = [u for u, _ in stack]
+                return (*path[path.index(w):], w)
             parent[w] = v
             stack.append((w, iter(sorted(adj[w]))))
             break
@@ -97,21 +66,19 @@ def check_free_connex_acyclic(q: ConjunctiveQuery) -> FcCheck:
     first cycle met, else the first component, by first variable, whose least
     free variable does not reach all its free variables through free ones.
     `plan_query` calls it only to explain a rejection."""
-    adj = _scan(q)[0]
     comps: list[dict[str, str | None]] = []
     seen: set[str] = set()
-    for v in adj:
+    for v in q.adj:
         if v not in seen:
             comps.append({})
-            cycle = _dfs(adj, v, adj, comps[-1])
+            cycle = _dfs(q.adj, v, q.adj, comps[-1])
             if cycle is not None:
                 return FcCheck(False, "Gaifman graph has a cycle: " + "-".join(cycle), cycle=cycle)
             seen.update(comps[-1])
-    free = set(q.head)
     for comp in comps:
-        fv, reached = sorted(free.intersection(comp)), {}
+        fv, reached = sorted(q.free.intersection(comp)), {}
         if fv:
-            _dfs(adj, fv[0], free, reached)
+            _dfs(q.adj, fv[0], q.free, reached)
         bad = [w for w in fv if w not in reached]
         if bad:
             return FcCheck(False, f"free variables {fv[0]} and {bad[0]} are connected only "
@@ -119,8 +86,7 @@ def check_free_connex_acyclic(q: ConjunctiveQuery) -> FcCheck:
     return FcCheck(True)
 
 
-# not frozen: a frozen dataclass sets each field through object.__setattr__,
-# which cost ~2.5 µs of a ~20 µs plan_query; plans are not changed once built
+# not frozen (object.__setattr__ per field cost ~2.5 µs); plans are not changed once built
 @dataclass
 class PlanComponent:
     """One connected component, rooted and ordered, with its colour query.
@@ -138,7 +104,7 @@ class PlanComponent:
     order: tuple[str, ...]
     free_prefix: tuple[str, ...]
     parent: tuple[int, ...] = field(repr=False)
-    children: tuple[tuple[int, ...], ...] = field(repr=False)
+    children: tuple[list[int], ...] = field(repr=False)
     unary: tuple[frozenset[str], ...] = field(repr=False)
     label: tuple[int, ...] = field(repr=False)
     source: ConjunctiveQuery = field(repr=False)
@@ -187,50 +153,55 @@ class QueryPlan:
 
 
 def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
-    """Validate, decompose, rewrite and plan q; raises QueryRejected/SchemaError.
-
-    One pass over the atoms, then one BFS per component, which visits free
-    variables before quantified ones and breaks ties lexicographically; it
-    fixes the order of enumeration.  Free components come first, in order of
-    and rooted at their first head variable, then Boolean ones, rooted at
-    their least variable.  q is acyclic iff its Gaifman graph has |V| -
-    #components edges, and then free-connex iff each BFS visits its free
-    variables first.  Only a rejected query is walked again, for the witness.
-    """
+    """Check, decompose, rewrite and plan q; raises QueryRejected/SchemaError.
+    One BFS per component visits free variables first, ties broken by name.
+    Free components come first, in head order and rooted at their first head
+    variable, then Boolean ones, rooted at their least variable.  q is acyclic
+    iff no BFS reaches a variable twice, and then free-connex iff each BFS
+    visits its free variables first; only a rejected query is walked again."""
+    for a in q.atoms:
+        if schema._arity.get(a[0]) != len(a[1]):
+            ar = schema.arity(a[0])  # raises SchemaError on unknown symbols
+            raise SchemaError(f"atom {a} uses {a[0]} with arity {len(a[1])}, schema says {ar}")
     s1 = sigma1_for(schema)
-    adj, unary = _scan(q, s1)
-    free = set(q.head)
+    adj, unary, free = q.adj, q.unary, q.free
+    for x, rels in q.loops.items():  # R(x,x) is the unary atom S_R(x) of Σ1
+        unary = {**unary, x: unary.get(x, _NO_SYMBOLS).union(map(s1.loop_symbol.__getitem__, rels))}
     components: list[PlanComponent] = []
     slot: dict[str, tuple[int, int]] = {}  # variable -> (component, rank)
-    connex = True
-    for root in (*q.head, *sorted(adj)):
-        if root in slot:
-            continue
-        ci = len(components)
-        order, parent, kids, lambda_x, label = [], [], [], [], [-1]
-        up = {root: -1}  # visited variable -> its parent's rank
-        qf, qq = ([root], []) if root in free else ([], [root])
-        while qf or qq:
-            x = heappop(qf or qq)
-            r = len(order)
-            slot[x] = (ci, r)
-            order.append(x)
-            lambda_x.append(unary.get(x, _NO_SYMBOLS))
-            kids.append([])
-            parent.append(p := up[x])
-            if p >= 0:
-                kids[p].append(r)
-                label.append(label_id(tuple(adj[order[p]][x])))
-            for y in adj[x]:
-                if y not in up:
-                    up[y] = r
-                    heappush(qf if y in free else qq, y)
-        n_free = len(free.intersection(order))
-        connex = connex and free.issuperset(order[:n_free])
-        components.append(PlanComponent(  # positional: keywords cost ~0.4 µs a call
-            root, tuple(order), tuple(order[:n_free]), tuple(parent), tuple(map(tuple, kids)),
-            tuple(lambda_x), tuple(label), q, s1))
-    if not connex or sum(map(len, adj.values())) != 2 * (len(adj) - len(components)):
+    roots, free_first, acyclic = q.head or sorted(adj), True, True
+    while roots:
+        for root in roots:
+            if root in slot:
+                continue
+            ci = len(components)
+            order, parent, kids, lambda_x, label = [], [], [], [], [-1]
+            up = {root: -1}  # visited variable -> its parent's rank
+            qf, qq = ([root], []) if root in free else ([], [root])
+            while qf or qq:
+                x = heappop(qf or qq)
+                r = len(order)
+                slot[x] = (ci, r)
+                order.append(x)
+                lambda_x.append(unary.get(x, _NO_SYMBOLS))
+                kids.append([])
+                parent.append(p := up[x])
+                if p >= 0:
+                    kids[p].append(r)
+                    label.append(label_id(adj[order[p]][x]))
+                for y in adj[x]:
+                    if y not in up:
+                        up[y] = r
+                        heappush(qf if y in free else qq, y)
+                    elif y != order[p]:  # y reached twice (never at the root): a cycle
+                        acyclic = False
+            prefix = tuple(order[:len(free.intersection(order))])
+            free_first = free_first and free.issuperset(prefix)
+            components.append(PlanComponent(  # positional: keywords cost ~0.4 µs a call
+                root, tuple(order), prefix, tuple(parent), tuple(kids),
+                tuple(lambda_x), tuple(label), q, s1))
+        roots = sorted(adj) if roots is q.head and len(slot) < len(adj) else ()
+    if not (free_first and acyclic):
         raise QueryRejected(check_free_connex_acyclic(q).diagnostic)
     return QueryPlan(q, s1, tuple(components), tuple(map(slot.__getitem__, q.head)))
 

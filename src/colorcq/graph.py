@@ -15,10 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import Database, Schema
+from .model import BWD, FWD, Database, Schema
 
-FWD = "+"
-BWD = "-"
 _DUAL_DIR = {FWD: BWD, BWD: FWD}
 
 
@@ -51,23 +49,25 @@ class EdgeLabel:
 
 # the process-wide intern table: canonical pairs -> id -> label, one entry
 # per distinct label ever named
-_LABEL_IDS: dict[tuple[tuple[str, str], ...], int] = {}
 _LABELS: list[EdgeLabel] = []
 _INTERN = threading.Lock()
 label_of = _LABELS.__getitem__  # the label of an id
 
 
-def label_id(pairs: tuple[tuple[str, str], ...]) -> int:
-    """The int id of the label of `pairs` (sorted, distinct), the same on every
-    schema, Σ1 and index: plans and index memos key on it, not on labels."""
-    lid = _LABEL_IDS.get(pairs)
-    if lid is None:
+class _LabelIds(dict):
+    def __missing__(self, pairs: tuple[tuple[str, str], ...]) -> int:
         with _INTERN:
-            lid = _LABEL_IDS.get(pairs)
+            lid = self.get(pairs)
             if lid is None:  # list the label before its id is published
                 _LABELS.append(EdgeLabel(pairs))
-                lid = _LABEL_IDS[pairs] = len(_LABELS) - 1
-    return lid
+                lid = self[pairs] = len(_LABELS) - 1
+        return lid
+
+
+# the int id of the label of `pairs` (sorted, distinct), the same on every
+# schema, Σ1 and index: plans and index memos key on it, not on labels; warm,
+# one dict get
+label_id = _LabelIds().__getitem__
 
 
 class _Duals(dict):

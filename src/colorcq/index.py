@@ -264,10 +264,15 @@ class ColorIndex:
         at = t.lo[j] + self.coloring.rank[v] * t.stride[j]
         return t.nbr[at:at + t.own[j]].tolist()
 
-    def _make_flags(self, symbols: frozenset[str]) -> np.ndarray:
-        """Read-only per-colour flags: do the class members carry every symbol?"""
-        need = sum(1 << self.g._uidx[u] for u in symbols)  # the `label_masks` bits of the set
-        has = np.array([m & need == need for m in self.g.label_masks], dtype=bool)
+    def _make_flags(self, symbols: frozenset[str | None]) -> np.ndarray:
+        """Read-only per-colour flags: do the class members carry every symbol?
+        No class carries a symbol that is not a unary symbol of the index's Σ1."""
+        uidx = self.g._uidx
+        if symbols <= uidx.keys():
+            need = sum(1 << uidx[u] for u in symbols)  # the `label_masks` bits of the set
+            has = np.array([m & need == need for m in self.g.label_masks], dtype=bool)
+        else:
+            has = np.zeros(len(self.g.label_masks), dtype=bool)
         arr = has[self._color_vl]
         arr.flags.writeable = False
         return arr
@@ -275,9 +280,11 @@ class ColorIndex:
     def loop_cover_array(self, lab: EdgeLabel) -> np.ndarray:
         """Per-color flags: does every class member carry a self-loop for every
         relation mentioned in λ?  Such a vertex is its own λ-superset neighbour
-        under the loop-augmented semantics used by the evaluation layer.
+        under the loop-augmented semantics used by the evaluation layer.  A
+        relation that is not binary in the index has no loop symbol (None), so
+        no class loops over it.
         """
-        return self.unary_colors[frozenset(self.s1.loop_symbol[r] for r, _ in lab.pairs)]
+        return self.unary_colors[frozenset(self.s1.loop_symbol.get(r) for r, _ in lab.pairs)]
 
 
 def _merge_rows(parts, ncol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 from typing import Iterable, NamedTuple, NoReturn, TextIO
 
 import numpy as np
@@ -355,31 +353,58 @@ class Atom(NamedTuple):
         return f"{self.rel}({','.join(self.args)})"
 
 
-_ARGS = attrgetter("args")
+FWD, BWD = "+", "-"  # the directions of the (symbol, direction) pairs of edge labels
+_NO_SYMBOLS: frozenset[str] = frozenset()
+_ONE: dict[str, tuple] = {}  # relation R -> its one-pair labels ((R,+),) and ((R,-),), shared
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, unsafe_hash=True)  # equal and hashed by head and atoms
 class ConjunctiveQuery:
-    """`Ans(head) <- atoms` with set semantics; every argument is a variable."""
+    """`Ans(head) <- atoms` with set semantics; every argument is a variable.
 
+    Its one pass over the atoms builds what planning reads: `adj`, the Gaifman
+    graph by variable in order of first appearance, where R(x,y) puts (R,+) on
+    edge (x, y) and (R,-) on (y, x) (an edge's pairs form a sorted tuple), and
+    per variable the symbols of its unary atoms (`unary`) and of its loop atoms
+    R(x,x) (`loops`); `free` is the set of head variables.  A query is not
+    changed once built."""
+
+    __slots__ = ("head", "atoms", "adj", "unary", "loops", "free")
     head: tuple[str, ...]
     atoms: tuple[Atom, ...]
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __init__(self, head: tuple[str, ...], atoms: tuple[Atom, ...]):
+        if not atoms:
             raise ParseError("query needs at least one atom")
-        body = dict.fromkeys(chain.from_iterable(map(_ARGS, self.atoms)))
-        object.__setattr__(self, "_variables", tuple(body))  # computed once, read by the planner
-        head = set(self.head)
-        if len(head) != len(self.head):
-            raise ParseError(f"repeated variable in head {self.head}")
-        if not body.keys() >= head:
-            missing = [v for v in self.head if v not in body]
+        self.head, self.atoms = head, atoms
+        self.adj, self.unary, self.loops = adj, unary, loops = {}, {}, {}
+        for rel, args in atoms:
+            n = len(args)
+            if n == 2 and args[0] != args[1]:
+                x, y = args
+                ax, ay = adj.setdefault(x, {}), adj.setdefault(y, {})
+                pairs = ax.get(y)
+                if pairs is None:
+                    ax[y], ay[x] = _ONE.get(rel) or _ONE.setdefault(rel, (((rel, FWD),), ((rel, BWD),)))
+                elif (rel, FWD) not in pairs:
+                    ax[y] = tuple(sorted((*pairs, (rel, FWD))))
+                    ay[x] = tuple(sorted((*ay[x], (rel, BWD))))
+                continue
+            for v in args:
+                adj.setdefault(v, {})
+            if n in (1, 2):
+                sym = unary if n == 1 else loops
+                sym[args[0]] = sym.get(args[0], _NO_SYMBOLS) | {rel}
+        self.free = free = frozenset(head)
+        if len(free) != len(head):
+            raise ParseError(f"repeated variable in head {head}")
+        if not adj.keys() >= free:
+            missing = [v for v in head if v not in adj]
             raise ParseError(f"head variable(s) {missing} do not occur in the body")
 
     def variables(self) -> tuple[str, ...]:
         """The variables in order of first appearance in the atoms."""
-        return self._variables
+        return tuple(self.adj)
 
     @property
     def is_boolean(self) -> bool:
@@ -389,36 +414,33 @@ class ConjunctiveQuery:
         return f"Ans({','.join(self.head)}) <- {', '.join(map(str, self.atoms))}."
 
 
-_NAME, _VAR = NAME_RE.pattern, VAR_RE.pattern
-_ATOM_RE = re.compile(rf"({_NAME})\s*\(\s*({_VAR})\s*(?:,\s*({_VAR})\s*)?\)")
-# the grammar of a query, with the atoms of _ATOM_RE uncaptured.  Each `\s*`
-# stands before a character that cannot be whitespace, so a match that fails
-# backtracks in linear time.
-_QUERY_RE = re.compile(
-    rf"\s*Ans\s*\(\s*((?:{_VAR}\s*(?:,\s*{_VAR}\s*)*)?)\)\s*<-(?:\s*,)?((?:\s*{_NAME}"
-    rf"\s*\(\s*{_VAR}\s*(?:,\s*{_VAR}\s*)?\)(?:\s*,)?)+)\s*(?:\.\s*)?"
-)
+_NAME, _VAR = NAME_RE.pattern + "+", VAR_RE.pattern + "+"
+# the grammar of a query, one match per atom (the first with the head); an atom's
+# last group is set when the text ends after it.  No `*+` stands before a character
+# it matches, so making it possessive (no backtracking into it) changes no match.
+_ATOM = rf"\s*+({_NAME})\s*+\(\s*+({_VAR})\s*+(?:,\s*+({_VAR})\s*+)?\)(?:\s*+,)?(\s*+(?:\.\s*+)?\Z)?"
+_FIRST_ATOM_RE = re.compile(
+    rf"\s*+Ans\s*+\(\s*+((?:{_VAR}\s*+(?:,\s*+{_VAR}\s*+)*)?)\)\s*+<-(?:\s*+,)?{_ATOM}")
+_ATOM_RE = re.compile(_ATOM)
 
 
 def parse_query(text: str, schema: Schema | None = None) -> ConjunctiveQuery:
-    """Parse `Ans(v1,...,vk) <- A1, ..., Ad.` into a ConjunctiveQuery.
-
-    One match checks the text against the grammar, and the atoms are read
-    off the body as (relation, variables) tuples.  Identical atoms are
-    deduplicated.  When a schema is given, relation symbols and arities are
-    checked against it.
-    """
-    m = _QUERY_RE.fullmatch(text)
-    if m is None:
-        _raise_first_error(text, schema)
+    """Parse `Ans(v1,...,vk) <- A1, ..., Ad.` into a ConjunctiveQuery, one
+    match per atom.  Identical atoms are deduplicated.  When a schema is
+    given, relation symbols and arities are checked against it."""
+    m = a = _FIRST_ATOM_RE.match(text)
     arity = None if schema is None else schema._arity
-    atoms = []
-    for rel, x, y in dict.fromkeys(_ATOM_RE.findall(text, *m.span(2))):
+    atoms: dict[Atom, None] = {}
+    while a is not None:
+        rel, x, y, end = a.groups()[-4:]
         args = (x, y) if y else (x,)
         if arity is not None and arity.get(rel) != len(args):
-            _raise_first_error(text, schema)
-        atoms.append(tuple.__new__(Atom, (rel, args)))
-    return ConjunctiveQuery(head=tuple(m[1].replace(",", " ").split()), atoms=tuple(atoms))
+            break
+        atoms[tuple.__new__(Atom, (rel, args))] = None
+        if end is not None:
+            return ConjunctiveQuery(tuple(m[1].replace(",", " ").split()), tuple(atoms))
+        a = _ATOM_RE.match(text, a.end())
+    _raise_first_error(text, schema)
 
 
 _HEAD_RE = re.compile(r"\s*Ans\s*\(([^()]*)\)\s*<-\s*")

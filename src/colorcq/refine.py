@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EdgeLabel, LabeledGraph, _bounds, _pack, _ranges
+from .graph import LabeledGraph, _bounds, _pack, _ranges
 from .model import ColorcqError
 
 
@@ -153,59 +153,3 @@ def refine(g: LabeledGraph) -> Coloring:
         size[ncol:ncol + len(new_size)] = new_size
         ncol += len(new_size)
     return _as_coloring(color)
-
-
-def _signature(g: LabeledGraph, colors: np.ndarray, v: int) -> dict[tuple[int, int], int]:
-    sig: dict[tuple[int, int], int] = {}
-    for e in range(g.indptr[v], g.indptr[v + 1]):
-        key = (int(g.elab[e]), int(colors[g.nbr[e]]))
-        sig[key] = sig.get(key, 0) + 1
-    return sig
-
-
-def is_stable(
-    g: LabeledGraph, colors: np.ndarray
-) -> tuple[bool, tuple[int, int, EdgeLabel | None, int | None] | None]:
-    """Check stability; on failure return a witness (v, w, label, colour).
-
-    A `None` label in the witness means v and w disagree on vertex labels
-    rather than on neighbour counts.
-    """
-    rep: dict[int, int] = {}
-    rep_sig: dict[int, dict[tuple[int, int], int]] = {}
-    for v in range(g.n):
-        c = int(colors[v])
-        if c not in rep:
-            rep[c] = v
-            rep_sig[c] = _signature(g, colors, v)
-            continue
-        w = rep[c]
-        if g.vl_id[v] != g.vl_id[w]:
-            return False, (w, v, None, None)
-        sig_v = _signature(g, colors, v)
-        sig_w = rep_sig[c]
-        for key in sig_v.keys() | sig_w.keys():
-            if sig_v.get(key, 0) != sig_w.get(key, 0):
-                lab_id, target = key
-                return False, (w, v, g.labels[lab_id], target)
-    return True, None
-
-
-def naive_refine(g: LabeledGraph) -> Coloring:
-    """Fixpoint iteration with explicit signatures; reference implementation."""
-    colors, ncol = g.vl_id.tolist(), len(g.label_masks)
-    while True:
-        sigs = []
-        for v in range(g.n):
-            items = sorted(
-                (int(g.elab[e]), colors[g.nbr[e]])
-                for e in range(g.indptr[v], g.indptr[v + 1])
-            )
-            sigs.append((colors[v], tuple(items)))
-        ranks: dict[tuple, int] = {}
-        for s in sorted(set(sigs)):
-            ranks[s] = len(ranks)
-        if len(ranks) == ncol:
-            return _as_coloring(np.array(colors, dtype=np.int64))
-        colors = [ranks[s] for s in sigs]
-        ncol = len(ranks)

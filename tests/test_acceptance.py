@@ -22,7 +22,7 @@ from colorcq.graph import EdgeLabel
 from colorcq.index import build_index, index_stats
 from colorcq.model import Atom, ConjunctiveQuery, Schema, parse_query
 from colorcq.oracle import naive_eval
-from colorcq.refine import naive_refine, refine
+from colorcq.refine import refine
 
 from .conftest import (
     color_of_name,
@@ -38,6 +38,7 @@ from .conftest import (
     tuples,
     vl_mask,
 )
+from .reference import naive_refine
 from .test_refine import _refines, _set_partitions, _stable_partition
 
 

@@ -541,6 +541,40 @@ def test_plans_on_an_equal_schema_give_the_same_answers():
         assert list(EnumerationSession(idx, theirs)) == list(EnumerationSession(idx, mine))
 
 
+def test_symbols_the_index_lacks_are_held_by_no_class(tmp_path):
+    """A plan made on a schema with symbols the index lacks, or that gives one
+    of its names another arity, gets the answers `naive_eval` gives (a
+    relation absent from the data has no facts), on a built and a loaded
+    index and from `cde_fc_acq`; an unknown name is never read as the index's
+    symbol of the same name and another arity."""
+    extra = Schema([("R", 2), ("U", 1), ("T", 2), ("W", 1)])
+    clash = Schema([("R", 2), ("U", 2)])
+    cases = [(extra, text) for text in (
+        "Ans(x) <- W(x), R(x,y).", "Ans(x) <- R(x,y), T(x,y).", "Ans(x) <- R(x,y), T(y,y).",
+        "Ans() <- T(x,y).", "Ans(x,y) <- T(x,y).", "Ans() <- W(x).", "Ans(x) <- U(x), R(x,y).",
+    )] + [(clash, text) for text in (
+        "Ans(x) <- R(x,y), U(x,y).", "Ans(x) <- R(x,y), U(y,y).", "Ans(x,y) <- U(x,y).",
+        "Ans() <- U(x,x).",
+    )] + [(Schema([("R", 2), ("U", 1)]), "Ans(x) <- U(x), R(x,y).")]
+    nonzero = 0
+    for i, facts in enumerate(("R(a,b)\nR(b,c)\nR(c,c)\nR(c,a)\nU(a)\nU(c)\n", "R(a,b)\nR(b,c)\n")):
+        db = load_database(facts)  # the second has no U at all
+        built = build_index(db)
+        save_index(built, str(tmp_path / f"{i}.idx"))
+        for schema, text in cases:
+            q = parse_query(text, schema)
+            plan = plan_query(q, schema)
+            want = naive_eval(db, q)
+            nonzero += bool(want)
+            for idx in (built, load_index(str(tmp_path / f"{i}.idx"))):
+                assert count_answers(idx, plan) == len(want), text
+                if q.is_boolean:
+                    assert eval_boolean(idx, plan) == bool(want), text
+                assert set(EnumerationSession(idx, plan)) == want, text
+            assert set(cde_fc_acq(db, plan)) == want, text
+    assert nonzero == 2
+
+
 def test_next_and_for_read_one_stream():
     """`next(sess)` and `for t in sess` advance the same stream, which equals
     `list(EnumerationSession(...))`."""

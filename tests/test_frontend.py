@@ -12,7 +12,6 @@ import pytest
 import colorcq
 from colorcq.frontend import (
     QueryRejected,
-    _scan,
     check_free_connex_acyclic,
     explain_plan,
     plan_query,
@@ -32,7 +31,7 @@ def test_cycle_is_rejected_with_witness():
     assert not chk
     assert chk.diagnostic == "Gaifman graph has a cycle: x-y-z-x"
     assert chk.cycle == ("x", "y", "z", "x")
-    adj = _scan(_q("Ans() <- R(x,y), R(y,z), R(z,x)."))[0]
+    adj = _q("Ans() <- R(x,y), R(y,z), R(z,x).").adj
     for a, b in zip(chk.cycle, chk.cycle[1:]):
         assert b in adj[a]
 
@@ -188,6 +187,54 @@ def _random_query(rng: random.Random) -> ConjunctiveQuery:
     seen = sorted({v for a in atoms for v in a.args})
     head = tuple(rng.sample(seen, rng.randint(0, min(3, len(seen)))))
     return ConjunctiveQuery(head=head, atoms=tuple(atoms))
+
+
+def test_hand_built_and_parsed_queries_plan_alike():
+    """Construction builds the Gaifman graph the same way for either kind of
+    query: each of the 2,000 seeded random queries, built by hand with its
+    atoms shuffled and some repeated, plans field by field as its text does
+    once parsed, or is rejected with the same diagnostic."""
+    rng, mix = random.Random(2026), random.Random(2027)
+    planned = 0
+    for _ in range(2000):
+        q = _random_query(rng)
+        atoms = [*q.atoms, *mix.choices(q.atoms, k=mix.randint(0, 2))]
+        mix.shuffle(atoms)
+        built = ConjunctiveQuery(head=q.head, atoms=tuple(atoms))
+        parsed = parse_query(str(built), RS)
+        try:
+            mine = plan_query(built, RS)
+        except QueryRejected as e:
+            with pytest.raises(QueryRejected) as theirs:
+                plan_query(parsed, RS)
+            assert theirs.value.diagnostic == e.diagnostic
+            continue
+        theirs = plan_query(parsed, RS)
+        assert mine.head_slots == theirs.head_slots
+        for a, b in zip(mine.components, theirs.components, strict=True):
+            for name in ("order", "parent", "children", "unary", "label"):
+                assert getattr(a, name) == getattr(b, name), (str(built), name)
+        planned += 1
+    assert planned > 1000
+
+
+def test_plan_checks_arities_against_its_own_schema():
+    """A query parsed with no schema, or against one with other arities, is
+    checked by `plan_query` against the schema it is given; the first atom
+    that disagrees is named."""
+    other = Schema([("R", 1), ("S", 2), ("U", 2)])
+    for text, schema, msg in (
+        ("Ans(x) <- R(x), S(x,y).", None, "atom R(x) uses R with arity 1, schema says 2"),
+        ("Ans() <- R(x,y), R(x).", None, "atom R(x) uses R with arity 1, schema says 2"),
+        ("Ans() <- S(x,y), T(y,z).", None, "unknown relation symbol 'T'"),
+        ("Ans() <- T(x), R(x), S(x,y).", None, "unknown relation symbol 'T'"),
+        ("Ans(x) <- U(x,y), R(x).", other, "atom U(x,y) uses U with arity 2, schema says 1"),
+        ("Ans(x) <- S(x,y), R(y).", other, "atom R(y) uses R with arity 1, schema says 2"),
+    ):
+        q = parse_query(text, schema)
+        with pytest.raises(SchemaError) as exc:
+            plan_query(q, RS)
+        assert str(exc.value) == msg
 
 
 def test_unary_and_loop_atoms_never_decide_acceptance():

@@ -10,8 +10,8 @@ PUBLIC = [
     "QueryRejected", "Schema", "SchemaError", "Sigma1", "__version__", "build_index",
     "build_labeled_graph", "cde_fc_acq", "check_free_connex_acyclic", "count_answers",
     "default_backend", "encode_self_loops", "eval_boolean", "explain_plan", "index_stats",
-    "is_stable", "load_database", "load_index", "naive_count", "naive_eval", "naive_refine",
-    "parse_query", "plan_query", "refine", "save_index",
+    "load_database", "load_index", "naive_count", "naive_eval", "parse_query", "plan_query",
+    "refine", "save_index",
 ]
 
 

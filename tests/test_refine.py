@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from colorcq.model import ColorcqError, Database, Schema
-from colorcq.refine import _as_coloring, _key_width, _pack, is_stable, naive_refine, refine
+from colorcq.refine import _as_coloring, _key_width, _pack, refine
 
 from .conftest import (
     cycle_db,
@@ -21,6 +21,7 @@ from .conftest import (
     vertex,
     vl_mask,
 )
+from .reference import is_stable, naive_refine
 
 
 def movie_partition_names(db, coloring):
