@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .frontend import PlanComponent, QueryPlan, plan_query
-from .graph import BWD, _ranges, dual_of, encode_self_loops, label_of
+from .graph import BWD, _ranges, dual_of, label_of
 from .index import ColorIndex, PairRows, pair_rows
 from .model import ColorcqError, ConjunctiveQuery, Database
 
@@ -311,38 +311,39 @@ def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[
     the same semi-join sweep per component, over constant ids, then the same
     odometer over the free prefixes, yielding constant-id tuples in head order.
 
-    Linear-time preprocessing, O(k) delay; standard CQ semantics including
-    answers that map adjacent variables onto a looping constant.
+    Preprocessing sorts the rows it intersects, so it takes O(|D| log |D|)
+    time; O(k) delay; standard CQ semantics including answers that map
+    adjacent variables onto a looping constant.
     """
     plan = q if isinstance(q, QueryPlan) else plan_query(q, db.schema)
-    d1, s1 = encode_self_loops(db)
     size = len(db.constants)
 
-    def facts(sym: str | None, arity: int) -> np.ndarray:
-        """`sym`'s rows in d1; none where d1 lacks `sym` or gives it another arity."""
-        return d1.array(sym) if d1.schema._arity.get(sym) == arity else np.zeros((0, arity), np.int64)
+    def facts(sym: str, arity: int) -> np.ndarray:
+        """`sym`'s rows in db; none where db lacks `sym` or gives it another arity."""
+        return db.array(sym) if db.schema._arity.get(sym) == arity else np.zeros((0, arity), np.int64)
 
     def has(ids: np.ndarray) -> np.ndarray:
         out = np.zeros(size, bool)
         out[ids] = True
         return out
 
+    def holds(atom: tuple[str, int]) -> np.ndarray:
+        """The constants a λ_x atom holds on: U's rows for (U, 1), R's diagonal for (R, 2)."""
+        rows = facts(*atom)
+        return has(rows[rows[:, 0] == rows[:, -1], 0])
+
     def const_pairs(lid: int) -> PairRows:
-        """(a, b) with el(a, b) ⊇ λ, plus (a, a) where a loops over all of λ."""
-        keys = loops = None
+        """(a, b) with el(a, b) ⊇ λ, (a, a) included exactly where a loops over all of λ."""
+        keys = None
         for r, d in label_of(lid).pairs:
             rows = facts(r, 2)
-            k = rows[:, 1] * size + rows[:, 0] if d == BWD else rows[:, 0] * size + rows[:, 1]
-            keys = k if keys is None else np.intersect1d(keys, k)
-            lp = facts(s1.loop_symbol.get(r), 1)[:, 0]
-            loops = lp if loops is None else np.intersect1d(loops, lp)
-        keys = np.union1d(keys, loops * (size + 1))
+            k = np.sort(rows[:, 1] * size + rows[:, 0]) if d == BWD else rows[:, 0] * size + rows[:, 1]
+            keys = k if keys is None else np.intersect1d(keys, k, assume_unique=True)
         return pair_rows(keys // size, keys % size, None, size)
 
     adom = has(db.adom_ids())
     runs = []
     for comp in plan.components:
-        cand0 = [np.logical_and.reduce([adom, *(has(facts(u, 1)[:, 0]) for u in us)])
-                 for us in comp.unary]
+        cand0 = [np.logical_and.reduce([adom, *map(holds, atoms)]) for atoms in comp.unary]
         runs.append(prepare_tree(comp, cand0, [None, *map(const_pairs, comp.label[1:])]))
     yield from _odometer(runs, plan.head_slots, _Steps())

@@ -3,11 +3,11 @@
 A conjunctive query over a binary schema is answerable here iff its Gaifman
 graph is a forest and, within every connected component, the free variables
 induce a connected (or empty) subgraph.  A `ConjunctiveQuery`, parsed or built
-by hand, builds that graph and the unary and loop symbols per variable in its
+by hand, builds that graph and the unary and loop atoms per variable in its
 constructor's one pass over the atoms.  `plan_query` checks arities against its
 own schema and walks the graph once: an accepted query is split into components,
-rewritten loop-free, each with a rooted tree, a variable order, labels λ_x and
-λ_e, and the colour-level query Q_col that drives the index.
+each with a rooted tree, a variable order, labels λ_x and λ_e, and the colour-level
+query Q_col that drives the index.  Only the index reads a loop R(x,x) as a symbol.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 
-from .graph import EdgeLabel, Sigma1, e_symbol, label_id, label_of, sigma1_for
-from .model import _NO_SYMBOLS, Atom, ColorcqError, ConjunctiveQuery, Schema, SchemaError
+from .graph import EdgeLabel, e_symbol, label_id, label_of, sigma1_for
+from .model import _NO_ATOMS, Atom, ColorcqError, ConjunctiveQuery, Schema, SchemaError
 
 
 class QueryRejected(ColorcqError):
@@ -94,10 +94,11 @@ class PlanComponent:
     `order` lists the variables in <-order; the free variables are exactly
     its prefix `free_prefix`, the node set of the induced free subtree T′.
     Evaluation reads the tree by rank, the place in `order`: per rank, the
-    parent's rank, the children's ranks, the unary label λ_x and the id
-    (`graph.label_id`) of λ_e on the edge from the parent (-1 at the root).
-    `lambda_e` by tree edge (parent, child) and the sub-queries `query` and
-    `q1`, cut from `source`, the planned query, are built on first read.
+    parent's rank, the children's ranks, the unary label λ_x (atoms, as in
+    `ConjunctiveQuery.unary`) and the id (`graph.label_id`) of λ_e on the edge
+    from the parent (-1 at the root).  `lambda_e` by tree edge (parent, child),
+    the sub-queries `query` and `q1`, cut from `source`, the planned query, and
+    `s1`, the Σ1 of `schema` that names loops for display, are built on first read.
     """
 
     root: str
@@ -105,10 +106,15 @@ class PlanComponent:
     free_prefix: tuple[str, ...]
     parent: tuple[int, ...] = field(repr=False)
     children: tuple[list[int], ...] = field(repr=False)
-    unary: tuple[frozenset[str], ...] = field(repr=False)
+    unary: tuple[frozenset[tuple[str, int]], ...] = field(repr=False)
     label: tuple[int, ...] = field(repr=False)
     source: ConjunctiveQuery = field(repr=False)
-    s1: Sigma1 = field(repr=False)
+    schema: Schema = field(repr=False)
+    s1 = cached_property(lambda self: sigma1_for(self.schema))
+
+    def _names(self, atoms: frozenset[tuple[str, int]]) -> list[str]:
+        """The Σ1 names of λ_x atoms, sorted: U for (U, 1), S_R for (R, 2)."""
+        return sorted(u if n == 1 else self.s1.loop_symbol[u] for u, n in atoms)
 
     @cached_property
     def lambda_e(self) -> dict[tuple[str, str], EdgeLabel]:
@@ -133,7 +139,7 @@ class PlanComponent:
     @cached_property
     def q_col(self) -> ConjunctiveQuery:
         """Q_col: the atoms λ_x, one E_λe atom per tree edge; built on first use."""
-        atoms = [Atom(u, (v,)) for v, us in zip(self.order, self.unary) for u in sorted(us)]
+        atoms = [Atom(u, (v,)) for v, us in zip(self.order, self.unary) for u in self._names(us)]
         atoms += [Atom(e_symbol(lab), edge) for edge, lab in self.lambda_e.items()]
         return ConjunctiveQuery(head=self.free_prefix, atoms=tuple(atoms))
 
@@ -145,7 +151,6 @@ class PlanComponent:
 @dataclass
 class QueryPlan:
     query: ConjunctiveQuery
-    s1: Sigma1
     components: tuple[PlanComponent, ...]
     # user head position -> (component index, position in that component's
     # internal head order); undoes the internal reordering on output
@@ -153,7 +158,7 @@ class QueryPlan:
 
 
 def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
-    """Check, decompose, rewrite and plan q; raises QueryRejected/SchemaError.
+    """Check, decompose and plan q; raises QueryRejected/SchemaError.
     One BFS per component visits free variables first, ties broken by name.
     Free components come first, in head order and rooted at their first head
     variable, then Boolean ones, rooted at their least variable.  q is acyclic
@@ -163,10 +168,7 @@ def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
         if schema._arity.get(a[0]) != len(a[1]):
             ar = schema.arity(a[0])  # raises SchemaError on unknown symbols
             raise SchemaError(f"atom {a} uses {a[0]} with arity {len(a[1])}, schema says {ar}")
-    s1 = sigma1_for(schema)
     adj, unary, free = q.adj, q.unary, q.free
-    for x, rels in q.loops.items():  # R(x,x) is the unary atom S_R(x) of Σ1
-        unary = {**unary, x: unary.get(x, _NO_SYMBOLS).union(map(s1.loop_symbol.__getitem__, rels))}
     components: list[PlanComponent] = []
     slot: dict[str, tuple[int, int]] = {}  # variable -> (component, rank)
     roots, free_first, acyclic = q.head or sorted(adj), True, True
@@ -183,7 +185,7 @@ def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
                 r = len(order)
                 slot[x] = (ci, r)
                 order.append(x)
-                lambda_x.append(unary.get(x, _NO_SYMBOLS))
+                lambda_x.append(unary.get(x, _NO_ATOMS))
                 kids.append([])
                 parent.append(p := up[x])
                 if p >= 0:
@@ -199,11 +201,11 @@ def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
             free_first = free_first and free.issuperset(prefix)
             components.append(PlanComponent(  # positional: keywords cost ~0.4 µs a call
                 root, tuple(order), prefix, tuple(parent), tuple(kids),
-                tuple(lambda_x), tuple(label), q, s1))
+                tuple(lambda_x), tuple(label), q, schema))
         roots = sorted(adj) if roots is q.head and len(slot) < len(adj) else ()
     if not (free_first and acyclic):
         raise QueryRejected(check_free_connex_acyclic(q).diagnostic)
-    return QueryPlan(q, s1, tuple(components), tuple(map(slot.__getitem__, q.head)))
+    return QueryPlan(q, tuple(components), tuple(map(slot.__getitem__, q.head)))
 
 
 def explain_plan(plan: QueryPlan) -> str:
@@ -219,7 +221,7 @@ def explain_plan(plan: QueryPlan) -> str:
             lines.append(f"    tree: {p} -> {v}   lambda_e = {lab}")
         for v, us in zip(c.order, c.unary):
             if us:
-                lines.append(f"    lambda_x({v}) = {{{','.join(sorted(us))}}}")
+                lines.append(f"    lambda_x({v}) = {{{','.join(c._names(us))}}}")
         lines.append(f"    color query: {c.q_col}")
     if plan.head_slots:
         lines.append("output slots: " + ", ".join(

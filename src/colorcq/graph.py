@@ -194,7 +194,6 @@ class Vertices:
     of v, and `label_masks[vl_id[v]]` is that set as a bitmask (bit j: symbol j)."""
 
     def __init__(self, s1: Sigma1, verts: np.ndarray, unary: list[np.ndarray]):
-        self.s1 = s1
         self.unary_symbols: tuple[str, ...] = s1.schema.unary_symbols
         self._uidx = {u: i for i, u in enumerate(self.unary_symbols)}
         self.verts, self.n, self.unary = verts, len(verts), unary

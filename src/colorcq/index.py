@@ -114,7 +114,7 @@ class ColorIndex:
         LabeledGraph `g` when None."""
         self.db, self.d1, self.s1, self.g, self.coloring = db, d1, s1, g, coloring
         self.build_seconds = dict(build_seconds)
-        # the lookups, memoized per label id (`rows`, `tables`) and per unary symbol set
+        # the lookups, memoized per label id (`rows`, `tables`) and per set of λ_x atoms
         self.rows, self.tables = _Memo(self._make_rows), _Memo(self._make_table)
         self.unary_colors = _Memo(self._make_flags)
         # enumeration's views of the class members and vertex -> constant id (None: identity)
@@ -197,8 +197,8 @@ class ColorIndex:
 
         cdb = Database(schema)
         cdb.constants = range(self.num_colors)  # `set_relation` reads its length only
-        for u in g.unary_symbols:
-            cdb.set_relation(u, np.flatnonzero(self.unary_colors[frozenset((u,))])[:, None])
+        for u, rows in zip(g.unary_symbols, g.unary):
+            cdb.set_relation(u, self.coloring.color_of[rows][:, None])
         for lab, name in self.closure_symbols.items():
             # the closure entries are exactly the hat counts; seed the row
             # memo so queries never pay a first-use merge
@@ -264,12 +264,14 @@ class ColorIndex:
         at = t.lo[j] + self.coloring.rank[v] * t.stride[j]
         return t.nbr[at:at + t.own[j]].tolist()
 
-    def _make_flags(self, symbols: frozenset[str | None]) -> np.ndarray:
-        """Read-only per-colour flags: do the class members carry every symbol?
-        No class carries a symbol that is not a unary symbol of the index's Σ1."""
-        uidx = self.g._uidx
-        if symbols <= uidx.keys():
-            need = sum(1 << uidx[u] for u in symbols)  # the `label_masks` bits of the set
+    def _make_flags(self, atoms: frozenset[tuple[str, int]]) -> np.ndarray:
+        """Read-only per-colour flags: do the class members carry every atom?
+        (U, 1) is the unary symbol U and (R, 2) R's loop symbol in the index's Σ1,
+        where U is unary and R binary in its base schema; no class carries another atom."""
+        arity, loop, uidx = self.s1.base._arity, self.s1.loop_symbol, self.g._uidx
+        syms = {u if n == 1 else loop.get(u) for u, n in atoms if arity.get(u) == n}
+        if len(syms) == len(atoms) and syms <= uidx.keys():  # not a symbol added after the build
+            need = sum(1 << uidx[u] for u in syms)  # the `label_masks` bits of the set
             has = np.array([m & need == need for m in self.g.label_masks], dtype=bool)
         else:
             has = np.zeros(len(self.g.label_masks), dtype=bool)
@@ -280,11 +282,9 @@ class ColorIndex:
     def loop_cover_array(self, lab: EdgeLabel) -> np.ndarray:
         """Per-color flags: does every class member carry a self-loop for every
         relation mentioned in λ?  Such a vertex is its own λ-superset neighbour
-        under the loop-augmented semantics used by the evaluation layer.  A
-        relation that is not binary in the index has no loop symbol (None), so
-        no class loops over it.
+        under the loop-augmented semantics used by the evaluation layer.
         """
-        return self.unary_colors[frozenset(self.s1.loop_symbol.get(r) for r, _ in lab.pairs)]
+        return self.unary_colors[frozenset((r, 2) for r, _ in lab.pairs)]
 
 
 def _merge_rows(parts, ncol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

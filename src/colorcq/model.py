@@ -354,7 +354,7 @@ class Atom(NamedTuple):
 
 
 FWD, BWD = "+", "-"  # the directions of the (symbol, direction) pairs of edge labels
-_NO_SYMBOLS: frozenset[str] = frozenset()
+_NO_ATOMS: frozenset[tuple[str, int]] = frozenset()
 _ONE: dict[str, tuple] = {}  # relation R -> its one-pair labels ((R,+),) and ((R,-),), shared
 
 
@@ -365,11 +365,11 @@ class ConjunctiveQuery:
     Its one pass over the atoms builds what planning reads: `adj`, the Gaifman
     graph by variable in order of first appearance, where R(x,y) puts (R,+) on
     edge (x, y) and (R,-) on (y, x) (an edge's pairs form a sorted tuple), and
-    per variable the symbols of its unary atoms (`unary`) and of its loop atoms
-    R(x,x) (`loops`); `free` is the set of head variables.  A query is not
+    `unary`, per variable x the atoms on x alone: (U, 1) for U(x) and (R, 2) for
+    the loop R(x,x); `free` is the set of head variables.  A query is not
     changed once built."""
 
-    __slots__ = ("head", "atoms", "adj", "unary", "loops", "free")
+    __slots__ = ("head", "atoms", "adj", "unary", "free")
     head: tuple[str, ...]
     atoms: tuple[Atom, ...]
 
@@ -377,7 +377,7 @@ class ConjunctiveQuery:
         if not atoms:
             raise ParseError("query needs at least one atom")
         self.head, self.atoms = head, atoms
-        self.adj, self.unary, self.loops = adj, unary, loops = {}, {}, {}
+        self.adj, self.unary = adj, unary = {}, {}
         for rel, args in atoms:
             n = len(args)
             if n == 2 and args[0] != args[1]:
@@ -393,8 +393,7 @@ class ConjunctiveQuery:
             for v in args:
                 adj.setdefault(v, {})
             if n in (1, 2):
-                sym = unary if n == 1 else loops
-                sym[args[0]] = sym.get(args[0], _NO_SYMBOLS) | {rel}
+                unary[args[0]] = unary.get(args[0], _NO_ATOMS) | {(rel, n)}
         self.free = free = frozenset(head)
         if len(free) != len(head):
             raise ParseError(f"repeated variable in head {head}")

@@ -235,10 +235,9 @@ def test_enumeration_yields_user_head_order():
     assert rev == {(b, a) for a, b in fwd}
 
 
-def _subtree_query(plan, comp, x) -> ConjunctiveQuery | None:
-    """The subtree of x translated back to original-schema atoms, with every
-    subtree variable kept free so result rows are exactly homomorphisms."""
-    rev = {s: r for r, s in plan.s1.loop_symbol.items()}
+def _subtree_query(comp, x) -> ConjunctiveQuery | None:
+    """The atoms of the subtree of x, with every subtree variable kept free
+    so result rows are exactly homomorphisms."""
     rank = comp.order.index
     svars = [x]
     stack = [x]
@@ -249,11 +248,8 @@ def _subtree_query(plan, comp, x) -> ConjunctiveQuery | None:
             stack.append(comp.order[w])
     atoms: list[Atom] = []
     for v in svars:
-        for u in sorted(comp.unary[rank(v)]):
-            if u in rev:
-                atoms.append(Atom(rev[u], (v, v)))
-            else:
-                atoms.append(Atom(u, (v,)))
+        for u, n in sorted(comp.unary[rank(v)]):
+            atoms.append(Atom(u, (v,) * n))  # U(v), or the loop R(v,v)
         if v != x:
             p = comp.order[comp.parent[rank(v)]]
             for r, d in comp.lambda_e[(p, v)].pairs:
@@ -281,7 +277,7 @@ def test_subtree_counts_match_brute_force():
             for comp in plan.components:
                 f_down = _f_down(idx, comp)
                 for x in comp.order:
-                    sq = _subtree_query(plan, comp, x)
+                    sq = _subtree_query(comp, x)
                     if sq is None:
                         assert all(v == 1 for v in f_down[x])
                         continue
@@ -536,9 +532,34 @@ def test_plans_on_an_equal_schema_give_the_same_answers():
     for text in ("Ans(x,y) <- R(x,y), R(y,y).", "Ans(x,y) <- R(x,y), R(y,z), U(z).",
                  "Ans(x,y) <- R(x,y), R(y,x).", "Ans() <- R(x,y), R(z,y), U(z)."):
         mine, theirs = _plan(db, text), plan_query(parse_query(text, other), other)
-        assert theirs.s1 is not mine.s1
+        assert theirs.components[0].s1 is not mine.components[0].s1
         assert count_answers(idx, theirs) == count_answers(idx, mine)
         assert list(EnumerationSession(idx, theirs)) == list(EnumerationSession(idx, mine))
+
+
+def _agree_with_naive(db, indexes, schema, texts) -> int:
+    """Check that the plans of `texts` on `schema` get the answers `naive_eval`
+    gives on `db`: Boolean answers, counts and enumeration on each index, and
+    `cde_fc_acq`; return how many of the queries have an answer."""
+    nonzero = 0
+    for text in texts:
+        q = parse_query(text, schema)
+        plan = plan_query(q, schema)
+        want = naive_eval(db, q)
+        nonzero += bool(want)
+        for idx in indexes:
+            assert count_answers(idx, plan) == len(want), text
+            if q.is_boolean:
+                assert eval_boolean(idx, plan) == bool(want), text
+            assert set(EnumerationSession(idx, plan)) == want, text
+        assert set(cde_fc_acq(db, plan)) == want, text
+    return nonzero
+
+
+def _built_and_loaded(db, path) -> tuple:
+    built = build_index(db)
+    save_index(built, str(path))
+    return built, load_index(str(path))
 
 
 def test_symbols_the_index_lacks_are_held_by_no_class(tmp_path):
@@ -549,30 +570,51 @@ def test_symbols_the_index_lacks_are_held_by_no_class(tmp_path):
     symbol of the same name and another arity."""
     extra = Schema([("R", 2), ("U", 1), ("T", 2), ("W", 1)])
     clash = Schema([("R", 2), ("U", 2)])
-    cases = [(extra, text) for text in (
+    cases = [(extra, (
         "Ans(x) <- W(x), R(x,y).", "Ans(x) <- R(x,y), T(x,y).", "Ans(x) <- R(x,y), T(y,y).",
         "Ans() <- T(x,y).", "Ans(x,y) <- T(x,y).", "Ans() <- W(x).", "Ans(x) <- U(x), R(x,y).",
-    )] + [(clash, text) for text in (
+    )), (clash, (
         "Ans(x) <- R(x,y), U(x,y).", "Ans(x) <- R(x,y), U(y,y).", "Ans(x,y) <- U(x,y).",
         "Ans() <- U(x,x).",
-    )] + [(Schema([("R", 2), ("U", 1)]), "Ans(x) <- U(x), R(x,y).")]
+    )), (Schema([("R", 2), ("U", 1)]), ("Ans(x) <- U(x), R(x,y).",))]
     nonzero = 0
     for i, facts in enumerate(("R(a,b)\nR(b,c)\nR(c,c)\nR(c,a)\nU(a)\nU(c)\n", "R(a,b)\nR(b,c)\n")):
         db = load_database(facts)  # the second has no U at all
-        built = build_index(db)
-        save_index(built, str(tmp_path / f"{i}.idx"))
-        for schema, text in cases:
-            q = parse_query(text, schema)
-            plan = plan_query(q, schema)
-            want = naive_eval(db, q)
-            nonzero += bool(want)
-            for idx in (built, load_index(str(tmp_path / f"{i}.idx"))):
-                assert count_answers(idx, plan) == len(want), text
-                if q.is_boolean:
-                    assert eval_boolean(idx, plan) == bool(want), text
-                assert set(EnumerationSession(idx, plan)) == want, text
-            assert set(cde_fc_acq(db, plan)) == want, text
+        indexes = _built_and_loaded(db, tmp_path / f"{i}.idx")
+        for schema, texts in cases:
+            nonzero += _agree_with_naive(db, indexes, schema, texts)
     assert nonzero == 2
+
+
+def test_loop_atoms_are_named_by_the_index_alone(tmp_path):
+    """A plan holds a loop R(x,x) as the atom (R, 2) and a unary U(x) as
+    (U, 1); only the index names a loop symbol, in its own Σ1.  So a plan made
+    on another schema never reads a loop as a unary fact of the same name, or
+    the reverse, nor a symbol added to the data's schema after the build as
+    one of the index's."""
+    rt, rs, t_unary = (Schema([("R", 2), ("T", 2)]), Schema([("R", 2), ("S_R", 1)]),
+                       Schema([("R", 2), ("T", 1)]))
+    cases = [  # the plan's Σ1 names T's loop S_T, which the data uses as a unary symbol
+        ("R(a,b)\nR(b,a)\nS_T(a)\n", rt, ("Ans(x) <- R(x,y), T(x,x).", "Ans() <- R(x,y), T(x,x).")),
+        ("R(a,b)\nR(b,a)\nS_T(a)\nT(b,b)\n", rt,
+         ("Ans(x) <- R(x,y), T(x,x).", "Ans(x,y) <- R(x,y), T(y,y).", "Ans() <- T(x,x), R(x,y).")),
+        # the plan's S_R is a unary symbol, which the index names its loop symbol of R
+        ("R(a,a)\nR(a,b)\n", rs, ("Ans(x) <- S_R(x).", "Ans(x,y) <- S_R(x), R(x,y).", "Ans() <- S_R(x).")),
+        # the plan's unary T is binary in the index
+        ("R(a,b)\nT(a,a)\nT(b,c)\n", t_unary, ("Ans(x) <- T(x), R(x,y).", "Ans() <- T(x).")),
+    ]
+    nonzero = 0
+    for i, (facts, schema, texts) in enumerate(cases):
+        db = load_database(facts)
+        nonzero += _agree_with_naive(db, _built_and_loaded(db, tmp_path / f"{i}.idx"), schema, texts)
+    assert nonzero == 3  # the second case's queries
+
+    db = load_database("R(a,a)\nR(a,b)\nU(a)\n")
+    built = build_index(db)
+    db.schema.add("T", 2)  # the built index's base schema
+    db.schema.add("W", 1)
+    texts = ("Ans(x) <- T(x,x).", "Ans(x) <- W(x), R(x,y).", "Ans(x) <- U(x), R(x,x).")
+    assert _agree_with_naive(db, (built,), db.schema, texts) == 1
 
 
 def test_next_and_for_read_one_stream():

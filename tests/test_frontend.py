@@ -116,7 +116,7 @@ def test_worked_plan_with_loop_atom():
     assert c.order == ("x1", "x2", "x3")
     assert c.free_prefix == ("x1", "x2")
     assert dict(zip(c.order, c.unary)) == {
-        "x1": frozenset(), "x2": frozenset({"S_R"}), "x3": frozenset()}
+        "x1": frozenset(), "x2": frozenset({("R", 2)}), "x3": frozenset()}
     assert c.lambda_e == {
         ("x1", "x2"): EdgeLabel([("R", "+")]),
         ("x1", "x3"): EdgeLabel([("R", "-")]),
@@ -289,20 +289,22 @@ def test_plan_is_deterministic():
 def test_sigma1_memo_follows_schema_changes():
     schema = Schema([("R", 2)])
     q = _q("Ans(x) <- R(x,x), R(x,y).")
-    plan = plan_query(q, schema)
-    assert plan.s1 == sigma1_for(schema)
-    assert plan.components[0].unary[0] == {"S_R"}  # x is the root
+    comp = plan_query(q, schema).components[0]
+    assert comp.s1 == sigma1_for(schema)
+    assert comp.unary[0] == {("R", 2)}  # x is the root
+    assert "lambda_x(x) = {S_R}" in explain_plan(plan_query(q, schema))
 
     schema.add("T", 2)
-    plan = plan_query(q, schema)
-    assert plan.s1 == sigma1_for(schema)
-    assert plan.s1.loop_symbol == {"R": "S_R", "T": "S_T"}
+    comp = plan_query(q, schema).components[0]
+    assert comp.s1 == sigma1_for(schema)
+    assert comp.s1.loop_symbol == {"R": "S_R", "T": "S_T"}
 
     schema.add("S_R", 1)  # a user symbol takes the loop symbol's name
-    plan = plan_query(q, schema)
-    assert plan.s1 == sigma1_for(schema)
-    assert plan.s1.loop_symbol == {"R": "_S_R", "T": "S_T"}
-    assert plan.components[0].unary[0] == {"_S_R"}
+    comp = plan_query(q, schema).components[0]
+    assert comp.s1 == sigma1_for(schema)
+    assert comp.s1.loop_symbol == {"R": "_S_R", "T": "S_T"}
+    assert comp.unary[0] == {("R", 2)}  # the plan holds the atom; only names change
+    assert str(comp.q_col) == "Ans(x) <- _S_R(x), E{(R,+)}(x,y)."
 
 
 def test_explain_plan_smoke():

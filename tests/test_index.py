@@ -218,7 +218,7 @@ def test_color_db_membership_iff_positive_count():
 def test_loop_cover_array():
     idx = build_index(make_db(Schema([("R", 2), ("S", 2)]), [("R", "a", "a"), ("R", "a", "b")]))
     ca, cb = color_of_name(idx, "a"), color_of_name(idx, "b")
-    loops = idx.unary_colors[frozenset({idx.s1.loop_symbol["R"]})]  # the classes that loop over R
+    loops = idx.unary_colors[frozenset({("R", 2)})]  # the classes that loop over R
     assert bool(loops[ca]) and not bool(loops[cb])
     arr = idx.loop_cover_array(EdgeLabel([("R", "+")]))
     assert bool(arr[ca]) and not bool(arr[cb])

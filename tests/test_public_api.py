@@ -2,7 +2,10 @@
 takes an edit of this list."""
 from __future__ import annotations
 
+from dataclasses import fields
+
 import colorcq
+from colorcq.frontend import PlanComponent
 
 PUBLIC = [
     "Atom", "ColorIndex", "ColorcqError", "Coloring", "ConjunctiveQuery", "Database",
@@ -37,3 +40,19 @@ def test_class_methods_are_pinned():
     for name, methods in METHODS.items():
         cls = getattr(colorcq, name)
         assert sorted(m for m in dir(cls) if not m.startswith("_")) == methods, name
+
+
+# the shape of a plan, which evaluation reads: a change to these fields or
+# slots takes an edit of this table
+SHAPES = {
+    "ConjunctiveQuery": ("head", "atoms", "adj", "unary", "free"),
+    "PlanComponent": ("root", "order", "free_prefix", "parent", "children", "unary", "label",
+                      "source", "schema"),
+    "QueryPlan": ("query", "components", "head_slots"),
+}
+
+
+def test_plan_shapes_are_pinned():
+    assert colorcq.ConjunctiveQuery.__slots__ == SHAPES["ConjunctiveQuery"]
+    for cls in (PlanComponent, colorcq.QueryPlan):
+        assert tuple(f.name for f in fields(cls)) == SHAPES[cls.__name__], cls.__name__

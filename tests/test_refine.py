@@ -253,7 +253,8 @@ def test_coarsest_by_exhaustive_partition_search_small():
         assert _stable_partition(g, star)
         for cand in _set_partitions(list(range(g.n))):
             if _stable_partition(g, cand):
-                assert _refines(cand, star), (g.d1.relations, cand, star)
+                assert _refines(cand, star), (
+                    {s: g.d1.array(s).tolist() for s in g.d1.schema.symbols}, cand, star)
 
 
 def test_incoming_counts_uniform_within_classes():
