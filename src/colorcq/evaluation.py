@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .frontend import PlanComponent, QueryPlan, plan_query
-from .graph import BWD, _ranges, dual_of, label_of
+from .graph import BWD, EdgeLabel, _ranges
 from .index import ColorIndex, PairRows, pair_rows
 from .model import ColorcqError, ConjunctiveQuery, Database
 
@@ -89,7 +89,7 @@ def _reduce(comp: PlanComponent, cand0: list[np.ndarray], pairs: list[PairRows |
                 g = np.zeros(len(fv), dtype)
                 np.add.at(g, p.a, f[w][p.b] * p.n)  # object times int64 gives exact Python ints
             elif rows is not None and len(p.b) > 2 * len(fv):
-                d, dead = rows[dual_of(comp.label[w])], (~f[w]).nonzero()[0]
+                d, dead = rows[comp.label[w].dual()], (~f[w]).nonzero()[0]
                 lo = d.a.searchsorted(dead)  # the runs of the dual's pairs (removed c′, c):
                 ix = _ranges(lo, d.a.searchsorted(dead, "right") - lo)
                 g = p.cnt > np.bincount(d.b[ix], minlength=len(fv)) if len(ix) else p.has
@@ -332,10 +332,10 @@ def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[
         rows = facts(*atom)
         return has(rows[rows[:, 0] == rows[:, -1], 0])
 
-    def const_pairs(lid: int) -> PairRows:
+    def const_pairs(lab: EdgeLabel) -> PairRows:
         """(a, b) with el(a, b) ⊇ λ, (a, a) included exactly where a loops over all of λ."""
         keys = None
-        for r, d in label_of(lid).pairs:
+        for r, d in lab.pairs:
             rows = facts(r, 2)
             k = np.sort(rows[:, 1] * size + rows[:, 0]) if d == BWD else rows[:, 0] * size + rows[:, 1]
             keys = k if keys is None else np.intersect1d(keys, k, assume_unique=True)

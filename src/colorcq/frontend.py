@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 
-from .graph import EdgeLabel, e_symbol, label_id, label_of, sigma1_for
+from .graph import EdgeLabel, e_symbol, label_of, sigma1_for
 from .model import _NO_ATOMS, Atom, ColorcqError, ConjunctiveQuery, Schema, SchemaError
 
 
@@ -95,8 +95,8 @@ class PlanComponent:
     its prefix `free_prefix`, the node set of the induced free subtree T′.
     Evaluation reads the tree by rank, the place in `order`: per rank, the
     parent's rank, the children's ranks, the unary label λ_x (atoms, as in
-    `ConjunctiveQuery.unary`) and the id (`graph.label_id`) of λ_e on the edge
-    from the parent (-1 at the root).  `lambda_e` by tree edge (parent, child),
+    `ConjunctiveQuery.unary`) and the label λ_e (`EdgeLabel`) on the edge from
+    the parent (None at the root).  `lambda_e` by tree edge (parent, child),
     the sub-queries `query` and `q1`, cut from `source`, the planned query, and
     `s1`, the Σ1 of `schema` that names loops for display, are built on first read.
     """
@@ -107,7 +107,7 @@ class PlanComponent:
     parent: tuple[int, ...] = field(repr=False)
     children: tuple[list[int], ...] = field(repr=False)
     unary: tuple[frozenset[tuple[str, int]], ...] = field(repr=False)
-    label: tuple[int, ...] = field(repr=False)
+    label: tuple[EdgeLabel | None, ...] = field(repr=False)
     source: ConjunctiveQuery = field(repr=False)
     schema: Schema = field(repr=False)
     s1 = cached_property(lambda self: sigma1_for(self.schema))
@@ -120,7 +120,7 @@ class PlanComponent:
     def lambda_e(self) -> dict[tuple[str, str], EdgeLabel]:
         """λ_e keyed by tree edge (parent, child)."""
         o = self.order
-        return {(o[self.parent[r]], o[r]): label_of(self.label[r]) for r in range(1, len(o))}
+        return {(o[self.parent[r]], o[r]): self.label[r] for r in range(1, len(o))}
 
     @cached_property
     def query(self) -> ConjunctiveQuery:
@@ -177,7 +177,7 @@ def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
             if root in slot:
                 continue
             ci = len(components)
-            order, parent, kids, lambda_x, label = [], [], [], [], [-1]
+            order, parent, kids, lambda_x, label = [], [], [], [], [None]
             up = {root: -1}  # visited variable -> its parent's rank
             qf, qq = ([root], []) if root in free else ([], [root])
             while qf or qq:
@@ -190,7 +190,7 @@ def plan_query(q: ConjunctiveQuery, schema: Schema) -> QueryPlan:
                 parent.append(p := up[x])
                 if p >= 0:
                     kids[p].append(r)
-                    label.append(label_id(adj[order[p]][x]))
+                    label.append(label_of(adj[order[p]][x]))
                 for y in adj[x]:
                     if y not in up:
                         up[y] = r

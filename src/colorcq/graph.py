@@ -9,7 +9,6 @@ them.  The reverse pair always carries the dual label (directions flipped).
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,62 +19,49 @@ from .model import BWD, FWD, Database, Schema
 _DUAL_DIR = {FWD: BWD, BWD: FWD}
 
 
-@dataclass(frozen=True)
 class EdgeLabel:
-    """Non-empty set of (symbol, direction) pairs, stored canonically sorted."""
+    """Non-empty set of (symbol, direction) pairs, stored canonically sorted.
 
-    pairs: tuple[tuple[str, str], ...]
+    Labels are interned: `EdgeLabel(pairs)` returns the one label of its set
+    of pairs, in every process, so a label is its own id.  It compares and
+    hashes by identity, and a copy or an unpickled label is the same object."""
 
-    def __init__(self, pairs: Iterable[tuple[str, str]]):
-        canon = tuple(sorted(set(pairs)))
-        if not canon:
-            raise ValueError("edge labels must be non-empty")
-        for _, d in canon:
-            if d not in (FWD, BWD):
-                raise ValueError(f"bad direction {d!r}")
-        object.__setattr__(self, "pairs", canon)
+    __slots__ = ("pairs", "_dual")
 
-    @property
-    def id(self) -> int:
-        """The label's process-wide id (`label_id`)."""
-        return label_id(self.pairs)
+    def __new__(cls, pairs: Iterable[tuple[str, str]]) -> EdgeLabel:
+        return label_of(tuple(sorted(set(pairs))))
+
+    def __reduce__(self) -> tuple:
+        return EdgeLabel, (self.pairs,)
 
     def dual(self) -> EdgeLabel:
-        return EdgeLabel((s, _DUAL_DIR[d]) for s, d in self.pairs)
+        """The label with every direction flipped; found once, then kept."""
+        if self._dual is None:
+            self._dual = EdgeLabel((s, _DUAL_DIR[d]) for s, d in self.pairs)
+        return self._dual
+
+    def __repr__(self) -> str:
+        return f"EdgeLabel(pairs={self.pairs!r})"
 
     def __str__(self) -> str:
         return "{" + ",".join(f"({s},{d})" for s, d in self.pairs) + "}"
 
 
-# the process-wide intern table: canonical pairs -> id -> label, one entry
-# per distinct label ever named
-_LABELS: list[EdgeLabel] = []
-_INTERN = threading.Lock()
-label_of = _LABELS.__getitem__  # the label of an id
+class _Labels(dict):
+    def __missing__(self, pairs: tuple[tuple[str, str], ...]) -> EdgeLabel:
+        if not pairs:
+            raise ValueError("edge labels must be non-empty")
+        for _, d in pairs:
+            if d not in (FWD, BWD):
+                raise ValueError(f"bad direction {d!r}")
+        lab = object.__new__(EdgeLabel)
+        lab.pairs, lab._dual = pairs, None
+        return self.setdefault(pairs, lab)  # concurrent first calls keep the first label made
 
 
-class _LabelIds(dict):
-    def __missing__(self, pairs: tuple[tuple[str, str], ...]) -> int:
-        with _INTERN:
-            lid = self.get(pairs)
-            if lid is None:  # list the label before its id is published
-                _LABELS.append(EdgeLabel(pairs))
-                lid = self[pairs] = len(_LABELS) - 1
-        return lid
-
-
-# the int id of the label of `pairs` (sorted, distinct), the same on every
-# schema, Σ1 and index: plans and index memos key on it, not on labels; warm,
-# one dict get
-label_id = _LabelIds().__getitem__
-
-
-class _Duals(dict):
-    def __missing__(self, lid: int) -> int:  # made on first lookup, then kept
-        return self.setdefault(lid, label_id(label_of(lid).dual().pairs))
-
-
-dual_of = _Duals().__getitem__  # label id -> its dual's id; warm, one dict get
+# the label of canonical (sorted, distinct) pairs, made on first lookup and
+# then kept; warm, one dict get
+label_of = _Labels().__getitem__
 
 
 def e_symbol(lab: EdgeLabel) -> str:
@@ -208,7 +194,7 @@ class LabeledGraph(Vertices):
 
     `indptr`/`nbr`/`elab` store the out-edges of each vertex sorted by
     target; `labels[elab[e]]` is the edge label of directed edge e and
-    `dual_id` maps a label id to its dual's id.
+    `dual_id` maps a label's number in `labels` to its dual's number.
     """
 
     def __init__(self, d1: Database, s1: Sigma1):
@@ -244,8 +230,8 @@ class LabeledGraph(Vertices):
         pairs = [(r, d) for r in binary for d in (FWD, BWD)]  # the pair of each tag, as a bit of a mask
         self.labels: tuple[EdgeLabel, ...] = tuple(
             EdgeLabel(p for b, p in enumerate(pairs[:m.bit_length()]) if m >> b & 1) for m in masks)
-        label_ids = {lab: i for i, lab in enumerate(self.labels)}
-        self.dual_id = np.array([label_ids[lab.dual()] for lab in self.labels], dtype=np.int64)
+        number = {lab: i for i, lab in enumerate(self.labels)}
+        self.dual_id = np.array([number[lab.dual()] for lab in self.labels], dtype=np.int64)
         self.nbr = dst[starts]
         self.elab = elab
         self.indptr = np.append(0, np.cumsum(np.bincount(src[starts], minlength=self.n)))

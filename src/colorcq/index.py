@@ -14,7 +14,8 @@ load reads them.  So a label's table is one read-only view of the targets,
 with an offset and a stride per class pair (`SuccTable`): no Python list per
 vertex or edge.  The hat tables (union over the actual labels ⊇ λ) of the
 actual labels are built with the index, the others on first use; all are
-memoized (thread-safe; concurrent first calls compute identical values).
+memoized by `EdgeLabel`, which is interned, so a warm lookup is one dict get
+(thread-safe; concurrent first calls compute identical values).
 The colour database materializes E_λ for the downward closure of the actual
 labels (any other label has empty semantics by construction) and seeds the
 sorted count rows per label that the evaluation layer reads as arrays.
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .graph import (BWD, FWD, EdgeLabel, LabeledGraph, Sigma1, Vertices, _bounds, _pack, _ranges,
-                    build_labeled_graph, e_symbol, encode_self_loops, label_id, label_of, sigma1_for)
+                    build_labeled_graph, e_symbol, encode_self_loops, label_of, sigma1_for)
 from .model import ColorcqError, Database, Schema
 from .refine import Coloring, _coloring, refine
 
@@ -114,7 +115,7 @@ class ColorIndex:
         LabeledGraph `g` when None."""
         self.db, self.d1, self.s1, self.g, self.coloring = db, d1, s1, g, coloring
         self.build_seconds = dict(build_seconds)
-        # the lookups, memoized per label id (`rows`, `tables`) and per set of λ_x atoms
+        # the lookups, memoized per label (`rows`, `tables`) and per set of λ_x atoms
         self.rows, self.tables = _Memo(self._make_rows), _Memo(self._make_table)
         self.unary_colors = _Memo(self._make_flags)
         # enumeration's views of the class members and vertex -> constant id (None: identity)
@@ -124,7 +125,7 @@ class ColorIndex:
         self._build_tables(*(edges or _class_major(g, coloring)))
         self._build_color_db()
         for lab in self.actual_labels:
-            self.tables[lab.id] = self._make_table(lab.id)
+            self.tables[lab] = self._make_table(lab)
         self.build_seconds["tables"] = time.perf_counter() - t0
 
     # -- construction ------------------------------------------------------
@@ -175,9 +176,9 @@ class ColorIndex:
     def _build_color_db(self) -> None:
         g = self.g
         budget = _CLOSURE_CAP
-        # closure label id -> numbers of the actual labels that contain it; a
+        # closure label -> numbers of the actual labels that contain it; a
         # label outside the closure is contained in no actual label
-        self._supers: dict[int, list[int]] = {}
+        self._supers: dict[EdgeLabel, list[int]] = {}
         for i, lab in enumerate(self.actual_labels):
             pairs = lab.pairs
             budget -= 1 << len(pairs)
@@ -185,10 +186,10 @@ class ColorIndex:
                 raise ColorcqError("edge-label closure too large to materialize")
             for r in range(1, len(pairs) + 1):
                 for sub in combinations(pairs, r):  # sorted and distinct, as `pairs`
-                    self._supers.setdefault(label_id(sub), []).append(i)
+                    self._supers.setdefault(label_of(sub), []).append(i)
 
         schema = Schema((u, 1) for u in g.unary_symbols)
-        elabels = sorted(map(label_of, self._supers), key=lambda lab: (len(lab.pairs), lab.pairs))
+        elabels = sorted(self._supers, key=lambda lab: (len(lab.pairs), lab.pairs))
         self.closure_symbols: dict[EdgeLabel, str] = {}
         for lab in elabels:
             name = e_symbol(lab)
@@ -202,32 +203,32 @@ class ColorIndex:
         for lab, name in self.closure_symbols.items():
             # the closure entries are exactly the hat counts; seed the row
             # memo so queries never pay a first-use merge
-            hat = self._hat_count_rows(lab.id)
+            hat = self._hat_count_rows(lab)
             cdb.set_relation(name, np.stack(hat[:2], axis=1))
-            self.rows[lab.id] = self._make_rows(lab.id, hat)
+            self.rows[lab] = self._make_rows(lab, hat)
         # colour c is the constant "c"; the names are made on first read
         self.color_db = _LazyRows(schema, lambda: list(map(str, cdb.constants)), lambda: cdb._arrays)
 
     # -- lookups -----------------------------------------------------------
 
-    def _hat_count_rows(self, lid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _hat_count_rows(self, lab: EdgeLabel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, c′, #̂→^λ(c,c′)) for the class pairs with a positive count, sorted."""
-        parts = [self._count_rows[i] for i in self._supers.get(lid, ())]
+        parts = [self._count_rows[i] for i in self._supers.get(lab, ())]
         return _merge_rows(parts, self.num_colors) if parts else (_EMPTY, _EMPTY, _EMPTY)
 
-    def _make_rows(self, lid: int, hat: tuple[np.ndarray, ...] | None = None) -> PairRows:
-        """The loop-augmented counts of the label λ of id `lid`, sorted by (c, c′):
+    def _make_rows(self, lab: EdgeLabel, hat: tuple[np.ndarray, ...] | None = None) -> PairRows:
+        """The loop-augmented counts of the label λ `lab`, sorted by (c, c′):
         #̂→^λ(c,c′) where it is positive, plus one on (c, c) for every class c
         that loops over λ (see `loop_cover_array`)."""
-        hat = self._hat_count_rows(lid) if hat is None else hat
-        diag = np.flatnonzero(self.loop_cover_array(label_of(lid)))
+        hat = self._hat_count_rows(lab) if hat is None else hat
+        diag = np.flatnonzero(self.loop_cover_array(lab))
         if len(diag):
             hat = _merge_rows([hat, (diag, diag, np.ones(len(diag), np.int64))], self.num_colors)
         return pair_rows(*hat, self.num_colors)
 
-    def _make_table(self, lid: int) -> SuccTable:
+    def _make_table(self, lab: EdgeLabel) -> SuccTable:
         bounds, place, tgt, nbr = self._edges
-        segs = [slice(bounds[i], bounds[i + 1]) for i in self._supers.get(lid, ())]
+        segs = [slice(bounds[i], bounds[i + 1]) for i in self._supers.get(lab, ())]
         # the labels partition the edges; merge their class-major runs (one
         # label's run is already in (place, target colour, target) order)
         w = nbr[segs[0]] if len(segs) == 1 else np.concatenate([nbr[x] for x in segs] + [_EMPTY])
@@ -235,7 +236,7 @@ class ColorIndex:
             p, t = (np.concatenate([a[x] for x in segs]) for a in (place, tgt))
             w = w[np.argsort(_pack(_pack(p, t), w), kind="stable")]
         w.flags.writeable = False
-        rows, cover = self.rows[lid], self.loop_cover_array(label_of(lid))
+        rows, cover = self.rows[lab], self.loop_cover_array(lab)
         loops = (rows.a == rows.b) & cover[rows.a]
         own = rows.n - loops
         deg = rows.deg - cover  # per member of c, not counting itself
@@ -244,23 +245,19 @@ class ColorIndex:
         return SuccTable(memoryview(w), lo.tolist(), deg[rows.a].tolist(), own.tolist(),
                          frozenset(np.flatnonzero(loops).tolist()))
 
-    def _pair(self, lab: EdgeLabel, c: int, c2: int) -> int | None:
-        """The number of the pair (c, c2) in `rows[λ]`, or None."""
-        if not (0 <= c < self.num_colors and 0 <= c2 < self.num_colors):
-            raise ColorcqError(f"unknown color id in ({c}, {c2})")
-        rows = self.rows[lab.id]
-        j = bisect_left(rows.b, c2, rows.ptr[c], rows.ptr[c + 1])
-        return j if j < rows.ptr[c + 1] and rows.b[j] == c2 else None
-
     def succ(self, lab: EdgeLabel, v: int, c: int) -> list[int]:
         """N̂→^λ(v,c) as an ascending list of vertex indices (v is a vertex
         index, c a colour id)."""
         if not 0 <= v < self.g.n:
             raise ColorcqError(f"unknown vertex {v}")
-        j = self._pair(lab, int(self.coloring.color_of[v]), c)
-        if j is None:
+        cv = int(self.coloring.color_of[v])
+        if not 0 <= c < self.num_colors:
+            raise ColorcqError(f"unknown color id in ({cv}, {c})")
+        rows = self.rows[lab]
+        j = bisect_left(rows.b, c, rows.ptr[cv], rows.ptr[cv + 1])  # the pair (cv, c) in `rows[λ]`
+        if j == rows.ptr[cv + 1] or rows.b[j] != c:
             return []
-        t = self.tables[lab.id]
+        t = self.tables[lab]
         at = t.lo[j] + self.coloring.rank[v] * t.stride[j]
         return t.nbr[at:at + t.own[j]].tolist()
 

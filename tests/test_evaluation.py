@@ -12,7 +12,7 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
-from colorcq import evaluation
+from colorcq import evaluation, graph
 from colorcq.cli import main
 from colorcq.evaluation import (
     EnumerationSession,
@@ -222,7 +222,7 @@ def test_expansion_into_an_empty_set_raises():
     """A colour tuple whose successor set is empty means the index is
     inconsistent; enumeration must say so even under `python -O`."""
     idx = build_index(cycle_db(5))
-    table = idx.tables[EdgeLabel([("R", FWD)]).id]
+    table = idx.tables[EdgeLabel([("R", FWD)])]
     table.own[:] = [0] * len(table.own)  # every successor group is now empty
     with pytest.raises(ColorcqError, match="inconsistent"):
         list(EnumerationSession(idx, _plan(idx.db, "Ans(x,y) <- R(x,y).")))
@@ -494,9 +494,11 @@ def _half_unary_db(seed: int, n: int = 400, m: int = 2000) -> Database:
 
 
 def test_evaluation_hashes_no_edge_label(monkeypatch):
-    """With a plan made beforehand and the index's tables memoized, counting,
-    Boolean answering and a session with its first tuple read every label's
-    pairs and successor table by its int id: no `EdgeLabel` is hashed."""
+    """Labels hash and compare by identity, so a memo lookup by label is one
+    C-level dict get.  With a plan made beforehand and the index's tables
+    memoized, counting, Boolean answering and a session with its first tuple
+    make no label: the intern table's `__missing__` is not called."""
+    assert EdgeLabel.__hash__ is object.__hash__ and EdgeLabel.__eq__ is object.__eq__
     db = _half_unary_db(1701)
     idx = build_index(db)
     plans = [_plan(db, text) for text in (
@@ -509,23 +511,23 @@ def test_evaluation_hashes_no_edge_label(monkeypatch):
                 eval_boolean(idx, boolean))
 
     want = run()
-    hashed = []
-    label_hash = EdgeLabel.__hash__
+    made = []
+    missing = graph._Labels.__missing__
 
-    def counted_hash(self):
-        hashed.append(self)
-        return label_hash(self)
+    def counted_missing(self, pairs):
+        made.append(pairs)
+        return missing(self, pairs)
 
-    monkeypatch.setattr(EdgeLabel, "__hash__", counted_hash)
-    assert run() == want and hashed == []
-    hash(EdgeLabel([("R", FWD)]))
-    assert len(hashed) == 1  # the count sees a hash
+    monkeypatch.setattr(graph._Labels, "__missing__", counted_missing)
+    assert run() == want and made == []
+    EdgeLabel([("NamedOnlyHere", FWD)])
+    assert made == [(("NamedOnlyHere", FWD),)]  # the count sees a new label
 
 
 def test_plans_on_an_equal_schema_give_the_same_answers():
-    """Label ids are process-wide: a plan made on an equal but distinct
-    `Schema` (so another Σ1) counts and enumerates on the index as the plan
-    made on the index's own schema does."""
+    """Edge labels are interned, one object per set of pairs: a plan made on an
+    equal but distinct `Schema` (so another Σ1) counts and enumerates on the
+    index as the plan made on the index's own schema does."""
     db = _half_unary_db(1704, n=60, m=150)
     idx = build_index(db)
     other = Schema((sym, db.schema.arity(sym)) for sym in db.schema.symbols)
@@ -854,11 +856,11 @@ def test_pair_rows_degrees(tmp_path, monkeypatch):
         db = random_db(rng, max_adom=12, max_facts=30)
         idx = build_index(db)
         for lab in idx.closure_symbols:
-            idx.rows[lab.id]
+            idx.rows[lab]
         save_index(idx, str(tmp_path / f"{i}.idx"))
         for index in (idx, load_index(str(tmp_path / f"{i}.idx"))):
             for lab in index.closure_symbols:
-                p = index.rows[lab.id]
+                p = index.rows[lab]
                 assert np.array_equal(p.deg, np.bincount(p.a, p.n, index.num_colors))
                 assert np.array_equal(p.has, p.deg > 0)
                 assert np.array_equal(p.cnt, np.bincount(p.a, minlength=index.num_colors))
@@ -946,10 +948,10 @@ def test_dense_semi_joins_read_only_the_removed_pairs(monkeypatch):
     assert want[0] and want[1] == len(want[2]) > 0
 
     reads = []
-    spied = {lid: p._replace(a=_Reads(p.a, reads), b=_Reads(p.b, reads))
-             for lid, p in idx.rows.items()}
-    assert all(len(p.b) > 2 * idx.num_colors for lid, p in spied.items()
-               if lid in (EdgeLabel([("R", "+")]).id, EdgeLabel([("R", "-")]).id))
+    spied = {lab: p._replace(a=_Reads(p.a, reads), b=_Reads(p.b, reads))
+             for lab, p in idx.rows.items()}
+    assert all(len(p.b) > 2 * idx.num_colors for lab, p in spied.items()
+               if lab in (EdgeLabel([("R", "+")]), EdgeLabel([("R", "-")])))
     monkeypatch.setattr(idx, "rows", spied)
     assert (eval_boolean(idx, boolean), count_answers(idx, free),
             set(EnumerationSession(idx, free))) == want

@@ -5,15 +5,7 @@ import random
 
 import pytest
 
-from colorcq.graph import (
-    EdgeLabel,
-    dual_of,
-    e_symbol,
-    encode_self_loops,
-    label_id,
-    label_of,
-    sigma1_for,
-)
+from colorcq.graph import EdgeLabel, e_symbol, encode_self_loops, sigma1_for
 from colorcq.model import Schema
 
 from .conftest import (
@@ -40,17 +32,17 @@ def test_edge_label_canonical_and_dual():
     assert e_symbol(EdgeLabel([("P", "+")])) == "E{(P,+)}"
 
 
-def test_dual_of_is_the_dual_label_id():
-    """`dual_of` maps a label id to the id of the label's dual, and is an
-    involution, on one-pair, mixed and self-dual labels, named in either order."""
+def test_dual_is_an_involution_on_interned_labels():
+    """`dual` returns the one label of the flipped pairs, and is an involution
+    up to identity, on one-pair, mixed and self-dual labels, named in either order."""
     labels = [EdgeLabel([("R", "+")]), EdgeLabel([("P", "+"), ("A", "-")]),
               EdgeLabel([("R", "+"), ("R", "-")]), EdgeLabel([("Q", "-"), ("S", "-"), ("S", "+")])]
     for lab in labels:
-        for lid in (lab.id, lab.dual().id):
-            assert dual_of(lid) == label_id(label_of(lid).dual().pairs)
-            assert dual_of(dual_of(lid)) == lid
-            assert label_of(dual_of(lid)) == label_of(lid).dual()
-    assert dual_of(labels[2].id) == labels[2].id  # self-dual
+        assert EdgeLabel(reversed(lab.pairs)) is lab
+        for x in (lab, lab.dual()):
+            assert x.dual() is EdgeLabel((s, "-" if d == "+" else "+") for s, d in x.pairs)
+            assert x.dual().dual() is x
+    assert labels[2].dual() is labels[2]  # self-dual
 
 
 def test_edge_label_rejects_empty_and_bad_direction():

@@ -299,7 +299,7 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
            multirel_db()]
     built = [build_index(db) for db in dbs]
     hat = EdgeLabel([("P", "+")])
-    assert len(built[-1]._supers[hat.id]) == 2  # the multirel hat lookup merges
+    assert len(built[-1]._supers[hat]) == 2  # the multirel hat lookup merges
 
     def no_refine(g):
         raise AssertionError("load_index must not refine")
@@ -362,10 +362,10 @@ def test_loaded_index_equals_the_built_one(family, tmp_path):
         assert all(np.array_equal(x, y) for x, y in zip(rows, rows2, strict=True))
     assert idx2.closure_symbols == idx.closure_symbols
     for lab in idx.closure_symbols:  # the hat tables of the closure labels, lazy ones included
-        assert idx2.tables[lab.id] == idx.tables[lab.id]
+        assert idx2.tables[lab] == idx.tables[lab]
     assert idx2.tables.keys() == idx.tables.keys() and idx2.rows.keys() == idx.rows.keys()
-    for lid, p in idx.rows.items():
-        p2 = idx2.rows[lid]
+    for lab, p in idx.rows.items():
+        p2 = idx2.rows[lab]
         assert bytes(p2.ptr) == bytes(p.ptr)
         assert all(np.array_equal(x, y) for x, y in zip(p2[:3] + p2[4:], p[:3] + p[4:], strict=True))
     for cdb, cdb2 in ((idx.color_db, idx2.color_db), (idx.db, idx2.db), (idx.d1, idx2.d1)):
@@ -405,7 +405,7 @@ def test_dual_rows_are_the_transpose(tmp_path):
             n_c = index.n_c.tolist()
             for lab in index.closure_symbols:
                 assert lab.dual() in index.closure_symbols
-                p, d = index.rows[lab.id], index.rows[lab.dual().id]
+                p, d = index.rows[lab], index.rows[lab.dual()]
                 fwd = dict(zip(zip(p.a.tolist(), p.b.tolist()), p.n.tolist()))
                 bwd = dict(zip(zip(d.b.tolist(), d.a.tolist()), d.n.tolist()))
                 assert fwd.keys() == bwd.keys(), lab
@@ -667,6 +667,9 @@ _DEFECTS = {
         "unstable colouring"),
     "label of an unknown symbol": ({**_TWO, "labels": [[["T", "+"]], [["R", "-"]]]}, "bad edge label"),
     "label of an unknown direction": ({**_TWO, "labels": [[["R", "*"]], [["R", "-"]]]}, "bad edge label"),
+    "label listed twice": ({**_TWO, "labels": [*_R, [["R", "+"]]]}, "an edge label listed twice"),
+    "label listed twice in two orders": (
+        {**_TWO, "labels": [[["R", "+"], ["R", "-"]], [["R", "-"], ["R", "+"]]]}, "an edge label listed twice"),
 }
 
 
@@ -994,4 +997,4 @@ def test_hat_tables_memoized(dex_index):
     c = color_of_name(idx, "LM")
     first = idx.succ(lab, v, c)
     assert list(idx.succ(lab, v, c)) == list(first)
-    assert idx.tables[lab.id] is idx.tables[lab.id]
+    assert idx.tables[lab] is idx.tables[lab]

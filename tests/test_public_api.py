@@ -31,7 +31,7 @@ METHODS = {
     "ColorIndex": ["loop_cover_array", "succ"],
     "Coloring": ["num_colors", "sizes"],
     "Database": ["adom_ids", "array", "set_relation", "size"],
-    "EdgeLabel": ["dual", "id"],
+    "EdgeLabel": ["dual", "pairs"],
     "LabeledGraph": ["num_directed_edges"],
 }
 
@@ -46,6 +46,7 @@ def test_class_methods_are_pinned():
 # slots takes an edit of this table
 SHAPES = {
     "ConjunctiveQuery": ("head", "atoms", "adj", "unary", "free"),
+    "EdgeLabel": ("pairs", "_dual"),
     "PlanComponent": ("root", "order", "free_prefix", "parent", "children", "unary", "label",
                       "source", "schema"),
     "QueryPlan": ("query", "components", "head_slots"),
@@ -53,6 +54,7 @@ SHAPES = {
 
 
 def test_plan_shapes_are_pinned():
-    assert colorcq.ConjunctiveQuery.__slots__ == SHAPES["ConjunctiveQuery"]
+    for cls in (colorcq.ConjunctiveQuery, colorcq.EdgeLabel):
+        assert cls.__slots__ == SHAPES[cls.__name__], cls.__name__
     for cls in (PlanComponent, colorcq.QueryPlan):
         assert tuple(f.name for f in fields(cls)) == SHAPES[cls.__name__], cls.__name__
