@@ -50,11 +50,11 @@ def _print_stats(st: dict) -> None:
 
 
 def cmd_build(args) -> int:
-    db = _load_db(args.db)
-    idx = build_index(db)
+    idx = build_index(_load_db(args.db))
+    st = index_stats(idx)  # first: an index without stats (a label closure too large) is not written
     save_index(idx, args.out)
     print(f"index written to {args.out}")
-    _print_stats(index_stats(idx))
+    _print_stats(st)
     return 0
 
 

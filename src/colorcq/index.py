@@ -12,13 +12,13 @@ All tables come from the class-major edges: per label, the targets sorted by
 which stability gives every member; a build sorts them out of the graph, a
 load reads them.  So a label's table is one read-only view of the targets,
 with an offset and a stride per class pair (`SuccTable`): no Python list per
-vertex or edge.  The hat tables (union over the actual labels ⊇ λ) of the
-actual labels are built with the index, the others on first use; all are
-memoized by `EdgeLabel`, which is interned, so a warm lookup is one dict get
-(thread-safe; concurrent first calls compute identical values).
-The colour database materializes E_λ for the downward closure of the actual
-labels (any other label has empty semantics by construction) and seeds the
-sorted count rows per label that the evaluation layer reads as arrays.
+vertex or edge.  The hat tables (union over the actual labels ⊇ λ) and the
+count rows, which evaluation reads as arrays, of the actual labels are built
+with the index, those of any other label on first use; all are memoized by
+`EdgeLabel`, which is interned, so a warm lookup is one dict get (thread-safe;
+concurrent first calls compute identical values).  Nothing is made per label
+of the downward closure of the actual labels but the colour database, which
+materializes E_λ for each (any other label has empty semantics), on first read.
 """
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ FORMAT_VERSION = 4
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
-# hard cap on closure materialization; hit only by adversarial schemas where
-# one vertex pair is related by very many symbols at once
+# hard cap on the closure that `color_db` materializes on first read; hit only
+# by adversarial schemas where one vertex pair is related by very many symbols
 _CLOSURE_CAP = 1 << 20
 
 
@@ -117,13 +117,12 @@ class ColorIndex:
         self.build_seconds = dict(build_seconds)
         # the lookups, memoized per label (`rows`, `tables`) and per set of λ_x atoms
         self.rows, self.tables = _Memo(self._make_rows), _Memo(self._make_table)
-        self.unary_colors = _Memo(self._make_flags)
+        self.unary_colors, self._supers = _Memo(self._make_flags), _Memo(self._make_supers)
         # enumeration's views of the class members and vertex -> constant id (None: identity)
         self.members = memoryview(coloring.order)
         self.const_of = None if not g.n or g.verts[-1] == g.n - 1 else memoryview(g.verts).toreadonly()
         t0 = time.perf_counter()
         self._build_tables(*(edges or _class_major(g, coloring)))
-        self._build_color_db()
         for lab in self.actual_labels:
             self.tables[lab] = self._make_table(lab)
         self.build_seconds["tables"] = time.perf_counter() - t0
@@ -172,55 +171,28 @@ class ColorIndex:
         rows = (fcls[grp[:-1]], ftgt[grp[:-1]], np.diff(grp))
         self._count_rows = [tuple(x[cut[i]:cut[i + 1]] for x in rows) for i in range(len(labels))]
         self._edges = (at.tolist(), src, tgt, nbr)
-
-    def _build_color_db(self) -> None:
-        g = self.g
-        budget = _CLOSURE_CAP
-        # closure label -> numbers of the actual labels that contain it; a
-        # label outside the closure is contained in no actual label
-        self._supers: dict[EdgeLabel, list[int]] = {}
-        for i, lab in enumerate(self.actual_labels):
-            pairs = lab.pairs
-            budget -= 1 << len(pairs)
-            if budget < 0:
-                raise ColorcqError("edge-label closure too large to materialize")
-            for r in range(1, len(pairs) + 1):
-                for sub in combinations(pairs, r):  # sorted and distinct, as `pairs`
-                    self._supers.setdefault(label_of(sub), []).append(i)
-
-        schema = Schema((u, 1) for u in g.unary_symbols)
-        elabels = sorted(self._supers, key=lambda lab: (len(lab.pairs), lab.pairs))
-        self.closure_symbols: dict[EdgeLabel, str] = {}
-        for lab in elabels:
-            name = e_symbol(lab)
-            schema.add(name, 2)
-            self.closure_symbols[lab] = name
-
-        cdb = Database(schema)
-        cdb.constants = range(self.num_colors)  # `set_relation` reads its length only
-        for u, rows in zip(g.unary_symbols, g.unary):
-            cdb.set_relation(u, self.coloring.color_of[rows][:, None])
-        for lab, name in self.closure_symbols.items():
-            # the closure entries are exactly the hat counts; seed the row
-            # memo so queries never pay a first-use merge
-            hat = self._hat_count_rows(lab)
-            cdb.set_relation(name, np.stack(hat[:2], axis=1))
-            self.rows[lab] = self._make_rows(lab, hat)
-        # colour c is the constant "c"; the names are made on first read
-        self.color_db = _LazyRows(schema, lambda: list(map(str, cdb.constants)), lambda: cdb._arrays)
+        self._holders: dict[tuple[str, str], set[int]] = {}  # a pair -> the actual labels that hold it
+        for i, label in enumerate(labels):
+            for pair in label.pairs:
+                self._holders.setdefault(pair, set()).add(i)
 
     # -- lookups -----------------------------------------------------------
 
+    def _make_supers(self, lab: EdgeLabel) -> list[int]:
+        """The numbers of the actual labels whose pairs contain those of `lab`, ascending."""
+        each = sorted((self._holders.get(pair, set()) for pair in lab.pairs), key=len)
+        return sorted(each[0].intersection(*each[1:]))
+
     def _hat_count_rows(self, lab: EdgeLabel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, c′, #̂→^λ(c,c′)) for the class pairs with a positive count, sorted."""
-        parts = [self._count_rows[i] for i in self._supers.get(lab, ())]
+        parts = [self._count_rows[i] for i in self._supers[lab]]
         return _merge_rows(parts, self.num_colors) if parts else (_EMPTY, _EMPTY, _EMPTY)
 
-    def _make_rows(self, lab: EdgeLabel, hat: tuple[np.ndarray, ...] | None = None) -> PairRows:
+    def _make_rows(self, lab: EdgeLabel) -> PairRows:
         """The loop-augmented counts of the label λ `lab`, sorted by (c, c′):
         #̂→^λ(c,c′) where it is positive, plus one on (c, c) for every class c
         that loops over λ (see `loop_cover_array`)."""
-        hat = self._hat_count_rows(lab) if hat is None else hat
+        hat = self._hat_count_rows(lab)
         diag = np.flatnonzero(self.loop_cover_array(lab))
         if len(diag):
             hat = _merge_rows([hat, (diag, diag, np.ones(len(diag), np.int64))], self.num_colors)
@@ -228,7 +200,7 @@ class ColorIndex:
 
     def _make_table(self, lab: EdgeLabel) -> SuccTable:
         bounds, place, tgt, nbr = self._edges
-        segs = [slice(bounds[i], bounds[i + 1]) for i in self._supers.get(lab, ())]
+        segs = [slice(bounds[i], bounds[i + 1]) for i in self._supers[lab]]
         # the labels partition the edges; merge their class-major runs (one
         # label's run is already in (place, target colour, target) order)
         w = nbr[segs[0]] if len(segs) == 1 else np.concatenate([nbr[x] for x in segs] + [_EMPTY])
@@ -282,6 +254,29 @@ class ColorIndex:
         under the loop-augmented semantics used by the evaluation layer.
         """
         return self.unary_colors[frozenset((r, 2) for r, _ in lab.pairs)]
+
+    @cached_property
+    def closure_symbols(self) -> dict[EdgeLabel, str]:
+        """The symbol E_λ of each label λ in the closure of the actual labels, by size, then pairs."""
+        budget, closure = _CLOSURE_CAP, set()
+        for lab in self.actual_labels:
+            budget -= 1 << len(lab.pairs)
+            _need(budget >= 0, "edge-label closure too large to materialize")
+            for r in range(1, len(lab.pairs) + 1):
+                closure.update(map(label_of, combinations(lab.pairs, r)))  # sorted and distinct, as `pairs`
+        return {lab: e_symbol(lab) for lab in sorted(closure, key=lambda lab: (len(lab.pairs), lab.pairs))}
+
+    @cached_property
+    def color_db(self) -> Database:
+        """Colour c is the constant "c"; U holds on the classes whose members carry U,
+        and E_λ, for λ in `closure_symbols`, on the (c, c′) with #̂→^λ(c,c′) > 0."""
+        cdb = Database(Schema((u, 1) for u in self.g.unary_symbols), map(str, range(self.num_colors)))
+        for u, rows in zip(self.g.unary_symbols, self.g.unary):
+            cdb.set_relation(u, self.coloring.color_of[rows][:, None])
+        for lab, name in self.closure_symbols.items():
+            cdb.schema.add(name, 2)
+            cdb.set_relation(name, np.stack(self._hat_count_rows(lab)[:2], axis=1))
+        return cdb
 
 
 def _merge_rows(parts, ncol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

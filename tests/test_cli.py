@@ -14,7 +14,8 @@ import pytest
 
 from colorcq import cli
 from colorcq.cli import main
-from colorcq.index import FORMAT_VERSION, MAGIC
+from colorcq.index import FORMAT_VERSION, MAGIC, build_index, save_index
+from colorcq.model import load_database
 
 from .conftest import MOVIE_TEXT, reseal
 from .test_index import _DEFECTS, _graph_file
@@ -105,13 +106,26 @@ def test_error_paths_are_exit_1(movie_file, tmp_path, capsys):
     (["oracle", "Ans(x,y) <- T(x,y).", "--db", "{db}"], 1),
     (["bench", "--db", "{db}", "--queries", "{db}"], 2),
     (["oracle", "Ans(x,y) <- P(x,y).", "--db", "{db}", "--task", "bool"], 3),
+    (["build", "--db", "{wide}", "--out", "{tmp}/wide.ccqx"], 1),
+    (["query", "Ans(x,y) <- R00(x,y), R13(x,y).", "--index", "{wide index}", "--task", "count"], 0),
+    (["stats", "--index", "{wide index}"], 1),
 ])
 def test_exit_codes(argv, code, movie_file, tmp_path, capsys, monkeypatch):
     """Errors exit 1, and `--task bool` on a non-Boolean query exits 3, with a
     one-line message; a usage error (`bench` is no subcommand) is argparse's
-    exit 2.  Each is found before the oracle's brute-force search runs."""
+    exit 2.  Each is found before the oracle's brute-force search runs.  On
+    a database whose one edge carries 21 symbols, past the label-closure cap,
+    an index saved from Python answers queries, but `build` and `stats`,
+    which print the colour database's size, exit 1, and `build` writes no file."""
     monkeypatch.setattr(cli, "naive_eval", lambda *a: pytest.fail("the search ran"))
-    argv = [a.replace("{db}", movie_file).replace("{tmp}", str(tmp_path)) for a in argv]
+    wide = tmp_path / "wide.facts"
+    wide.write_text("".join(f"R{i:02d}(a,b)\n" for i in range(21)))
+    save_index(build_index(load_database(wide.read_text())), str(tmp_path / "saved.ccqx"))
+    on_wide = any(a.startswith("{wide") for a in argv)
+    subs = {"{db}": movie_file, "{tmp}": str(tmp_path), "{wide}": str(wide),
+            "{wide index}": str(tmp_path / "saved.ccqx")}
+    for key, path in subs.items():
+        argv = [a.replace(key, path) for a in argv]
     if code == 2:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -119,8 +133,13 @@ def test_exit_codes(argv, code, movie_file, tmp_path, capsys, monkeypatch):
         assert "invalid choice: 'bench'" in capsys.readouterr().err
         return
     assert main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert (out, err) == ("1\n", "")
+        return
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert ("closure" in err) == on_wide, err
+    assert not (tmp_path / "wide.ccqx").exists()
 
 
 def test_non_utf8_input_is_exit_1(tmp_path, capsys):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from colorcq.cli import main
-from colorcq.evaluation import EnumerationSession, cde_fc_acq, count_answers
+from colorcq.evaluation import EnumerationSession, cde_fc_acq, count_answers, eval_boolean
 from colorcq.frontend import plan_query
 from colorcq.graph import EdgeLabel, build_labeled_graph, encode_self_loops
 from colorcq.index import (
@@ -46,6 +46,7 @@ from .conftest import (
     tuples,
     vertex,
 )
+from .test_evaluation import _agree_with_naive, _built_and_loaded
 
 
 def test_movie_colors_and_stats(dex_index):
@@ -160,16 +161,17 @@ def test_empty_database_index():
     assert st["k_sigma"] == 0.0
 
 
-def test_succ_tables_against_brute_force():
+def test_succ_tables_against_brute_force(tmp_path):
     """N̂→^λ(v,c) and #̂→^λ(c,c′) recomputed edge-by-edge from the graph, for
-    every closure label and a couple of labels outside the closure."""
+    every closure label and a couple of labels outside the closure, on a built
+    index and on its loaded copy (which makes each superset list on first use)."""
     rng = random.Random(29)
-    for _ in range(12):
+    for i in range(12):
         db = random_db(rng, max_adom=6)
-        idx = build_index(db)
-        g = idx.g
-        col = idx.coloring
-        labs = list(idx.closure_symbols) + [
+        built, loaded = _built_and_loaded(db, tmp_path / f"{i}.ccqx")
+        g = built.g
+        col = built.coloring
+        labs = list(built.closure_symbols) + [
             EdgeLabel([("R", "+"), ("S", "+")]),
             EdgeLabel([("R", "-"), ("S", "+"), ("S", "-")]),
         ]
@@ -179,11 +181,12 @@ def test_succ_tables_against_brute_force():
                 for w, elab in out_edges(g, v):
                     if set(lab.pairs) <= set(elab.pairs):
                         by_c.setdefault(int(col.color_of[w]), []).append(w)
-                for c in range(idx.num_colors):
+                for c in range(col.num_colors):
                     expect = sorted(by_c.get(c, []))
-                    got = [int(x) for x in idx.succ(lab, v, c)]
-                    assert got == expect
-                    assert hat_count(idx, lab, int(col.color_of[v]), c) == len(expect)
+                    for idx in (built, loaded):
+                        got = [int(x) for x in idx.succ(lab, v, c)]
+                        assert got == expect
+                        assert hat_count(idx, lab, int(col.color_of[v]), c) == len(expect)
 
 
 def test_monotone_in_the_label():
@@ -227,12 +230,69 @@ def test_loop_cover_array():
     assert not bool(idx.loop_cover_array(EdgeLabel([("S", "+")]))[ca])
 
 
-def test_closure_cap_guards_adversarial_schemas():
+def test_closure_cap_guards_adversarial_schemas(tmp_path):
+    """Past the closure cap, the colour database, and `index_stats`, which
+    counts it, refuse on a built and on a loaded index; a build, a save, a
+    load and queries make no closure, so they succeed and answer right."""
     n_rel = 21  # one edge carrying 21 symbols: 2^21 closure labels
     db = make_db(Schema([(f"R{i:02d}", 2) for i in range(n_rel)]),
                  [(f"R{i:02d}", "a", "b") for i in range(n_rel)])
-    with pytest.raises(ColorcqError, match="closure"):
-        build_index(db)
+    indexes = _built_and_loaded(db, tmp_path / "wide.ccqx")
+    texts = ("Ans() <- R00(x,y), R20(x,y).", "Ans() <- R00(x,y), R20(y,x).",
+             "Ans(x,y) <- R03(x,y), R17(x,y).", "Ans(y) <- R05(x,y).", "Ans(x) <- R01(y,x).")
+    assert _agree_with_naive(db, indexes, db.schema, texts) == 4
+    for idx in indexes:
+        for read in (index_stats, lambda idx: idx.color_db):
+            with pytest.raises(ColorcqError, match="closure"):
+                read(idx)
+
+
+def _wide_cycle_db(n: int, k: int = 24) -> Database:
+    """k relations R00..R(k-1) on one directed n-cycle, the odd-numbered ones
+    reversed: every edge carries all k symbols, so its label and the dual
+    each have 2^k - 1 non-empty subsets."""
+    edges = [(str(j), str((j + 1) % n)) for j in range(n)]
+    facts = [(f"R{i:02d}", *(e if i % 2 == 0 else e[::-1])) for i in range(k) for e in edges]
+    return make_db(Schema([(f"R{i:02d}", 2) for i in range(k)]), facts)
+
+
+# Boolean, count and enumeration queries on `_wide_cycle_db`: one names a
+# label that no edge carries, the others mix directions
+WIDE_QUERIES = (
+    "Ans() <- R00(x,y), R01(y,x).",
+    "Ans() <- R00(x,y), R01(x,y).",
+    "Ans(x,y) <- R02(x,y), R05(y,x), R07(y,z).",
+    "Ans(x,y,z) <- R00(x,y), R03(z,y), R10(y,w).",
+    "Ans(y) <- R04(x,y), R06(x,y), R09(y,x), R23(z,y).",
+)
+
+
+def test_wide_labels_make_no_closure(tmp_path):
+    """24 relations on every edge of a 1,000-edge cycle: 2^25 - 2 closure
+    labels, past the cap.  A build, a load and queries read only the labels
+    they name: no index makes `closure_symbols` or `color_db`, and `rows`
+    holds the actual labels and the labels the queries name.  The answers
+    agree with `cde_fc_acq`, and on a 60-edge copy with `naive_eval`, on a
+    built and on a loaded index."""
+    db = _wide_cycle_db(1000)
+    indexes = _built_and_loaded(db, tmp_path / "wide.ccqx")
+    named = set()
+    for text in WIDE_QUERIES:
+        q = parse_query(text, db.schema)
+        plan = plan_query(q, db.schema)
+        named |= {x for comp in plan.components for lab in comp.label[1:] for x in (lab, lab.dual())}
+        want = set(cde_fc_acq(db, plan))
+        for idx in indexes:
+            assert count_answers(idx, plan) == len(want), text
+            if q.is_boolean:
+                assert eval_boolean(idx, plan) == bool(want), text
+            assert set(EnumerationSession(idx, plan)) == want, text
+    for idx in indexes:
+        assert "closure_symbols" not in vars(idx) and "color_db" not in vars(idx)
+        assert set(idx.actual_labels) <= idx.rows.keys() <= set(idx.actual_labels) | named
+    small = _wide_cycle_db(60)
+    indexes = _built_and_loaded(small, tmp_path / "small.ccqx")
+    assert _agree_with_naive(small, indexes, small.schema, WIDE_QUERIES) == 4
 
 
 def test_unstable_coloring_is_rejected():
@@ -419,14 +479,19 @@ def test_dual_rows_are_the_transpose(tmp_path):
 
 
 def test_pair_rows_hold_arrays_only(tmp_path):
-    """No memoized `rows[λ]` of a built index or of its loaded copy holds a
+    """A built index and its loaded copy memoize `rows[λ]` for their actual
+    labels only; once every closure label's rows are read, none holds a
     Python list, and every `ptr` is a memoryview."""
     dbs = (movie_db(), random_db(random.Random(2203), max_adom=12, max_facts=30))
     for i, db in enumerate(dbs):
         idx = build_index(db)
         save_index(idx, str(tmp_path / f"{i}.ccqx"))
         for index in (idx, load_index(str(tmp_path / f"{i}.ccqx"))):
-            assert len(index.rows) == len(index.closure_symbols) >= 4
+            assert set(index.rows) == set(index.actual_labels)
+            assert len(index.closure_symbols) >= 4
+            for lab in index.closure_symbols:
+                index.rows[lab]
+            assert index.rows.keys() == index.closure_symbols.keys()
             for p in index.rows.values():
                 assert isinstance(p.ptr, memoryview), p
                 assert not any(isinstance(x, list) for x in p), p
