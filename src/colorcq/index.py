@@ -37,7 +37,7 @@ import numpy as np
 
 from .graph import (BWD, FWD, EdgeLabel, LabeledGraph, Sigma1, Vertices, _bounds, _pack, _ranges,
                     build_labeled_graph, e_symbol, encode_self_loops, label_of, sigma1_for)
-from .model import ColorcqError, Database, Schema
+from .model import ColorcqError, Database, Schema, _keys
 from .refine import Coloring, _coloring, refine
 
 MAGIC = b"CCQX"
@@ -411,7 +411,8 @@ def _check_meta(meta, path: str) -> None:
 
 def _check_constants(block: memoryview, count: int, path: str) -> Callable[[], list[str]]:
     """Check that `block` is `count` distinct `\\n`-ended UTF-8 lines, decoding
-    it only if it is not ASCII; return the function that decodes and splits it."""
+    it only if it is not ASCII, and finding repeats by sorting the lines' exact
+    `model._keys`; return the function that decodes and splits it."""
     what, raw = f"{path}: corrupt constants block", b"".join((bytes(8), block))  # 8 bytes of padding
     if not raw.isascii():
         try:
@@ -423,19 +424,7 @@ def _check_constants(block: memoryview, count: int, path: str) -> Callable[[], l
           f"{what} (not {count} lines, each ended by a break)")
     size = np.diff(ends, prepend=-1)
     size -= 1
-    short, n = size < 8, size.view(np.uint64)
-    if not short.all():  # longer lines are compared as bytes
-        far = np.flatnonzero(~short)
-        longs = {raw[e - k:e] for k, e in zip(size[far].tolist(), (ends[far] + 8).tolist())}
-        _need(len(longs) == len(far), f"{what} (repeated constant)")
-        ends, n = ends[short], n[short]
-    # exact: the 8 bytes before a break end with its line; a line of at most 7
-    # bytes, shifted down to its own bytes, with its length in the top byte, is one key
-    window = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))  # item i: the 8 bytes before byte i of block
-    keys, shift = window[ends], n << 3
-    keys >>= np.subtract(56, shift, out=shift)
-    keys >>= 8
-    keys |= np.left_shift(n, 56, out=shift)
+    keys = _keys(raw, ends, size)  # exact: once sorted, equal neighbours are repeats
     keys.sort()
     _need(not (keys[1:] == keys[:-1]).any(), f"{what} (repeated constant)")
     return lambda: str(memoryview(raw)[8:], "utf-8").split("\n")[:-1]

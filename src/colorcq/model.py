@@ -150,10 +150,10 @@ def load_database(src: str | TextIO) -> Database:
     Constants get ids in order of first appearance.
 
     Text made only of printable ASCII, tabs and `\\n` line breaks is
-    tokenized, checked and interned with numpy (`_parse_array`).  Any other
-    text, and any text that check rejects, is read line by line by the
-    reference parser (`_parse_lines`), which also raises the errors.  Both
-    build the same Database.
+    tokenized and checked with numpy, and its strings interned by one uint64
+    key each (`_parse_array`).  Any other text, and any text that check
+    rejects, is read line by line by the reference parser (`_parse_lines`),
+    which also raises the errors.  Both build the same Database.
     """
     text = src if isinstance(src, str) else src.read()
     db = _parse_array(text)
@@ -175,27 +175,27 @@ _COMMENT_RE = re.compile(rb"#[\t\x20-\x7e]*")
 
 def _parse_array(text: str) -> Database | None:
     """The Database `_parse_lines(text)` builds, computed with numpy on the
-    bytes of `text`; None when `text` holds anything but printable ASCII, tabs
-    and `\\n` line breaks, or is not a valid fact list."""
+    bytes of `text` after 8 bytes of padding; None when `text` holds anything
+    but printable ASCII, tabs and `\\n` line breaks, or is not a valid fact list."""
     if not text.isascii():
         return None
-    # the padding lets _intern read 8 bytes from any token start
-    data = _COMMENT_RE.sub(b"", text.encode("ascii")) + b"\n" * 8
-    scan = _scan(data)
+    # the padding lets _keys read the 8 bytes before any token end; the last break ends the last line
+    data = b"\n" * 8 + _COMMENT_RE.sub(b"", text.encode("ascii")) + b"\n"
+    scan = _scan(data)  # positions in the text after the padding
     if scan is None:
         return None
-    starts, lens, binary = scan
+    ends, lens, binary = scan
     if not len(binary):
         return Database(Schema())
 
     # in a valid text, a token is a relation name iff it opens its line
     arity = 1 + binary
     name_tok = np.cumsum(arity + 1) - (arity + 1)
-    is_arg = np.ones(len(starts), dtype=bool)
+    is_arg = np.ones(len(ends), dtype=bool)
     is_arg[name_tok] = False
-    buf = np.frombuffer(data, dtype=np.uint8)
-    rel, rel_first = _intern(buf, starts[name_tok], lens[name_tok])
-    rel_names = _names(buf, starts[name_tok[rel_first]], lens[name_tok[rel_first]])
+    buf = np.frombuffer(data, dtype=np.uint8, offset=8)
+    rel, rel_first = _intern(data, ends[name_tok], lens[name_tok])
+    rel_names = _names(buf, ends[name_tok[rel_first]], lens[name_tok[rel_first]])
     if not all(NAME_RE.fullmatch(r) for r in rel_names):
         return None
     n_lines = np.bincount(rel)
@@ -203,14 +203,14 @@ def _parse_array(text: str) -> Database | None:
     if ((n_binary > 0) & (n_binary < n_lines)).any():  # a symbol used with both arities
         return None
     rel_arity = np.where(n_binary > 0, 2, 1).tolist()
-    starts, lens = starts[is_arg], lens[is_arg]
-    cid, first = _intern(buf, starts, lens)
+    ends, lens = ends[is_arg], lens[is_arg]
+    cid, first = _intern(data, ends, lens)
 
     schema = Schema()
     for name, a in zip(rel_names, rel_arity):
         schema.add(name, a)
     db = Database(schema)
-    db.constants = _names(buf, starts[first], lens[first])
+    db.constants = _names(buf, ends[first], lens[first])
     first_arg = name_tok - np.arange(len(name_tok))  # index of each line's first argument in cid
     by_rel = np.argsort(rel, kind="stable")
     for name, a, lines in zip(rel_names, rel_arity, np.split(by_rel, np.cumsum(n_lines)[:-1])):
@@ -220,29 +220,30 @@ def _parse_array(text: str) -> Database | None:
 
 
 def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Start and length of every token of `data`, and per non-empty line
-    whether it is binary; None unless every line is valid.
+    """End and length of every token of the text after the 8 bytes of padding
+    that start `data`, and per non-empty line whether it is binary; None
+    unless every line is valid.
 
     A token is a maximal run of `_TOKEN` bytes.  A line is valid when it is
     empty or reads `T(T)` or `T(T,T)` once spaces and tabs are dropped.
     Space inside a token splits it, and a byte of class `_OTHER` is an item
     of its own, so either makes the line invalid, as `_FACT_RE` rejects it.
     """
-    cls = np.frombuffer(data.translate(_CLASS_OF), dtype=np.uint8)
+    cls = np.frombuffer(data.translate(_CLASS_OF), dtype=np.uint8, offset=8)
     tok = cls == _TOKEN
     first = tok.copy()
     first[1:] &= ~tok[:-1]
     last = tok.copy()
     last[:-1] &= ~tok[1:]
-    starts = np.flatnonzero(first)
-    lens = np.flatnonzero(last) + 1 - starts
+    ends = np.flatnonzero(last) + 1
+    lens = ends - np.flatnonzero(first)
 
     # the stream of tokens, delimiters and _OTHER bytes, one byte each, cut at _NEWLINE
     first |= cls >= _OPEN
     kind = cls[first]
-    ends = np.flatnonzero(kind == _NEWLINE)
-    at = np.append(0, ends[:-1] + 1)
-    width = ends - at
+    breaks = np.flatnonzero(kind == _NEWLINE)
+    at = np.append(0, breaks[:-1] + 1)
+    width = breaks - at
     at, width = at[width > 0], width[width > 0]
     binary = width == 6
     if not (binary | (width == 4)).all():
@@ -251,63 +252,58 @@ def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     if ((kind[at] == _TOKEN) & (kind[at + 1] == _OPEN) & (kind[at + 2] == _TOKEN)
             & (kind[at + width - 1] == _CLOSE)).all() and (
             kind[two + 3] == _COMMA).all() and (kind[two + 4] == _TOKEN).all():
-        return starts, lens, binary
+        return ends, lens, binary
     return None
 
 
-def _keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
-    """Per group of the byte strings buf[starts[i]:starts[i] + lens[i]] with
-    one word count, (length + 7) // 8, the indices i of the group and one key
-    per string.  `buf` must hold 7 bytes past the end of every string.
+def _keys(buf: bytes, ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """One uint64 key per byte string text[ends[i] - lens[i]:ends[i]], where
+    `buf` is 8 bytes of padding followed by the text; keys are equal exactly
+    when the strings are equal, whatever their bytes.
 
-    Each string is read as whole little-endian uint64 words with the bytes
-    past its end masked off; no string ends in a NUL byte, so the words tell
-    lengths apart.  The key is the one word, or past 8 bytes the (m, w) rows
-    of words, sorted with `np.lexsort` and compared whole.  Equal keys are
-    equal strings.
+    A string of at most 7 bytes keys as its own bytes, read little-endian
+    from the 8 bytes before its end and shifted down, with its length in the
+    top byte, so `a` and `a\\0` differ.  A longer one keys as 2^63 | its
+    number among the longer strings, given by one dict of their bytes.
     """
-    n_words = (lens + 7) >> 3
-    by_words = np.argsort(n_words)
-    for occ in np.split(by_words, np.flatnonzero(np.diff(n_words[by_words])) + 1):
-        w = int(n_words[occ[0]])
-        rows = np.lib.stride_tricks.sliding_window_view(buf, 8 * w)[starts[occ]]
-        words = rows.view("<u8")
-        past = (-lens[occ] & 7).astype(np.uint64) * np.uint64(8)  # bits past the end
-        words[:, -1] &= np.uint64(2**64 - 1) >> past
-        yield occ, (words[:, 0] if w == 1 else words)
+    window = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))  # item i: the 8 bytes before byte i of text
+    keys, n = window[ends], np.minimum(lens, 7).view(np.uint64)  # longer strings are keyed below
+    shift = n << 3
+    keys >>= np.subtract(56, shift, out=shift)  # in two steps, as a shift by 64 is undefined
+    keys >>= 8
+    keys |= np.left_shift(n, 56, out=n)
+    far, ids = np.flatnonzero(lens > 7), {}
+    at = zip(lens[far].tolist(), (ends[far] + 8).tolist())  # each longer string's length and end in buf
+    keys[far] = np.fromiter((ids.setdefault(buf[e - k:e], len(ids)) for k, e in at), np.uint64, len(far))
+    keys[far] |= np.uint64(1 << 63)
+    return keys
 
 
-def _intern(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids in order of first appearance for the strings of `_keys`, and the
-    index i of each id's first appearance."""
-    group = np.empty(len(starts), dtype=np.int64)
-    firsts: list[np.ndarray] = []
-    n_groups = 0
-    for occ, key in _keys(buf, starts, lens):
-        perm = key.argsort() if key.ndim == 1 else np.lexsort(key.T)
-        key = key[perm]
-        ne = key[1:] != key[:-1]  # where a sorted key differs from the one before it
-        new = np.append(True, ne if key.ndim == 1 else ne.any(axis=1))
-        occ = occ[perm]
-        group[occ] = np.cumsum(new) + (n_groups - 1)
-        firsts.append(np.minimum.reduceat(occ, np.flatnonzero(new)))
-        n_groups += len(firsts[-1])
-    firsts_by_group = np.concatenate(firsts)
-    is_first = np.zeros(len(starts), dtype=bool)
+def _intern(buf: bytes, ends: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids in order of first appearance for the strings of `_keys`, found by
+    one argsort of their keys, and the index i of each id's first appearance."""
+    key = _keys(buf, ends, lens)
+    perm = key.argsort()
+    key = key[perm]
+    new = np.append(True, key[1:] != key[:-1])  # where a sorted key differs from the one before it
+    group = np.empty(len(key), dtype=np.int64)
+    group[perm] = np.cumsum(new) - 1
+    firsts_by_group = np.minimum.reduceat(perm, np.flatnonzero(new))
+    is_first = np.zeros(len(key), dtype=bool)
     is_first[firsts_by_group] = True
     return (np.cumsum(is_first) - 1)[firsts_by_group][group], np.flatnonzero(is_first)
 
 
-def _names(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[str]:
-    """The strings buf[starts[i]:starts[i] + lens[i]], which are ASCII
-    without `\\n`, and each followed by at least one byte of `buf`."""
+def _names(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> list[str]:
+    """The strings buf[ends[i] - lens[i]:ends[i]], which are ASCII without
+    `\\n`, and each followed by at least one byte of `buf`."""
     size = lens + 1
     at = np.cumsum(size) - size  # where each string starts in the output
     # out[p] = buf[at_p], where at_p grows by one inside a string and its
     # separator and jumps to the next string's start after
     at_p = np.ones(int(size.sum()), dtype=np.int64)
-    at_p[0] = starts[0]
-    at_p[at[1:]] = starts[1:] - starts[:-1] - lens[:-1]
+    at_p[0] = ends[0] - lens[0]
+    at_p[at[1:]] = ends[1:] - lens[1:] - ends[:-1]
     out = buf[np.cumsum(at_p, out=at_p)]
     del at_p  # freed before the strings are made, to keep the peak memory low
     out[at + lens] = ord("\n")

@@ -215,6 +215,7 @@ MALFORMED = {
         _meta(constants=("p" * 16,) * 2), _GOOD, (b"p" * 16 + b"\n") * 2),
     "repeated empty constant": (_meta(constants=("", "")), _GOOD, b"\n\n"),
     "repeated 7-byte constant": (_meta(constants=("p" * 7,) * 2), _GOOD, (b"p" * 7 + b"\n") * 2),
+    "repeated 8-byte constant": (_meta(constants=("p" * 8,) * 2), _GOOD, (b"p" * 8 + b"\n") * 2),
     "repeated 2-byte non-ASCII constant": (_meta(constants=("é", "é")), _GOOD, "é\né\n".encode("utf-8")),
     "arity 3": (_meta(relations=(("R", 3),)), _GOOD),
     "relation entry not an object": ({**_meta(), "relations": ["R"]}, _GOOD),

@@ -155,6 +155,12 @@ PINNED_TEXTS = [
     # constants of every length from 1 to 40, each a prefix of the longer ones
     ("".join(f"R({PREFIXES[:i]},{PREFIXES[:41 - i]})\nU({PREFIXES[:i]})\n" for i in range(1, 41)),
      True),
+    # URI-shaped constants that share a prefix and a suffix and differ in the
+    # middle, each used several times, alternating with constants of 1-7 bytes
+    ("".join(f"R(http://example.org/item/{k * 37 % 11}/id,{PREFIXES[:k % 7 + 1]})\n"
+             f"R({PREFIXES[:k % 5 + 3]},http://example.org/item/{k * 53 % 13}/id)\n"
+             f"U(http://example.org/item/{k % 9}/id)\n" for k in range(40)),
+     True),
 ]
 
 
