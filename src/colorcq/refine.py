@@ -8,18 +8,26 @@ order of their smallest vertex.
 
 `refine` splits classes in rounds (Hopcroft; Paige–Tarjan 1987).  Round 0
 splits every class by full signatures; each later round walks the edges into
-the parts that got a fresh id in the round before.  Each such edge becomes one
-int64 (in-neighbour u, dual label, splitter colour); one sort of these keys
-yields u's (label, colour, count) items, named per u by prefix doubling when u
-has several.  One argsort of (class, items) then ranks the parts, class by
-class; the untouched rest of a touched class is one more part.  The largest
-part keeps the old id and is never re-examined (counts into it follow from
-its siblings'), so a vertex is re-examined O(log V) times and the refinement
+the parts that got a fresh id in the round before, and groups their
+in-neighbours u by class and by u's (label, colour, count) items; the
+untouched rest of a touched class is one more part.  The largest part keeps
+the old id and is never re-examined (counts into it follow from its
+siblings'), so a vertex is re-examined O(log V) times and the refinement
 costs O((V+E) log V) plus sorting, plus an O(V) scan in each rare round where
 the untouched rest is not the largest part and loses its id.
+
+A round that walks fewer than `_SMALL` edges from fewer than `_SMALL` vertices
+runs in plain Python over dicts (`_round_small`), as a numpy round costs ~50
+calls whatever its size and each of a long chain's ~V/2 rounds walks 4 edges.
+Other rounds run in numpy: each edge becomes one int64 (u, dual label,
+splitter colour), one sort of the keys yields u's items, named per u by prefix
+doubling when u has several, and one argsort of (class, items) ranks the
+parts, class by class.  The result, unique and numbered canonically, does not
+depend on which body ran a round.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +81,9 @@ def _coloring(order: np.ndarray, sizes: np.ndarray) -> Coloring:
     return Coloring(color_of=colors, order=order, bounds=bounds.tolist(), rank=memoryview(rank))
 
 
+_SMALL = 50  # edges a round walks at which numpy starts to beat Python (measured on chains)
+
+
 def _key_width(n: int, n_labels: int) -> int:
     """Width n·labels of packed (dual label, colour) pairs, under a vertex or a count ≤ n."""
     if (n + 1) * n * n_labels >= 1 << 63:
@@ -86,14 +97,17 @@ def refine(g: LabeledGraph) -> Coloring:
     width, n = _key_width(g.n, len(g.labels)), g.n
     deg = g.indptr[1:] - g.indptr[:-1]
     size = np.bincount(color, minlength=n)  # by class id; there are never more than n ids
-    moved = np.arange(n)  # members of this round's splitters
-    while len(moved):
+    views = [memoryview(a) for a in (g.indptr, g.nbr, g.elab, color, size)]  # no copies
+    moved, walk = np.arange(n), len(g.nbr)  # members of this round's splitters, and their out-edges
+    while walk:
+        if walk < _SMALL and len(moved) < _SMALL:
+            moved, walk, ncol = _round_small(views, moved, ncol, len(g.labels))
+            continue
+        moved = np.asarray(moved)
         # every edge has a reverse edge with the dual label, so the out-edges of
         # the splitter members lead to each in-neighbour u, with the label of
         # u -> member and the member's colour, packed into one sortable key
         e = _ranges(g.indptr[moved], deg[moved])
-        if not len(e):
-            break
         key = g.nbr[e] * width + g.dual_id[g.elab[e]] * n + color[moved].repeat(deg[moved])
         key.sort()
         at = _bounds(key)
@@ -134,7 +148,6 @@ def refine(g: LabeledGraph) -> Coloring:
         fresh[top] = res >= big
         lost = (res > 0) & (res < big)
 
-        # a round with nothing fresh leaves `moved` empty, which ends the loop
         moved = hit[fresh.repeat(psize)]
         new_size = psize[fresh]
         color[moved] = np.arange(ncol, ncol + len(new_size)).repeat(new_size)
@@ -152,4 +165,40 @@ def refine(g: LabeledGraph) -> Coloring:
         size[cls] = np.maximum(res, big)
         size[ncol:ncol + len(new_size)] = new_size
         ncol += len(new_size)
+        walk = int(deg[moved].sum())
     return _as_coloring(color)
+
+
+def _round_small(views: list[memoryview], moved: list[int] | np.ndarray, ncol: int,
+                 nlab: int) -> tuple[list[int], int, int]:
+    """`refine`'s round in plain Python, for a round that walks few edges.
+    Returns the next `moved`, the edges it walks and the next fresh id."""
+    indptr, nbr, elab, color, size = views
+    items = defaultdict(list)  # touched u -> one (colour, label) item per edge into the splitters
+    for w in moved:
+        c = color[w] * nlab
+        for e in range(indptr[w], indptr[w + 1]):
+            items[nbr[e]].append(c + elab[e])  # w -> u's label stands for its dual, u -> w's
+    parts = defaultdict(dict)  # class -> sorted items -> members
+    for u, got in items.items():
+        got.sort()
+        parts[color[u]].setdefault(tuple(got), []).append(u)
+    moved = []
+    for cls, group in parts.items():
+        res = size[cls] - sum(map(len, group.values()))
+        big = max(group.values(), key=len)
+        keep = big if len(big) > res else None  # the residue wins ties
+        for part in group.values():
+            if part is not keep:
+                for v in part:
+                    color[v] = ncol
+                size[ncol], ncol = len(part), ncol + 1
+                moved += part
+        size[cls] = max(res, len(big))
+        if 0 < res < len(big):  # the residue loses its id: the same scan as the numpy body's
+            kept, scan = set(big), np.asarray(color)  # an array over the same buffer
+            rest = [v for v in (scan == cls).nonzero()[0].tolist() if v not in kept]
+            scan[rest] = ncol
+            size[ncol], ncol = res, ncol + 1
+            moved += rest
+    return moved, sum(indptr[v + 1] - indptr[v] for v in moved), ncol

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import random
 import time
 
@@ -22,6 +23,16 @@ from .conftest import (
     vl_mask,
 )
 from .reference import is_stable, naive_refine
+
+REFINE = importlib.import_module("colorcq.refine")  # the module: the package exports the function
+
+
+def each_body(monkeypatch):
+    """Sets `refine` to run numpy rounds only, then Python rounds only, then
+    each round's body by the default `_SMALL`; yields the `_SMALL` in force."""
+    for small in (0, 10**9, REFINE._SMALL):
+        monkeypatch.setattr(REFINE, "_SMALL", small)
+        yield small
 
 
 def movie_partition_names(db, coloring):
@@ -177,28 +188,31 @@ def test_key_width_guard():
             _key_width(big_n, labels)
 
 
-def test_refine_matches_naive_random():
-    rng = random.Random(101)
-    for _ in range(40):
-        g = graph_of(random_db(rng, max_adom=8))
-        col = refine(g)
-        assert list(col.color_of) == list(naive_refine(g).color_of)
-        ok, witness = is_stable(g, col.color_of)
-        assert ok, witness
-        # the refinement respects the initial vertex-label partition
-        masks = vl_mask(g)
-        for cls in members(col):
-            assert len({masks[int(v)] for v in cls}) == 1
+def test_refine_matches_naive_random(monkeypatch):
+    for small in each_body(monkeypatch):
+        rng = random.Random(101)
+        for _ in range(40):
+            g = graph_of(random_db(rng, max_adom=8))
+            col = refine(g)
+            assert list(col.color_of) == list(naive_refine(g).color_of), small
+            ok, witness = is_stable(g, col.color_of)
+            assert ok, witness
+            # the refinement respects the initial vertex-label partition
+            masks = vl_mask(g)
+            for cls in members(col):
+                assert len({masks[int(v)] for v in cls}) == 1
 
 
-def test_refine_matches_naive_random_larger():
-    """60 seeded graphs of up to 40 vertices.  Together they run 335 passes of
-    prefix doubling and one round where the untouched residue of a class is
-    smaller than a touched part and loses its id."""
-    rng = random.Random(2024)
-    for _ in range(60):
-        g = graph_of(random_db(rng, max_adom=40, max_facts=120))
-        assert list(refine(g).color_of) == list(naive_refine(g).color_of)
+def test_refine_matches_naive_random_larger(monkeypatch):
+    """60 seeded graphs of up to 40 vertices.  With numpy rounds only they run
+    335 passes of prefix doubling (296 with the default body choice) and one
+    round where the untouched residue of a class is smaller than a touched
+    part and loses its id; with Python rounds only, one such round too."""
+    for small in each_body(monkeypatch):
+        rng = random.Random(2024)
+        for _ in range(60):
+            g = graph_of(random_db(rng, max_adom=40, max_facts=120))
+            assert list(refine(g).color_of) == list(naive_refine(g).color_of), small
 
 
 def _set_partitions(items: list[int]):
@@ -285,53 +299,61 @@ def _binary_tree_db(n: int) -> Database:
     return make_db(Schema([("R", 2)]), facts, constants=[f"t{i}" for i in range(n)])
 
 
-def test_refine_matches_naive_structured():
-    """Shapes that take many rounds.  The 27-vertex tree and the 12-path with
-    unary labels at 0, 6 and 11 each have a split where the untouched residue
-    of a class is smaller than a touched part and so loses its id."""
+def test_refine_matches_naive_structured(monkeypatch):
+    """Shapes that take many rounds.  With numpy rounds only, the 27-vertex
+    tree and the 12-path with unary labels at 0, 6 and 11 each have a split
+    where the untouched residue of a class is smaller than a touched part and
+    so loses its id; with Python rounds only, and with the default body
+    choice, the 12-path has one such split."""
     rng = random.Random(8)
     dbs = [movie_db(), cycle_db(6), _undirected_db(4, [(0, 1), (1, 2), (2, 3)])]
     dbs += [_directed_path_db(n) for n in (1, 2, 3, 10, 31)]
     dbs += [_binary_tree_db(n) for n in (2, 7, 12, 27, 63)]
     dbs += [_directed_path_db(12, (0, 6, 11))]
     dbs += [_directed_path_db(n, rng.sample(range(n), n // 4)) for n in (8, 25, 40)]
-    for db in dbs:
-        g = graph_of(db)
-        assert list(refine(g).color_of) == list(naive_refine(g).color_of)
+    for small in each_body(monkeypatch):
+        for db in dbs:
+            g = graph_of(db)
+            assert list(refine(g).color_of) == list(naive_refine(g).color_of), small
 
 
 def test_path_refinement_scales_near_linearly():
     """A directed path needs about n/2 rounds; each round re-examines only the
-    two vertices next to the last split, so the time grows about linearly."""
+    two vertices next to the last split, so the time grows about linearly.
+    Checked on a plain path and on one with a unary label on every seventh
+    vertex."""
     ns = (500, 2000, 8000)
-    secs = {}
-    for n in ns:
-        g = graph_of(_directed_path_db(n))
-        best = float("inf")
-        for _ in range(3 if n < 8000 else 2):
-            t0 = time.perf_counter()
-            col = refine(g)
-            best = min(best, time.perf_counter() - t0)
-        assert col.num_colors == n
-        secs[n] = best
-    exponent = float(np.polyfit(np.log(ns), np.log([secs[n] for n in ns]), 1)[0])
-    print("\n[path refinement] s: " + ", ".join(f"{n}: {secs[n]:.4f}" for n in ns)
-          + f" (log-log exponent {exponent:.2f})")
-    assert exponent <= 1.35
+    for unary in (False, True):
+        secs = {}
+        for n in ns:
+            g = graph_of(_directed_path_db(n, range(0, n, 7) if unary else ()))
+            best = float("inf")
+            for _ in range(3 if n < 8000 else 2):
+                t0 = time.perf_counter()
+                col = refine(g)
+                best = min(best, time.perf_counter() - t0)
+            assert col.num_colors == n
+            secs[n] = best
+        exponent = float(np.polyfit(np.log(ns), np.log([secs[n] for n in ns]), 1)[0])
+        print(f"\n[path refinement, labelled={unary}] s: "
+              + ", ".join(f"{n}: {secs[n]:.4f}" for n in ns)
+              + f" (log-log exponent {exponent:.2f})")
+        assert exponent <= 1.35
 
 
-def test_refine_matches_pinned_digest():
+def test_refine_matches_pinned_digest(monkeypatch):
     """The canonical colouring of three larger graphs, pinned by a sha256 of
-    `color_of` as little-endian int64."""
+    `color_of` as little-endian int64, the same under each `each_body` setting."""
     dbs = [
         _directed_path_db(300, range(0, 300, 7)),
         _binary_tree_db(255),
         random_db(random.Random(6), max_adom=300, max_facts=400),  # 246 vertices
     ]
-    got = [(col.num_colors, hashlib.sha256(col.color_of.astype("<i8").tobytes()).hexdigest())
-           for col in (refine(graph_of(db)) for db in dbs)]
-    assert got == [
-        (300, "98e038d3a30a991777ce2f66d2e9b9f377e44b6444635d2b5dd70d38ae78f241"),
-        (8, "034ed3c725f2d78481bc100f50ad8f360aec35263626845c46177e2b357c2d2b"),
-        (154, "cebd01ffd1299faa7b558d1c6a627070ad736ded869785935a530bd5443dd4a3"),
-    ]
+    for small in each_body(monkeypatch):
+        got = [(col.num_colors, hashlib.sha256(col.color_of.astype("<i8").tobytes()).hexdigest())
+               for col in (refine(graph_of(db)) for db in dbs)]
+        assert got == [
+            (300, "98e038d3a30a991777ce2f66d2e9b9f377e44b6444635d2b5dd70d38ae78f241"),
+            (8, "034ed3c725f2d78481bc100f50ad8f360aec35263626845c46177e2b357c2d2b"),
+            (154, "cebd01ffd1299faa7b558d1c6a627070ad736ded869785935a530bd5443dd4a3"),
+        ], small
