@@ -117,7 +117,7 @@ class ColorIndex:
         self.build_seconds = dict(build_seconds)
         # the lookups, memoized per label (`rows`, `tables`) and per set of λ_x atoms
         self.rows, self.tables = _Memo(self._make_rows), _Memo(self._make_table)
-        self.unary_colors, self._supers = _Memo(self._make_flags), _Memo(self._make_supers)
+        self.unary_colors = _Memo(self._make_flags)
         # enumeration's views of the class members and vertex -> constant id (None: identity)
         self.members = memoryview(coloring.order)
         self.const_of = None if not g.n or g.verts[-1] == g.n - 1 else memoryview(g.verts).toreadonly()
@@ -178,29 +178,22 @@ class ColorIndex:
 
     # -- lookups -----------------------------------------------------------
 
-    def _make_supers(self, lab: EdgeLabel) -> list[int]:
+    def _supers(self, lab: EdgeLabel) -> list[int]:
         """The numbers of the actual labels whose pairs contain those of `lab`, ascending."""
         each = sorted((self._holders.get(pair, set()) for pair in lab.pairs), key=len)
         return sorted(each[0].intersection(*each[1:]))
 
-    def _hat_count_rows(self, lab: EdgeLabel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c, c′, #̂→^λ(c,c′)) for the class pairs with a positive count, sorted."""
-        parts = [self._count_rows[i] for i in self._supers[lab]]
-        return _merge_rows(parts, self.num_colors) if parts else (_EMPTY, _EMPTY, _EMPTY)
-
     def _make_rows(self, lab: EdgeLabel) -> PairRows:
-        """The loop-augmented counts of the label λ `lab`, sorted by (c, c′):
-        #̂→^λ(c,c′) where it is positive, plus one on (c, c) for every class c
-        that loops over λ (see `loop_cover_array`)."""
-        hat = self._hat_count_rows(lab)
+        """The loop-augmented counts of the label λ `lab`, sorted by (c, c′), in one merge:
+        #̂→^λ(c,c′), summed over the actual labels ⊇ λ, where it is positive, plus one
+        on (c, c) for every class c that loops over λ (see `loop_cover_array`)."""
         diag = np.flatnonzero(self.loop_cover_array(lab))
-        if len(diag):
-            hat = _merge_rows([hat, (diag, diag, np.ones(len(diag), np.int64))], self.num_colors)
-        return pair_rows(*hat, self.num_colors)
+        parts = [self._count_rows[i] for i in self._supers(lab)] + [(diag, diag, np.ones_like(diag))]
+        return pair_rows(*_merge_rows(parts, self.num_colors), self.num_colors)
 
     def _make_table(self, lab: EdgeLabel) -> SuccTable:
         bounds, place, tgt, nbr = self._edges
-        segs = [slice(bounds[i], bounds[i + 1]) for i in self._supers[lab]]
+        segs = [slice(bounds[i], bounds[i + 1]) for i in self._supers(lab)]
         # the labels partition the edges; merge their class-major runs (one
         # label's run is already in (place, target colour, target) order)
         w = nbr[segs[0]] if len(segs) == 1 else np.concatenate([nbr[x] for x in segs] + [_EMPTY])
@@ -275,19 +268,21 @@ class ColorIndex:
             cdb.set_relation(u, self.coloring.color_of[rows][:, None])
         for lab, name in self.closure_symbols.items():
             cdb.schema.add(name, 2)
-            cdb.set_relation(name, np.stack(self._hat_count_rows(lab)[:2], axis=1))
+            hat = _merge_rows([self._count_rows[i] for i in self._supers(lab)], self.num_colors)
+            cdb.set_relation(name, np.stack(hat[:2], axis=1))
         return cdb
 
 
 def _merge_rows(parts, ncol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum count rows (c, c′, n) over equal (c, c′); the result is sorted."""
-    if len(parts) == 1:
-        return parts[0]
+    """Sum count rows (c, c′, n) over equal (c, c′) in one merge of the parts'
+    sorted runs, empty parts dropped; the result is sorted."""
+    parts = [p for p in parts if len(p[0])]
+    if len(parts) < 2:
+        return parts[0] if parts else (_EMPTY, _EMPTY, _EMPTY)
     c, c2, n = (np.concatenate(x) for x in zip(*parts))
-    pair, inv = np.unique(c * ncol + c2, return_inverse=True)
-    total = np.zeros(len(pair), np.int64)
-    np.add.at(total, inv, n)
-    return pair // ncol, pair % ncol, total
+    by = np.argsort(c * ncol + c2, kind="stable")
+    at = _bounds(c[by], c2[by])[:-1]
+    return c[by[at]], c2[by[at]], np.add.reduceat(n[by], at)
 
 
 def _class_major(g: LabeledGraph, col: Coloring) -> tuple:

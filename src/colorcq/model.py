@@ -39,7 +39,6 @@ class Schema:
 
     def __init__(self, symbols: Iterable[tuple[str, int]] = ()):
         self._arity: dict[str, int] = {}
-        self.memo: dict[str, object] = {}  # values derived from the symbols; add() clears it
         for name, arity in symbols:
             self.add(name, arity)
 
@@ -53,7 +52,6 @@ class Schema:
         old = self._arity.get(name)
         if old is None:
             self._arity[name] = arity
-            self.memo.clear()
         elif old != arity:
             raise SchemaError(f"symbol {name!r} used with arities {old} and {arity}")
 

@@ -197,12 +197,22 @@ def _shapes(**change) -> dict:
     return {n: s for n, s in shapes.items() if s is not None}
 
 
-def _meta(constants=("a", "b"), relations=(("R", 2),), shapes=None) -> dict:
+def _meta(constants=("a", "b"), relations=(("R", 2),), shapes=None,
+          labels=([["R", "+"]], [["R", "-"]])) -> dict:
     return {"constants": len(constants),
             "constant_bytes": sum(len(c.encode("utf-8")) + 1 for c in constants),
             "relations": [{"name": n, "arity": a} for n, a in relations],
-            "labels": [[["R", "+"]], [["R", "-"]]],
+            "labels": list(labels),
             "arrays": [{"name": n, "shape": s, "dtype": "<i4"} for n, s in (shapes or _shapes()).items()]}
+
+
+def _mixed(u_rows: list[int]) -> tuple[dict, dict]:
+    """The metadata and arrays of R(a, b), R(b, a) with U on `u_rows`, where a and
+    b form one class over the label {(R,+),(R,-)}: stable iff U holds on both."""
+    arrays = {"unary:U": u_rows, "unary:S_R": [], "order": [0, 1], "sizes": [2], "degrees": [[0, 0, 1]],
+              "targets": [1, 0]}
+    return _meta(relations=(("R", 2), ("U", 1)), labels=([["R", "+"], ["R", "-"]],),
+                 shapes={n: list(np.shape(a)) for n, a in arrays.items()}), arrays
 
 
 MALFORMED = {
@@ -235,6 +245,7 @@ MALFORMED = {
     "negative colour id": (_meta(), {**_GOOD, "order": [-1, 0]}),
     "constant id not interned": (_meta(shapes=_shapes(verts=[2])), {**_GOOD, "verts": [0, 5]}),
     "bytes after the arrays": (_meta(), {**_GOOD, "extra": [0]}),
+    "a class mixes vertex labels": _mixed([0]),
 }
 # the refusals of the constants block, word for word
 CONSTANTS_REFUSED = {
@@ -255,6 +266,8 @@ def test_malformed_index_metadata_is_exit_1(case, tmp_path, capsys):
     assert "checksum" not in err  # the file is refused by the check the case is about
     if case in CONSTANTS_REFUSED:
         assert err == f"error: {path}: corrupt constants block ({CONSTANTS_REFUSED[case]})\n"
+    if case == "a class mixes vertex labels":
+        assert err == f"error: {path}: unstable colouring: a class mixes vertex labels\n"
 
 
 def test_handmade_index_file_loads(tmp_path, capsys):
@@ -263,6 +276,9 @@ def test_handmade_index_file_loads(tmp_path, capsys):
     _index_file(path, _meta(), _GOOD)
     assert main(["stats", "--index", str(path)]) == 0
     assert "num_colors: 2" in capsys.readouterr().out
+    _index_file(path, *_mixed([0, 1]))
+    assert main(["stats", "--index", str(path)]) == 0
+    assert "num_colors: 1" in capsys.readouterr().out
 
 
 def _stats_lines(out: str) -> list[str]:

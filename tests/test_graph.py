@@ -60,6 +60,12 @@ def test_sigma1_fresh_loop_symbols():
     s2 = sigma1_for(Schema([("R", 2), ("S_R", 1)]))
     assert s2.loop_symbol["R"] not in ("S_R",)
     assert s2.loop_symbol["R"] in s2.schema
+    # a Σ1 taken after `Schema.add` of a binary symbol names that symbol's loop
+    schema = Schema([("R", 2)])
+    assert sigma1_for(schema).loop_symbol == {"R": "S_R"}
+    schema.add("T", 2)
+    assert sigma1_for(schema).loop_symbol == {"R": "S_R", "T": "S_T"}
+    assert sigma1_for(schema).schema.arity("S_T") == 1
 
 
 def test_encode_self_loops_movie_unchanged():

@@ -9,6 +9,7 @@ import struct
 import threading
 import tracemalloc
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from colorcq.index import (
     build_index,
     index_stats,
     _check_constants,
+    _merge_rows,
     _narrow,
     load_index,
     save_index,
@@ -359,7 +361,7 @@ def test_persistence_round_trip(tmp_path, monkeypatch):
            multirel_db()]
     built = [build_index(db) for db in dbs]
     hat = EdgeLabel([("P", "+")])
-    assert len(built[-1]._supers[hat]) == 2  # the multirel hat lookup merges
+    assert len(built[-1]._supers(hat)) == 2  # the multirel hat lookup merges
 
     def no_refine(g):
         raise AssertionError("load_index must not refine")
@@ -1063,3 +1065,33 @@ def test_hat_tables_memoized(dex_index):
     first = idx.succ(lab, v, c)
     assert list(idx.succ(lab, v, c)) == list(first)
     assert idx.tables[lab] is idx.tables[lab]
+
+
+def _part(rows: list[tuple[int, int, int]]) -> tuple[np.ndarray, ...]:
+    """The count rows (c, c′, n) of `rows` as three arrays."""
+    return tuple(np.array(rows, np.int64).reshape(-1, 3).T)
+
+
+def test_merge_rows_sums_like_a_counter():
+    """`_merge_rows` sums count-row parts, each sorted by (c, c′), over equal
+    (c, c′) exactly and returns them sorted: empty parts, a pair in several
+    parts, a diagonal-only part and three or more parts, fixed and seeded."""
+    diag = _part([(0, 0, 1), (2, 2, 1)])
+    fixed = [_part([(0, 1, 3), (2, 0, 2)]), _part([]), _part([(0, 1, 4), (1, 1, 1), (2, 2, 5)]), diag]
+    rng = np.random.default_rng(35)
+    cases = [(fixed, 3), ([_part([])], 3), ([], 3), ([diag], 3)]
+    for _ in range(300):
+        ncol, parts = int(rng.integers(1, 9)), []
+        for _ in range(int(rng.integers(0, 6))):
+            kind = int(rng.integers(3))  # empty, diagonal-only or any pairs
+            keys = (np.zeros(0, np.int64) if kind == 0 else
+                    np.flatnonzero(rng.random(ncol) < 0.5) * (ncol + 1) if kind == 1 else
+                    np.flatnonzero(rng.random(ncol * ncol) < 0.4))
+            parts.append((keys // ncol, keys % ncol, rng.integers(1, 2**40, len(keys))))
+        cases.append((parts, ncol))
+    for parts, ncol in cases:
+        want: Counter = Counter()
+        for c, c2, n in parts:
+            want.update(dict(zip(zip(c.tolist(), c2.tolist()), n.tolist())))
+        got = list(zip(*(x.tolist() for x in _merge_rows(parts, ncol))))
+        assert got == [(c, c2, n) for (c, c2), n in sorted(want.items())]
