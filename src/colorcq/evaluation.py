@@ -316,7 +316,7 @@ def cde_fc_acq(db: Database, q: ConjunctiveQuery | QueryPlan) -> Iterator[tuple[
     adjacent variables onto a looping constant.
     """
     plan = q if isinstance(q, QueryPlan) else plan_query(q, db.schema)
-    size = len(db.constants)
+    size = db.num_constants
 
     def facts(sym: str, arity: int) -> np.ndarray:
         """`sym`'s rows in db; none where db lacks `sym` or gives it another arity."""

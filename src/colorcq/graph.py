@@ -97,10 +97,9 @@ def sigma1_for(schema: Schema) -> Sigma1:
 
 
 def encode_self_loops(db: Database) -> tuple[Database, Sigma1]:
-    """Rewrite `(v,v) in R` into loop facts, preserving the intern table."""
+    """Rewrite `(v,v) in R` into loop facts, sharing `db`'s constants."""
     s1 = sigma1_for(db.schema)
-    d1 = Database(s1.schema)
-    d1.constants = list(db.constants)  # already distinct: no need to deduplicate again
+    d1 = Database(s1.schema, db)
     for sym in db.schema.symbols:
         rows = db.array(sym)
         if db.schema.arity(sym) == 1:
@@ -160,7 +159,9 @@ def _rank_bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> tuple[np.ndarra
     rank = np.zeros(n, np.int64)
     for w in words[::-1]:
         if w.any():  # a word no set uses splits no rank
-            rank = np.unique(_pack(rank, w), return_inverse=True)[1].reshape(-1)
+            key = _pack(rank, w)
+            perm = np.argsort(key, kind="stable")  # a quicksort argsort is erratic on few distinct keys
+            rank[perm] = np.cumsum(np.append(0, np.diff(key[perm]) != 0))
     reps = np.empty(int(rank.max()) + 1, np.int64)
     reps[rank] = np.arange(n)  # any member of a rank holds its set
     sets = [
@@ -197,7 +198,7 @@ class LabeledGraph(Vertices):
     def __init__(self, d1: Database, s1: Sigma1):
         self.d1 = d1
         verts = d1.adom_ids()
-        vertex = np.zeros(len(d1.constants), np.int64)  # vertex index by constant id
+        vertex = np.zeros(d1.num_constants, np.int64)  # vertex index by constant id
         vertex[verts] = np.arange(len(verts))
         super().__init__(s1, verts, [vertex[d1.array(u)[:, 0]] for u in s1.schema.unary_symbols])
         self._build_edges(vertex)

@@ -19,6 +19,7 @@ with the index, those of any other label on first use; all are memoized by
 concurrent first calls compute identical values).  Nothing is made per label
 of the downward closure of the actual labels but the colour database, which
 materializes E_λ for each (any other label has empty semantics), on first read.
+Parsed or loaded, the base database keeps its constants as the file's block, undecoded.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import zlib
 from bisect import bisect_left
 from functools import cached_property, partial
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -351,23 +352,23 @@ def _narrow(arr: np.ndarray) -> np.ndarray:
 
 def save_index(idx: ColorIndex, path: str) -> None:
     """Versioned binary file: magic, format version, CRC-32 of the rest, JSON
-    metadata length and metadata, the constants as one block of `\\n`-ended
-    UTF-8 lines (ColorcqError for a constant that holds `\\n` or is not UTF-8),
-    then the arrays, each in the narrowest of `_DTYPES`; see the README."""
-    consts = idx.db.constants
-    try:
-        block = "\n".join([*consts, ""]).encode("utf-8")
-    except (TypeError, UnicodeEncodeError) as e:
-        raise ColorcqError(f"cannot save the constants ({e})") from None
-    _need(block.count(b"\n") == len(consts), "cannot save a constant that holds a line break")
-    g, schema = idx.g, idx.db.schema
+    metadata length and metadata, the constants as one block of `\\n`-ended UTF-8
+    lines (the database's `block` as is, else its names encoded: ColorcqError for
+    one with a `\\n` or not UTF-8), then the arrays, each in the narrowest of `_DTYPES`."""
+    g, db = idx.g, idx.db
+    if (block := db.block) is None:
+        try:
+            block = "\n".join([*db.constants, ""]).encode("utf-8")
+        except (TypeError, UnicodeEncodeError) as e:
+            raise ColorcqError(f"cannot save the constants ({e})") from None
+        _need(block.count(b"\n") == db.num_constants, "cannot save a constant that holds a line break")
     named = {f"unary:{u}": rows for u, rows in zip(g.unary_symbols, g.unary)}
-    if g.n != len(consts):  # else vertex i is constant i
+    if g.n != db.num_constants:  # else vertex i is constant i
         named["verts"] = g.verts
     named.update(order=idx.coloring.order, sizes=idx.n_c, degrees=idx._degrees, targets=idx._edges[3])
     arrays = [_narrow(arr) for arr in named.values()]
-    meta = {"constants": len(consts), "constant_bytes": len(block),
-            "relations": [{"name": sym, "arity": schema.arity(sym)} for sym in schema.symbols],
+    meta = {"constants": db.num_constants, "constant_bytes": len(block),
+            "relations": [{"name": sym, "arity": db.schema.arity(sym)} for sym in db.schema.symbols],
             "labels": [lab.pairs for lab in idx.actual_labels],
             "arrays": [{"name": n, "shape": list(arr.shape), "dtype": arr.dtype.str}
                        for n, arr in zip(named, arrays)]}
@@ -404,10 +405,10 @@ def _check_meta(meta, path: str) -> None:
     need(len({a["name"] for a in meta["arrays"]}) == len(meta["arrays"]), "an array listed twice")
 
 
-def _check_constants(block: memoryview, count: int, path: str) -> Callable[[], list[str]]:
+def _check_constants(block: memoryview, count: int, path: str) -> memoryview:
     """Check that `block` is `count` distinct `\\n`-ended UTF-8 lines, decoding
     it only if it is not ASCII, and finding repeats by sorting the lines' exact
-    `model._keys`; return the function that decodes and splits it."""
+    `model._keys`; return a view of its copy that the check padded."""
     what, raw = f"{path}: corrupt constants block", b"".join((bytes(8), block))  # 8 bytes of padding
     if not raw.isascii():
         try:
@@ -422,7 +423,7 @@ def _check_constants(block: memoryview, count: int, path: str) -> Callable[[], l
     keys = _keys(raw, ends, size)  # exact: once sorted, equal neighbours are repeats
     keys.sort()
     _need(not (keys[1:] == keys[:-1]).any(), f"{what} (repeated constant)")
-    return lambda: str(memoryview(raw)[8:], "utf-8").split("\n")[:-1]
+    return memoryview(raw)[8:]
 
 
 def _within(arr: np.ndarray, top: int, ascending: bool = False) -> bool:
@@ -472,32 +473,30 @@ def _check_pairs(labels: tuple[EdgeLabel, ...], cut: np.ndarray, src: np.ndarray
 
 
 class _LazyRows(Database):
-    """A Database with its schema at once; its constants, a list that `names()`
-    returns, and its rows, that `make()` returns, are made on first use."""
+    """A Database whose rows, that `make(self)` returns, are made on first use."""
 
-    def __init__(self, schema: Schema, names, make):
-        self.schema, self._names, self._make = schema, names, make
+    def __init__(self, schema: Schema, constants: memoryview | Database, make):
+        super().__init__(schema, constants)
+        self._make = make
 
-    constants = cached_property(lambda self: self._names())
-    _arrays = cached_property(lambda self: self._make())
+    _arrays = cached_property(lambda self: self._make(self))
 
 
-def _base_rows(schema: Schema, count: int, g: Vertices, labels: tuple[EdgeLabel, ...],
-               edges: tuple, order: np.ndarray, loops: dict[str, str]) -> dict[str, np.ndarray]:
-    """The relations over `count` constants of a loaded index's base database
-    (`loops` its `loop_symbol`) or its loop-encoded one (`loops` empty): R(s, t)
-    holds for every edge (s, t) whose label holds (R, +) and for every loop of R
-    (in the base database); a unary relation holds on its rows of g."""
+def _base_rows(db: Database, g: Vertices, labels: tuple[EdgeLabel, ...], edges: tuple,
+               order: np.ndarray, loops: dict[str, str]) -> dict[str, np.ndarray]:
+    """The relations of a loaded index's base database `db` (`loops` its
+    `loop_symbol`) or its loop-encoded one (`loops` empty): R(s, t) holds for
+    every edge (s, t) whose label holds (R, +) and for every loop of R (in the
+    base database); a unary relation holds on its rows of g."""
     bounds, src, _, nbr = edges
-    out = Database(schema)
-    out.constants = range(count)  # `set_relation` reads its length only
+    out = Database(db.schema, db)  # shares db's constants, undecoded
     unary = dict(zip(g.unary_symbols, g.unary))
-    for sym in schema.symbols:
+    for sym in db.schema.symbols:
         segs = [slice(*bounds[i:i + 2]) for i, lab in enumerate(labels) if (sym, FWD) in lab.pairs]
         loop = unary.get(loops.get(sym, sym), _EMPTY)  # a binary symbol's loops, a unary one's rows
         rows = np.stack([np.concatenate([loop, *(order[src[x]] for x in segs)]),
                          np.concatenate([loop, *(nbr[x] for x in segs)])], axis=1)
-        out.set_relation(sym, g.verts[rows[:, :schema.arity(sym)]])
+        out.set_relation(sym, g.verts[rows[:, :db.schema.arity(sym)]])
     return out._arrays
 
 
@@ -505,8 +504,9 @@ def load_index(path: str) -> ColorIndex:
     """Read and check a file written by `save_index`.  It holds the class-major
     edges: no graph is built, nothing refined, no edge array sorted but the
     keys of `_check_pairs`, which the constructor runs on them.
-    The constants block is checked but not decoded: `idx.db` and `idx.d1`
-    make their rows, and decode their one list of constants, on first use."""
+    The constants block is checked, not decoded: `idx.db` holds it (and writes
+    it again as is), `idx.d1` shares it; both make their rows, and decode their
+    one list of constants, on first use."""
     t0 = time.perf_counter()
     with open(path, "rb") as f:
         data = memoryview(f.read())
@@ -532,7 +532,7 @@ def load_index(path: str) -> ColorIndex:
         raise ColorcqError(f"{path}: corrupt index metadata ({e})") from None
     _check_meta(meta, path)
     count = meta["constants"]
-    names = _check_constants(take(meta["constant_bytes"], "constants"), count, path)
+    block = _check_constants(take(meta["constant_bytes"], "constants"), count, path)
     blobs: dict[str, np.ndarray] = {}
     for entry in meta["arrays"]:
         shape, dtype = tuple(entry["shape"]), np.dtype(entry["dtype"])
@@ -568,7 +568,7 @@ def load_index(path: str) -> ColorIndex:
                          (labels, degrees, nbr))
     except ColorcqError as e:
         raise ColorcqError(f"{path}: {e}") from None
-    rows = partial(_base_rows, count=count, g=g, labels=labels, edges=idx._edges, order=order)
-    idx.db = db = _LazyRows(schema, names, partial(rows, schema, loops=s1.loop_symbol))
-    idx.d1 = _LazyRows(s1.schema, lambda: db.constants, partial(rows, s1.schema, loops={}))
+    rows = partial(_base_rows, g=g, labels=labels, edges=idx._edges, order=order)
+    idx.db = db = _LazyRows(schema, block, partial(rows, loops=s1.loop_symbol))
+    idx.d1 = _LazyRows(s1.schema, db, partial(rows, loops={}))
     return idx

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, NoReturn, TextIO
 
 import numpy as np
@@ -87,13 +88,23 @@ class Database:
     """A set-semantics instance: interned constants plus one relation per symbol.
 
     A relation is an (m, arity) int64 array of constant ids, sorted by rows
-    and without repeated rows, which `set_relation` puts in.
+    and without repeated rows, which `set_relation` puts in.  `constants` lists
+    the `num_constants` names; a Database made from their `block` of `\\n`-ended
+    UTF-8 lines, or from another whose constants it shares, makes it on first read.
     """
 
-    def __init__(self, schema: Schema, constants: Iterable[str] = ()):
-        self.schema = schema
-        self.constants: list[str] = list(dict.fromkeys(constants))
-        self._arrays: dict[str, np.ndarray] = {}
+    def __init__(self, schema: Schema, constants: Iterable[str] | bytes | memoryview | Database = ()):
+        self.schema, self.block, self._of = schema, None, None
+        if isinstance(constants, Database):
+            self.block, self.num_constants, self._of = constants.block, constants.num_constants, constants
+        elif isinstance(constants, (bytes, memoryview)):
+            self.block, self.num_constants = constants, int((np.frombuffer(constants, "u1") == 10).sum())
+        else:
+            self.constants = list(dict.fromkeys(constants))
+            self.num_constants = len(self.constants)
+
+    constants = cached_property(lambda self: self._of.constants if self._of else _lines(self.block))
+    _arrays = cached_property(lambda self: {})  # the rows by symbol; `index._LazyRows` makes them late
 
     def set_relation(self, rel: str, rows: np.ndarray) -> None:
         """Replace `rel` by the distinct rows of `rows`, which must hold integer
@@ -105,15 +116,15 @@ class Database:
         rows = rows.astype(np.int64, copy=False)
         if rows.ndim != 2 or rows.shape[1] != arity:
             raise SchemaError(f"symbol {rel!r} has arity {arity}, got rows of shape {rows.shape}")
-        if len(rows) and (rows.min() < 0 or rows.max() >= len(self.constants)):
+        if len(rows) and (rows.min() < 0 or rows.max() >= self.num_constants):
             raise ColorcqError(f"relation {rel!r} refers to a constant id that is not interned")
-        # one key per row, ordered like the rows; ids are < len(constants),
+        # one key per row, ordered like the rows; ids are < num_constants,
         # so the key fits in an int64 for any list of constants that fits in memory
-        key = rows[:, 0] if arity == 1 else rows[:, 0] * len(self.constants) + rows[:, 1]
+        key = rows[:, 0] if arity == 1 else rows[:, 0] * self.num_constants + rows[:, 1]
         if len(key) > 1 and not (key[1:] > key[:-1]).all():
-            order = np.argsort(key)  # rows with equal keys are equal: no need for a stable sort
-            key = key[order]
-            rows = rows[order[np.append(True, key[1:] != key[:-1])]]
+            key = np.sort(key)  # a sort of the keys alone, which give back their rows
+            key = key[np.append(True, key[1:] != key[:-1])]
+            rows = key[:, None] if arity == 1 else np.stack(np.divmod(key, self.num_constants), axis=1)
         self._arrays[rel] = rows
 
     def array(self, rel: str) -> np.ndarray:
@@ -127,13 +138,13 @@ class Database:
 
     def adom_ids(self) -> np.ndarray:
         """Sorted ids that appear in at least one tuple."""
-        seen = np.zeros(len(self.constants), dtype=bool)
+        seen = np.zeros(self.num_constants, dtype=bool)
         for s in self.schema.symbols:
             seen[self.array(s).ravel()] = True
         return np.flatnonzero(seen)
 
     def __repr__(self) -> str:
-        return f"<Database |D|={self.size()} adom={len(self.constants)}>"
+        return f"<Database |D|={self.size()} adom={self.num_constants}>"
 
 
 def load_database(src: str | TextIO) -> Database:
@@ -147,38 +158,43 @@ def load_database(src: str | TextIO) -> Database:
     conflict SchemaError, each with the number of the first bad line.
     Constants get ids in order of first appearance.
 
-    Text made only of printable ASCII, tabs and `\\n` line breaks is
-    tokenized and checked with numpy, and its strings interned by one uint64
-    key each (`_parse_array`).  Any other text, and any text that check
-    rejects, is read line by line by the reference parser (`_parse_lines`),
-    which also raises the errors.  Both build the same Database.
+    Text with no control character but tabs and `\\n`, and no Unicode space,
+    is tokenized and checked with numpy over its UTF-8 bytes, its strings
+    interned by one uint64 key each, and its constants kept as their `block`
+    (`_parse_array`).  Other text, and text that check rejects, is read line by
+    line by `_parse_lines`, which also raises the errors; both agree.
     """
     text = src if isinstance(src, str) else src.read()
     db = _parse_array(text)
     return _parse_lines(text) if db is None else db
 
 
-# byte classes of the array parser, as a bytes.translate table
+# byte classes of the array parser, as a bytes.translate table (non-ASCII bytes are token bytes)
 _TOKEN, _SPACE, _OPEN, _CLOSE, _COMMA, _NEWLINE, _OTHER = range(7)
 _CLASS_OF = bytes(
     _SPACE if c in b" \t" else _OPEN if c == ord("(") else _CLOSE if c == ord(")")
     else _COMMA if c == ord(",") else _NEWLINE if c == ord("\n")
-    else _TOKEN if 0x21 <= c <= 0x7E and c != ord("#") else _OTHER
+    else _TOKEN if c > 0x20 and c not in b"#\x7f" else _OTHER
     for c in range(256)
 )
-# a comment ends at the line break or at the first byte outside printable
-# ASCII and tab; such a byte stays behind and sends the text to _parse_lines
-_COMMENT_RE = re.compile(rb"#[\t\x20-\x7e]*")
+# a comment ends at the line break or at the first control character but a
+# tab; such a character stays behind and sends the text to _parse_lines
+_COMMENT_RE = re.compile(rb"#[^\x00-\x08\n-\x1f\x7f]*")
+# the non-ASCII whitespace, where `\s`, `str.strip` and `str.splitlines` differ from
+# the classes above (as at the _OTHER bytes \r, \v, \f and \x1c-\x1f), and the lone surrogates
+_ODD = np.r_[0x85, 0xA0, 0x1680, 0x2000:0x200B, 0x2028, 0x2029, 0x202F, 0x205F, 0x3000, 0xD800:0xE000]
 
 
 def _parse_array(text: str) -> Database | None:
     """The Database `_parse_lines(text)` builds, computed with numpy on the
-    bytes of `text` after 8 bytes of padding; None when `text` holds anything
-    but printable ASCII, tabs and `\\n` line breaks, or is not a valid fact list."""
+    UTF-8 bytes of `text` after 8 bytes of padding; None when `text` holds a
+    code point of `_ODD` or is not a valid fact list."""
     if not text.isascii():
-        return None
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        if np.isin(points[points > 0x84], _ODD).any():
+            return None
     # the padding lets _keys read the 8 bytes before any token end; the last break ends the last line
-    data = b"\n" * 8 + _COMMENT_RE.sub(b"", text.encode("ascii")) + b"\n"
+    data = b"".join((b"\n" * 8, _COMMENT_RE.sub(b"", text.encode("utf-8")), b"\n"))
     scan = _scan(data)  # positions in the text after the padding
     if scan is None:
         return None
@@ -189,11 +205,9 @@ def _parse_array(text: str) -> Database | None:
     # in a valid text, a token is a relation name iff it opens its line
     arity = 1 + binary
     name_tok = np.cumsum(arity + 1) - (arity + 1)
-    is_arg = np.ones(len(ends), dtype=bool)
-    is_arg[name_tok] = False
     buf = np.frombuffer(data, dtype=np.uint8, offset=8)
     rel, rel_first = _intern(data, ends[name_tok], lens[name_tok])
-    rel_names = _names(buf, ends[name_tok[rel_first]], lens[name_tok[rel_first]])
+    rel_names = _lines(_names(buf, ends[name_tok[rel_first]], lens[name_tok[rel_first]]))
     if not all(NAME_RE.fullmatch(r) for r in rel_names):
         return None
     n_lines = np.bincount(rel)
@@ -201,14 +215,9 @@ def _parse_array(text: str) -> Database | None:
     if ((n_binary > 0) & (n_binary < n_lines)).any():  # a symbol used with both arities
         return None
     rel_arity = np.where(n_binary > 0, 2, 1).tolist()
-    ends, lens = ends[is_arg], lens[is_arg]
+    ends, lens = np.delete(ends, name_tok), np.delete(lens, name_tok)  # the arguments' tokens
     cid, first = _intern(data, ends, lens)
-
-    schema = Schema()
-    for name, a in zip(rel_names, rel_arity):
-        schema.add(name, a)
-    db = Database(schema)
-    db.constants = _names(buf, ends[first], lens[first])
+    db = Database(Schema(zip(rel_names, rel_arity)), _names(buf, ends[first], lens[first]))
     first_arg = name_tok - np.arange(len(name_tok))  # index of each line's first argument in cid
     by_rel = np.argsort(rel, kind="stable")
     for name, a, lines in zip(rel_names, rel_arity, np.split(by_rel, np.cumsum(n_lines)[:-1])):
@@ -227,18 +236,15 @@ def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     Space inside a token splits it, and a byte of class `_OTHER` is an item
     of its own, so either makes the line invalid, as `_FACT_RE` rejects it.
     """
-    cls = np.frombuffer(data.translate(_CLASS_OF), dtype=np.uint8, offset=8)
+    cls = np.frombuffer(data.translate(_CLASS_OF), dtype=np.uint8, offset=7)  # from the last padding break
     tok = cls == _TOKEN
-    first = tok.copy()
-    first[1:] &= ~tok[:-1]
-    last = tok.copy()
-    last[:-1] &= ~tok[1:]
-    ends = np.flatnonzero(last) + 1
-    lens = ends - np.flatnonzero(first)
+    cut = np.flatnonzero(tok[1:] != tok[:-1])  # each token's start and end in turn, as a break ends the text
+    ends, lens = cut[1::2], cut[1::2] - cut[::2]
 
     # the stream of tokens, delimiters and _OTHER bytes, one byte each, cut at _NEWLINE
-    first |= cls >= _OPEN
-    kind = cls[first]
+    item = cls[1:] >= _OPEN
+    item[cut[::2]] = True
+    kind = np.compress(item, cls[1:])  # faster than cls[1:][item] where `item` is irregular
     breaks = np.flatnonzero(kind == _NEWLINE)
     at = np.append(0, breaks[:-1] + 1)
     width = breaks - at
@@ -277,24 +283,32 @@ def _keys(buf: bytes, ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return keys
 
 
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it permutes the uint64s
+
+
 def _intern(buf: bytes, ends: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids in order of first appearance for the strings of `_keys`, found by
-    one argsort of their keys, and the index i of each id's first appearance."""
+    """Ids in order of first appearance for the strings of `_keys`, and the index
+    i of each id's first appearance, from one sort of the keys times `_MIX` with
+    i in their low bits (a stable argsort where two keys share the bits kept)."""
     key = _keys(buf, ends, lens)
-    perm = key.argsort()
-    key = key[perm]
-    new = np.append(True, key[1:] != key[:-1])  # where a sorted key differs from the one before it
-    group = np.empty(len(key), dtype=np.int64)
-    group[perm] = np.cumsum(new) - 1
-    firsts_by_group = np.minimum.reduceat(perm, np.flatnonzero(new))
+    low = np.uint64(len(key).bit_length())  # the bits of an index
+    perm = np.sort(key * _MIX >> low << low | np.arange(len(key), dtype=np.uint64))
+    new = np.append(True, perm[1:] >> low != perm[:-1] >> low)  # where the sorted mixed keys change
+    perm = (perm & ((np.uint64(1) << low) - np.uint64(1))).astype(np.int64)
+    if (new[1:] != np.diff(key[perm]).astype(bool)).any():  # two distinct keys share their kept bits
+        perm = key.argsort(kind="stable")
+        new = np.append(True, np.diff(key[perm]) != 0)
+    firsts = perm[new]  # each key's first index
     is_first = np.zeros(len(key), dtype=bool)
-    is_first[firsts_by_group] = True
-    return (np.cumsum(is_first) - 1)[firsts_by_group][group], np.flatnonzero(is_first)
+    is_first[firsts] = True
+    ids = np.empty(len(key), dtype=np.int64)
+    ids[perm] = (np.cumsum(is_first) - 1)[firsts][np.cumsum(new) - 1]
+    return ids, np.flatnonzero(is_first)
 
 
-def _names(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> list[str]:
-    """The strings buf[ends[i] - lens[i]:ends[i]], which are ASCII without
-    `\\n`, and each followed by at least one byte of `buf`."""
+def _names(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> bytes:
+    """The strings buf[ends[i] - lens[i]:ends[i]], which hold no `\\n` and are
+    each followed by at least one byte of `buf`, as one `\\n`-ended line each."""
     size = lens + 1
     at = np.cumsum(size) - size  # where each string starts in the output
     # out[p] = buf[at_p], where at_p grows by one inside a string and its
@@ -303,9 +317,13 @@ def _names(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> list[str]:
     at_p[0] = ends[0] - lens[0]
     at_p[at[1:]] = ends[1:] - lens[1:] - ends[:-1]
     out = buf[np.cumsum(at_p, out=at_p)]
-    del at_p  # freed before the strings are made, to keep the peak memory low
+    del at_p  # freed before the block is copied out, to keep the peak memory low
     out[at + lens] = ord("\n")
-    return out.tobytes().decode("ascii").split("\n")[:-1]
+    return out.tobytes()
+
+
+def _lines(block: bytes) -> list[str]:
+    return str(block, "utf-8").split("\n")[:-1]
 
 
 def _parse_lines(text: str) -> Database:

@@ -64,6 +64,20 @@ def long_constants_text() -> tuple[list[str], str]:
     return consts, "\n".join(lines) + "\n"
 
 
+def utf8_text() -> str:
+    """Facts over constants with é, ü and CJK characters, of 1 to 7 UTF-8
+    bytes and of more, each used several times, with spaces, tabs and
+    comments that hold é."""
+    consts = ["é", "ü", "日", "日本", "café", "Müller", "a", "日本語", "Zürich-Örlikon", "東京都庁舎",
+              "naïve-façade"]
+    lines = ["# café facts: é, ü, 日本"]
+    for i, c in enumerate(consts):
+        lines.append(f"R({c},{consts[(i * 5 + 3) % len(consts)]})  # über {c}")
+        lines.append(f"U ( {consts[(i * 7 + 2) % len(consts)]} )")
+        lines.append(f"S(\t{c} , {consts[(i + 1) % len(consts)]})#é")
+    return "\n".join(lines) + "\n"
+
+
 VARS = ("v", "w", "x", "y", "z")
 
 

@@ -30,6 +30,7 @@ from colorcq.index import (
     load_index,
     save_index,
 )
+from colorcq import model
 from colorcq.model import ColorcqError, Database, Schema, load_database, parse_query
 from colorcq.refine import _as_coloring
 
@@ -46,6 +47,7 @@ from .conftest import (
     random_db,
     reseal,
     tuples,
+    utf8_text,
     vertex,
 )
 from .test_evaluation import _agree_with_naive, _built_and_loaded
@@ -572,6 +574,22 @@ def test_vertex_data_is_read_only_views(tmp_path):
     assert loaded.d1.constants is loaded.db.constants and _long_lists(loaded, n, ()) == [n]
 
 
+def test_build_save_and_resave_decode_no_constants(tmp_path):
+    """A parsed database keeps its constants as the block `save_index` writes:
+    a build and save leaves them undecoded, and so do a load and re-save,
+    which writes the same bytes.  The loop-encoded database shares them."""
+    for text in (utf8_text(), "".join(f"R(v{i},v{i % 500 + 1})\n" for i in range(1, 501))):
+        db = load_database(text)
+        idx = build_index(db)
+        save_index(idx, str(tmp_path / "a.ccqx"))
+        loaded = load_index(str(tmp_path / "a.ccqx"))
+        save_index(loaded, str(tmp_path / "b.ccqx"))
+        assert (tmp_path / "b.ccqx").read_bytes() == (tmp_path / "a.ccqx").read_bytes()
+        for index in (idx, loaded):
+            assert not {"constants"} & (vars(index.db).keys() | vars(index.d1).keys())
+            assert index.d1.constants is index.db.constants == model._parse_lines(text).constants
+
+
 def _read_file(data: bytes) -> tuple[dict, bytes, dict[str, np.ndarray], dict[str, int]]:
     """The metadata, the constants block, the named arrays and their byte
     offsets of a saved index."""
@@ -925,7 +943,8 @@ def test_long_constants_round_trip_and_repeats_are_refused(tmp_path):
     assert idx2.db.constants == idx.db.constants and sorted(idx2.db.constants) == sorted(consts)
     assert list(idx2.coloring.color_of) == list(idx.coloring.color_of)
     p, q = b"p" * 16 + b"\n", b"q" * 8 + b"p" * 8 + b"\n"  # 16-byte constants
-    assert _check_constants(memoryview(p + q), 2, "f")() == ["p" * 16, "q" * 8 + "p" * 8]
+    block = _check_constants(memoryview(p + q), 2, "f")
+    assert Database(Schema(), block).constants == ["p" * 16, "q" * 8 + "p" * 8]
     for block in (p + p, p + q + p, q + b"r\n" + q):
         with pytest.raises(ColorcqError, match="repeated constant"):
             _check_constants(memoryview(block), block.count(b"\n"), "f")
@@ -943,7 +962,7 @@ def test_constants_that_differ_in_length_or_last_byte_load(tmp_path):
     save_index(build_index(db), str(path))
     assert load_index(str(path)).db.constants == consts
     block = "".join(c + "\n" for c in consts).encode("utf-8")
-    assert _check_constants(memoryview(block), len(consts), "f")() == consts
+    assert Database(Schema(), _check_constants(memoryview(block), len(consts), "f")).constants == consts
 
 
 def test_constants_check_agrees_with_a_set():
@@ -961,7 +980,7 @@ def test_constants_check_agrees_with_a_set():
         repeated = [c for c in set(lines) if lines.count(c) > 1]
         verdicts.add((distinct, max(len(c.encode("utf-8")) for c in repeated or lines) > 7))
         if distinct:
-            assert _check_constants(block, len(lines), "f")() == lines
+            assert Database(Schema(), _check_constants(block, len(lines), "f")).constants == lines
         else:
             with pytest.raises(ColorcqError, match="repeated constant"):
                 _check_constants(block, len(lines), "f")

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import io
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from .conftest import (
     movie_db,
     random_db,
     tuples,
+    utf8_text,
 )
 
 
@@ -138,7 +141,7 @@ PINNED_TEXTS = [
     ("R(a,b) # \x0bS(c)\n", False),
     ("R(a\x00b,c)\n", False),
     ("R(a,a\x00)\nR(a\x00,a)\nS(a)\n", False),
-    ("R(\u00e9,\u00fc)\nR(\u65e5\u672c,\u00e9)\n", False),
+    ("R(\u00e9,\u00fc)\nR(\u65e5\u672c,\u00e9)\n", True),
     ("R(abcdefgh,abcdefghi)\nR(abcdefghi,abcdefghij)\nR(abcdefghabcdefgh,abcdefghabcdefghX)\n"
      "R(abcdefghijklmnopq,abcdefghijklmnopqr)\nR(abcdefghabcdefghX,abcdefgh)\n"
      "R(abcdefghijklmnopqrstuvwxyz0123456789,abcdefgh)\n", True),
@@ -167,6 +170,14 @@ PINNED_TEXTS = [
 @pytest.mark.parametrize("text,fast", PINNED_TEXTS)
 def test_parse_paths_agree_on_pinned_texts(text, fast):
     assert _paths_agree(text) == fast
+
+
+def test_interning_falls_back_where_mixed_keys_collide(monkeypatch):
+    """With a multiplier of 0 every two keys share their mixed bits, so
+    `_intern` takes its stable argsort, and the parse is unchanged."""
+    monkeypatch.setattr(model, "_MIX", np.uint64(0))
+    for text, fast in PINNED_TEXTS + [(utf8_text(), True), (long_constants_text()[1], True)]:
+        assert _paths_agree(text) == fast
 
 
 def test_parse_paths_agree_when_one_item_of_a_line_is_wrong():
@@ -264,7 +275,8 @@ def _multirel_text(rng: random.Random, copies: int) -> str:
 def test_save_index_bytes_agree_between_parse_paths(tmp_path):
     n = 2000
     cycle = "".join(f"R({i},{i % n + 1})\n" for i in range(1, n + 1))
-    for name, text in (("cycle", cycle), ("multirel", _multirel_text(random.Random(5), 250))):
+    for name, text in (("cycle", cycle), ("multirel", _multirel_text(random.Random(5), 250)),
+                       ("utf8", utf8_text())):
         fast = model._parse_array(text)
         assert fast is not None
         save_index(build_index(fast), str(tmp_path / f"{name}.fast"))
@@ -293,6 +305,36 @@ def test_generated_cycle_is_parsed_by_the_array_path(tmp_path, monkeypatch):
     with open(path, encoding="utf-8") as f:
         db = load_database(f)
     assert db.size() == 1000 and db.constants == [str(i) for i in range(1, 1001)]
+
+
+def test_utf8_text_is_parsed_by_the_array_path(monkeypatch):
+    """Constants with é, ü and CJK characters, of up to 7 UTF-8 bytes and of
+    more, and comments that hold é, do not send a text to the per-line parser."""
+    text = utf8_text()
+    assert not text.isascii() and any(len(c.encode("utf-8")) > 7 for c in re.findall(r"[^\s(),#]+", text))
+    ref = _contents(model._parse_lines(text))
+
+    def no_fallback(text):
+        raise AssertionError("the per-line parser ran on a UTF-8 fact list")
+
+    monkeypatch.setattr(model, "_parse_lines", no_fallback)
+    db = load_database(text)
+    assert "constants" not in vars(db)  # kept as their block until read
+    assert _contents(db) == ref and len(db.constants) == db.num_constants == 11
+
+
+def test_odd_code_points_are_where_the_reference_reads_space():
+    """`_ODD` holds the lone surrogates and exactly the code points above
+    ASCII that `\\s`, `str.strip` or `str.splitlines` treat as space or a
+    line break; the array parser leaves texts that hold one to `_parse_lines`."""
+    space, odd = re.compile(r"\s"), []
+    for c in range(0x80, sys.maxunicode + 1):
+        ch = chr(c)
+        if 0xD800 <= c < 0xE000 or space.match(ch) or ch.isspace() or len(ch.join("ab").splitlines()) > 1:
+            odd.append(c)
+    assert model._ODD.tolist() == odd
+    for c in (0x85, 0xA0, 0x2028, 0x3000, 0xD800):
+        assert model._parse_array(f"R(a,b{chr(c)}c)\n") is None
 
 
 def test_interning_round_trip_and_adom():

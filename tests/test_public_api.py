@@ -30,7 +30,7 @@ def test_public_names_are_pinned_and_resolve():
 METHODS = {
     "ColorIndex": ["closure_symbols", "color_db", "loop_cover_array", "succ"],
     "Coloring": ["num_colors", "sizes"],
-    "Database": ["adom_ids", "array", "set_relation", "size"],
+    "Database": ["adom_ids", "array", "constants", "set_relation", "size"],
     "EdgeLabel": ["dual", "pairs"],
     "LabeledGraph": ["num_directed_edges"],
 }
