@@ -206,7 +206,7 @@ def _parse_array(text: str) -> Database | None:
     arity = 1 + binary
     name_tok = np.cumsum(arity + 1) - (arity + 1)
     buf = np.frombuffer(data, dtype=np.uint8, offset=8)
-    rel, rel_first = _intern(data, ends[name_tok], lens[name_tok])
+    rel, rel_first = _intern(_keys(data, ends[name_tok], lens[name_tok]))
     rel_names = _lines(_names(buf, ends[name_tok[rel_first]], lens[name_tok[rel_first]]))
     if not all(NAME_RE.fullmatch(r) for r in rel_names):
         return None
@@ -216,7 +216,7 @@ def _parse_array(text: str) -> Database | None:
         return None
     rel_arity = np.where(n_binary > 0, 2, 1).tolist()
     ends, lens = np.delete(ends, name_tok), np.delete(lens, name_tok)  # the arguments' tokens
-    cid, first = _intern(data, ends, lens)
+    cid, first = _intern(_keys(data, ends, lens))
     db = Database(Schema(zip(rel_names, rel_arity)), _names(buf, ends[first], lens[first]))
     first_arg = name_tok - np.arange(len(name_tok))  # index of each line's first argument in cid
     by_rel = np.argsort(rel, kind="stable")
@@ -286,11 +286,16 @@ def _keys(buf: bytes, ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it permutes the uint64s
 
 
-def _intern(buf: bytes, ends: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids in order of first appearance for the strings of `_keys`, and the index
-    i of each id's first appearance, from one sort of the keys times `_MIX` with
-    i in their low bits (a stable argsort where two keys share the bits kept)."""
-    key = _keys(buf, ends, lens)
+def _intern(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids in order of first appearance for the keys of `_keys`, and the index i of
+    each id's first appearance: by their runs' first keys where equal keys sit in
+    few runs, as relation names often do; else by one sort of the keys times `_MIX`
+    with i in their low bits (a stable argsort where two keys share the bits kept)."""
+    cut = key[1:] != key[:-1]
+    if np.count_nonzero(cut) < len(key) // 4:
+        run = np.flatnonzero(np.append(True, cut))
+        ids, first = _intern(key[run])
+        return ids.repeat(np.diff(run, append=len(key))), run[first]
     low = np.uint64(len(key).bit_length())  # the bits of an index
     perm = np.sort(key * _MIX >> low << low | np.arange(len(key), dtype=np.uint64))
     new = np.append(True, perm[1:] >> low != perm[:-1] >> low)  # where the sorted mixed keys change

@@ -20,10 +20,11 @@ A round that walks fewer than `_SMALL` edges from fewer than `_SMALL` vertices
 runs in plain Python over dicts (`_round_small`), as a numpy round costs ~50
 calls whatever its size and each of a long chain's ~V/2 rounds walks 4 edges.
 Other rounds run in numpy: each edge becomes one int64 (u, dual label,
-splitter colour), one sort of the keys yields u's items, named per u by prefix
-doubling when u has several, and one argsort of (class, items) ranks the
-parts, class by class.  The result, unique and numbered canonically, does not
-depend on which body ran a round.
+splitter colour), one sort of the keys yields u's items, u's run of items is
+named by the wrapping sum of its mixed items, and two argsorts rank the parts
+by (class, name), class by class.  Each run is checked item by item against its
+part's first, and a round where two distinct runs share a name names them by
+prefix doubling: the result is canonical whatever the hash and the round bodies.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import LabeledGraph, _bounds, _pack, _ranges
-from .model import ColorcqError
+from .model import _MIX, ColorcqError
 
 
 def default_backend() -> str:
@@ -116,26 +117,16 @@ def refine(g: LabeledGraph) -> Coloring:
         cnt = at[1:] - at[:-1]
         item = item * (cnt.max() + 1) + cnt  # (label, colour, count)
 
-        # name each touched vertex's sorted run of items by prefix doubling:
-        # after the pass with step h, item[j] names the items j .. j+2h-1 of
-        # its run (fewer at the run's end, marked by the 0 of a missing half)
+        # name each touched vertex's run of distinct items by the wrapping sum of its items' bijective
+        # splitmix-style mix; group by (class, name), naming exactly where two distinct runs share a name
         at = _bounds(u)
-        if len(at) <= len(u):  # skipped when every run is one item long
-            length = at[1:] - at[:-1]
-            end = at[1:].repeat(length)
-            step = 1
-            while step < length.max():
-                nxt = np.arange(step, len(u) + step)
-                half = np.where(nxt < end, item[np.minimum(nxt, len(u) - 1)] + 1, 0)
-                item = np.unique(_pack(item, half), return_inverse=True)[1]
-                step *= 2
-            u, item = u[at[:-1]], item[at[:-1]]
-
-        # parts are the touched vertices grouped by (class, items); one sort
-        # ranks them, and they come out in class order
-        pkey = _pack(color[u], item)
-        by = pkey.argsort()
-        hit, at = u[by], _bounds(pkey[by])
+        u, z = u[at[:-1]], item.view(np.uint64) * _MIX
+        z ^= z >> np.uint64(29)
+        z *= _MIX
+        by, part = _parts(color[u], np.add.reduceat(z, at[:-1]))
+        if not _same_runs(item, at, by, part):
+            by, part = _parts(color[u], _doubled(item, at))
+        hit, at = u[by], part
         psize, pcls = at[1:] - at[:-1], color[hit[at[:-1]]]
         lead = _bounds(pcls)[:-1]
 
@@ -167,6 +158,35 @@ def refine(g: LabeledGraph) -> Coloring:
         ncol += len(new_size)
         walk = int(deg[moved].sum())
     return _as_coloring(color)
+
+
+def _parts(cls: np.ndarray, name: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs by (class, name), by two argsorts (faster than `np.lexsort`), and where each pair begins."""
+    by = name.argsort()
+    by = by[cls[by].argsort(kind="stable")]
+    return by, _bounds(cls[by], name[by])
+
+
+def _same_runs(item: np.ndarray, at: np.ndarray, by: np.ndarray, part: np.ndarray) -> bool:
+    """Whether each run item[at[i]:at[i + 1]] equals, item by item, the first run of its group."""
+    size, lead = at[1:] - at[:-1], by[part[:-1]].repeat(part[1:] - part[:-1])
+    off = np.empty(len(by), np.int64)
+    off[by] = at[lead] - at[by]  # from each run to its group's first run
+    return bool((size[by] == size[lead]).all()
+                and (item[off.repeat(size) + np.arange(len(item))] == item).all())
+
+
+def _doubled(item: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Exact names of the sorted runs item[at[i]:at[i + 1]], by prefix doubling: after
+    the pass with step h, item[j] names the items j .. j+2h-1 of its run (fewer at
+    the run's end, marked by the 0 of a missing half)."""
+    size, step = at[1:] - at[:-1], 1
+    while step < size.max():
+        nxt = np.arange(step, len(item) + step)
+        half = np.where(nxt < at[1:].repeat(size), item[np.minimum(nxt, len(item) - 1)] + 1, 0)
+        item = np.unique(_pack(item, half), return_inverse=True)[1]
+        step *= 2
+    return item[at[:-1]]
 
 
 def _round_small(views: list[memoryview], moved: list[int] | np.ndarray, ncol: int,

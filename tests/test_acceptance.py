@@ -19,8 +19,8 @@ from colorcq.evaluation import (
 )
 from colorcq.frontend import plan_query
 from colorcq.graph import EdgeLabel
-from colorcq.index import build_index, index_stats
-from colorcq.model import Atom, ConjunctiveQuery, Schema, parse_query
+from colorcq.index import build_index, index_stats, load_index, save_index
+from colorcq.model import Atom, ConjunctiveQuery, Database, Schema, parse_query
 from colorcq.oracle import naive_eval
 from colorcq.refine import refine
 
@@ -305,6 +305,60 @@ def test_criterion_8_cost_scaling():
     assert prep_ratio < 3.0
     assert cnt_ratio < 3.0
     assert exponent <= 1.35
+
+
+def _copies_db(base: dict[str, np.ndarray], n: int, m: int) -> Database:
+    """m disjoint copies of `base`, rows of constant ids below n: constant i
+    of copy j is `c{i}_{j}`, with id j·n + i."""
+    db = Database(Schema([("P", 2), ("Q", 2), ("U", 1), ("V", 1)]),
+                  constants=[f"c{i}_{j}" for j in range(m) for i in range(n)])
+    for rel, rows in base.items():
+        db.set_relation(rel, np.concatenate([rows + j * n for j in range(m)]))
+    return db
+
+
+def test_criterion_10_copies(tmp_path):
+    """The paper's headline on a family where |ciD| ≪ |D|: m disjoint copies of
+    one seeded base keep its colours and colour database, counts scale by m
+    exactly, and per-query prep and count times do not grow with m, on the
+    built index and on its loaded copy."""
+    rng = np.random.default_rng(20241021)
+    n, ms = 400, (1, 8, 64)
+    base = {rel: np.unique(rng.integers(0, n, (500, 2)), axis=0) for rel in ("P", "Q")}
+    base.update({rel: rng.choice(n, (60, 1), replace=False) for rel in ("U", "V")})
+    q_text = "Ans(x,y,z) <- P(x,y), Q(y,z), U(z)."
+    one = _copies_db(base, n, 1)
+    base_ans = naive_eval(one, parse_query(q_text, one.schema))
+    assert base_ans
+    shape: set[tuple[int, int]] = set()
+    prep: dict[tuple[int, bool], float] = {}
+    cnt: dict[tuple[int, bool], float] = {}
+    for m in ms:
+        db = _copies_db(base, n, m)
+        path = str(tmp_path / f"copies{m}.cidx")
+        built = build_index(db)
+        save_index(built, path)
+        plan = plan_query(parse_query(q_text, db.schema), db.schema)
+        for loaded, idx in ((False, built), (True, load_index(path))):
+            shape.add((idx.num_colors, idx.color_db.size()))
+            assert count_answers(idx, plan) == m * len(base_ans)
+            if m == 8:
+                got = list(EnumerationSession(idx, plan))
+                assert len(got) == len(set(got))
+                assert set(got) == {tuple(v + j * n for v in t) for j in range(m) for t in base_ans}
+            prep[m, loaded] = _best_of(7, 30, lambda: EnumerationSession(idx, plan))
+            cnt[m, loaded] = _best_of(7, 30, lambda: count_answers(idx, plan))
+    ratios = {}
+    for loaded in (False, True):
+        for name, times in (("prep", prep), ("count", cnt)):
+            got = [times[m, loaded] for m in ms]
+            ratios[name, loaded] = max(got) / min(got)
+            print(f"\n[criterion 10] {'loaded' if loaded else 'built'} {name} us: "
+                  + ", ".join(f"{m}: {t * 1e6:.1f}" for m, t in zip(ms, got))
+                  + f" (ratio {ratios[name, loaded]:.2f})", end="")
+    print(f"; (colours, colour DB tuples) = {shape}, base count {len(base_ans)}")
+    assert len(shape) == 1
+    assert max(ratios.values()) < 3.0
 
 
 def _subdivision_partition(g) -> frozenset[frozenset[int]]:

@@ -29,10 +29,15 @@ REFINE = importlib.import_module("colorcq.refine")  # the module: the package ex
 
 def each_body(monkeypatch):
     """Sets `refine` to run numpy rounds only, then Python rounds only, then
-    each round's body by the default `_SMALL`; yields the `_SMALL` in force."""
-    for small in (0, 10**9, REFINE._SMALL):
+    each round's body by the default `_SMALL`, then numpy rounds only with a
+    mixer of 0, under which all runs share one name, so every round with two
+    distinct runs in one class fails its check and names its runs exactly;
+    yields the `_SMALL` and the mixer in force."""
+    for small, mix in ((0, REFINE._MIX), (10**9, REFINE._MIX), (REFINE._SMALL, REFINE._MIX),
+                       (0, np.uint64(0))):
         monkeypatch.setattr(REFINE, "_SMALL", small)
-        yield small
+        monkeypatch.setattr(REFINE, "_MIX", mix)
+        yield small, int(mix)
 
 
 def movie_partition_names(db, coloring):
@@ -205,9 +210,10 @@ def test_refine_matches_naive_random(monkeypatch):
 
 def test_refine_matches_naive_random_larger(monkeypatch):
     """60 seeded graphs of up to 40 vertices.  With numpy rounds only they run
-    335 passes of prefix doubling (296 with the default body choice) and one
-    round where the untouched residue of a class is smaller than a touched
-    part and loses its id; with Python rounds only, one such round too."""
+    114 numpy rounds, one where the untouched residue of a class is smaller
+    than a touched part and loses its id; with Python rounds only, one such
+    round too.  With a mixer of 0, 57 of the 114 fail their check and name
+    their runs by 185 passes of prefix doubling."""
     for small in each_body(monkeypatch):
         rng = random.Random(2024)
         for _ in range(60):
@@ -357,3 +363,40 @@ def test_refine_matches_pinned_digest(monkeypatch):
             (8, "034ed3c725f2d78481bc100f50ad8f360aec35263626845c46177e2b357c2d2b"),
             (154, "cebd01ffd1299faa7b558d1c6a627070ad736ded869785935a530bd5443dd4a3"),
         ], small
+
+
+def _hub_dbs() -> list[Database]:
+    """Graphs whose hubs see hundreds of distinct (label, colour) items in one
+    round: a staircase, where leaf i points to pool constants 0..i, so every
+    leaf and pool constant gets its own colour in the first round, with one
+    star over all its leaves and one over every other leaf; and a random base
+    with hubs joined to many of its constants, two of them twins and one
+    differing from them by one edge."""
+    rng = random.Random(31)
+    schema = Schema([("R", 2), ("S", 2), ("U", 1)])
+    stairs = [("R", f"l{i}", f"q{j}") for i in range(200) for j in range(i + 1)]
+    stairs += [("S", f"h{h}", f"l{i}") for h in (1, 2) for i in range(0, 200, h)]
+    base = [("R" if rng.random() < 0.5 else "S", f"c{rng.randrange(300)}", f"c{rng.randrange(300)}")
+            for _ in range(500)]
+    base += [("U", f"c{i}") for i in rng.sample(range(300), 60)]
+    seen = rng.sample(range(300), 220)
+    base += [("S", h, f"c{i}") for h in ("h0", "h1") for i in seen]
+    base += [("S", "h2", f"c{i}") for i in seen[1:]]
+    base += [("R", f"c{i}", "h3") for i in rng.sample(range(300), 180)]
+    return [make_db(schema, stairs), make_db(schema, base, constants=[f"c{i}" for i in range(300)])]
+
+
+def test_refine_matches_naive_on_hubs(monkeypatch):
+    """Hub runs took the most passes of prefix doubling; named by their mixed
+    sums, none of these graphs' numpy rounds fails its check, and with a
+    mixer of 0 the exact names give the same colourings."""
+    fallbacks = []
+    doubled = REFINE._doubled
+    monkeypatch.setattr(REFINE, "_doubled", lambda item, at: fallbacks.append(1) or doubled(item, at))
+    graphs = [graph_of(db) for db in _hub_dbs()]
+    want = [list(naive_refine(g).color_of) for g in graphs]
+    for setting in each_body(monkeypatch):
+        fallbacks.clear()
+        for g, colors in zip(graphs, want):
+            assert list(refine(g).color_of) == colors, setting
+        assert (len(fallbacks) > 0) == (setting == (0, 0)), setting
