@@ -33,9 +33,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .frontend import PlanComponent, QueryPlan, plan_query
-from .graph import BWD, EdgeLabel, _ranges
+from .graph import BWD, EdgeLabel
 from .index import ColorIndex, PairRows, pair_rows
-from .model import ColorcqError, ConjunctiveQuery, Database
+from .model import ColorcqError, ConjunctiveQuery, Database, _ranges
 
 
 @dataclass

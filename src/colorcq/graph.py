@@ -113,6 +113,27 @@ def encode_self_loops(db: Database) -> tuple[Database, Sigma1]:
 
 
 _WORD = 63  # bits per int64 word of a bit set; bit 63 is the sign
+_BITS = 63  # the bits of a packed sort key, all of an int64 but its sign
+
+
+def _sort_rows(*cols: np.ndarray) -> list[np.ndarray]:
+    """The rows (cols[0][i], cols[1][i], ...) of non-negative ints, sorted, as columns: each packed by
+    shifts into one int64, sorted and unpacked, or by `np.lexsort` if wider than `_BITS` bits.  Equal
+    rows are alike, so no sort need be stable: a last column of distinct values carries arrays along."""
+    widths = [int(c.max(initial=0)).bit_length() for c in cols]
+    if sum(widths) > _BITS:
+        by = np.lexsort(cols[::-1])
+        return [c[by] for c in cols]
+    key = cols[0].astype(np.int64)
+    for c, w in zip(cols[1:], widths[1:]):
+        key <<= w
+        key |= c
+    key.sort()
+    out = []
+    for w in widths[:0:-1]:
+        out.append(key & ((1 << w) - 1))
+        key >>= w
+    return [key, *out[::-1]]
 
 
 def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,26 +157,26 @@ def _bounds(a: np.ndarray, *more: np.ndarray) -> np.ndarray:
     return cut.nonzero()[0]
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenation of the integer ranges [starts[i], starts[i] + lens[i])."""
-    out = (starts - np.add.accumulate(lens) + lens).repeat(lens)
-    return out + np.arange(len(out))
-
-
 def _rank_bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
-    """Rank the sets {bit[i] : owner[i] == o} of the owners o in range(n).
-
-    Returns each owner's dense set id, numbered in increasing order of the
-    sets read as integers, and each id's set as a Python int.  The pairs
-    (owner[i], bit[i]) must be distinct.  Sets of any width are held as
-    int64 words of 63 bits and ranked word by word, most significant first.
-    """
-    if n == 0:
-        return np.zeros(0, np.int64), []
+    """Rank the sets {bit[i] : owner[i] == o} of the owners o in range(n), held
+    as int64 words of 63 bits (`_rank_words`); the pairs (owner[i], bit[i]) must be distinct."""
     word = bit // _WORD  # `bit - word * _WORD` costs less than `bit % _WORD`
-    words = np.zeros((int(word.max(initial=0)) + 1) * n, np.int64)
-    np.add.at(words, word * n + owner, np.int64(1) << (bit - word * _WORD))  # distinct: sum = union
-    words = words.reshape(-1, n)
+    words = np.zeros((int(word.max(initial=0)) + 1, n), np.int64)
+    np.add.at(words.ravel(), word * n + owner, np.int64(1) << (bit - word * _WORD))  # distinct: sum = union
+    return _rank_words(words)
+
+
+def _rank_words(words: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Each column's dense set id, numbered in increasing order of the sets read as
+    integers, and each id's set as a Python int, where the set of column o has
+    the bits of words[j, o] at 63·j and up.  Sets within 16 bits are ranked through
+    a table of all such sets, others word by word, most significant first."""
+    n, top = words.shape[1], int(words.max(initial=0))
+    if not top:  # all sets are empty
+        return np.zeros(n, np.int64), [0] if n else []
+    if len(words) == 1 and top < 1 << 16:
+        seen = np.bincount(words[0]) > 0
+        return (np.cumsum(seen) - 1)[words[0]], np.flatnonzero(seen).tolist()
     rank = np.zeros(n, np.int64)
     for w in words[::-1]:
         if w.any():  # a word no set uses splits no rank
@@ -164,11 +185,7 @@ def _rank_bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> tuple[np.ndarra
             rank[perm] = np.cumsum(np.append(0, np.diff(key[perm]) != 0))
     reps = np.empty(int(rank.max()) + 1, np.int64)
     reps[rank] = np.arange(n)  # any member of a rank holds its set
-    sets = [
-        sum(x << (_WORD * j) for j, x in enumerate(col))
-        for col in words[:, reps].T.tolist()
-    ]
-    return rank, sets
+    return rank, [sum(x << (_WORD * j) for j, x in enumerate(col)) for col in words[:, reps].T.tolist()]
 
 
 class Vertices:
@@ -204,28 +221,23 @@ class LabeledGraph(Vertices):
         self._build_edges(vertex)
 
     def _build_edges(self, vertex: np.ndarray) -> None:
+        """One `_sort_rows` of the directed edges by (source, target, tag); each pair's label is
+        the set of its tags, as one word up to 63 tags (`_rank_words`), else in words of 63 bits."""
         binary = self.d1.schema.binary_symbols
-        srcs: list[np.ndarray] = [np.zeros(0, np.int64)]
-        dsts: list[np.ndarray] = [np.zeros(0, np.int64)]
-        tags: list[np.ndarray] = [np.zeros(0, np.int64)]
-        for r, sym in enumerate(binary):
-            rows = self.d1.array(sym)
-            a, b = vertex[rows[:, 0]], vertex[rows[:, 1]]
-            srcs += [a, b]
-            dsts += [b, a]
-            tags += [np.full(len(a), 2 * r, np.int64), np.full(len(a), 2 * r + 1, np.int64)]
+        # the fact R(a, b) of the r-th binary R is the edge (a, b) with tag 2r and (b, a) with tag 2r + 1
+        rows = [x for sym in binary for r in [vertex[self.d1.array(sym)]] for x in (r, r[:, ::-1])]
+        edges = np.concatenate([np.zeros((0, 2), np.int64), *rows])
+        tag = np.repeat(np.arange(len(rows)), [len(x) for x in rows])
 
         # one directed entry per (src, dst) pair; the label collects every tag
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        tag = np.concatenate(tags)
-        order = np.argsort(_pack(_pack(src, dst), tag))
-        src, dst, tag = src[order], dst[order], tag[order]
+        src, dst, tag = _sort_rows(edges[:, 0], edges[:, 1], tag)  # the rows are distinct
         at = _bounds(src, dst)  # one run per (src, dst) pair
         starts = at[:-1]
-        elab, masks = _rank_bitsets(np.arange(len(starts)).repeat(np.diff(at)), tag, len(starts))
-
         pairs = [(r, d) for r in binary for d in (FWD, BWD)]  # the pair of each tag, as a bit of a mask
+        if len(pairs) <= _WORD:  # a pair's tags as the bits of one word
+            elab, masks = _rank_words(np.bitwise_or.reduceat(np.left_shift(1, tag), starts)[None])
+        else:
+            elab, masks = _rank_bitsets(np.arange(len(starts)).repeat(np.diff(at)), tag, len(starts))
         self.labels: tuple[EdgeLabel, ...] = tuple(
             EdgeLabel(p for b, p in enumerate(pairs[:m.bit_length()]) if m >> b & 1) for m in masks)
         number = {lab: i for i, lab in enumerate(self.labels)}

@@ -36,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (BWD, FWD, EdgeLabel, LabeledGraph, Sigma1, Vertices, _bounds, _pack, _ranges,
+from .graph import (BWD, FWD, EdgeLabel, LabeledGraph, Sigma1, Vertices, _bounds, _pack, _sort_rows,
                     build_labeled_graph, e_symbol, encode_self_loops, label_of, sigma1_for)
-from .model import ColorcqError, Database, Schema, _keys
+from .model import ColorcqError, Database, Schema, _keys, _ranges
 from .refine import Coloring, _coloring, refine
 
 MAGIC = b"CCQX"
@@ -195,8 +195,8 @@ class ColorIndex:
     def _make_table(self, lab: EdgeLabel) -> SuccTable:
         bounds, place, tgt, nbr = self._edges
         segs = [slice(bounds[i], bounds[i + 1]) for i in self._supers(lab)]
-        # the labels partition the edges; merge their class-major runs (one
-        # label's run is already in (place, target colour, target) order)
+        # the labels partition the edges; merge their class-major runs (one label's run is already
+        # in (place, target colour, target) order): a stable sort merges few runs faster than `_sort_rows`
         w = nbr[segs[0]] if len(segs) == 1 else np.concatenate([nbr[x] for x in segs] + [_EMPTY])
         if len(segs) > 1:
             p, t = (np.concatenate([a[x] for x in segs]) for a in (place, tgt))
@@ -276,7 +276,7 @@ class ColorIndex:
 
 def _merge_rows(parts, ncol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum count rows (c, c′, n) over equal (c, c′) in one merge of the parts'
-    sorted runs, empty parts dropped; the result is sorted."""
+    sorted runs (a stable argsort), empty parts dropped; the result is sorted."""
     parts = [p for p in parts if len(p[0])]
     if len(parts) < 2:
         return parts[0] if parts else (_EMPTY, _EMPTY, _EMPTY)
@@ -289,18 +289,17 @@ def _merge_rows(parts, ncol: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _class_major(g: LabeledGraph, col: Coloring) -> tuple:
     """g's labels, the rows (label number, class c, d) with d·n_c the label's
     edges out of c, and the targets and source places of the edges sorted by
-    (label, source place, target colour, target); a place is a position in `col.order`."""
+    (label, source place, target colour, target); a place is a position in `col.order`.
+    One `_sort_rows` sorts the edges: a vertex has one edge per neighbour, so no two rows are equal."""
     place = np.empty(g.n, np.int64)
     place[col.order] = np.arange(g.n)
-    src = np.arange(g.n).repeat(np.diff(g.indptr))
-    # the stable sort keeps the targets of a vertex ascending
-    by = np.argsort(_pack(_pack(g.elab, place[src]), col.color_of[g.nbr]), kind="stable")
-    lab, src = g.elab[by], src[by]
-    blk = _bounds(lab, col.color_of[src])  # one block per (label, source class)
+    lab, src, _, nbr = _sort_rows(g.elab, place.repeat(np.diff(g.indptr)), col.color_of[g.nbr], g.nbr)
+    color = col.color_of[col.order]  # the colour at each place
+    blk = _bounds(lab, color[src])  # one block per (label, source class)
     head = blk[:-1]
-    cls = col.color_of[src[head]]
+    cls = color[src[head]]
     rows = np.stack([lab[head], cls, np.diff(blk) // col.sizes[cls]], axis=1)
-    return g.labels, rows, g.nbr[by], place[src]
+    return g.labels, rows, nbr, src
 
 
 def build_index(db: Database) -> ColorIndex:

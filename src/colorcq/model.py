@@ -206,22 +206,27 @@ def _parse_array(text: str) -> Database | None:
     arity = 1 + binary
     name_tok = np.cumsum(arity + 1) - (arity + 1)
     buf = np.frombuffer(data, dtype=np.uint8, offset=8)
-    rel, rel_first = _intern(_keys(data, ends[name_tok], lens[name_tok]))
-    rel_names = _lines(_names(buf, ends[name_tok[rel_first]], lens[name_tok[rel_first]]))
+    lines, by = _group(_keys(data, ends[name_tok], lens[name_tok]))  # each relation's lines
+    rel = np.argsort(lines[by[:-1]])  # the relations in order of first appearance
+    first = name_tok[lines[by[rel]]]
+    rel_names = _lines(_names(buf, ends[first], lens[first]))
     if not all(NAME_RE.fullmatch(r) for r in rel_names):
         return None
-    n_lines = np.bincount(rel)
-    n_binary = np.bincount(rel, weights=binary)
+    n_lines, n_binary = np.diff(by)[rel], np.add.reduceat(binary[lines], by[:-1], dtype=np.int64)[rel]
     if ((n_binary > 0) & (n_binary < n_lines)).any():  # a symbol used with both arities
         return None
     rel_arity = np.where(n_binary > 0, 2, 1).tolist()
     ends, lens = np.delete(ends, name_tok), np.delete(lens, name_tok)  # the arguments' tokens
-    cid, first = _intern(_keys(data, ends, lens))
-    db = Database(Schema(zip(rel_names, rel_arity)), _names(buf, ends[first], lens[first]))
+    perm, at = _group(_keys(data, ends, lens))  # the arguments by constant
+    head = np.zeros(len(perm), dtype=bool)
+    head[perm[at[:-1]]] = True  # each constant's first argument: their order gives the constant ids
+    cid = np.empty(len(perm), dtype=np.int64)
+    cid[perm] = (np.cumsum(head) - 1)[perm[at[:-1]]].repeat(np.diff(at))
+    del perm, at  # freed before the block is made, to keep the peak memory low
+    db = Database(Schema(zip(rel_names, rel_arity)), _names(buf, ends[head], lens[head]))
     first_arg = name_tok - np.arange(len(name_tok))  # index of each line's first argument in cid
-    by_rel = np.argsort(rel, kind="stable")
-    for name, a, lines in zip(rel_names, rel_arity, np.split(by_rel, np.cumsum(n_lines)[:-1])):
-        col = first_arg[lines]
+    for name, a, g in zip(rel_names, rel_arity, rel.tolist()):
+        col = first_arg[lines[by[g]:by[g + 1]]]
         db.set_relation(name, cid[col, None] if a == 1 else np.stack([cid[col], cid[col + 1]], 1))
     return db
 
@@ -286,16 +291,17 @@ def _keys(buf: bytes, ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it permutes the uint64s
 
 
-def _intern(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids in order of first appearance for the keys of `_keys`, and the index i of
-    each id's first appearance: by their runs' first keys where equal keys sit in
-    few runs, as relation names often do; else by one sort of the keys times `_MIX`
+def _group(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices i of the (non-empty) keys of `_keys`, grouped by key in no set order and
+    ascending per key, and where each group begins, then len(key): by their runs' first keys where
+    equal keys sit in few runs, as relation names often do; else by one sort of the keys times `_MIX`
     with i in their low bits (a stable argsort where two keys share the bits kept)."""
     cut = key[1:] != key[:-1]
     if np.count_nonzero(cut) < len(key) // 4:
         run = np.flatnonzero(np.append(True, cut))
-        ids, first = _intern(key[run])
-        return ids.repeat(np.diff(run, append=len(key))), run[first]
+        perm, at = _group(key[run])
+        size = np.diff(run, append=len(key))[perm]
+        return _ranges(run[perm], size), np.append(0, np.cumsum(size))[at]
     low = np.uint64(len(key).bit_length())  # the bits of an index
     perm = np.sort(key * _MIX >> low << low | np.arange(len(key), dtype=np.uint64))
     new = np.append(True, perm[1:] >> low != perm[:-1] >> low)  # where the sorted mixed keys change
@@ -303,12 +309,13 @@ def _intern(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if (new[1:] != np.diff(key[perm]).astype(bool)).any():  # two distinct keys share their kept bits
         perm = key.argsort(kind="stable")
         new = np.append(True, np.diff(key[perm]) != 0)
-    firsts = perm[new]  # each key's first index
-    is_first = np.zeros(len(key), dtype=bool)
-    is_first[firsts] = True
-    ids = np.empty(len(key), dtype=np.int64)
-    ids[perm] = (np.cumsum(is_first) - 1)[firsts][np.cumsum(new) - 1]
-    return ids, np.flatnonzero(is_first)
+    return perm, np.append(np.flatnonzero(new), len(key))
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of the integer ranges [starts[i], starts[i] + lens[i])."""
+    out = (starts - np.add.accumulate(lens) + lens).repeat(lens)
+    return out + np.arange(len(out))
 
 
 def _names(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> bytes:

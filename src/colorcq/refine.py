@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabeledGraph, _bounds, _pack, _ranges
-from .model import _MIX, ColorcqError
+from .graph import LabeledGraph, _bounds, _pack
+from .model import _MIX, ColorcqError, _ranges
 
 
 def default_backend() -> str:
@@ -63,8 +63,10 @@ class Coloring:
 
 
 def _as_coloring(raw: np.ndarray) -> Coloring:
-    """The canonical colouring whose classes are those of the ids `raw`."""
-    by_raw = np.argsort(raw, kind="stable")  # members stay ascending per class
+    """The canonical colouring whose classes are those of the ids `raw`, by a stable argsort of
+    the ids, so members stay ascending: a radix sort where they fit in 16 bits, else a merge sort,
+    which is fast on the long runs of a few classes (where a packed `_sort_rows` is not)."""
+    by_raw = np.argsort(raw.astype(np.uint16) if raw.max(initial=0) < 1 << 16 else raw, kind="stable")
     at = _bounds(raw[by_raw])
     seq = np.argsort(by_raw[at[:-1]])  # the classes in order of least vertex
     sizes = (at[1:] - at[:-1])[seq]

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from colorcq.graph import EdgeLabel, e_symbol, encode_self_loops, sigma1_for
+from colorcq import graph as GRAPH
+from colorcq.graph import EdgeLabel, _rank_words, _sort_rows, e_symbol, encode_self_loops, sigma1_for
 from colorcq.model import Schema
 
 from .conftest import (
@@ -165,6 +167,68 @@ def test_wide_schema_grouping_matches_bitmask_route():
     assert {(v, w, lab) for v in range(g2.n) for w, lab in out_edges(g2, v)} == {
         (v, w, lab) for v in range(g.n) for w, lab in out_edges(g, v)
     }
+
+
+def test_label_ranks_agree_through_the_table_and_word_by_word():
+    """Edge-label masks below 2^16 are ranked through a table, others word by word, in one
+    word up to 63 tags: unused binary relations put before the used ones shift every mask
+    by the same bits, so each route must number the same labels alike."""
+    rng = random.Random(38)
+    for _ in range(30):
+        facts = [(rng.choice("PQRS"), f"c{rng.randrange(9)}", f"c{rng.randrange(9)}")
+                 for _ in range(rng.randint(0, 40))]
+        graphs = [graph_of(make_db(Schema([(f"X{i}", 2) for i in range(k)] + [(r, 2) for r in "PQRS"]),
+                                   facts)) for k in (0, 5, 30)]  # 8, 18 and 68 tags
+        for g in graphs[1:]:
+            assert g.labels == graphs[0].labels
+            for name in ("elab", "nbr", "indptr", "dual_id"):
+                assert np.array_equal(getattr(g, name), getattr(graphs[0], name)), name
+
+
+def test_rank_words_table_and_word_loop_agree():
+    """Sets below 2^16 in one word are ranked through a table; padded with an empty
+    second word they are ranked word by word, to the same ids and sets."""
+    rng = np.random.default_rng(38)
+    for n in (0, 1, 2, 50, 400):
+        for top in (1, 2, 1 << 8, 1 << 16):
+            words = rng.integers(0, top, (1, n))
+            rank, sets = _rank_words(words)
+            rank2, sets2 = _rank_words(np.vstack([words, np.zeros_like(words)]))
+            assert np.array_equal(rank, rank2) and sets == sets2 == sorted(set(words[0].tolist()))
+            assert rank.tolist() == [sets.index(x) for x in words[0].tolist()]
+
+
+def test_sort_rows_sorts_like_lexsort(monkeypatch):
+    """`_sort_rows` gives the columns `np.lexsort` sorts, with repeated rows: on seeded random
+    columns, no rows, one row and all-zero columns; rows of exactly 63 bits are packed, and
+    rows of 64 bits, or wider than a lowered `_BITS`, take `np.lexsort`."""
+    lexsort, calls = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+
+    def check(cols, packed):
+        calls.clear()
+        got, by = _sort_rows(*cols), lexsort(cols[::-1])
+        assert len(got) == len(cols) and bool(calls) != packed
+        for g, c in zip(got, cols):
+            assert g.dtype == np.int64 and np.array_equal(g, c[by])
+
+    rng = np.random.default_rng(38)
+    for _ in range(300):
+        n, bits = int(rng.integers(0, 50)), rng.integers(0, 24, int(rng.integers(1, 5)))
+        cols = [rng.integers(0, 1 << int(b), n) for b in bits]  # bits 0: all zero
+        check(cols, sum(int(c.max(initial=0)).bit_length() for c in cols) <= 63)
+    empty, zeros = np.zeros(0, np.int64), np.zeros(7, np.int64)
+    check([empty], True)
+    check([empty, empty, empty], True)
+    check([np.array([5]), np.array([0]), np.array([1 << 40])], True)
+    check([zeros, zeros], True)
+    top = [np.append(rng.integers(0, 1 << b, 200), (1 << b) - 1) for b in (20, 11, 32)]
+    check(top, True)  # 20 + 11 + 32 = 63 bits: the largest key is 2^63 - 1
+    check([top[2], top[0], top[2]], False)  # 32 + 20 + 32 bits
+    check([top[2], np.append(top[2][1:], 0)], False)  # 32 + 32 = 64 bits
+    monkeypatch.setattr(GRAPH, "_BITS", 0)
+    check([np.array([3, 1, 2]), np.array([0, 0, 0])], False)
+    check([zeros, zeros], True)  # rows of 0 bits fit in any budget
 
 
 def test_label_count_bounded_by_d1():

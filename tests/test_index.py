@@ -17,6 +17,7 @@ import pytest
 from colorcq.cli import main
 from colorcq.evaluation import EnumerationSession, cde_fc_acq, count_answers, eval_boolean
 from colorcq.frontend import plan_query
+from colorcq import graph as GRAPH
 from colorcq.graph import EdgeLabel, build_labeled_graph, encode_self_loops
 from colorcq.index import (
     FORMAT_VERSION,
@@ -355,6 +356,48 @@ def test_saved_bytes_are_pinned(tmp_path):
         path = tmp_path / "x.ccqx"
         save_index(build_index(db), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_SHA256[name], name
+
+
+def wide_db(rng: random.Random, rels: int = 33, n: int = 12, facts: int = 150) -> Database:
+    """Random facts over `rels` binary relations (2·rels tags) and one unary, on n constants,
+    with loops, so that many vertex pairs carry several relations in both directions."""
+    schema = Schema([(f"R{i:02d}", 2) for i in range(rels)] + [("U", 1)])
+    db = Database(schema, constants=[f"c{i}" for i in range(n)])
+    for i in range(rels):
+        pairs = rng.sample([(u, v) for u in range(n) for v in range(n)], k=rng.randint(0, facts // rels + 3))
+        db.set_relation(f"R{i:02d}", np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    db.set_relation("U", np.array(rng.sample(range(n), k=rng.randint(0, n)), dtype=np.int64)[:, None])
+    return db
+
+
+def test_saved_bytes_agree_on_the_lexsort_fallback(tmp_path, monkeypatch):
+    """With the bit budget of packed sort keys lowered to 0 (`graph._BITS`), every
+    `_sort_rows` takes `np.lexsort`: the pinned databases still save their pinned bytes,
+    and seeded random ones, some over more than 63 tags, save the same bytes on both paths."""
+    dbs = {"movie": movie_db(), "cycle 7": cycle_db(7), "multirel": multirel_db(),
+           **{f"random {seed}": random_db(random.Random(seed), max_adom=40, max_facts=120)
+              for seed in (1901, 1904)}}
+    rng = random.Random(38)
+    dbs.update((f"seeded {i}", random_db(rng, max_adom=30, max_facts=80)) for i in range(20))
+    dbs.update((f"wide {i}", wide_db(rng, rels=rng.choice((9, 32, 33)))) for i in range(6))
+    lexsort, calls = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
+    path = tmp_path / "x.ccqx"
+    for name, db in dbs.items():
+        digests = []
+        for bits in (63, 0):
+            monkeypatch.setattr(GRAPH, "_BITS", bits)
+            calls.clear()
+            idx = build_index(db)
+            # the edges' sort (3 keys) and the class-major sort (4), where there are edges;
+            # refinement's own `np.lexsort` takes 2 keys
+            sites = sorted(k for k in calls if k > 2)
+            assert sites == ([3, 4] if bits == 0 and idx.g.num_directed_edges else []), name
+            save_index(idx, str(path))
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+            save_index(load_index(str(path)), str(path))  # a load writes the bytes it read
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[-1], name
+        assert digests[0] == digests[1] == SAVED_SHA256.get(name, digests[0]), name
 
 
 def test_persistence_round_trip(tmp_path, monkeypatch):

@@ -174,10 +174,24 @@ def test_parse_paths_agree_on_pinned_texts(text, fast):
 
 def test_interning_falls_back_where_mixed_keys_collide(monkeypatch):
     """With a multiplier of 0 every two keys share their mixed bits, so
-    `_intern` takes its stable argsort, and the parse is unchanged."""
+    `_group` takes its stable argsort, and the parse is unchanged."""
     monkeypatch.setattr(model, "_MIX", np.uint64(0))
     for text, fast in PINNED_TEXTS + [(utf8_text(), True), (long_constants_text()[1], True)]:
         assert _paths_agree(text) == fast
+
+
+def test_relation_names_grouped_over_many_runs_get_first_appearance_ids(monkeypatch):
+    """Shuffled lines over a few relations, in many runs (so their names are grouped by
+    one sort, not by runs), of both arities: the array path builds the same database."""
+    rng = random.Random(38)
+    for size in (8, 40, 400):
+        lines = [f"{rng.choice('PQSTU')}(c{rng.randrange(size)},c{rng.randrange(size)})"
+                 for _ in range(size)] + [f"V(c{rng.randrange(size)})" for _ in range(size // 4)]
+        rng.shuffle(lines)
+        assert _paths_agree("\n".join(lines))
+        for mix in (model._MIX, np.uint64(0)):  # 0: every name shares its mixed bits
+            monkeypatch.setattr(model, "_MIX", mix)
+            assert _paths_agree("\n".join(lines[::-1]))
 
 
 def test_parse_paths_agree_when_one_item_of_a_line_is_wrong():
