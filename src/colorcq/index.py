@@ -353,14 +353,17 @@ def save_index(idx: ColorIndex, path: str) -> None:
     """Versioned binary file: magic, format version, CRC-32 of the rest, JSON
     metadata length and metadata, the constants as one block of `\\n`-ended UTF-8
     lines (the database's `block` as is, else its names encoded: ColorcqError for
-    one with a `\\n` or not UTF-8), then the arrays, each in the narrowest of `_DTYPES`."""
+    one with a `\\n` or, either way, not UTF-8), then the arrays, each in the narrowest
+    of `_DTYPES`."""
     g, db = idx.g, idx.db
-    if (block := db.block) is None:
-        try:
+    try:
+        if (block := db.block) is None:
             block = "\n".join([*db.constants, ""]).encode("utf-8")
-        except (TypeError, UnicodeEncodeError) as e:
-            raise ColorcqError(f"cannot save the constants ({e})") from None
-        _need(block.count(b"\n") == db.num_constants, "cannot save a constant that holds a line break")
+            _need(block.count(b"\n") == db.num_constants, "cannot save a constant that holds a line break")
+        elif not bytes(block).isascii():  # a parsed block keeps a lone surrogate as `surrogatepass` writes it
+            str(block, "utf-8")
+    except (TypeError, UnicodeError) as e:
+        raise ColorcqError(f"cannot save the constants ({e})") from None
     named = {f"unary:{u}": rows for u, rows in zip(g.unary_symbols, g.unary)}
     if g.n != db.num_constants:  # else vertex i is constant i
         named["verts"] = g.verts

@@ -30,11 +30,6 @@ class ParseError(ColorcqError):
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 VAR_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
-_FACT_RE = re.compile(
-    r"^\s*([A-Za-z_][A-Za-z0-9_.]*)\s*\(\s*([^\s(),#]+)\s*(?:,\s*([^\s(),#]+)\s*)?\)\s*$"
-)
-
-
 class Schema:
     """Relation symbols with arities restricted to 1 or 2."""
 
@@ -90,7 +85,8 @@ class Database:
     A relation is an (m, arity) int64 array of constant ids, sorted by rows
     and without repeated rows, which `set_relation` puts in.  `constants` lists
     the `num_constants` names; a Database made from their `block` of `\\n`-ended
-    UTF-8 lines, or from another whose constants it shares, makes it on first read.
+    lines (UTF-8, a lone surrogate as `surrogatepass` writes it), or from another
+    whose constants it shares, makes it on first read.
     """
 
     def __init__(self, schema: Schema, constants: Iterable[str] | bytes | memoryview | Database = ()):
@@ -158,46 +154,32 @@ def load_database(src: str | TextIO) -> Database:
     conflict SchemaError, each with the number of the first bad line.
     Constants get ids in order of first appearance.
 
-    Text with no control character but tabs and `\\n`, and no Unicode space,
-    is tokenized and checked with numpy over its UTF-8 bytes, its strings
-    interned by one uint64 key each, and its constants kept as their `block`
-    (`_parse_array`).  Other text, and text that check rejects, is read line by
-    line by `_parse_lines`, which also raises the errors; both agree.
+    Lines and whitespace are those of `str.splitlines` and `str.strip`.  The
+    text is read as its UTF-8 bytes (lone surrogates kept, as `surrogatepass`
+    writes them), in which every whitespace character but space, tab and `\\n`
+    is first replaced by a stand-in of the same length: spaces then `\\n` for a
+    line break (` \\n` for `\\r\\n`), spaces for any other.  numpy then finds the
+    tokens and checks the lines (`_scan`), strings are interned by one uint64
+    key each, and the constants are kept as their `block`.  Before the error of
+    a malformed line, the text before it is parsed again, which raises the
+    error of any earlier line.
     """
     text = src if isinstance(src, str) else src.read()
-    db = _parse_array(text)
-    return _parse_lines(text) if db is None else db
-
-
-# byte classes of the array parser, as a bytes.translate table (non-ASCII bytes are token bytes)
-_TOKEN, _SPACE, _OPEN, _CLOSE, _COMMA, _NEWLINE, _OTHER = range(7)
-_CLASS_OF = bytes(
-    _SPACE if c in b" \t" else _OPEN if c == ord("(") else _CLOSE if c == ord(")")
-    else _COMMA if c == ord(",") else _NEWLINE if c == ord("\n")
-    else _TOKEN if c > 0x20 and c not in b"#\x7f" else _OTHER
-    for c in range(256)
-)
-# a comment ends at the line break or at the first control character but a
-# tab; such a character stays behind and sends the text to _parse_lines
-_COMMENT_RE = re.compile(rb"#[^\x00-\x08\n-\x1f\x7f]*")
-# the non-ASCII whitespace, where `\s`, `str.strip` and `str.splitlines` differ from
-# the classes above (as at the _OTHER bytes \r, \v, \f and \x1c-\x1f), and the lone surrogates
-_ODD = np.r_[0x85, 0xA0, 0x1680, 0x2000:0x200B, 0x2028, 0x2029, 0x202F, 0x205F, 0x3000, 0xD800:0xE000]
-
-
-def _parse_array(text: str) -> Database | None:
-    """The Database `_parse_lines(text)` builds, computed with numpy on the
-    UTF-8 bytes of `text` after 8 bytes of padding; None when `text` holds a
-    code point of `_ODD` or is not a valid fact list."""
+    data = text.encode("utf-8", "surrogatepass")
+    if any(c in data for c in b"\r\v\f\x1c\x1d\x1e\x1f"):  # seven scans, far faster than a regex
+        data = data.replace(b"\r\n", b" \n").translate(_ASCII_STAND_IN)
     if not text.isascii():
-        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-        if np.isin(points[points > 0x84], _ODD).any():
-            return None
-    # the padding lets _keys read the 8 bytes before any token end; the last break ends the last line
-    data = b"".join((b"\n" * 8, _COMMENT_RE.sub(b"", text.encode("utf-8")), b"\n"))
+        for lead, wide in _WIDE_RE.items():
+            if lead in data:
+                data = wide.sub(lambda m: _WIDE_STAND_IN[m[0]], data)
+    # the padding lets _keys read the 8 bytes before any token end; the breaks
+    # after the text end its last line and let _scan read 4 items past any line start
+    data = b"".join((b"\n" * 8, _COMMENT_RE.sub(b"", data), b"\n" * 4))
     scan = _scan(data)  # positions in the text after the padding
-    if scan is None:
-        return None
+    if isinstance(scan, int):
+        raw = text.splitlines()
+        load_database("\n".join(raw[:scan - 1]))  # raises the error of an earlier line
+        raise _bad_line(raw, scan)
     ends, lens, binary = scan
     if not len(binary):
         return Database(Schema())
@@ -208,13 +190,21 @@ def _parse_array(text: str) -> Database | None:
     buf = np.frombuffer(data, dtype=np.uint8, offset=8)
     lines, by = _group(_keys(data, ends[name_tok], lens[name_tok]))  # each relation's lines
     rel = np.argsort(lines[by[:-1]])  # the relations in order of first appearance
-    first = name_tok[lines[by[rel]]]
-    rel_names = _lines(_names(buf, ends[first], lens[first]))
-    if not all(NAME_RE.fullmatch(r) for r in rel_names):
-        return None
+    first = lines[by[rel]]  # their first lines
+    rel_names = _lines(_names(buf, ends[name_tok[first]], lens[name_tok[first]]))
+    named = np.array([NAME_RE.fullmatch(r) is not None for r in rel_names])
     n_lines, n_binary = np.diff(by)[rel], np.add.reduceat(binary[lines], by[:-1], dtype=np.int64)[rel]
-    if ((n_binary > 0) & (n_binary < n_lines)).any():  # a symbol used with both arities
-        return None
+    if not named.all() or ((n_binary > 0) & (n_binary < n_lines)).any():
+        # the first line that names a relation badly or uses it with its other arity
+        other = lines[binary[lines] != binary[lines[by[:-1]]].repeat(np.diff(by))]
+        bad = first[~named].min(initial=len(binary))
+        k = other.min(initial=bad)
+        t = name_tok[[k]]
+        line = data.count(b"\n", 8, 8 + int(ends[t[0]])) + 1
+        if k == bad:
+            raise _bad_line(text.splitlines(), line)
+        name, a = _lines(_names(buf, ends[t], lens[t]))[0], 1 + int(binary[k])
+        raise SchemaError(f"line {line}: symbol {name!r} used with arities {3 - a} and {a}")
     rel_arity = np.where(n_binary > 0, 2, 1).tolist()
     ends, lens = np.delete(ends, name_tok), np.delete(lens, name_tok)  # the arguments' tokens
     perm, at = _group(_keys(data, ends, lens))  # the arguments by constant
@@ -231,22 +221,41 @@ def _parse_array(text: str) -> Database | None:
     return db
 
 
-def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _bad_line(lines: list[str], lineno: int) -> ParseError:
+    return ParseError(f"line {lineno}: cannot parse fact {lines[lineno - 1].strip()!r}")
+
+
+# the stand-ins of the whitespace but space, tab and `\n`, each as long as its UTF-8 bytes:
+# all the ASCII ones but \x1f, and U+0085, U+2028 and U+2029, are line breaks
+_ASCII_STAND_IN = bytes.maketrans(b"\r\v\f\x1c\x1d\x1e\x1f", b"\n\n\n\n\n\n ")
+_WIDE_STAND_IN = {c.encode(): b" " * (len(c.encode()) - 1) + (b"\n" if c in "\x85\u2028\u2029" else b" ")
+                  for c in map(chr, [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
+                                     0x205F, 0x3000])}
+# one regex per first byte of those, a literal byte that makes its search fast
+_WIDE_RE = {lead: re.compile(b"%s(?:%s)" % (lead, b"|".join(k[1:] for k in _WIDE_STAND_IN if k[:1] == lead)))
+            for lead in {k[:1] for k in _WIDE_STAND_IN}}
+# byte classes after the stand-ins, as a bytes.translate table: all other bytes are token bytes
+_TOKEN, _SPACE, _OPEN, _CLOSE, _COMMA, _NEWLINE = range(6)
+_CLASS_OF = bytes(dict(zip(b" \t(),\n", (_SPACE, _SPACE, _OPEN, _CLOSE, _COMMA, _NEWLINE))).get(c, _TOKEN)
+                  for c in range(256))
+_COMMENT_RE = re.compile(rb"#[^\n]*")  # after the stand-ins, only `\n` ends a line
+
+
+def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | int:
     """End and length of every token of the text after the 8 bytes of padding
-    that start `data`, and per non-empty line whether it is binary; None
-    unless every line is valid.
+    that start `data`, and per non-empty line whether it is binary; or the
+    number of the first line that is not valid.
 
     A token is a maximal run of `_TOKEN` bytes.  A line is valid when it is
-    empty or reads `T(T)` or `T(T,T)` once spaces and tabs are dropped.
-    Space inside a token splits it, and a byte of class `_OTHER` is an item
-    of its own, so either makes the line invalid, as `_FACT_RE` rejects it.
+    empty or reads `T(T)` or `T(T,T)` once spaces and tabs are dropped, so
+    space inside a token splits it and makes the line invalid.
     """
     cls = np.frombuffer(data.translate(_CLASS_OF), dtype=np.uint8, offset=7)  # from the last padding break
     tok = cls == _TOKEN
     cut = np.flatnonzero(tok[1:] != tok[:-1])  # each token's start and end in turn, as a break ends the text
     ends, lens = cut[1::2], cut[1::2] - cut[::2]
 
-    # the stream of tokens, delimiters and _OTHER bytes, one byte each, cut at _NEWLINE
+    # the stream of tokens and delimiters, one byte each, cut at _NEWLINE
     item = cls[1:] >= _OPEN
     item[cut[::2]] = True
     kind = np.compress(item, cls[1:])  # faster than cls[1:][item] where `item` is irregular
@@ -255,14 +264,10 @@ def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     width = breaks - at
     at, width = at[width > 0], width[width > 0]
     binary = width == 6
-    if not (binary | (width == 4)).all():
-        return None
-    two = at[binary]
-    if ((kind[at] == _TOKEN) & (kind[at + 1] == _OPEN) & (kind[at + 2] == _TOKEN)
-            & (kind[at + width - 1] == _CLOSE)).all() and (
-            kind[two + 3] == _COMMA).all() and (kind[two + 4] == _TOKEN).all():
-        return ends, lens, binary
-    return None
+    ok = (binary | (width == 4)) & (kind[at] == _TOKEN) & (kind[at + 1] == _OPEN) & (kind[at + 2] == _TOKEN)
+    ok &= (kind[at + width - 1] == _CLOSE) & ((kind[at + 3] == _COMMA) == binary)
+    ok &= ~binary | (kind[at + 4] == _TOKEN)
+    return (ends, lens, binary) if ok.all() else int(np.searchsorted(breaks, at[np.argmin(ok)])) + 1
 
 
 def _keys(buf: bytes, ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -335,38 +340,7 @@ def _names(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> bytes:
 
 
 def _lines(block: bytes) -> list[str]:
-    return str(block, "utf-8").split("\n")[:-1]
-
-
-def _parse_lines(text: str) -> Database:
-    """Reference parser, one regex match per line; raises ParseError or
-    SchemaError with the number of the first bad line."""
-    lines = text.splitlines()
-    schema = Schema()
-    names: list[str] = []  # every argument, in file order
-    args_of: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _FACT_RE.match(line)
-        if m is None:
-            raise ParseError(f"line {lineno}: cannot parse fact {raw.strip()!r}")
-        rel, a, b = m.group(1), m.group(2), m.group(3)
-        args = (a,) if b is None else (a, b)
-        try:
-            schema.add(rel, len(args))
-        except SchemaError as e:
-            raise SchemaError(f"line {lineno}: {e}") from None
-        names += args
-        args_of.setdefault(rel, []).extend(args)
-
-    db = Database(schema, constants=names)
-    id_of = dict(zip(db.constants, range(len(db.constants))))
-    for rel, args in args_of.items():
-        ids = np.fromiter(map(id_of.__getitem__, args), dtype=np.int64, count=len(args))
-        db.set_relation(rel, ids.reshape(-1, schema.arity(rel)))
-    return db
+    return str(block, "utf-8", "surrogatepass").split("\n")[:-1]
 
 
 class Atom(NamedTuple):

@@ -1,11 +1,49 @@
-"""Reference implementations that only the tests use: the brute-force
+"""Reference implementations that only the tests use: the per-line fact
+parser that `load_database` is checked against, and the brute-force
 stability check and fixpoint refinement that `refine` is checked against."""
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 from colorcq.graph import EdgeLabel, LabeledGraph
+from colorcq.model import Database, ParseError, Schema, SchemaError
 from colorcq.refine import Coloring, _as_coloring
+
+_FACT_RE = re.compile(
+    r"^\s*([A-Za-z_][A-Za-z0-9_.]*)\s*\(\s*([^\s(),#]+)\s*(?:,\s*([^\s(),#]+)\s*)?\)\s*$"
+)
+
+
+def parse_lines(text: str) -> Database:
+    """Reference fact parser, one regex match per line of `str.splitlines`;
+    raises ParseError or SchemaError with the number of the first bad line."""
+    schema = Schema()
+    names: list[str] = []  # every argument, in file order
+    args_of: dict[str, list[str]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _FACT_RE.match(line)
+        if m is None:
+            raise ParseError(f"line {lineno}: cannot parse fact {raw.strip()!r}")
+        rel, a, b = m.group(1), m.group(2), m.group(3)
+        args = (a,) if b is None else (a, b)
+        try:
+            schema.add(rel, len(args))
+        except SchemaError as e:
+            raise SchemaError(f"line {lineno}: {e}") from None
+        names += args
+        args_of.setdefault(rel, []).extend(args)
+
+    db = Database(schema, constants=names)
+    id_of = dict(zip(db.constants, range(len(db.constants))))
+    for rel, args in args_of.items():
+        ids = np.fromiter(map(id_of.__getitem__, args), dtype=np.int64, count=len(args))
+        db.set_relation(rel, ids.reshape(-1, schema.arity(rel)))
+    return db
 
 
 def _signature(g: LabeledGraph, colors: np.ndarray, v: int) -> dict[tuple[int, int], int]:

@@ -31,7 +31,6 @@ from colorcq.index import (
     load_index,
     save_index,
 )
-from colorcq import model
 from colorcq.model import ColorcqError, Database, Schema, load_database, parse_query
 from colorcq.refine import _as_coloring
 
@@ -51,6 +50,7 @@ from .conftest import (
     utf8_text,
     vertex,
 )
+from .reference import parse_lines
 from .test_evaluation import _agree_with_naive, _built_and_loaded
 
 
@@ -630,7 +630,7 @@ def test_build_save_and_resave_decode_no_constants(tmp_path):
         assert (tmp_path / "b.ccqx").read_bytes() == (tmp_path / "a.ccqx").read_bytes()
         for index in (idx, loaded):
             assert not {"constants"} & (vars(index.db).keys() | vars(index.d1).keys())
-            assert index.d1.constants is index.db.constants == model._parse_lines(text).constants
+            assert index.d1.constants is index.db.constants == parse_lines(text).constants
 
 
 def _read_file(data: bytes) -> tuple[dict, bytes, dict[str, np.ndarray], dict[str, int]]:
@@ -1062,17 +1062,22 @@ def test_facts_file_constants_with_nul_round_trip(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", ["a\nb", "\n", "\ud800", "x\udfff"])
 def test_save_refuses_constants_the_block_cannot_hold(bad, tmp_path, capsys, monkeypatch):
+    """Made from a list of names, or parsed from a text that holds a lone
+    surrogate (kept in the parsed block as `surrogatepass` writes it)."""
     db = Database(Schema([("R", 2)]), constants=["a", bad])
     db.set_relation("R", np.array([[0, 1]]))
+    parsed = [] if "\n" in bad else [load_database(f"R(a,{bad})\n")]
+    assert all(p.constants == db.constants and p.block is not None for p in parsed)
     path = tmp_path / "bad.ccqx"
-    with pytest.raises(ColorcqError, match="cannot save"):
-        save_index(build_index(db), str(path))
-    assert not path.exists()
-    # the command line exits 1; only the Python API can make such a constant
-    monkeypatch.setattr("colorcq.cli._load_db", lambda _: db)
-    assert main(["build", "--db", "unused", "--out", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot save") and "Traceback" not in err
+    for d in [db, *parsed]:
+        with pytest.raises(ColorcqError, match="cannot save"):
+            save_index(build_index(d), str(path))
+        assert not path.exists()
+        # the command line exits 1; only the Python API can make such a constant
+        monkeypatch.setattr("colorcq.cli._load_db", lambda _, d=d: d)
+        assert main(["build", "--db", "unused", "--out", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot save") and "Traceback" not in err
 
 
 def test_arrays_are_stored_in_the_narrowest_dtype():

@@ -34,6 +34,7 @@ from .conftest import (
     tuples,
     utf8_text,
 )
+from .reference import parse_lines
 
 
 def test_schema_basic():
@@ -103,19 +104,17 @@ def _contents(db: Database):
 
 
 def _paths_agree(text: str) -> bool:
-    """Both parse paths give the same result on `text`; True when the array
-    path built it (rather than leaving it to the per-line loop)."""
-    ref = _outcome(model._parse_lines, text)
-    fast = model._parse_array(text)
-    if fast is not None:
-        assert _contents(fast) == ref, text
+    """`load_database` and the reference parser give the same database, or
+    the same error type and text, on `text`; True when they build one."""
+    ref = _outcome(parse_lines, text)
     assert _outcome(load_database, text) == ref, text
-    return fast is not None
+    return not isinstance(ref[0], str)
 
 
 PREFIXES = "abcdefghijklmnopqrstuvwxyz0123456789ABCD"
 
-# (text, whether the array path must build it itself)
+# (text, whether it is canonical: a valid fact list written with printable
+# characters, spaces, tabs and `\n` only)
 PINNED_TEXTS = [
     (" \tR \t( \ta \t, \tb \t) \t\n\tU\t(\ta\t)\t\n", True),
     ("R (a,b)\n", True),
@@ -164,12 +163,31 @@ PINNED_TEXTS = [
              f"R({PREFIXES[:k % 5 + 3]},http://example.org/item/{k * 53 % 13}/id)\n"
              f"U(http://example.org/item/{k % 9}/id)\n" for k in range(40)),
      True),
+    # the first error comes first, whichever check finds it
+    ("R(a,b)\nR(c)\nS(d)\nS(d e)\n", False),
+    ("R(a,b)\nR(a b)\nR(c)\n", False),
+    ("R(a,b)\r\nS(c)\x1cT(d)\u2028S(e)\n1X(e)\nR(f)\n", False),
+    ("".join(f"R(a{i},b)\r\n" for i in range(50)) + "R(a,b\r\nR(c)\r\n", False),
 ]
+
+# the characters a canonical text can be rewritten with: line breaks, then other whitespace
+BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+SPACES = ("\x1f", "\xa0", "\u1680", "\u2000", "\u200a", "\u202f", "\u205f", "\u3000")
 
 
 @pytest.mark.parametrize("text,fast", PINNED_TEXTS)
 def test_parse_paths_agree_on_pinned_texts(text, fast):
-    assert _paths_agree(text) == fast
+    """Every pinned text gives the reference's outcome; a canonical one also
+    gives its database with its line breaks, spaces and tabs rewritten as
+    other characters that `str.splitlines` and `str.strip` read the same."""
+    built = _paths_agree(text)
+    assert fast == (built and all(c.isprintable() or c in " \t\n" for c in text))
+    if fast:
+        want = _contents(load_database(text))
+        for k, (brk, space) in enumerate(zip(BREAKS, SPACES * 2)):
+            other = text.replace("\n", brk).replace(" ", space).replace("\t", SPACES[-1 - k % 8])
+            assert _contents(load_database(other)) == want, other
+            assert _paths_agree(other)
 
 
 def test_interning_falls_back_where_mixed_keys_collide(monkeypatch):
@@ -177,12 +195,12 @@ def test_interning_falls_back_where_mixed_keys_collide(monkeypatch):
     `_group` takes its stable argsort, and the parse is unchanged."""
     monkeypatch.setattr(model, "_MIX", np.uint64(0))
     for text, fast in PINNED_TEXTS + [(utf8_text(), True), (long_constants_text()[1], True)]:
-        assert _paths_agree(text) == fast
+        assert _paths_agree(text) >= fast
 
 
 def test_relation_names_grouped_over_many_runs_get_first_appearance_ids(monkeypatch):
     """Shuffled lines over a few relations, in many runs (so their names are grouped by
-    one sort, not by runs), of both arities: the array path builds the same database."""
+    one sort, not by runs), of both arities: the parse builds the reference's database."""
     rng = random.Random(38)
     for size in (8, 40, 400):
         lines = [f"{rng.choice('PQSTU')}(c{rng.randrange(size)},c{rng.randrange(size)})"
@@ -249,15 +267,15 @@ def test_parse_paths_agree_on_random_and_mutated_texts():
     built = rejected = 0
     for _ in range(400):
         text = _random_fact_text(rng)
-        assert _paths_agree(text), text  # canonical texts never fall back
+        assert _paths_agree(text), text  # canonical texts are built
         for _ in range(3):
             mutated = _mutate(rng, text)
             built += _paths_agree(mutated)
             try:
-                model._parse_lines(mutated)
+                parse_lines(mutated)
             except ColorcqError:
                 rejected += 1
-    # the mutations hit both sides: texts the array path builds, and errors
+    # the mutations hit both sides: texts that are built, and errors
     assert built > 150 and rejected > 500
 
 
@@ -291,64 +309,61 @@ def test_save_index_bytes_agree_between_parse_paths(tmp_path):
     cycle = "".join(f"R({i},{i % n + 1})\n" for i in range(1, n + 1))
     for name, text in (("cycle", cycle), ("multirel", _multirel_text(random.Random(5), 250)),
                        ("utf8", utf8_text())):
-        fast = model._parse_array(text)
-        assert fast is not None
-        save_index(build_index(fast), str(tmp_path / f"{name}.fast"))
-        save_index(build_index(model._parse_lines(text)), str(tmp_path / f"{name}.lines"))
+        save_index(build_index(load_database(text)), str(tmp_path / f"{name}.fast"))
+        save_index(build_index(parse_lines(text)), str(tmp_path / f"{name}.lines"))
         assert (tmp_path / f"{name}.fast").read_bytes() == (tmp_path / f"{name}.lines").read_bytes()
 
 
 def test_long_constants_get_the_line_parser_ids():
-    """Keys of several words are sorted as rows and compared whole, so
-    constants that differ only in their first or only in their last word
-    get the ids of `_parse_lines`, from the array path."""
+    """Constants of several 8-byte words that differ only in their first or
+    only in their last word get the ids of the reference parser."""
     consts, text = long_constants_text()
     assert all(17 <= len(c) <= 40 for c in consts) and len(set(consts)) == len(consts)
     assert _paths_agree(text)
     assert sorted(load_database(text).constants) == sorted(consts)
 
 
-def test_generated_cycle_is_parsed_by_the_array_path(tmp_path, monkeypatch):
+def test_generated_cycle_is_parsed_by_the_array_path(tmp_path):
     path = tmp_path / "cycle.facts"
     assert main(["gen", "cycle", "1000", "--out", str(path)]) == 0
-
-    def no_fallback(text):
-        raise AssertionError("the per-line parser ran on a canonical fact list")
-
-    monkeypatch.setattr(model, "_parse_lines", no_fallback)
     with open(path, encoding="utf-8") as f:
         db = load_database(f)
     assert db.size() == 1000 and db.constants == [str(i) for i in range(1, 1001)]
 
 
-def test_utf8_text_is_parsed_by_the_array_path(monkeypatch):
+def test_utf8_text_is_parsed_by_the_array_path():
     """Constants with é, ü and CJK characters, of up to 7 UTF-8 bytes and of
-    more, and comments that hold é, do not send a text to the per-line parser."""
+    more, and comments that hold é, are read as their UTF-8 bytes."""
     text = utf8_text()
     assert not text.isascii() and any(len(c.encode("utf-8")) > 7 for c in re.findall(r"[^\s(),#]+", text))
-    ref = _contents(model._parse_lines(text))
-
-    def no_fallback(text):
-        raise AssertionError("the per-line parser ran on a UTF-8 fact list")
-
-    monkeypatch.setattr(model, "_parse_lines", no_fallback)
+    ref = _contents(parse_lines(text))
     db = load_database(text)
     assert "constants" not in vars(db)  # kept as their block until read
     assert _contents(db) == ref and len(db.constants) == db.num_constants == 11
 
 
 def test_odd_code_points_are_where_the_reference_reads_space():
-    """`_ODD` holds the lone surrogates and exactly the code points above
-    ASCII that `\\s`, `str.strip` or `str.splitlines` treat as space or a
-    line break; the array parser leaves texts that hold one to `_parse_lines`."""
+    """The stand-ins cover exactly the code points other than space, tab and
+    `\\n` that `\\s`, `str.strip` or `str.splitlines` treat as space or a line
+    break: each has a stand-in of its UTF-8 length, ending in `\\n` exactly
+    for a line break.  A text that holds any of them, or a lone surrogate
+    (a constant byte, like NUL and DEL), gives the reference's database."""
     space, odd = re.compile(r"\s"), []
-    for c in range(0x80, sys.maxunicode + 1):
+    for c in range(sys.maxunicode + 1):
         ch = chr(c)
-        if 0xD800 <= c < 0xE000 or space.match(ch) or ch.isspace() or len(ch.join("ab").splitlines()) > 1:
-            odd.append(c)
-    assert model._ODD.tolist() == odd
-    for c in (0x85, 0xA0, 0x2028, 0x3000, 0xD800):
-        assert model._parse_array(f"R(a,b{chr(c)}c)\n") is None
+        if ch not in " \t\n" and (space.match(ch) or ch.isspace() or len(ch.join("ab").splitlines()) > 1):
+            odd.append(ch)
+    ascii_odd = [ch for ch in odd if ch.isascii()]
+    assert [chr(b) for b in range(128) if model._ASCII_STAND_IN[b] != b] == ascii_odd
+    assert sorted(k.decode() for k in model._WIDE_STAND_IN) == odd[len(ascii_odd):]
+    for ch in odd:
+        stand_in = model._ASCII_STAND_IN[ord(ch)].to_bytes() if ch.isascii() else model._WIDE_STAND_IN[ch.encode()]
+        breaks = len(ch.join("ab").splitlines()) > 1
+        assert len(stand_in) == len(ch.encode()) and stand_in == b" " * (len(stand_in) - breaks) + b"\n" * breaks
+        for text in (f"R(a,b{ch}c)\n", f"R(a,b){ch}S(c)\n", f"R(a,b{ch})", f"R(a{ch}b)\n"):
+            _paths_agree(text)
+    surrogates = [chr(c) for c in range(0xD800, 0xE000)]
+    assert _paths_agree("".join(f"R(a{ch},{ch}\x00{ch})\nU({ch}\x7f)\n" for ch in surrogates))
 
 
 def test_interning_round_trip_and_adom():
