@@ -208,24 +208,22 @@ class LabeledGraph(Vertices):
     """CSR adjacency over the active domain, with interned edge labels.
 
     `indptr`/`nbr`/`elab` store the out-edges of each vertex sorted by
-    target; `labels[elab[e]]` is the edge label of directed edge e and
-    `dual_id` maps a label's number in `labels` to its dual's number.
+    target; `labels[elab[e]]` is the edge label of directed edge e.
     """
 
     def __init__(self, d1: Database, s1: Sigma1):
-        self.d1 = d1
         verts = d1.adom_ids()
         vertex = np.zeros(d1.num_constants, np.int64)  # vertex index by constant id
         vertex[verts] = np.arange(len(verts))
         super().__init__(s1, verts, [vertex[d1.array(u)[:, 0]] for u in s1.schema.unary_symbols])
-        self._build_edges(vertex)
+        self._build_edges(d1, vertex)
 
-    def _build_edges(self, vertex: np.ndarray) -> None:
-        """One `_sort_rows` of the directed edges by (source, target, tag); each pair's label is
-        the set of its tags, as one word up to 63 tags (`_rank_words`), else in words of 63 bits."""
-        binary = self.d1.schema.binary_symbols
+    def _build_edges(self, d1: Database, vertex: np.ndarray) -> None:
+        """One `_sort_rows` of the directed edges of `d1` by (source, target, tag); each pair's label
+        is the set of its tags, as one word up to 63 tags (`_rank_words`), else in words of 63 bits."""
+        binary = d1.schema.binary_symbols
         # the fact R(a, b) of the r-th binary R is the edge (a, b) with tag 2r and (b, a) with tag 2r + 1
-        rows = [x for sym in binary for r in [vertex[self.d1.array(sym)]] for x in (r, r[:, ::-1])]
+        rows = [x for sym in binary for r in [vertex[d1.array(sym)]] for x in (r, r[:, ::-1])]
         edges = np.concatenate([np.zeros((0, 2), np.int64), *rows])
         tag = np.repeat(np.arange(len(rows)), [len(x) for x in rows])
 
@@ -240,8 +238,6 @@ class LabeledGraph(Vertices):
             elab, masks = _rank_bitsets(np.arange(len(starts)).repeat(np.diff(at)), tag, len(starts))
         self.labels: tuple[EdgeLabel, ...] = tuple(
             EdgeLabel(p for b, p in enumerate(pairs[:m.bit_length()]) if m >> b & 1) for m in masks)
-        number = {lab: i for i, lab in enumerate(self.labels)}
-        self.dual_id = np.array([number[lab.dual()] for lab in self.labels], dtype=np.int64)
         self.nbr = dst[starts]
         self.elab = elab
         self.indptr = np.append(0, np.cumsum(np.bincount(src[starts], minlength=self.n)))

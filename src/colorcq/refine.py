@@ -19,12 +19,13 @@ the untouched rest is not the largest part and loses its id.
 A round that walks fewer than `_SMALL` edges from fewer than `_SMALL` vertices
 runs in plain Python over dicts (`_round_small`), as a numpy round costs ~50
 calls whatever its size and each of a long chain's ~V/2 rounds walks 4 edges.
-Other rounds run in numpy: each edge becomes one int64 (u, dual label,
-splitter colour), one sort of the keys yields u's items, u's run of items is
-named by the wrapping sum of its mixed items, and two argsorts rank the parts
-by (class, name), class by class.  Each run is checked item by item against its
-part's first, and a round where two distinct runs share a name names them by
-prefix doubling: the result is canonical whatever the hash and the round bodies.
+Other rounds run in numpy: each edge w -> u into the splitters becomes one int64
+(u, label, splitter colour), one sort of the keys yields u's items, u's run of
+items is named by the wrapping sum of its mixed items, and two argsorts rank the
+parts by (class, name), class by class.  Each run is checked item by item against
+its part's first, and a round where two distinct runs share a name runs again in
+Python, which names runs exactly by sorted tuples: the result is canonical
+whatever the hash and the round bodies.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import LabeledGraph, _bounds, _pack
+from .graph import LabeledGraph, _bounds
 from .model import _MIX, ColorcqError, _ranges
 
 
@@ -88,7 +89,7 @@ _SMALL = 50  # edges a round walks at which numpy starts to beat Python (measure
 
 
 def _key_width(n: int, n_labels: int) -> int:
-    """Width n·labels of packed (dual label, colour) pairs, under a vertex or a count ≤ n."""
+    """Width n·labels of packed (label, colour) pairs, under a vertex or a count ≤ n."""
     if (n + 1) * n * n_labels >= 1 << 63:
         raise ColorcqError(f"cannot refine a graph of {n} vertices and {n_labels} edge labels")
     return n * n_labels
@@ -107,11 +108,10 @@ def refine(g: LabeledGraph) -> Coloring:
             moved, walk, ncol = _round_small(views, moved, ncol, len(g.labels))
             continue
         moved = np.asarray(moved)
-        # every edge has a reverse edge with the dual label, so the out-edges of
-        # the splitter members lead to each in-neighbour u, with the label of
-        # u -> member and the member's colour, packed into one sortable key
+        # every edge has a reverse edge, so the out-edges of the splitter members lead to each
+        # in-neighbour u; the label of member -> u stands for its dual, that of u -> member
         e = _ranges(g.indptr[moved], deg[moved])
-        key = g.nbr[e] * width + g.dual_id[g.elab[e]] * n + color[moved].repeat(deg[moved])
+        key = g.nbr[e] * width + g.elab[e] * n + color[moved].repeat(deg[moved])
         key.sort()
         at = _bounds(key)
         u, item = np.divmod(key[at[:-1]], width)
@@ -120,14 +120,16 @@ def refine(g: LabeledGraph) -> Coloring:
         item = item * (cnt.max() + 1) + cnt  # (label, colour, count)
 
         # name each touched vertex's run of distinct items by the wrapping sum of its items' bijective
-        # splitmix-style mix; group by (class, name), naming exactly where two distinct runs share a name
+        # splitmix-style mix; group by (class, name), or, where two distinct runs share a name, run
+        # the round again in Python (nothing is written yet), which names runs exactly
         at = _bounds(u)
         u, z = u[at[:-1]], item.view(np.uint64) * _MIX
         z ^= z >> np.uint64(29)
         z *= _MIX
         by, part = _parts(color[u], np.add.reduceat(z, at[:-1]))
         if not _same_runs(item, at, by, part):
-            by, part = _parts(color[u], _doubled(item, at))
+            moved, walk, ncol = _round_small(views, moved.tolist(), ncol, len(g.labels))
+            continue
         hit, at = u[by], part
         psize, pcls = at[1:] - at[:-1], color[hit[at[:-1]]]
         lead = _bounds(pcls)[:-1]
@@ -178,22 +180,10 @@ def _same_runs(item: np.ndarray, at: np.ndarray, by: np.ndarray, part: np.ndarra
                 and (item[off.repeat(size) + np.arange(len(item))] == item).all())
 
 
-def _doubled(item: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Exact names of the sorted runs item[at[i]:at[i + 1]], by prefix doubling: after
-    the pass with step h, item[j] names the items j .. j+2h-1 of its run (fewer at
-    the run's end, marked by the 0 of a missing half)."""
-    size, step = at[1:] - at[:-1], 1
-    while step < size.max():
-        nxt = np.arange(step, len(item) + step)
-        half = np.where(nxt < at[1:].repeat(size), item[np.minimum(nxt, len(item) - 1)] + 1, 0)
-        item = np.unique(_pack(item, half), return_inverse=True)[1]
-        step *= 2
-    return item[at[:-1]]
-
-
 def _round_small(views: list[memoryview], moved: list[int] | np.ndarray, ncol: int,
                  nlab: int) -> tuple[list[int], int, int]:
-    """`refine`'s round in plain Python, for a round that walks few edges.
+    """`refine`'s round in plain Python, for a round that walks few edges or whose mixed
+    names collide; it names each run exactly by its sorted tuple of items.
     Returns the next `moved`, the edges it walks and the next fresh id."""
     indptr, nbr, elab, color, size = views
     items = defaultdict(list)  # touched u -> one (colour, label) item per edge into the splitters

@@ -119,11 +119,8 @@ def test_graph_symmetry_and_duality_random():
                 assert w != v  # loop-free
                 back = edge_label(g, w, v)
                 assert back == lab.dual()
-        # label interning: dual ids form an involution
-        for i, lab in enumerate(g.labels):
-            j = int(g.dual_id[i])
-            assert g.labels[j] == lab.dual()
-            assert int(g.dual_id[j]) == i
+        # the labels are closed under duals
+        assert {lab.dual() for lab in g.labels} == set(g.labels)
 
 
 def test_vertex_labels_reflect_unary_and_loops():
@@ -181,7 +178,7 @@ def test_label_ranks_agree_through_the_table_and_word_by_word():
                                    facts)) for k in (0, 5, 30)]  # 8, 18 and 68 tags
         for g in graphs[1:]:
             assert g.labels == graphs[0].labels
-            for name in ("elab", "nbr", "indptr", "dual_id"):
+            for name in ("elab", "nbr", "indptr"):
                 assert np.array_equal(getattr(g, name), getattr(graphs[0], name)), name
 
 

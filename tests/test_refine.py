@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from colorcq.graph import _pack
 from colorcq.model import ColorcqError, Database, Schema
-from colorcq.refine import _as_coloring, _key_width, _pack, refine
+from colorcq.refine import _as_coloring, _key_width, refine
 
 from .conftest import (
     cycle_db,
@@ -212,8 +213,8 @@ def test_refine_matches_naive_random_larger(monkeypatch):
     """60 seeded graphs of up to 40 vertices.  With numpy rounds only they run
     114 numpy rounds, one where the untouched residue of a class is smaller
     than a touched part and loses its id; with Python rounds only, one such
-    round too.  With a mixer of 0, 57 of the 114 fail their check and name
-    their runs by 185 passes of prefix doubling."""
+    round too.  With a mixer of 0, 57 of the 114 fail their check and run
+    again in Python."""
     for small in each_body(monkeypatch):
         rng = random.Random(2024)
         for _ in range(60):
@@ -264,9 +265,9 @@ def test_coarsest_by_exhaustive_partition_search_small():
     """Every stable partition refining vl is finer than refine's result, so the
     result is the unique coarsest one.  Exhaustive over all set partitions."""
     rng = random.Random(77)
-    graphs = [graph_of(random_db(rng, max_adom=6)) for _ in range(12)]
-    graphs.append(graph_of(cycle_db(5)))
-    for g in graphs:
+    dbs = [random_db(rng, max_adom=6) for _ in range(12)] + [cycle_db(5)]
+    for db in dbs:
+        g = graph_of(db)
         if g.n == 0:
             continue
         star = [set(int(v) for v in m) for m in members(refine(g))]
@@ -274,7 +275,7 @@ def test_coarsest_by_exhaustive_partition_search_small():
         for cand in _set_partitions(list(range(g.n))):
             if _stable_partition(g, cand):
                 assert _refines(cand, star), (
-                    {s: g.d1.array(s).tolist() for s in g.d1.schema.symbols}, cand, star)
+                    {s: db.array(s).tolist() for s in db.schema.symbols}, cand, star)
 
 
 def test_incoming_counts_uniform_within_classes():
@@ -387,16 +388,65 @@ def _hub_dbs() -> list[Database]:
 
 
 def test_refine_matches_naive_on_hubs(monkeypatch):
-    """Hub runs took the most passes of prefix doubling; named by their mixed
-    sums, none of these graphs' numpy rounds fails its check, and with a
-    mixer of 0 the exact names give the same colourings."""
+    """Hub runs hold hundreds of items; named by their mixed sums, none of
+    these graphs' numpy rounds fails its check, and with a mixer of 0 the
+    rounds that fail it run again in Python, to the same colourings."""
     fallbacks = []
-    doubled = REFINE._doubled
-    monkeypatch.setattr(REFINE, "_doubled", lambda item, at: fallbacks.append(1) or doubled(item, at))
+    small = REFINE._round_small
+    monkeypatch.setattr(REFINE, "_round_small", lambda *args: fallbacks.append(1) or small(*args))
     graphs = [graph_of(db) for db in _hub_dbs()]
     want = [list(naive_refine(g).color_of) for g in graphs]
     for setting in each_body(monkeypatch):
         fallbacks.clear()
         for g, colors in zip(graphs, want):
             assert list(refine(g).color_of) == colors, setting
-        assert (len(fallbacks) > 0) == (setting == (0, 0)), setting
+        if setting[0] == 0:  # numpy rounds only: a Python round is a fallback
+            assert (len(fallbacks) > 0) == (setting == (0, 0)), setting
+
+
+def _random_facts_db(seed: int, facts: int) -> Database:
+    """About `facts` random R and S facts over as many constants, and a tenth
+    as many U facts."""
+    rng = np.random.default_rng(seed)
+    rels, pairs = rng.integers(0, 2, facts).tolist(), rng.integers(0, facts, (facts, 2)).tolist()
+    rows = [("RS"[k], f"c{a}", f"c{b}") for k, (a, b) in zip(rels, pairs)]
+    rows += [("U", f"c{a}") for a in rng.choice(facts, facts // 10, replace=False).tolist()]
+    return make_db(Schema([("R", 2), ("S", 2), ("U", 1)]), rows, constants=[f"c{i}" for i in range(facts)])
+
+
+def test_refinement_work_is_within_e_log_v(monkeypatch):
+    """Counted work, no clock: a round walks the out-edges of its splitter
+    members, and over all rounds (a fallback round's edges twice) they sum to
+    at most E·(log2 V + 1) for E directed edges, as the largest part of a split
+    is never walked.  Run under every `each_body` setting: a mixer of 0 sends
+    every numpy round with two distinct runs under one name to Python, so this
+    also shows that the fallback has no super-linear cliff."""
+    walked = []
+    small, ranges, as_coloring = REFINE._round_small, REFINE._ranges, REFINE._as_coloring
+
+    def round_small(views, moved, ncol, nlab):
+        indptr = views[0]
+        walked.append(sum(indptr[v + 1] - indptr[v] for v in moved))
+        return small(views, moved, ncol, nlab)
+
+    def numpy_edges(starts, lens):  # a numpy round's edges into the splitters
+        walked.append(int(lens.sum()))
+        return ranges(starts, lens)
+
+    def numbered(raw):  # the canonical numbering's one `_ranges`, over all V vertices, is no round
+        out = as_coloring(raw)
+        walked.pop()
+        return out
+
+    monkeypatch.setattr(REFINE, "_round_small", round_small)
+    monkeypatch.setattr(REFINE, "_ranges", numpy_edges)
+    monkeypatch.setattr(REFINE, "_as_coloring", numbered)
+    dbs = _hub_dbs() + [_directed_path_db(3001)] + [_random_facts_db(s, f) for s, f in
+                                                    ((1, 1000), (2, 4000), (3, 16000))]
+    graphs = [graph_of(db) for db in dbs]
+    for setting in each_body(monkeypatch):
+        for g in graphs:
+            walked.clear()
+            refine(g)
+            bound = g.num_directed_edges * (np.log2(g.n) + 1)
+            assert 0 < sum(walked) <= bound, (setting, g.n, sum(walked), bound)
