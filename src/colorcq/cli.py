@@ -5,10 +5,13 @@
 Exit codes: 0 success; 1 I/O, parse, or schema errors; 2 query outside the
 supported class (with a diagnostic), or a usage error reported by argparse;
 3 `--task bool` on a non-Boolean query.
+A reader that closes the output early (`| head`) ends the run quietly with 0,
+as `--limit` would.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from decimal import Decimal
@@ -188,7 +191,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader then shows here, not at exit
+        return code
+    except BrokenPipeError:  # the rest goes nowhere, so the exit's flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except QueryRejected as e:
         print(f"rejected: {e.diagnostic}", file=sys.stderr)
         return 2

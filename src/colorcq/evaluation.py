@@ -10,7 +10,9 @@ levels that walk its free prefix in preorder through each parent's pairs into
 the child's candidates, so every step leads to an answer, and then expand each
 colour tuple into vertex tuples through the index's class-major successor
 tables.  The cross product of the components is the odometer order itself,
-the last component fastest.  Counting runs the same pass, but over the free
+the last component fastest; it runs as nested `for` loops compiled once per
+plan shape (`_loops`) from level numbers and template text only, and counts
+each step at every level.  Counting runs the same pass, but over the free
 prefix it multiplies per-colour counts through the pairs' counts instead of
 keeping flags; quantified subtrees stay semi-joins.  A leaf with no unary
 atom sends d̂^λ(c) = Σ_c′ #̂→^λ(c,c′) (`PairRows.deg`) if counted, else
@@ -27,7 +29,7 @@ adjacent tree variables onto one looping vertex would be lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import lru_cache, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -133,7 +135,50 @@ class _Steps:
         self.n = self.emissions = self.max_gap = 0
 
 
-_ROOT, _GROUP, _SUCC = range(3)  # level kinds of `_odometer`
+@lru_cache(maxsize=128)  # compiled odometers kept per process, one per plan shape
+def _loops(shape: tuple[tuple[int, int], ...], outs: tuple[int, ...], depth: int):
+    """The odometer of one plan shape: a generator function with one `for`
+    loop per level.  `shape` holds per level its (parent level, pair level),
+    -1 for none (a root; a group of the parent's value), `outs` per answer
+    position its level, and each goes through `depth` maps.  The text holds
+    level numbers and template text only; every datum comes in as an argument."""
+    code = ["def odometer(levels, maps, rank, steps):",
+            "    [" + ", ".join(f"(s{l},)" if u < 0 else f"(p{l}, s{l}, m{l})" if j < 0 else
+                           f"(nb{l}, lo{l}, st{l}, ow{l}, lp{l})" for l, (u, j) in enumerate(shape))
+            + "] = levels",
+            "    [" + ", ".join(f"o{i}" for i in range(len(outs) * depth)) + "] = maps",
+            "    n = seen = emitted = gap = 0"]
+    pad = "    "
+    for l, (u, j) in enumerate(shape):
+        if u < 0:
+            seq = f"s{l}"
+        elif j < 0:  # a group of the parent's value: its colour, or the pair's second colour
+            code.append(f"{pad}a = m{l}[v{u}]")
+            seq = f"s{l}[p{l}[a]:p{l}[a + 1]]"
+        else:  # the parent vertex's successors, then itself if its class loops
+            code += [f"{pad}at = lo{l}[v{j}] + rank[v{u}] * st{l}[v{j}]",
+                     f"{pad}hi = at + ow{l}[v{j}]",
+                     f"{pad}if v{j} in lp{l}:",
+                     f"{pad}    g = [*nb{l}[at:hi], v{u}]",
+                     f"{pad}elif at == hi:",
+                     f"{pad}    raise ColorcqError('index is inconsistent: "
+                     "a colour-level answer expanded to no tuple')",
+                     f"{pad}else:",
+                     f"{pad}    g = nb{l}[at:hi]"]
+            seq = "g"
+        code += [f"{pad}for v{l} in {seq}:", f"{pad}    n += 1"]
+        pad += "    "
+    out = [reduce(lambda v, d: f"o{p * depth + d}[{v}]", range(depth), f"v{l}")
+           for p, l in enumerate(outs)]
+    code += [f"{pad}emitted += 1",
+             f"{pad}if n - seen > gap:",
+             f"{pad}    gap = steps.max_gap = n - seen",
+             f"{pad}seen = steps.n = n",
+             f"{pad}steps.emissions = emitted",
+             f"{pad}yield ({''.join(v + ', ' for v in out)})"]
+    space = {"ColorcqError": ColorcqError}
+    exec(compile("\n".join(code), "<odometer>", "exec"), space)
+    return space["odometer"]
 
 
 def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: _Steps,
@@ -142,35 +187,36 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
     head order (`slots`), from one odometer over one flat list of levels.
 
     A component with k free variables adds k colour levels, which walk its
-    free prefix over the reduced tree: the root values (`_ROOT`), then per
-    free tree edge the numbers of the kept pairs whose first value is the
-    parent's (`_GROUP` over the edge's ptr), each a range or `memoryview`
-    read one item at a time, as are the pairs' second values.  Quantified
-    subtrees were folded into the candidates, so every step leads to an
-    answer.  Without an index the values are the answer.  With one they are
-    colours, and k vertex levels follow: the members of the root colour
-    (`_GROUP` over the class bounds), then per free tree edge the parent
-    vertex's successor group for the pair (`_SUCC`, from the `SuccTable`),
-    plus the parent itself, last, when its class loops over λ_e; both read
-    views, so each value is a Python int.  Every group is non-empty, so the
-    delay per tuple is O(levels).  The last level, and so the last component,
-    advances fastest.  An answer is one `itemgetter` over the output levels,
-    mapped to constant ids unless vertex i is constant i, then to `names`.
+    free prefix over the reduced tree: the root values, then per free tree
+    edge the numbers of the kept pairs whose first value is the parent's (a
+    group of the edge's ptr), each a range or `memoryview` read one item at a
+    time, as are the pairs' second values.  Quantified subtrees were folded
+    into the candidates, so every step leads to an answer.  Without an index
+    the values are the answer.  With one they are colours, and k vertex
+    levels follow: the members of the root colour (a group of the class
+    bounds), then per free tree edge the parent vertex's successor group for
+    the pair (from the `SuccTable`), plus the parent itself, last, when its
+    class loops over λ_e; both read views, so each value is a Python int.
+    Every group is non-empty, so the delay per tuple is O(levels).  The last
+    level, and so the last component, advances fastest.  An answer maps each
+    output level through the pairs' second values (no index), or through
+    constant ids unless vertex i is constant i, then through `names`.
+
+    The loops come from `_loops` by the plan's shape: one compile, under a
+    millisecond, per shape and process.  Each advance at any level adds one
+    to `steps.n`, and each answer writes `steps`.
     """
     if not all(run.roots for run in runs):
-        return
-    # per level: (kind, ptr, value map of level u, u) for a group of level u's
-    # value, (kind, SuccTable, pair level, parent vertex level u) for a successor group
-    how: list[tuple] = []
-    seqs: list = []
+        return iter(())
+    shape: list[tuple[int, int]] = []  # per level: (parent level, pair level), -1 for none
+    levels: list[tuple] = []  # per level: what its loop reads
     value: list = []  # per colour level: its position -> colour (or constant)
     heads = []  # per component: its first output level
+    rank = None
     if idx is not None:
-        bounds, rank, ids = idx.coloring.bounds, idx.coloring.rank, idx.const_of
-        conv = (None if ids is None else ids.__getitem__) if names is None else (
-            names.__getitem__ if ids is None else lambda v: names[ids[v]])
+        bounds, rank = idx.coloring.bounds, idx.coloring.rank
     for run in runs:
-        comp, b = run.comp, len(how)
+        comp, b = run.comp, len(levels)
         k = len(comp.free_prefix)
         heads.append(b + k if idx is not None else b)
         if not k:
@@ -178,65 +224,19 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
         edges = range(1, k)  # by child rank
         ups = [b + comp.parent[w] for w in edges]
         value += [range(len(run.cand[0]))] + [memoryview(run.pairs[w].b) for w in edges]
-        how += [(_ROOT, None, None, None)]
-        how += [(_GROUP, run.fadj[w][0], value[u], u) for w, u in zip(edges, ups)]
-        seqs += [run.roots] + [run.fadj[w][1] for w in edges]
+        shape += [(-1, -1)] + [(u, -1) for u in ups]
+        levels += [(run.roots,)] + [(*run.fadj[w], value[u]) for w, u in zip(edges, ups)]
         if idx is not None:
             value += [None] * k
-            how += [(_GROUP, bounds, value[b], b)]
-            how += [(_SUCC, idx.tables[comp.label[w]], b + w, u + k) for w, u in zip(edges, ups)]
-            seqs += [idx.members] + [None] * (k - 1)
-    outs = [heads[ci] + i for ci, i in slots]
-
-    last = len(how) - 1
-    if last < 0:  # Boolean components only
-        steps.emissions = 1
-        yield ()
-        return
-    get, one = itemgetter(*outs), len(outs) == 1
-    vals = [0] * (last + 1)
-    pos = [0] * (last + 1)
-    end = [len(seqs[0])] + [0] * last
-    n = seen = emitted = gap = 0
-    level = 0
-    while level >= 0:
-        p = pos[level]
-        if p >= end[level]:
-            level -= 1
-            continue
-        n += 1
-        vals[level] = seqs[level][p]
-        pos[level] = p + 1
-        if level == last:
-            emitted += 1
-            if n - seen > gap:
-                gap = steps.max_gap = n - seen
-            seen = steps.n = n
-            steps.emissions = emitted
-            if idx is None:
-                yield tuple([value[i][vals[i]] for i in outs])
-            else:
-                out = (get(vals),) if one else get(vals)
-                yield out if conv is None else tuple(map(conv, out))
-            continue
-        level += 1
-        kd, ptr, key, u = how[level]
-        if kd == _GROUP:
-            a = key[vals[u]]
-            pos[level], end[level] = ptr[a], ptr[a + 1]
-        elif kd == _SUCC:
-            t, j, vp = ptr, vals[key], vals[u]
-            at = t.lo[j] + rank[vp] * t.stride[j]
-            hi = at + t.own[j]
-            if j in t.loops:  # the looping parent is its own neighbour, enumerated last
-                seqs[level], pos[level], end[level] = [*t.nbr[at:hi], vp], 0, hi - at + 1
-            elif at == hi:
-                raise ColorcqError(
-                    "index is inconsistent: a colour-level answer expanded to no tuple")
-            else:
-                seqs[level], pos[level], end[level] = t.nbr, at, hi
-        else:
-            pos[level], end[level] = 0, len(seqs[level])
+            shape += [(b, -1)] + [(u + k, b + w) for w, u in zip(edges, ups)]
+            levels += [(bounds, idx.members, value[b])] + [idx.tables[comp.label[w]] for w in edges]
+    outs = tuple(heads[ci] + i for ci, i in slots)
+    if idx is None:
+        maps, depth = [value[i] for i in outs], 1
+    else:
+        chain = [m for m in (idx.const_of, names) if m is not None]
+        maps, depth = chain * len(outs), len(chain)
+    return _loops(tuple(shape), outs, depth)(levels, maps, rank, steps)
 
 
 def _color_tables(idx: ColorIndex, comp: PlanComponent) -> tuple[list, list]:

@@ -417,6 +417,25 @@ def test_gen_memory_does_not_grow_with_n(tmp_path):
     assert peak_kb[2_000_000] - peak_kb[200_000] < 4 * 1024, peak_kb
 
 
+def test_closed_reader_ends_quietly(tmp_path):
+    """`colorcq query ... | head -1`: a reader that closes the output after one
+    line, with far more answers than a pipe holds still to come, ends the run
+    with exit 0 and nothing on stderr, as `--limit` would."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    n = 50_000
+    facts = tmp_path / "cycle.facts"
+    facts.write_text("".join(f"R({i},{(i + 1) % n})\n" for i in range(n)))
+    argv = ["query", "Ans(x,y) <- R(x,y).", "--db", str(facts)]
+    with subprocess.Popen([sys.executable, "-m", "colorcq.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    assert first.startswith(b"(") and (code, err) == (0, b""), (first, code, err)
+
+
 def test_query_limit(tmp_path, capsys):
     facts = str(tmp_path / "cyc.facts")
     assert main(["gen", "cycle", "30", "--out", facts]) == 0

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import random
 import sys
+import weakref
 from collections import Counter
 from itertools import islice, product
 
@@ -389,10 +390,11 @@ def test_enumeration_order_matches_pinned_digest():
     sha256 over sessions with ids, sessions with names and `cde_fc_acq`, for
     400 seeded random instances and the benchmark mixes on small-scale
     benchmark facts (first 3,000 answers each).  Steps and gaps are not
-    part of it."""
+    part of it; a second sha256 pins them, `(steps.n, emissions, max_gap)`
+    after each indexed session."""
     from bench.workloads import make_facts
 
-    digest = hashlib.sha256()
+    digest, accounting = hashlib.sha256(), hashlib.sha256()
 
     def feed(idx, db, plan, cap=None):
         for route in (EnumerationSession(idx, plan), EnumerationSession(idx, plan, names=True),
@@ -400,6 +402,9 @@ def test_enumeration_order_matches_pinned_digest():
             for t in islice(route, cap):
                 digest.update(repr(t).encode())
             digest.update(b"|")
+            if isinstance(route, EnumerationSession):
+                s = route.steps
+                accounting.update(f"{(s.n, s.emissions, s.max_gap)!r}|".encode())
 
     rng = random.Random(808)
     instances = 0
@@ -416,6 +421,7 @@ def test_enumeration_order_matches_pinned_digest():
         for text in ENUM_MIX[name]:
             feed(idx, db, _plan(db, text), 3000)
     assert digest.hexdigest() == "ed4e94263344a1bd8b3bdc1bda7114b16cbf32ce4aa5b369e54c922f9ea47903"
+    assert accounting.hexdigest() == "70526f2c89b56d2ef6200caa446730618ed90f10b6792a52edadb095843174cf"
 
 
 def test_counts_match_pinned_digest():
@@ -619,6 +625,29 @@ def test_loop_atoms_are_named_by_the_index_alone(tmp_path):
     assert _agree_with_naive(db, (built,), db.schema, texts) == 1
 
 
+def test_code_shaped_names_are_data(tmp_path):
+    """Relation names that read as Python (`__import__`, `yield`, `lambda`,
+    `Ans`, `os.system`, `exec`) and constants holding quotes, braces and
+    backslashes get `naive_eval`'s answers: Boolean, counted, and enumerated
+    by id and by name, on a built and a loaded index, and from `cde_fc_acq`.
+    The compiled odometer's text holds level numbers only."""
+    consts = ["'", '"', "{}", "\\", "{0}", "'''", "\\n", "a'b\"c", "}{", "f'{x}'", '"""', "{v0}"]
+    rng = random.Random(4101)
+    facts = [f"{r}({rng.choice(consts)},{rng.choice(consts)})\n"
+             for r in ("__import__", "yield", "lambda", "Ans", "os.system") for _ in range(15)]
+    db = load_database("".join(facts) + "".join(f"exec({c})\n" for c in consts[::2]))
+    texts = ("Ans(x,y) <- __import__(x,y).", "Ans(x,y,z) <- yield(x,y), lambda(y,z), exec(z).",
+             "Ans(x,y,w) <- Ans(x,y), os.system(y,w).", "Ans() <- lambda(x,y), Ans(y,z).",
+             "Ans(x,w) <- yield(x,y), __import__(w,v).", "Ans(y) <- Ans(x,y), exec(x).")
+    indexes = _built_and_loaded(db, tmp_path / "code.idx")
+    assert _agree_with_naive(db, indexes, db.schema, texts) == len(texts)
+    for text in texts:
+        q = parse_query(text, db.schema)
+        want = {tuple(db.constants[i] for i in t) for t in naive_eval(db, q)}
+        for idx in indexes:
+            assert set(EnumerationSession(idx, plan_query(q, db.schema), names=True)) == want
+
+
 def test_next_and_for_read_one_stream():
     """`next(sess)` and `for t in sess` advance the same stream, which equals
     `list(EnumerationSession(...))`."""
@@ -711,6 +740,22 @@ def test_session_holds_no_object_per_value():
 
     small, large = held(2_000), held(20_000)
     assert small < 150 and large < 150 and abs(large - small) <= 10, (small, large)
+
+
+def test_shape_cache_holds_no_index():
+    """The compiled odometers, cached by plan shape, hold code only: with the
+    cycle collector off, an index from which a session took two answers is
+    freed once the session and the index are dropped."""
+    gc.disable()
+    try:
+        idx = build_index(cycle_db(9))
+        sess = EnumerationSession(idx, _plan(idx.db, "Ans(x,y,z) <- R(x,y), R(y,z)."), names=True)
+        assert len([next(sess), next(sess)]) == 2
+        ref = weakref.ref(idx)
+        del sess, idx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _reduce_explicit(comp, cand0, pairs, counted=0, dtype=bool):
