@@ -135,21 +135,30 @@ class _Steps:
         self.n = self.emissions = self.max_gap = 0
 
 
-@lru_cache(maxsize=128)  # compiled odometers kept per process, one per plan shape
-def _loops(shape: tuple[tuple[int, int], ...], outs: tuple[int, ...], depth: int):
-    """The odometer of one plan shape: a generator function with one `for`
-    loop per level.  `shape` holds per level its (parent level, pair level),
-    -1 for none (a root; a group of the parent's value), `outs` per answer
-    position its level, and each goes through `depth` maps.  The text holds
-    level numbers and template text only; every datum comes in as an argument."""
-    code = ["def odometer(levels, maps, rank, steps):",
+_RUN = 16  # levels per generated function: CPython nests at most 20 blocks in one
+
+
+def _no_tuple():
+    raise ColorcqError("index is inconsistent: a colour-level answer expanded to no tuple")
+
+
+@lru_cache(maxsize=128)  # compiled odometers kept per process, one per plan shape and run
+def _loops(shape: tuple[tuple[int, int], ...], outs: tuple[int, ...], depth: int, start: int = 0):
+    """Level `start` on of one plan shape's odometer: a generator function
+    with a `for` loop per level, up to `_RUN`, then `yield from` the next
+    run's.  `shape` holds per level its (parent level, pair level), -1 for
+    none (a root; a group of the parent's value), `outs` per answer position
+    its level, through `depth` maps each.  The text holds level numbers and
+    template text only; every datum comes in as an argument."""
+    end, args = min(start + _RUN, len(shape)), "levels, maps, rank, steps, n, seen, emitted, gap"
+    code = [f"def odometer({args}{''.join(f', v{l}' for l in range(start))}):",
             "    [" + ", ".join(f"(s{l},)" if u < 0 else f"(p{l}, s{l}, m{l})" if j < 0 else
-                           f"(nb{l}, lo{l}, st{l}, ow{l}, lp{l})" for l, (u, j) in enumerate(shape))
-            + "] = levels",
-            "    [" + ", ".join(f"o{i}" for i in range(len(outs) * depth)) + "] = maps",
-            "    n = seen = emitted = gap = 0"]
+                           f"(nb{l}, lo{l}, st{l}, ow{l}, lp{l})"
+                           for l, (u, j) in enumerate(shape[start:end], start))
+            + f"] = levels[{start}:{end}]",
+            "    [" + ", ".join(f"o{i}" for i in range(len(outs) * depth)) + "] = maps"]
     pad = "    "
-    for l, (u, j) in enumerate(shape):
+    for l, (u, j) in enumerate(shape[start:end], start):
         if u < 0:
             seq = f"s{l}"
         elif j < 0:  # a group of the parent's value: its colour, or the pair's second colour
@@ -158,26 +167,24 @@ def _loops(shape: tuple[tuple[int, int], ...], outs: tuple[int, ...], depth: int
         else:  # the parent vertex's successors, then itself if its class loops
             code += [f"{pad}at = lo{l}[v{j}] + rank[v{u}] * st{l}[v{j}]",
                      f"{pad}hi = at + ow{l}[v{j}]",
-                     f"{pad}if v{j} in lp{l}:",
-                     f"{pad}    g = [*nb{l}[at:hi], v{u}]",
-                     f"{pad}elif at == hi:",
-                     f"{pad}    raise ColorcqError('index is inconsistent: "
-                     "a colour-level answer expanded to no tuple')",
-                     f"{pad}else:",
-                     f"{pad}    g = nb{l}[at:hi]"]
+                     f"{pad}g = [*nb{l}[at:hi], v{u}] if v{j} in lp{l} else nb{l}[at:hi] or no_tuple()"]
             seq = "g"
         code += [f"{pad}for v{l} in {seq}:", f"{pad}    n += 1"]
         pad += "    "
-    out = [reduce(lambda v, d: f"o{p * depth + d}[{v}]", range(depth), f"v{l}")
-           for p, l in enumerate(outs)]
-    code += [f"{pad}emitted += 1",
-             f"{pad}if n - seen > gap:",
-             f"{pad}    gap = steps.max_gap = n - seen",
-             f"{pad}seen = steps.n = n",
-             f"{pad}steps.emissions = emitted",
-             f"{pad}yield ({''.join(v + ', ' for v in out)})"]
-    space = {"ColorcqError": ColorcqError}
-    exec(compile("\n".join(code), "<odometer>", "exec"), space)
+    if end < len(shape):
+        code.append(f"{pad}n, seen, emitted, gap = yield from inner("
+                    f"{args}{''.join(f', v{l}' for l in range(end))})")
+    else:
+        out = [reduce(lambda v, d: f"o{p * depth + d}[{v}]", range(depth), f"v{l}")
+               for p, l in enumerate(outs)]
+        code += [f"{pad}emitted += 1",
+                 f"{pad}if n - seen > gap:",
+                 f"{pad}    gap = steps.max_gap = n - seen",
+                 f"{pad}seen = steps.n = n",
+                 f"{pad}steps.emissions = emitted",
+                 f"{pad}yield ({''.join(v + ', ' for v in out)})"]
+    space = {"no_tuple": _no_tuple, "inner": end < len(shape) and _loops(shape, outs, depth, end)}
+    exec(compile("\n".join([*code, "    return n, seen, emitted, gap"]), "<odometer>", "exec"), space)
     return space["odometer"]
 
 
@@ -202,9 +209,9 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
     output level through the pairs' second values (no index), or through
     constant ids unless vertex i is constant i, then through `names`.
 
-    The loops come from `_loops` by the plan's shape: one compile, under a
-    millisecond, per shape and process.  Each advance at any level adds one
-    to `steps.n`, and each answer writes `steps`.
+    The loops come from `_loops` by the plan's shape: one compile per shape
+    and process, under a millisecond per 16 levels.  Each advance at any
+    level adds one to `steps.n`, and each answer writes `steps`.
     """
     if not all(run.roots for run in runs):
         return iter(())
@@ -212,9 +219,7 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
     levels: list[tuple] = []  # per level: what its loop reads
     value: list = []  # per colour level: its position -> colour (or constant)
     heads = []  # per component: its first output level
-    rank = None
-    if idx is not None:
-        bounds, rank = idx.coloring.bounds, idx.coloring.rank
+    rank = idx.coloring.rank if idx is not None else None
     for run in runs:
         comp, b = run.comp, len(levels)
         k = len(comp.free_prefix)
@@ -229,14 +234,15 @@ def _odometer(runs: Sequence[TreeRun], slots: Sequence[tuple[int, int]], steps: 
         if idx is not None:
             value += [None] * k
             shape += [(b, -1)] + [(u + k, b + w) for w, u in zip(edges, ups)]
-            levels += [(bounds, idx.members, value[b])] + [idx.tables[comp.label[w]] for w in edges]
+            levels += [(idx.coloring.bounds, idx.members, value[b])]
+            levels += [idx.tables[comp.label[w]] for w in edges]
     outs = tuple(heads[ci] + i for ci, i in slots)
     if idx is None:
         maps, depth = [value[i] for i in outs], 1
     else:
         chain = [m for m in (idx.const_of, names) if m is not None]
         maps, depth = chain * len(outs), len(chain)
-    return _loops(tuple(shape), outs, depth)(levels, maps, rank, steps)
+    return _loops(tuple(shape), outs, depth)(levels, maps, rank, steps, 0, 0, 0, 0)
 
 
 def _color_tables(idx: ColorIndex, comp: PlanComponent) -> tuple[list, list]:

@@ -758,6 +758,63 @@ def test_shape_cache_holds_no_index():
         gc.enable()
 
 
+def _path(k: int) -> str:
+    """A k-atom path over R, every variable free, named in path order."""
+    xs = [f"x{i:03}" for i in range(k + 1)]
+    return f"Ans({','.join(xs)}) <- " + ", ".join(f"R({a},{b})" for a, b in zip(xs, xs[1:])) + "."
+
+
+def test_long_plans_span_generated_functions(tmp_path):
+    """Plans with more levels than one generated function runs (`_RUN`;
+    CPython nests at most 20 blocks in one function) get `naive_eval`'s
+    answers: an 11-variable path (22 levels) on a built and a loaded index,
+    with the same steps after each answer on both, and a 21-variable one (21
+    levels) through `cde_fc_acq`; a 60-variable one both ways."""
+    loop = load_database("".join(f"R({i},{(i + 1) % 5})\n" for i in range(5)) + "R(3,3)\n")
+    for db, k in ((loop, 10), (loop, 20), (cycle_db(5), 59)):
+        q = parse_query(_path(k), db.schema)
+        plan, want = plan_query(q, db.schema), naive_eval(db, q)
+        assert want and set(cde_fc_acq(db, plan)) == want, k
+        if k == 20:
+            continue
+        seen = []
+        for idx in _built_and_loaded(db, tmp_path / f"path{k}.idx"):
+            sess = EnumerationSession(idx, plan)
+            seen.append([(t, sess.steps.n, sess.max_gap) for t in sess])
+            assert {t for t, *_ in seen[-1]} == want and sess.emissions == len(want), k
+        assert seen[0] == seen[1], k
+
+
+def test_run_boundaries_keep_answers_and_accounting(monkeypatch):
+    """Cutting the generated loops into runs of 1, 2 or 5 levels changes
+    neither the answers, nor their order, nor the steps after each."""
+    db = random_db(random.Random(4102), max_adom=8, max_facts=30)
+    idx = build_index(db)
+    texts = ("Ans(x,y,z) <- R(x,y), R(y,z).", "Ans(x,w,v) <- R(x,y), S(w,v), U(v).",
+             "Ans(z,y) <- R(x,y), R(y,z), S(z,w).", "Ans(x,w) <- R(x,y), S(w,v), U(u).",
+             "Ans() <- R(x,y), S(y,z).", "Ans(y,x,z) <- R(x,y), S(x,z), R(z,z).", _path(4))
+
+    def readings():
+        out = []
+        for text in texts:
+            plan = _plan(db, text)
+            sess = EnumerationSession(idx, plan, names=True)
+            out += [[(t, sess.steps.n, sess.emissions, sess.max_gap) for t in sess],
+                    list(cde_fc_acq(db, plan))]
+        return out
+
+    want = readings()
+    assert any(want[::2])
+    try:
+        for run in (1, 2, 5):
+            monkeypatch.setattr(evaluation, "_RUN", run)
+            evaluation._loops.cache_clear()
+            assert readings() == want, run
+    finally:
+        monkeypatch.undo()
+        evaluation._loops.cache_clear()
+
+
 def _reduce_explicit(comp, cand0, pairs, counted=0, dtype=bool):
     """`_reduce` without the leaf fold: every child, leaves included, is
     gathered over its pairs, then scattered (semi-join) or summed with
