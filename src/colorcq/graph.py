@@ -112,7 +112,6 @@ def encode_self_loops(db: Database) -> tuple[Database, Sigma1]:
     return d1, s1
 
 
-_WORD = 63  # bits per int64 word of a bit set; bit 63 is the sign
 _BITS = 63  # the bits of a packed sort key, all of an int64 but its sign
 
 
@@ -157,35 +156,36 @@ def _bounds(a: np.ndarray, *more: np.ndarray) -> np.ndarray:
     return cut.nonzero()[0]
 
 
-def _rank_bitsets(owner: np.ndarray, bit: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
-    """Rank the sets {bit[i] : owner[i] == o} of the owners o in range(n), held
-    as int64 words of 63 bits (`_rank_words`); the pairs (owner[i], bit[i]) must be distinct."""
-    word = bit // _WORD  # `bit - word * _WORD` costs less than `bit % _WORD`
-    words = np.zeros((int(word.max(initial=0)) + 1, n), np.int64)
-    np.add.at(words.ravel(), word * n + owner, np.int64(1) << (bit - word * _WORD))  # distinct: sum = union
-    return _rank_words(words)
+def _rank_sets(at: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Dense ids of the sets member[at[i]:at[i + 1]], runs of distinct ascending ints >= 0, in the order of
+    the sets read as integers: below 16 through a table of masks, else by multiset discrimination, largest
+    members first, each step sorting the tied runs by place (where their group starts) and next digits."""
+    n, top = len(at) - 1, int(member.max(initial=0))
+    if top < 16:
+        key = np.diff(np.append(0, np.cumsum(np.left_shift(1, member)))[at])  # distinct members: sum = union
+    else:  # a member m is the digit m + 1, and a run ends in a 0
+        width, digits = top + 2, (63 - n.bit_length()) // (top + 2).bit_length()  # n * width**digits < 2**63
+        key, act, left, end = np.zeros(n, np.int64), np.arange(n), np.diff(at) + 1, at[1:] - 1
+        while len(act):  # key: each run's place; of the runs in act: their digits left, their next member
+            pk = key[act] * width**digits
+            for i in range(min(digits, int(left.max()) - 1)):
+                pk += np.where(left > i + 1, member[end - i] + 1, 0) * width ** (digits - 1 - i)
+            act, pk, left, end = (x[by] for by in [np.argsort(pk)] for x in (act, pk, left, end))
+            first = np.searchsorted(pk, pk)
+            key[act] += first - np.searchsorted(pk, pk - pk % width**digits)  # its new group's place
+            keep = (left > digits) & (np.searchsorted(pk, pk, "right") > first + 1)
+            act, left, end = act[keep], left[keep] - digits, end[keep] - digits
+    return (np.cumsum(np.bincount(key, minlength=1) > 0) - 1)[key]
 
 
-def _rank_words(words: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Each column's dense set id, numbered in increasing order of the sets read as
-    integers, and each id's set as a Python int, where the set of column o has
-    the bits of words[j, o] at 63·j and up.  Sets within 16 bits are ranked through
-    a table of all such sets, others word by word, most significant first."""
-    n, top = words.shape[1], int(words.max(initial=0))
-    if not top:  # all sets are empty
-        return np.zeros(n, np.int64), [0] if n else []
-    if len(words) == 1 and top < 1 << 16:
-        seen = np.bincount(words[0]) > 0
-        return (np.cumsum(seen) - 1)[words[0]], np.flatnonzero(seen).tolist()
-    rank = np.zeros(n, np.int64)
-    for w in words[::-1]:
-        if w.any():  # a word no set uses splits no rank
-            key = _pack(rank, w)
-            perm = np.argsort(key, kind="stable")  # a quicksort argsort is erratic on few distinct keys
-            rank[perm] = np.cumsum(np.append(0, np.diff(key[perm]) != 0))
-    reps = np.empty(int(rank.max()) + 1, np.int64)
-    reps[rank] = np.arange(n)  # any member of a rank holds its set
-    return rank, [sum(x << (_WORD * j) for j, x in enumerate(col)) for col in words[:, reps].T.tolist()]
+def _as_ints(at: np.ndarray, member: np.ndarray, ids: np.ndarray) -> list[int]:
+    """Each id's set as a Python int (bit b for member b): its int64 words, which its runs write alike."""
+    w = int(member.max(initial=0)) // 64 + 1  # the words of a set
+    word = np.repeat(ids * w, np.diff(at)) + (member >> 6)
+    cut = _bounds(word)[:-1]
+    buf = np.zeros((int(ids.max(initial=-1)) + 1) * w, "<i8")
+    buf[word[cut]] = np.bitwise_or.reduceat(np.left_shift(1, member & 63), cut)  # bit 63 is the sign
+    return [int.from_bytes(x, "little") for x in buf.reshape(-1, w)]
 
 
 class Vertices:
@@ -198,10 +198,13 @@ class Vertices:
         self.unary_symbols: tuple[str, ...] = s1.schema.unary_symbols
         self._uidx = {u: i for i, u in enumerate(self.unary_symbols)}
         self.verts, self.n, self.unary = verts, len(verts), unary
-        bit = [np.full(len(rows), j, np.int64) for j, rows in enumerate(unary)]
-        none = [np.zeros(0, np.int64)]
-        self.vl_id, self.label_masks = _rank_bitsets(
-            np.concatenate(none + unary), np.concatenate(none + bit), self.n)
+        owner, sym = _sort_rows(np.concatenate([np.zeros(0, np.int64), *unary]),
+                                np.repeat(np.arange(len(unary)), [len(r) for r in unary]))
+        at = _bounds(owner)  # one run per vertex with a unary symbol; those without have the least set
+        ids, empty = _rank_sets(at, sym), int(len(at) - 1 < self.n)
+        self.vl_id = np.zeros(self.n, np.int64)
+        self.vl_id[owner[at[:-1]]] = ids + empty
+        self.label_masks = [0] * empty + _as_ints(at, sym, ids)
 
 
 class LabeledGraph(Vertices):
@@ -219,8 +222,8 @@ class LabeledGraph(Vertices):
         self._build_edges(d1, vertex)
 
     def _build_edges(self, d1: Database, vertex: np.ndarray) -> None:
-        """One `_sort_rows` of the directed edges of `d1` by (source, target, tag); each pair's label
-        is the set of its tags, as one word up to 63 tags (`_rank_words`), else in words of 63 bits."""
+        """One `_sort_rows` of the directed edges of `d1` by (source, target, tag); each pair's
+        label is the set of its run of tags, ranked by `_rank_sets`."""
         binary = d1.schema.binary_symbols
         # the fact R(a, b) of the r-th binary R is the edge (a, b) with tag 2r and (b, a) with tag 2r + 1
         rows = [x for sym in binary for r in [vertex[d1.array(sym)]] for x in (r, r[:, ::-1])]
@@ -230,17 +233,14 @@ class LabeledGraph(Vertices):
         # one directed entry per (src, dst) pair; the label collects every tag
         src, dst, tag = _sort_rows(edges[:, 0], edges[:, 1], tag)  # the rows are distinct
         at = _bounds(src, dst)  # one run per (src, dst) pair
-        starts = at[:-1]
-        pairs = [(r, d) for r in binary for d in (FWD, BWD)]  # the pair of each tag, as a bit of a mask
-        if len(pairs) <= _WORD:  # a pair's tags as the bits of one word
-            elab, masks = _rank_words(np.bitwise_or.reduceat(np.left_shift(1, tag), starts)[None])
-        else:
-            elab, masks = _rank_bitsets(np.arange(len(starts)).repeat(np.diff(at)), tag, len(starts))
-        self.labels: tuple[EdgeLabel, ...] = tuple(
-            EdgeLabel(p for b, p in enumerate(pairs[:m.bit_length()]) if m >> b & 1) for m in masks)
-        self.nbr = dst[starts]
-        self.elab = elab
-        self.indptr = np.append(0, np.cumsum(np.bincount(src[starts], minlength=self.n)))
+        self.elab = _rank_sets(at, tag)
+        lo = np.zeros(int(self.elab.max(initial=-1)) + 1, np.int64)
+        lo[self.elab] = at[:-1]  # where the tags of a pair of each label begin
+        pairs = [(r, d) for r in binary for d in (FWD, BWD)]  # the pair of each tag
+        self.labels: tuple[EdgeLabel, ...] = tuple(EdgeLabel(pairs[t] for t in tag[a:b].tolist()) for a, b in zip(
+            lo.tolist(), at[np.searchsorted(at, lo, "right")].tolist()))
+        self.nbr = dst[at[:-1]]
+        self.indptr = np.append(0, np.cumsum(np.bincount(src[at[:-1]], minlength=self.n)))
 
     @property
     def num_directed_edges(self) -> int:

@@ -100,3 +100,12 @@ def naive_refine(g: LabeledGraph) -> Coloring:
             return _as_coloring(np.array(colors, dtype=np.int64))
         colors = [ranks[s] for s in sigs]
         ncol = len(ranks)
+
+
+def rank_sets(runs: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Reference set ranker: each run of distinct ints read as the Python int with bit b
+    for member b, and ranked among the sorted distinct ints; then those ints."""
+    ints = [sum(1 << b for b in run) for run in runs]
+    distinct = sorted(set(ints))
+    rank = {x: i for i, x in enumerate(distinct)}
+    return [rank[x] for x in ints], distinct

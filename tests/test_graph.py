@@ -1,13 +1,14 @@
 """Loop encoding and the labeled-graph view."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from colorcq import graph as GRAPH
-from colorcq.graph import EdgeLabel, _rank_words, _sort_rows, e_symbol, encode_self_loops, sigma1_for
+from colorcq.graph import EdgeLabel, _as_ints, _rank_sets, _sort_rows, e_symbol, encode_self_loops, sigma1_for
 from colorcq.model import Schema
 
 from .conftest import (
@@ -23,6 +24,7 @@ from .conftest import (
     vertex_symbols,
     vl_mask,
 )
+from .reference import rank_sets
 
 
 def test_edge_label_canonical_and_dual():
@@ -150,9 +152,9 @@ def test_parallel_relations_fold_into_one_label():
 
 
 def test_wide_schema_grouping_matches_bitmask_route():
-    """With > 31 binary symbols there are more than 63 (symbol, direction)
-    tags, so an edge label spans two 63-bit words; the labels must match the
-    ones of an equivalent narrow schema."""
+    """With 32 binary symbols there are 64 (symbol, direction) tags, so a
+    label can hold tag 63 and past it; the labels must match the ones of the
+    narrow schema of the symbols that have facts."""
     wide_syms = [(f"R{i:02d}", 2) for i in range(32)]
     facts = [("R00", "a", "b"), ("R31", "b", "a"), ("R07", "b", "c")]
     g = graph_of(make_db(Schema(wide_syms), facts))
@@ -167,9 +169,10 @@ def test_wide_schema_grouping_matches_bitmask_route():
 
 
 def test_label_ranks_agree_through_the_table_and_word_by_word():
-    """Edge-label masks below 2^16 are ranked through a table, others word by word, in one
-    word up to 63 tags: unused binary relations put before the used ones shift every mask
-    by the same bits, so each route must number the same labels alike."""
+    """Unused binary relations put before the used ones shift every tag by the same amount,
+    which keeps the order of the labels read as integers: with 8, 18 and 68 tags (ranked
+    through the table of masks, then by discrimination, past tag 63 too), the labels and
+    the edges are the same."""
     rng = random.Random(38)
     for _ in range(30):
         facts = [(rng.choice("PQRS"), f"c{rng.randrange(9)}", f"c{rng.randrange(9)}")
@@ -182,17 +185,31 @@ def test_label_ranks_agree_through_the_table_and_word_by_word():
                 assert np.array_equal(getattr(g, name), getattr(graphs[0], name)), name
 
 
-def test_rank_words_table_and_word_loop_agree():
-    """Sets below 2^16 in one word are ranked through a table; padded with an empty
-    second word they are ranked word by word, to the same ids and sets."""
-    rng = np.random.default_rng(38)
-    for n in (0, 1, 2, 50, 400):
-        for top in (1, 2, 1 << 8, 1 << 16):
-            words = rng.integers(0, top, (1, n))
-            rank, sets = _rank_words(words)
-            rank2, sets2 = _rank_words(np.vstack([words, np.zeros_like(words)]))
-            assert np.array_equal(rank, rank2) and sets == sets2 == sorted(set(words[0].tolist()))
-            assert rank.tolist() == [sets.index(x) for x in words[0].tolist()]
+def test_rank_sets_matches_the_int_oracle():
+    """`_rank_sets` names runs of distinct ascending ints like `reference.rank_sets`, which reads
+    each set as a Python int, and `_as_ints` gives those ints: on seeded random runs with empty
+    runs, members of 63 and more and of 2^16 and more, runs that are prefixes of others, and one
+    run of 6,000 members.  Runs of members below 16 are ranked through the table of masks, and
+    again with every member moved up by 16, which reads each set times 2^16, by discrimination."""
+    rng = random.Random(38)
+    cases = [[], [[]], [[], []], [[1, 2], [1, 2, 3], [2, 3], [1, 2], [3], []], [[63], [62], [0, 63], [63, 64]],
+             [[70000], [1, 70000], [1], [1 << 16], [65535, 1 << 16]]]
+    for top in (1, 2, 5, 16, 17, 64, 200, 1 << 17):
+        for _ in range(25):
+            runs = [sorted(rng.sample(range(top), rng.randint(0, min(top, 6)))) for _ in range(rng.randint(0, 40))]
+            runs += [r[:rng.randint(0, len(r))] for r in runs[:5]] + runs[:3]  # prefixes and repeats
+            runs += [r[rng.randint(0, len(r)):] for r in runs[:5]]  # the largest members of a run
+            cases.append(rng.sample(runs, len(runs)))
+    long = sorted(rng.sample(range(9000), 6000))
+    cases.append([long, long[1:], long, long[:-1], long[:3000], long[-3000:], long[-4:], [long[-1]], []])
+    for runs in cases:
+        at = np.cumsum([0] + [len(r) for r in runs])
+        member = np.array([b for r in runs for b in r], np.int64)
+        want_ids, want_ints = rank_sets(runs)
+        for shift in (0, 16):
+            ids = _rank_sets(at, member + shift)
+            assert ids.tolist() == want_ids
+            assert _as_ints(at, member + shift, ids) == [x << shift for x in want_ints]
 
 
 def test_sort_rows_sorts_like_lexsort(monkeypatch):
@@ -253,3 +270,32 @@ def test_initial_colors_rank_wide_vertex_labels():
     assert n_init == len(ranks) == 4
     assert list(init) == [ranks.index(m) for m in masks]
     assert vertex_symbols(g, vertex(g, db.constants.index("d"))) == {"U03", "U64"}
+
+
+def _wide_graphs():
+    """300 seeded databases of 0-80 binary and 0-80 unary relations over a few constants, so that
+    labels of more than 63 tags and of more than 63 unary symbols occur, then one vertex pair that
+    carries 2,000 tags (1,000 relations, each both ways)."""
+    rng = random.Random(42)
+    for _ in range(300):
+        nb, nu, nc = rng.randint(0, 80), rng.randint(0, 80), rng.randint(1, 12)
+        syms = [(f"R{i}", 2) for i in range(nb)] + [(f"U{i}", 1) for i in range(nu)]
+        facts = [(r, *(f"c{rng.randrange(nc)}" for _ in range(k)))
+                 for r, k in (rng.choice(syms) for _ in range(rng.randint(0, 300) if syms else 0))]
+        yield graph_of(make_db(Schema(syms), facts))
+    syms = [(f"R{i}", 2) for i in range(1000)] + [("U", 1)]
+    facts = [f for i in range(1000) for f in ((f"R{i}", "a", "b"), (f"R{i}", "b", "a"))]
+    yield graph_of(make_db(Schema(syms), facts + [("R7", "b", "c"), ("R999", "c", "c"), ("U", "a")]))
+
+
+def test_wide_labels_match_pinned_digest():
+    """Vertex and edge labels are pinned: the sha256 over `vl_id`, `label_masks`, `elab`, `nbr`,
+    `indptr` and the labels' pairs of every graph of `_wide_graphs`."""
+    digest, widest = hashlib.sha256(), 0
+    for g in _wide_graphs():
+        for a in (g.vl_id, g.elab, g.nbr, g.indptr):
+            digest.update(a.astype("<i8").tobytes() + b"|")
+        digest.update(repr((g.label_masks, [lab.pairs for lab in g.labels])).encode())
+        widest = max(widest, *(len(lab.pairs) for lab in g.labels), 0)
+    assert widest == 2000
+    assert digest.hexdigest() == "f9b71605f373de73df519d0084485d0e034554939e689c62e6d6ac3ea4e4561e"

@@ -300,6 +300,55 @@ def test_wide_labels_make_no_closure(tmp_path):
     assert _agree_with_naive(small, indexes, small.schema, WIDE_QUERIES) == 4
 
 
+def _spread_db(rels: int, facts: int, consts: int, seed: int) -> Database:
+    """`facts` distinct seeded facts over `consts` constants, spread over the binary relations R0..R(rels-1)."""
+    rng = np.random.default_rng(seed)
+    names = [f"R{i}" for i in range(rels)]
+    db = Database(Schema((r, 2) for r in names), constants=[f"c{i}" for i in range(consts)])
+    code = rng.choice(rels * consts * consts, facts, replace=False)
+    rel, rows = code // consts**2, np.stack([code // consts % consts, code % consts], axis=1)
+    for i, r in enumerate(names):
+        db.set_relation(r, rows[rel == i])
+    return db
+
+
+def _graph_peak(db: Database) -> int:
+    """The tracemalloc peak of `build_labeled_graph` on `db`, loops encoded beforehand."""
+    d1, s1 = encode_self_loops(db)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build_labeled_graph(d1, s1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_schemas_cost_the_graph_no_memory_per_tag(tmp_path):
+    """At 20,000 seeded facts over 2,000 constants, the tracemalloc peak of the graph of 1,000
+    binary relations (2,000 tags) stays within 1.5 times that of 10: the edge labels are ranked
+    with nothing the size of the tags times the vertex pairs.  A small wide database, 120 binary
+    and 80 unary relations with 400 facts over 12 constants, gets the Boolean answers, counts
+    and answers `naive_eval` gives, on a built and on a loaded index."""
+    narrow, wide = (_graph_peak(_spread_db(k, 20_000, 2_000, seed=5)) for k in (10, 1000))
+    assert wide < 1.5 * narrow, (wide, narrow)
+
+    rng = random.Random(5)
+    syms = [(f"R{i}", 2) for i in range(120)] + [(f"U{i}", 1) for i in range(80)]
+    facts = [(r, *(f"c{rng.randrange(12)}" for _ in range(k))) for r, k in (rng.choice(syms) for _ in range(400))]
+    facts.sort(key=len, reverse=True)  # the binary facts first
+    db = make_db(Schema(syms), facts)
+    indexes = _built_and_loaded(db, tmp_path / "wide.ccqx")
+    g = indexes[0].g  # tags past 63 (R32 and up), and vertex labels past bit 63
+    assert any(int(s[1:]) >= 32 for lab in g.labels for s, _ in lab.pairs) and max(g.label_masks) >> 64
+    (r, a, b), u = facts[0], next(f[0] for f in facts if f[1:] == (facts[0][1],))  # R..(a, b) and U..(a)
+    r2 = next(f[0] for f in facts if len(f) == 3 and f[1] == b)  # R..(b, c)
+    texts = (f"Ans(x,y) <- {r}(x,y).", f"Ans() <- {r}(x,y), {r2}(y,z).", f"Ans(x,y,z) <- {r}(x,y), {r2}(y,z).",
+             f"Ans(x) <- {u}(x), {r}(x,y).", f"Ans(x,y) <- {r2}(x,y), {r}(y,x).", "Ans(x) <- R31(x,x).",
+             "Ans(x,y,z) <- R1(x,y), R2(y,z), R3(z,w), U60(z).", "Ans() <- U79(x), U0(x).")
+    assert _agree_with_naive(db, indexes, db.schema, texts) >= 4
+
+
 def test_unstable_coloring_is_rejected():
     """One class for all six movie vertices is not stable: the two P-edges
     cannot be spread evenly over six members.  This is an explicit error,
